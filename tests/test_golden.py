@@ -1,0 +1,135 @@
+"""Golden SHA-256 digests of CLI exports.
+
+These pin the exact bytes forestgen writes for fixed seeds, so a refactor of
+the placement math (batching, reordering) that moves even one float32 or one
+``%.9g`` digit fails here. A digest may change only together with a bump of
+``forest.MANIFEST_VERSION`` and a stated reason. The digests assume IEEE
+float64 arithmetic with the numpy/BLAS build the suite runs on.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from forestgen import cli, stl, templates
+
+
+def digest_dir(path: Path) -> str:
+    """One SHA-256 over every file of a directory, by name and content."""
+    h = hashlib.sha256()
+    for f in sorted(path.iterdir()):
+        h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).digest())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def libs(tmp_path_factory):
+    """Saved libraries per detail level; None selects the CLI's built-in normal set."""
+    root = tmp_path_factory.mktemp("golden_libs")
+    paths = {"normal": None}
+    for detail in ("tiny", "fine"):
+        paths[detail] = stl.save_library(templates.default_library(detail), root / detail)
+    return paths
+
+
+def run_cli(argv):
+    code = cli.main([str(a) for a in argv])
+    assert code == 0, f"forestgen {' '.join(map(str, argv))} exited {code}"
+
+
+# name -> (detail, tree flags)
+TREE_CASES = {
+    "tiny-6x3x5": ("tiny", ["--branches", 6, "--subbranches", 3, "--leaves", 5, "--seed", 7]),
+    "normal-10x3x5": ("normal", ["--branches", 10, "--subbranches", 3, "--leaves", 5,
+                                 "--seed", 11]),
+    "fine-4x2x3": ("fine", ["--branches", 4, "--subbranches", 2, "--leaves", 3, "--seed", 5]),
+    "tiny-1x0x0": ("tiny", ["--branches", 1, "--subbranches", 0, "--leaves", 0, "--seed", 3]),
+    "normal-5x0x4": ("normal", ["--branches", 5, "--subbranches", 0, "--leaves", 4,
+                                "--seed", 19]),
+    "skeleton-12x3": ("tiny", ["--branches", 12, "--subbranches", 3, "--seed", 23,
+                               "--stage", "skeleton"]),
+}
+
+TREE_GOLDEN = {
+    ("tiny-6x3x5", "binary"):
+        "f930e997801b37fdbb4d8a7c96c9bf0774751345f11531c9f2aae30eb3a417be",
+    ("tiny-6x3x5", "ascii"):
+        "d8a2e107df35e307eb9dc32dc319486f0e3dc78a87a840aee59082672a6a1099",
+    ("normal-10x3x5", "binary"):
+        "923a8b885006ddf3aba45db40d7e6cf2e5d4f3635f071eb654b9c1ccce08fb2f",
+    ("normal-10x3x5", "ascii"):
+        "9900d3b95d0291aa7806f62a78a93d30cdf08aa11bd5365e2ecbabe70fc5fb67",
+    ("fine-4x2x3", "binary"):
+        "34f67fefea749bf76086b6f6747c2245a154f61b0092f638816ead345cc74029",
+    ("fine-4x2x3", "ascii"):
+        "8b7418e7f5a61c74d59ce65148a54bc25d3a4e4186c79e5ebf39a4f7e4afe14f",
+    ("tiny-1x0x0", "binary"):
+        "9ff9f27d5e0232947a55842114d830e1044b0586d7253c28bd824c8e238ec31b",
+    ("tiny-1x0x0", "ascii"):
+        "7e2608ab5724e874988e030b356cf70f6083c9e85c236ab02c0dab9049f17dac",
+    ("normal-5x0x4", "binary"):
+        "e6abed8efae57598a9c620794169bc6c080c07aac8834207638fd5eba9b389fa",
+    ("skeleton-12x3", "binary"):
+        "2a80cbb7f8e4205c41acc3d8325cacc3ae0185d32ee5da509885056e46e79806",
+    ("skeleton-12x3", "ascii"):
+        "b0fec1f929252d77500bbdc7e5dcd29169d72e6ebc7d14bcededfc1608714ab2",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(TREE_GOLDEN))
+def test_tree_export_digest(case, fmt, libs, tmp_path):
+    detail, flags = TREE_CASES[case]
+    lib = [] if libs[detail] is None else ["--lib", libs[detail]]
+    out = tmp_path / "out"
+    run_cli(["tree", *flags, *lib, "--format", fmt, "--out", out / "tree.stl"])
+    assert digest_dir(out) == TREE_GOLDEN[(case, fmt)]
+
+
+_JITTER = {"azimuth_range": 10.0, "pitch_range": 10.0, "scale_range": [0.85, 1.15]}
+_NO_JITTER = {"azimuth_range": 0.0, "pitch_range": 0.0, "scale_range": [1.0, 1.0]}
+
+# name -> scene config (library path filled in per run)
+FOREST_CASES = {
+    "jittered": {
+        "master_seed": 404,
+        "region": {"x_min": 0.0, "x_max": 40.0, "y_min": 0.0, "y_max": 40.0},
+        "intensity": {"form": "constant", "rate": 0.006},
+        "tree_params": {"branch_count": 6, "subbranches_per_branch": 2,
+                        "leaves_per_subbranch": 3, "trunk_height": 8.0,
+                        "depth_scale_decay": 0.5, "jitter": _JITTER},
+        "parameter_jitter": {"branch_count": [1, 9], "trunk_height": [5, 12]},
+        "min_spacing": 2.0,
+    },
+    "unjittered": {
+        "master_seed": 77,
+        "region": {"x_min": 0.0, "x_max": 30.0, "y_min": 0.0, "y_max": 30.0},
+        "intensity": {"form": "constant", "rate": 0.006},
+        "tree_params": {"branch_count": 4, "subbranches_per_branch": 1,
+                        "leaves_per_subbranch": 2, "trunk_height": 6.0,
+                        "depth_scale_decay": 0.7, "jitter": _NO_JITTER},
+        "min_spacing": 1.0,
+    },
+}
+
+FOREST_GOLDEN = {
+    ("jittered", "per-tree"):
+        "c09a307c4051bef899eaed372a723403d2296600cb28ef76a8678b49da860d79",
+    ("jittered", "merged"):
+        "a899c88130b9323022b831a3a1f41ca93ea6004f5c9d6ba568e7f7d7d8bdc3e0",
+    ("unjittered", "per-tree"):
+        "b62ef6bb9daa0aa3301e9aaf88c096522d919f688a7c1e3456675870979feef5",
+    ("unjittered", "merged"):
+        "b26c6403b16bc1b31ffa39415e50d294b075b039e82281968d990dd09361b483",
+}
+
+
+@pytest.mark.parametrize("case,mode", sorted(FOREST_GOLDEN))
+def test_forest_export_digest(case, mode, libs, tmp_path):
+    config = dict(FOREST_CASES[case], library=str(libs["tiny"]))
+    config_path = tmp_path / "scene_config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "scene"
+    run_cli(["forest", "--config", config_path, "--out", out, "--mode", mode])
+    assert digest_dir(out) == FOREST_GOLDEN[(case, mode)]
