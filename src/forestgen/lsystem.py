@@ -349,9 +349,13 @@ def _assign_fan_geometry(root: _Emission, emissions: list[_Emission],
     Children of one parent form an evenly spaced fan (360/k apart) offset by
     the parent's group phase; stations spread over the upper fraction of the
     parent axis. The jittered-uniform policy adds bounded uniform noise to
-    both.
+    both, drawn as one (children, 2) block of (azimuth, station) rows: the
+    same stream as two ``rng.uniform`` draws per child in turn.
     """
     jittered = cfg.azimuth_policy == "jittered-uniform"
+    if jittered:
+        draws = iter(rng.random((len(emissions), 2)).tolist())
+        j = cfg.jitter_range
     for parent in [root] + emissions:
         k = len(parent.children)
         if k == 0:
@@ -365,31 +369,42 @@ def _assign_fan_geometry(root: _Emission, emissions: list[_Emission],
             else:
                 child.station = _STATION_LO + i * gap
             if jittered:
-                child.azimuth += rng.uniform(-cfg.jitter_range, cfg.jitter_range)
-                wiggle = rng.uniform(-1.0, 1.0) * 0.25 * (gap if k > 1 else (_STATION_HI - _STATION_LO))
-                child.station = float(np.clip(child.station + wiggle, _STATION_LO, _STATION_HI))
+                # rng.uniform(low, high) is low + (high - low) * U[0, 1)
+                u_turn, u_shift = next(draws)
+                child.azimuth += -j + (j + j) * u_turn
+                span = gap if k > 1 else (_STATION_HI - _STATION_LO)
+                wiggle = (-1.0 + 2.0 * u_shift) * 0.25 * span
+                child.station = min(max(child.station + wiggle, _STATION_LO), _STATION_HI)
 
 
 def _to_skeleton(root: _Emission, emissions: list[_Emission], cfg: TurtleConfig,
                  height: float, base: np.ndarray) -> Skeleton:
-    skeleton = Skeleton()
-    up = np.array([0.0, 0.0, 1.0])
-    skeleton.nodes.append(SkeletonNode(base.copy(), up.copy(), 0, height, None))
+    """Nodes in string order (the trunk first), placed one depth at a time:
+    every node of a depth is computed in one stack from its parents."""
+    points = np.empty((len(emissions) + 1, 3))
+    directions = np.empty((len(emissions) + 1, 3))
+    lengths = [height] + [cfg.step_length] * len(emissions)
+    points[0] = base
+    directions[0] = (0.0, 0.0, 1.0)
     root.node_index = 0
-    for em in emissions:  # string order, so parents precede children
-        parent_node = skeleton.nodes[em.parent.node_index]
-        origin = parent_node.attachment_point + em.station * parent_node.length * parent_node.direction
-        frame = tf.align_z_to(parent_node.direction).rotation
-        pitch = math.radians(cfg.branch_pitch)
-        azimuth = math.radians(em.azimuth)
-        local = np.array([
-            math.sin(pitch) * math.cos(azimuth),
-            math.sin(pitch) * math.sin(azimuth),
-            math.cos(pitch),
-        ])
-        direction = frame @ local
-        direction /= np.linalg.norm(direction)
-        em.node_index = len(skeleton.nodes)
-        skeleton.nodes.append(
-            SkeletonNode(origin, direction, em.depth, cfg.step_length, em.parent.node_index))
-    return skeleton
+    by_depth: dict[int, list[_Emission]] = {}
+    for i, em in enumerate(emissions, start=1):
+        em.node_index = i
+        by_depth.setdefault(em.depth, []).append(em)
+    pitch = math.radians(cfg.branch_pitch)
+    sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
+    for depth in sorted(by_depth):  # a depth's parents are all placed before it
+        level = by_depth[depth]
+        rows = np.array([em.node_index for em in level])
+        parents = np.array([em.parent.node_index for em in level])
+        reach = [[em.station * lengths[em.parent.node_index]] for em in level]
+        points[rows] = points[parents] + reach * directions[parents]
+        local = [[sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch]
+                 for a in (math.radians(em.azimuth) for em in level)]
+        turned = np.matmul(tf.z_alignments(directions[parents]), np.array(local)[:, :, None])
+        directions[rows] = tf.normalize_rows(turned[:, :, 0])
+    return Skeleton([
+        SkeletonNode(points[0], directions[0], 0, height, None),
+        *(SkeletonNode(points[em.node_index], directions[em.node_index], em.depth,
+                       cfg.step_length, em.parent.node_index) for em in emissions),
+    ])

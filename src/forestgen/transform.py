@@ -9,25 +9,48 @@ import numpy as np
 
 from .stl import TriangleMesh
 
+_EYE = np.eye(3)
+# z x d = d[[1, 0, 2]] * these, for z = (0, 0, 1)
+_Z_CROSS_SIGNS = np.array([-1.0, 1.0, 0.0])
+# [a]x, the cross-product matrix of a, flattened: a[_SKEW_INDEX] * _SKEW_SIGNS
+_SKEW_INDEX = [0, 2, 1, 2, 0, 0, 1, 0, 0]
+_SKEW_SIGNS = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """p -> scale * R @ p + translation, with R orthonormal (det +1)."""
+    """p -> scale * R @ p + translation, with R orthonormal (det +1).
+
+    A stack of k transforms carries a leading axis on every field: rotation
+    (k, 3, 3), translation (k, 3) and scale (k,). The checks apply to every
+    element of a stack.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
-    scale: float = 1.0
+    scale: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
-        object.__setattr__(self, "scale", float(self.scale))
-        if self.rotation.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix")
-        if self.translation.shape != (3,):
-            raise ValueError("translation must be a 3-vector")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        rotation = np.asarray(self.rotation, dtype=np.float64)
+        translation = np.asarray(self.translation, dtype=np.float64)
+        lead = rotation.shape[:-2]
+        if len(lead) > 1 or rotation.shape != lead + (3, 3):
+            raise ValueError("rotation must be a 3x3 matrix or a (k, 3, 3) stack")
+        if translation.shape != lead + (3,):
+            raise ValueError("translation must be a 3-vector per rotation")
+        if lead:
+            scale = np.asarray(self.scale, dtype=np.float64)
+            if scale.shape != lead:
+                raise ValueError("scale must be one number per rotation")
+            if not (scale > 0.0).all():
+                raise ValueError("scale must be positive")
+        else:
+            scale = float(self.scale)
+            if not scale > 0.0:
+                raise ValueError("scale must be positive")
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -67,38 +90,66 @@ def apply_point(t: RigidTransform, p) -> np.ndarray:
     return t.scale * (t.rotation @ p) + t.translation
 
 
-def apply_points(t: RigidTransform, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.float64)
-    return t.scale * (pts @ t.rotation.T) + t.translation
-
-
 def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
     """Map vertices through the full transform and normals through the
-    rotation alone (re-normalized; zero normals stay zero)."""
-    facets = mesh.facets.copy()
-    if len(mesh) == 0:
-        return TriangleMesh(facets, mesh.name)
-    verts = facets[:, 1:, :]
-    facets[:, 1:, :] = t.scale * (verts @ t.rotation.T) + t.translation
-    normals = facets[:, 0, :] @ t.rotation.T
-    norms = np.linalg.norm(normals, axis=1)
-    nonzero = norms > 0
-    normals[nonzero] /= norms[nonzero, None]
-    facets[:, 0, :] = normals
-    return TriangleMesh(facets, mesh.name)
+    rotation alone (re-normalized; zero normals stay zero).
+
+    A stack of k transforms maps the mesh once per transform and returns
+    the k copies concatenated in stack order.
+    """
+    rotation_t = t.rotation.reshape(-1, 3, 3).transpose(0, 2, 1)
+    k, m = rotation_t.shape[0], len(mesh)
+    # one product per instance for all rows; its vertex rows come out as the
+    # per-facet products would, while the normal rows are redone below as
+    # (m, 3) products, which numpy takes as a vector product when m == 1
+    facets = np.matmul(mesh.facets.reshape(-1, 3), rotation_t).reshape(k, m, 4, 3)
+    verts = facets[:, :, 1:, :]
+    verts *= np.asarray(t.scale)[..., None, None, None]
+    verts += t.translation[..., None, None, :]
+    normals = facets[:, :, 0, :]
+    np.matmul(mesh.facets[:, 0, :], rotation_t, out=normals)
+    norms = np.sqrt(np.add.reduce(normals * normals, axis=-1, keepdims=True))
+    np.divide(normals, norms, out=normals, where=norms > 0.0)
+    return TriangleMesh(facets.reshape(k * m, 4, 3), mesh.name)
+
+
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of a (k, 3) stack divided by its norm, which is taken as a
+    dot product, the way ``np.linalg.norm`` takes it for a single vector."""
+    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+
+
+def _skew(a: np.ndarray) -> np.ndarray:
+    """Cross-product matrices of a (k, 3) stack. A diagonal entry is -0.0
+    where its axis component is negative; no rotation built from it sees the
+    sign of a zero, since each of its entries adds the identity's first."""
+    return (a[:, _SKEW_INDEX] * _SKEW_SIGNS).reshape(-1, 3, 3)
+
+
+def _rodrigues(k: np.ndarray, k2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """I + sin(theta) K + (1 - cos(theta)) K^2 for every angle in ``theta``
+    (radians), with K and its square K2 broadcast against the trailing 3x3
+    axes."""
+    s = np.sin(theta)[..., None, None]
+    c = np.cos(theta)[..., None, None]
+    return _EYE + s * k + (1.0 - c) * k2
+
+
+def _axis_rotations(axes: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rotations about a (k, 3) stack of non-zero axes by k angles (radians)."""
+    k = _skew(normalize_rows(axes))
+    return _rodrigues(k, k @ k, theta)
 
 
 def rotation_about_axis(axis, degrees: float) -> np.ndarray:
     """Rodrigues rotation matrix about a (non-zero) axis."""
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    theta = math.radians(degrees)
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+    axes = np.asarray(axis, dtype=np.float64).reshape(1, 3)
+    return _axis_rotations(axes, np.radians([degrees]))[0]
+
+
+_JITTER_K = _skew(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))  # azimuth about +Z, pitch about +Y
+_JITTER_K2 = _JITTER_K @ _JITTER_K
+_FLIP_X = rotation_about_axis([1.0, 0.0, 0.0], 180.0)
 
 
 def align_z_to(direction) -> RigidTransform:
@@ -107,17 +158,30 @@ def align_z_to(direction) -> RigidTransform:
     Rotates about the mutual perpendicular; the antipodal case (-Z) uses a
     180 degree turn about +X.
     """
-    d = np.asarray(direction, dtype=np.float64)
-    d = d / np.linalg.norm(d)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, d))
-    if c >= 1.0 - 1e-15:
-        return identity()
-    if c <= -1.0 + 1e-15:
-        return RigidTransform(rotation_about_axis([1.0, 0.0, 0.0], 180.0), np.zeros(3), 1.0)
-    axis = np.cross(z, d)
-    degrees = math.degrees(math.acos(max(-1.0, min(1.0, c))))
-    return RigidTransform(rotation_about_axis(axis, degrees), np.zeros(3), 1.0)
+    rotation = z_alignments(np.asarray(direction, dtype=np.float64).reshape(1, 3))
+    return RigidTransform(rotation[0], np.zeros(3), 1.0)
+
+
+def z_alignments(directions: np.ndarray) -> np.ndarray:
+    """Rotations of :func:`align_z_to` for a (k, 3) stack of directions, as
+    a (k, 3, 3) stack."""
+    d = normalize_rows(directions)
+    c = d[:, 2]
+    poles = np.abs(c) >= 1.0 - 1e-15
+    any_pole = poles.any()
+    if any_pole:
+        pole_rotation = np.where(c[:, None, None] > 0.0, _EYE, _FLIP_X)
+        if poles.all():
+            return pole_rotation
+    # z x d = (-d1, d0, 0), up to the sign of its zeros
+    axis = d[:, [1, 0, 2]] * _Z_CROSS_SIGNS
+    if any_pole:
+        axis[poles] = (1.0, 0.0, 0.0)
+    theta = [math.radians(math.degrees(math.acos(max(-1.0, min(1.0, x))))) for x in c.tolist()]
+    rotation = _axis_rotations(axis, np.array(theta))
+    if any_pole:
+        rotation[poles] = pole_rotation[poles]
+    return rotation
 
 
 def random_attachment_transform(frame, jitter: AngleJitterParams,
@@ -129,13 +193,24 @@ def random_attachment_transform(frame, jitter: AngleJitterParams,
     pitch ~ U(-pitch_range, +pitch_range); scale ~ U(*scale_range). Exactly
     three uniforms are drawn (in that order) regardless of the ranges, so
     the stream layout is stable.
+
+    A frame of k stacked points and directions, each (k, 3), draws its
+    uniforms as one (k, 3) block, which is the same stream as k single
+    frames in turn, and returns a stack of k transforms.
     """
-    point, direction = frame
-    azimuth = rng.uniform(-jitter.azimuth_range, jitter.azimuth_range)
-    pitch = rng.uniform(-jitter.pitch_range, jitter.pitch_range)
-    scale = rng.uniform(jitter.scale_range[0], jitter.scale_range[1])
-    rotation = align_z_to(direction).rotation
-    if azimuth != 0.0 or pitch != 0.0:
-        rotation = rotation @ rotation_about_axis([0, 0, 1], azimuth) \
-                            @ rotation_about_axis([0, 1, 0], pitch)
-    return RigidTransform(rotation, np.asarray(point, dtype=np.float64), scale)
+    points, directions = frame
+    points = np.asarray(points, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64)
+    stacked = directions.ndim == 2
+    directions = directions.reshape(-1, 3)
+    a, p = jitter.azimuth_range, jitter.pitch_range
+    lo, hi = jitter.scale_range
+    # low + (high - low) * U[0, 1) is how rng.uniform maps its draws, so this
+    # gives its doubles without its per-call argument broadcasting
+    span = np.array((a + a, p + p, hi - lo))
+    draws = np.array((-a, -p, lo)) + span * rng.random((len(directions), 3))
+    turns = _rodrigues(_JITTER_K, _JITTER_K2, np.radians(draws[:, :2]))
+    rotation = z_alignments(directions) @ turns[:, 0] @ turns[:, 1]
+    if not stacked:
+        return RigidTransform(rotation[0], points, float(draws[0, 2]))
+    return RigidTransform(rotation, points, draws[:, 2])

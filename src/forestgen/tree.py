@@ -131,14 +131,23 @@ def build_skeleton(params: TreeParams) -> lsys.Skeleton:
     return skeleton
 
 
-def _instance(template: stl.TriangleMesh, extent: float, node: lsys.SkeletonNode,
-              jitter: tf.AngleJitterParams, rng: np.random.Generator,
-              length: float | None = None) -> stl.TriangleMesh:
-    t = tf.random_attachment_transform(
-        (node.attachment_point, node.direction), jitter, rng)
-    base_scale = (length if length is not None else node.length) / extent
-    t = tf.RigidTransform(t.rotation, t.translation, t.scale * base_scale)
-    return tf.apply_to_mesh(t, template)
+def _frames(skeleton: lsys.Skeleton, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attachment points (k, 3), directions (k, 3) and lengths (k,) of nodes."""
+    nodes = [skeleton.nodes[i] for i in indices]
+    return (np.array([n.attachment_point for n in nodes]),
+            np.array([n.direction for n in nodes]),
+            np.array([n.length for n in nodes]))
+
+
+def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
+           lengths: np.ndarray, jitter: tf.AngleJitterParams,
+           rng: np.random.Generator) -> stl.TriangleMesh:
+    """One instance of a template role per frame, all from one stacked
+    transform, each scaled to length / template extent on top of its jittered
+    scale; instances are concatenated in frame order."""
+    t = tf.random_attachment_transform((points, directions), jitter, rng)
+    t = tf.RigidTransform(t.rotation, t.translation, t.scale * (lengths / lib.extent(role)))
+    return tf.apply_to_mesh(t, lib.template(role))
 
 
 def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
@@ -148,11 +157,10 @@ def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     trunk_node = skeleton.trunk
     trunk_t = tf.RigidTransform(np.eye(3), trunk_node.attachment_point,
                                 trunk_node.length / lib.extent("trunk"))
-    parts = [tf.apply_to_mesh(trunk_t, lib.trunk)]
-    for i in skeleton.at_depth(1):
-        parts.append(_instance(lib.branch, lib.extent("branch"), skeleton.nodes[i],
-                               params.jitter, rng))
-    return stl.concat_meshes(parts, "tree")
+    trunk = tf.apply_to_mesh(trunk_t, lib.trunk)
+    branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)),
+                      params.jitter, rng)
+    return stl.concat_meshes([trunk, branches], "tree")
 
 
 def attach_subbranches(mesh: stl.TriangleMesh, skeleton: lsys.Skeleton,
@@ -163,11 +171,8 @@ def attach_subbranches(mesh: stl.TriangleMesh, skeleton: lsys.Skeleton,
     if not indices:
         return mesh
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_SUBBRANCHES))
-    parts = [mesh]
-    for i in indices:
-        parts.append(_instance(lib.sub_branch, lib.extent("sub_branch"),
-                               skeleton.nodes[i], params.jitter, rng))
-    return stl.concat_meshes(parts, mesh.name)
+    subs = _place(lib, "sub_branch", *_frames(skeleton, indices), params.jitter, rng)
+    return stl.concat_meshes([mesh, subs], mesh.name)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
@@ -176,7 +181,8 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     centroid of every placed leaf triangle (one row per triangle).
 
     Anchors are the depth-2 nodes, falling back to depth-1 branches when the
-    tree has no sub-branches.
+    tree has no sub-branches. Leaves are placed anchor by anchor, stations
+    ascending within an anchor.
     """
     count = params.leaves_per_subbranch
     anchors = skeleton.at_depth(2) or skeleton.at_depth(1)
@@ -184,17 +190,12 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
         return stl.empty_mesh("leaves"), np.zeros((0, 3))
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_LEAVES))
     stations = _LEAF_STATION_LO + (1.0 - _LEAF_STATION_LO) * (np.arange(count) + 1) / count
-    parts = []
-    for i in anchors:
-        node = skeleton.nodes[i]
-        for station in stations:
-            anchor_point = node.attachment_point + station * node.length * node.direction
-            frame_node = lsys.SkeletonNode(anchor_point, node.direction, node.depth + 1,
-                                           node.length, i)
-            parts.append(_instance(lib.leaf, lib.extent("leaf"), frame_node,
-                                   params.jitter, rng,
-                                   length=_LEAF_FRACTION * node.length))
-    leaf_mesh = stl.concat_meshes(parts, "leaves")
+    points, directions, lengths = _frames(skeleton, anchors)
+    offsets = (stations * lengths[:, None])[:, :, None] * directions[:, None, :]
+    leaf_mesh = _place(lib, "leaf", (points[:, None, :] + offsets).reshape(-1, 3),
+                       np.repeat(directions, count, axis=0),
+                       np.repeat(_LEAF_FRACTION * lengths, count), params.jitter, rng)
+    leaf_mesh.name = "leaves"
     return leaf_mesh, stl.triangle_centroids(leaf_mesh)
 
 

@@ -1,0 +1,108 @@
+"""One-instance-at-a-time placement math, kept as the reference that the
+stacked code in ``forestgen.transform`` and ``forestgen.lsystem`` must match
+bit for bit.
+
+Each function does what forestgen did before placement was batched: scalar
+``rng.uniform`` draws, ``math`` trigonometry, ``np.cross`` and
+``np.linalg.norm`` on single vectors, and one mesh copy per instance.
+"""
+
+import math
+
+import numpy as np
+
+from forestgen import lsystem as lsys
+from forestgen import stl
+from forestgen import transform as tf
+
+
+def rotation_about_axis(axis, degrees: float) -> np.ndarray:
+    axis = np.asarray(axis, dtype=np.float64)
+    axis = axis / np.linalg.norm(axis)
+    theta = math.radians(degrees)
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+
+
+def align_z_to(direction) -> np.ndarray:
+    d = np.asarray(direction, dtype=np.float64)
+    d = d / np.linalg.norm(d)
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(z, d))
+    if c >= 1.0 - 1e-15:
+        return np.eye(3)
+    if c <= -1.0 + 1e-15:
+        return rotation_about_axis([1.0, 0.0, 0.0], 180.0)
+    degrees = math.degrees(math.acos(max(-1.0, min(1.0, c))))
+    return rotation_about_axis(np.cross(z, d), degrees)
+
+
+def random_attachment_transform(frame, jitter: tf.AngleJitterParams,
+                                rng: np.random.Generator) -> tf.RigidTransform:
+    point, direction = frame
+    azimuth = rng.uniform(-jitter.azimuth_range, jitter.azimuth_range)
+    pitch = rng.uniform(-jitter.pitch_range, jitter.pitch_range)
+    scale = rng.uniform(jitter.scale_range[0], jitter.scale_range[1])
+    rotation = align_z_to(direction)
+    if azimuth != 0.0 or pitch != 0.0:
+        rotation = rotation @ rotation_about_axis([0, 0, 1], azimuth) \
+                            @ rotation_about_axis([0, 1, 0], pitch)
+    return tf.RigidTransform(rotation, np.asarray(point, dtype=np.float64), scale)
+
+
+def apply_to_mesh(t: tf.RigidTransform, mesh: stl.TriangleMesh) -> stl.TriangleMesh:
+    facets = mesh.facets.copy()
+    if len(mesh) == 0:
+        return stl.TriangleMesh(facets, mesh.name)
+    verts = facets[:, 1:, :]
+    facets[:, 1:, :] = t.scale * (verts @ t.rotation.T) + t.translation
+    normals = facets[:, 0, :] @ t.rotation.T
+    norms = np.linalg.norm(normals, axis=1)
+    nonzero = norms > 0
+    normals[nonzero] /= norms[nonzero, None]
+    facets[:, 0, :] = normals
+    return stl.TriangleMesh(facets, mesh.name)
+
+
+def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
+                     rng: np.random.Generator) -> lsys.Skeleton:
+    """Turtle interpretation with two scalar draws per child and one node
+    placed at a time."""
+    root = lsys._Emission(parent=None, depth=0)
+    emissions = lsys._emit(text, root, lsys.BRANCH_SYMBOL, cfg.yaw_angle)
+    jittered = cfg.azimuth_policy == "jittered-uniform"
+    lo, hi = 0.30, 0.95
+    for parent in [root] + emissions:
+        k = len(parent.children)
+        gap = (hi - lo) / (k - 1) if k > 1 else 0.0
+        for i, child in enumerate(parent.children):
+            child.azimuth = parent.group_phase + i * (360.0 / k)
+            child.station = hi if k == 1 else lo + i * gap
+            if jittered:
+                child.azimuth += rng.uniform(-cfg.jitter_range, cfg.jitter_range)
+                wiggle = rng.uniform(-1.0, 1.0) * 0.25 * (gap if k > 1 else (hi - lo))
+                child.station = float(np.clip(child.station + wiggle, lo, hi))
+    base = np.asarray(base, dtype=np.float64)
+    skeleton = lsys.Skeleton()
+    skeleton.nodes.append(lsys.SkeletonNode(base.copy(), np.array([0.0, 0.0, 1.0]), 0,
+                                            float(height), None))
+    root.node_index = 0
+    for em in emissions:
+        parent_node = skeleton.nodes[em.parent.node_index]
+        origin = parent_node.attachment_point \
+            + em.station * parent_node.length * parent_node.direction
+        pitch = math.radians(cfg.branch_pitch)
+        azimuth = math.radians(em.azimuth)
+        local = np.array([math.sin(pitch) * math.cos(azimuth),
+                          math.sin(pitch) * math.sin(azimuth),
+                          math.cos(pitch)])
+        direction = align_z_to(parent_node.direction) @ local
+        direction /= np.linalg.norm(direction)
+        em.node_index = len(skeleton.nodes)
+        skeleton.nodes.append(lsys.SkeletonNode(origin, direction, em.depth, cfg.step_length,
+                                                em.parent.node_index))
+    return skeleton

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from forestgen import lsystem as lsys
 
+import scalar_reference as ref
+
 RULE1 = "vars: g; consts: d; axiom: g; rule: g -> d(d)+d)[d(d)+d)"
 RULE1_DERIVATION = "d(d)+d)[d(d)+d)"
 RULE2_DERIVATION = "d(d)+d)[d(d)+d)[d(d)+d)"
@@ -257,3 +259,22 @@ def test_config_validation():
         lsys.TurtleConfig(azimuth_policy="spiral")
     with pytest.raises(ValueError):
         lsys.interpret_turtle("d", UNIFORM_CFG, (0.0, (0, 0, 0)), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# batched turtle geometry against one-node-at-a-time interpretation
+
+@pytest.mark.parametrize("text", ["d", "d[ddd][d[ddd]", "d[dd]d[d[d]]", "d[d[d[d]]]d[d]",
+                                  RULE1_DERIVATION, "d+[d-d[dd]]+d[d[dd][d]]"])
+@pytest.mark.parametrize("policy", ["uniform-spacing", "jittered-uniform"])
+@pytest.mark.parametrize("pitch", [35.0, 0.0, 180.0])
+def test_skeleton_matches_scalar_reference(text, policy, pitch):
+    cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
+                            azimuth_policy=policy, jitter_range=12.0)
+    got = lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
+    want = ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), np.random.default_rng(5))
+    assert len(got) == len(want)
+    for a, b in zip(got.nodes, want.nodes):
+        assert (a.depth, a.length, a.parent) == (b.depth, b.length, b.parent)
+        for x, y in ((a.attachment_point, b.attachment_point), (a.direction, b.direction)):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from forestgen import stl
 from forestgen import transform as tf
 
+import scalar_reference as ref
+
 angle = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -186,3 +188,136 @@ def test_jitter_params_validation():
         tf.AngleJitterParams(scale_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         tf.AngleJitterParams(scale_range=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# stacks of transforms: one batched call per placement stage
+
+JITTERS = [
+    tf.AngleJitterParams(),
+    tf.AngleJitterParams(azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15)),
+    tf.AngleJitterParams(azimuth_range=30.0, pitch_range=5.0, scale_range=(0.5, 2.0)),
+]
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_frames(r, k):
+    """k attachment points and unit directions, some on the poles or in the
+    x-z plane, where the alignment takes its special paths."""
+    directions = r.normal(size=(k, 3))
+    for i in range(k):
+        kind = r.integers(6)
+        if kind == 0:
+            directions[i] = (0.0, 0.0, 1.0)
+        elif kind == 1:
+            directions[i] = (0.0, 0.0, -1.0)
+        elif kind == 2:
+            directions[i, 1] = 0.0
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    return r.uniform(-5.0, 5.0, size=(k, 3)), directions
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), jitter=st.sampled_from(JITTERS))
+@settings(max_examples=60, deadline=None)
+def test_stacked_attachment_matches_single_frames_and_scalar_reference(seed, k, jitter):
+    points, directions = random_frames(np.random.default_rng(seed), k)
+    rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
+    stacked = tf.random_attachment_transform((points, directions), jitter, rng_stack)
+    assert stacked.rotation.shape == (k, 3, 3)
+    assert stacked.translation.shape == (k, 3)
+    assert stacked.scale.shape == (k,)
+    for i in range(k):
+        single = tf.random_attachment_transform((points[i], directions[i]), jitter, rng_single)
+        scalar = ref.random_attachment_transform((points[i], directions[i]), jitter, rng_ref)
+        assert isinstance(single.scale, float)
+        for t in (single, scalar):
+            assert same_bits(t.rotation, stacked.rotation[i])
+            assert same_bits(t.translation, stacked.translation[i])
+            assert t.scale == stacked.scale[i]
+    # the (k, 3) block consumed exactly the k scalar triples
+    assert rng_stack.random() == rng_single.random() == rng_ref.random()
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10), jitter=st.sampled_from(JITTERS),
+       role=st.sampled_from(["trunk", "branch", "leaf"]), fmt=st.sampled_from(["binary", "ascii"]))
+@settings(max_examples=60, deadline=None)
+def test_stacked_placement_writes_same_stl_bytes_as_single_frames(seed, k, jitter, role, fmt,
+                                                                   tiny_library):
+    template = tiny_library.template(role)
+    points, directions = random_frames(np.random.default_rng(seed), k)
+    rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
+    stacked = tf.apply_to_mesh(
+        tf.random_attachment_transform((points, directions), jitter, rng_stack), template)
+    singles = stl.concat_meshes([
+        tf.apply_to_mesh(tf.random_attachment_transform((points[i], directions[i]), jitter,
+                                                        rng_single), template)
+        for i in range(k)])
+    scalar = stl.concat_meshes([
+        ref.apply_to_mesh(ref.random_attachment_transform((points[i], directions[i]), jitter,
+                                                          rng_ref), template)
+        for i in range(k)])
+    assert len(stacked) == k * len(template)
+    assert same_bits(stacked.facets, singles.facets)
+    assert same_bits(stacked.facets, scalar.facets)
+    written = [stl.write_stl(stl.TriangleMesh(m.facets, "instances"), fmt)
+               for m in (stacked, singles, scalar)]
+    assert written[0] == written[1] == written[2]
+
+
+def test_stacked_apply_concatenates_in_stack_order(tiny_library):
+    rotations = np.stack([np.eye(3), tf.rotation_about_axis([1, 0, 0], 90.0)])
+    t = tf.RigidTransform(rotations, np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]),
+                          np.array([1.0, 2.5]))
+    mesh = tiny_library.branch
+    out = tf.apply_to_mesh(t, mesh)
+    for i in range(2):
+        one = tf.RigidTransform(rotations[i], t.translation[i], t.scale[i])
+        assert same_bits(out.facets[i * len(mesh):(i + 1) * len(mesh)],
+                         tf.apply_to_mesh(one, mesh).facets)
+    assert len(tf.apply_to_mesh(t, stl.empty_mesh())) == 0
+
+
+def test_z_alignments_match_single_alignments():
+    directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                           [0.6, 0.0, 0.8], [-0.6, -0.0, -0.8], [0.0, 0.6, -0.8]])
+    directions = np.concatenate([directions, np.random.default_rng(5).normal(size=(20, 3))])
+    stack = tf.z_alignments(directions)
+    for d, rotation in zip(directions, stack):
+        assert same_bits(rotation, tf.align_z_to(d).rotation)
+        assert same_bits(rotation, ref.align_z_to(d))
+    poles = tf.z_alignments(directions[:2])
+    assert same_bits(poles[0], np.eye(3))
+    assert same_bits(poles[1], ref.align_z_to([0.0, 0.0, -1.0]))
+
+
+def test_rotation_about_axis_matches_scalar_reference():
+    r = np.random.default_rng(11)
+    for _ in range(200):
+        axis, degrees = r.normal(size=3), r.uniform(-360.0, 360.0)
+        assert same_bits(tf.rotation_about_axis(axis, degrees),
+                         ref.rotation_about_axis(axis, degrees))
+
+
+def test_stacked_transform_validation():
+    rotations = np.stack([np.eye(3)] * 3)
+    t = tf.RigidTransform(rotations, np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+    assert t.scale.shape == (3,)
+    bad = [
+        (rotations, np.zeros((3, 3)), np.array([1.0, 0.0, 2.0])),     # one scale not positive
+        (rotations, np.zeros((3, 3)), np.array([1.0, np.nan, 2.0])),  # one scale not a number
+        (rotations, np.zeros((2, 3)), np.ones(3)),                    # translations short
+        (rotations, np.zeros((3, 3)), np.ones(2)),                    # scales short
+        (rotations, np.zeros((3, 3)), 1.0),                           # one scale for a stack
+        (rotations[None], np.zeros((1, 3, 3)), np.ones((1, 3))),      # two leading axes
+        (np.zeros((3, 2, 3)), np.zeros((3, 3)), np.ones(3)),          # not 3x3
+    ]
+    for rotation, translation, scale in bad:
+        with pytest.raises(ValueError):
+            tf.RigidTransform(rotation, translation, scale)
+    with pytest.raises(ValueError):
+        tf.RigidTransform(np.eye(3), np.zeros(3), np.nan)
