@@ -171,7 +171,7 @@ def build_manifest(scene: Scene, mode: str) -> dict:
             "seed": p.seed,
             "params": treemod.params_to_dict(p.tree.params),
             "file": f"tree_{p.index}.stl" if mode == "per-tree" else None,
-            "triangles": len(p.tree.full_mesh()),
+            "triangles": p.tree.stage_counts["leaves"],
         })
     return {
         "version": MANIFEST_VERSION,
