@@ -41,6 +41,8 @@ class Region:
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"region bound {name} must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("region must have positive extent on both axes")
 
@@ -62,6 +64,8 @@ class ConstantIntensity:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
+        if not math.isfinite(self.rate):
+            raise IntensityError("intensity must be finite")
         if self.rate < 0:
             raise IntensityError("intensity must be non-negative")
 
@@ -174,8 +178,8 @@ def integrate_intensity(field, region: Region) -> float:
 def poisson_count(mean: float, rng: np.random.Generator) -> int:
     """Exact Poisson draw: CDF inversion below _INVERSION_MAX_MEAN,
     unit-exponential gap counting above."""
-    if mean < 0:
-        raise ValueError("Poisson mean must be non-negative")
+    if not 0 <= mean < math.inf:
+        raise ValueError("Poisson mean must be finite and non-negative")
     if mean == 0:
         return 0
     if mean < _INVERSION_MAX_MEAN:
@@ -199,8 +203,8 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
 def sample_homogeneous(region: Region, rate: float, seed: int) -> PointPattern:
     """Homogeneous Poisson pattern: Poisson(rate * area) points placed
     independently and uniformly over the region."""
-    if rate < 0:
-        raise IntensityError("rate must be non-negative")
+    if not 0 <= rate < math.inf:
+        raise IntensityError("rate must be finite and non-negative")
     rng = np.random.default_rng(seed)
     n = poisson_count(rate * region.area, rng)
     pts = rng.uniform(low=[region.x_min, region.y_min],

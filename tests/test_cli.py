@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,11 +203,11 @@ def test_ipp_sample_bad_region_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # forest
 
-def scene_config_file(tmp_path, rate=10.0 / 10000.0, master_seed=5) -> Path:
+def scene_config_file(tmp_path, rate=10.0 / 10000.0, master_seed=5, x_max=100) -> Path:
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({
         "master_seed": master_seed,
-        "region": {"x_min": 0, "x_max": 100, "y_min": 0, "y_max": 100},
+        "region": {"x_min": 0, "x_max": x_max, "y_min": 0, "y_max": 100},
         "intensity": {"form": "constant", "rate": rate},
         "tree_params": {"branch_count": 6, "subbranches_per_branch": 2,
                         "leaves_per_subbranch": 2, "trunk_height": 8.0,
@@ -245,6 +248,37 @@ def test_forest_invalid_config_exit_5(tmp_path, lib_dir, capsys):
                           "--lib", str(lib_dir)], capsys)
     assert code == 5
     assert err.startswith("error:")
+
+
+def run_bounded(argv, timeout=60.0) -> subprocess.CompletedProcess:
+    """The CLI in a child process, killed (failing the test) if it outlives
+    ``timeout`` seconds."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "forestgen.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("field", [{"rate": float("inf")}, {"rate": float("nan")},
+                                   {"x_max": float("inf")}, {"x_max": float("nan")}])
+def test_forest_non_finite_config_exit_5(field, tmp_path, lib_dir):
+    config = scene_config_file(tmp_path, **field)
+    assert "Infinity" in config.read_text() or "NaN" in config.read_text()
+    result = run_bounded(["forest", "--config", config, "--out", tmp_path / "o",
+                          "--lib", lib_dir])
+    assert result.returncode == 5, result.stderr
+    assert result.stderr.startswith("error:")
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "must be finite" in result.stderr
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_ipp_sample_non_finite_rate_exit_5(rate, tmp_path):
+    result = run_bounded(["ipp-sample", "--region", "0,10,0,10", "--intensity",
+                          f"constant:{rate}", "--seed", "1", "--out", tmp_path / "o.csv"])
+    assert result.returncode == 5, result.stderr
+    assert result.stderr.startswith("error:")
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -43,6 +43,25 @@ def test_region_validation():
         ipp.Region(0, 1, 2, 1)
 
 
+@pytest.mark.parametrize("bound", ["x_min", "x_max", "y_min", "y_max"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_region_rejects_non_finite_bounds(bound, value):
+    bounds = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
+    bounds[bound] = value
+    with pytest.raises(ValueError, match="finite"):
+        ipp.Region(**bounds)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_constant_intensity_rejects_non_finite_rate(rate):
+    with pytest.raises(ipp.IntensityError, match="finite"):
+        ipp.ConstantIntensity(rate)
+    with pytest.raises(ipp.IntensityError, match="finite"):
+        ipp.sample_homogeneous(REGION, rate, 0)
+    with pytest.raises(ValueError, match="finite"):
+        ipp.poisson_count(rate, np.random.default_rng(0))
+
+
 def test_integrate_constant():
     assert ipp.integrate_intensity(ipp.ConstantIntensity(0.01), REGION) == pytest.approx(100.0)
     assert ipp.integrate_intensity(ipp.ConstantIntensity(0.0), REGION) == 0.0
