@@ -55,9 +55,6 @@ class Triangle:
     def vertices(self) -> np.ndarray:
         return np.stack([self.v0, self.v1, self.v2])
 
-    def as_row(self) -> np.ndarray:
-        return np.stack([self.normal, self.v0, self.v1, self.v2])
-
 
 @dataclass
 class TriangleMesh:
@@ -87,12 +84,6 @@ class TriangleMesh:
     def triangle(self, i: int) -> Triangle:
         n, v0, v1, v2 = self.facets[i]
         return Triangle(n, v0, v1, v2)
-
-    @classmethod
-    def from_triangles(cls, triangles, name: str = "mesh") -> "TriangleMesh":
-        if not triangles:
-            return cls(np.zeros((0, 4, 3)), name)
-        return cls(np.stack([t.as_row() for t in triangles]), name)
 
 
 def empty_mesh(name: str = "mesh") -> TriangleMesh:
