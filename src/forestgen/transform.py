@@ -99,17 +99,26 @@ def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
     """
     rotation_t = t.rotation.reshape(-1, 3, 3).transpose(0, 2, 1)
     k, m = rotation_t.shape[0], len(mesh)
-    # one product per instance for all rows; its vertex rows come out as the
-    # per-facet products would, while the normal rows are redone below as
-    # (m, 3) products, which numpy takes as a vector product when m == 1
-    facets = np.matmul(mesh.facets.reshape(-1, 3), rotation_t).reshape(k, m, 4, 3)
-    verts = facets[:, :, 1:, :]
-    verts *= np.asarray(t.scale)[..., None, None, None]
-    verts += t.translation[..., None, None, :]
+    # All 4m rows of a copy go through one product, scale and translation;
+    # the vertex rows come out as per-facet products would. The normal rows
+    # are then redone from the template as (m, 3) products, the way a single
+    # transform always took them (numpy uses a vector product when m == 1).
+    # Per-coordinate updates keep the inner loops long.
+    rows = np.matmul(mesh.facets.reshape(-1, 3), rotation_t)
+    rows *= np.asarray(t.scale).reshape(-1, 1, 1)
+    translation = t.translation.reshape(-1, 3, 1)
+    for j in range(3):
+        rows[:, :, j] += translation[:, j]
+    facets = rows.reshape(k, m, 4, 3)
     normals = facets[:, :, 0, :]
     np.matmul(mesh.facets[:, 0, :], rotation_t, out=normals)
-    norms = np.sqrt(np.add.reduce(normals * normals, axis=-1, keepdims=True))
-    np.divide(normals, norms, out=normals, where=norms > 0.0)
+    squares = normals * normals
+    norms = squares[..., 0] + squares[..., 1]
+    norms += squares[..., 2]
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0  # zero normals stay zero
+    for j in range(3):
+        normals[..., j] /= norms
     return TriangleMesh(facets.reshape(k * m, 4, 3), mesh.name)
 
 
