@@ -99,11 +99,11 @@ def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
     """
     rotation_t = t.rotation.reshape(-1, 3, 3).transpose(0, 2, 1)
     k, m = rotation_t.shape[0], len(mesh)
-    # All 4m rows of a copy go through one product, scale and translation;
-    # the vertex rows come out as per-facet products would. The normal rows
-    # are then redone from the template as (m, 3) products, the way a single
-    # transform always took them (numpy uses a vector product when m == 1).
-    # Per-coordinate updates keep the inner loops long.
+    # One product per instance over all 4m rows; its vertex rows match
+    # per-facet products bit for bit. The normal rows are redone as (m, 3)
+    # products, as a single transform always took them (numpy switches to a
+    # vector product when m == 1). Per-coordinate updates keep numpy's inner
+    # loops long.
     rows = np.matmul(mesh.facets.reshape(-1, 3), rotation_t)
     rows *= np.asarray(t.scale).reshape(-1, 1, 1)
     translation = t.translation.reshape(-1, 3, 1)
@@ -156,7 +156,8 @@ def rotation_about_axis(axis, degrees: float) -> np.ndarray:
     return _axis_rotations(axes, np.radians([degrees]))[0]
 
 
-_JITTER_K = _skew(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))  # azimuth about +Z, pitch about +Y
+# cross-product matrices of the jitter axes: azimuth about +Z, pitch about +Y
+_JITTER_K = _skew(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
 _JITTER_K2 = _JITTER_K @ _JITTER_K
 _FLIP_X = rotation_about_axis([1.0, 0.0, 0.0], 180.0)
 
