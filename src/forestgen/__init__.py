@@ -8,7 +8,7 @@ Poisson process lays trees out into forest scenes.
 from .forest import (ParameterJitter, Scene, SceneConfig, SceneConfigError,
                      compose_forest, export_scene, regenerate_scene, scene_stats)
 from .ipp import (ConstantIntensity, IntensityError, PointPattern, RasterIntensity,
-                  Region, integrate_intensity, min_distance_filter,
+                  Region, min_distance_filter,
                   sample_homogeneous, sample_ipp_thinning)
 from .lsystem import (DerivationString, GrammarError, LSystem, Skeleton,
                       TurtleConfig, TurtleError, count_branch_symbols,
@@ -31,7 +31,7 @@ __all__ = [
     "TriangleMesh", "TreeModel", "TreeParams", "TurtleConfig", "TurtleError",
     "apply_point", "apply_to_mesh", "build_skeleton", "build_tree", "compose",
     "compose_forest", "count_branch_symbols", "default_library", "export_scene",
-    "integrate_intensity", "interpret_turtle", "inverse", "load_library",
+    "interpret_turtle", "inverse", "load_library",
     "mesh_stats", "min_distance_filter", "parse_lsystem", "random_attachment_transform",
     "read_stl", "recompute_normals", "regenerate_scene", "rewrite",
     "sample_homogeneous", "sample_ipp_thinning", "save_library", "scene_stats",

@@ -3,8 +3,10 @@
 Every subcommand is bit-reproducible given the same flags, seed, and input
 files. Summaries go to stdout as ``key=value`` lines; failures print a
 single ``error: ...`` line to stderr and exit with a documented code:
-2 invalid flags, 3 parse/library failure, 4 write failure, 5 invalid scene
-or intensity configuration.
+2 invalid flags, 3 parse/library failure (a mesh that cannot be written as
+STL included), 4 write failure, 5 invalid scene or intensity configuration.
+``main`` alone maps library errors to these codes; ``CliError`` carries its
+own code and only wraps errors whose code or message the CLI changes.
 """
 
 from __future__ import annotations
@@ -54,18 +56,10 @@ def _pick_seed(seed: int | None) -> int:
     return secrets.randbits(63) if seed is None else seed
 
 
-def _write_bytes(path: Path, data: bytes):
+def _write(path: Path, data: bytes | str):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_WRITE) from exc
-
-
-def _write_text(path: Path, text: str):
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_WRITE) from exc
 
@@ -73,10 +67,7 @@ def _write_text(path: Path, text: str):
 def _load_library(path: str | None) -> stl.MeshLibrary:
     if path is None:
         return templates.default_library("normal")
-    try:
-        return stl.load_library(path)
-    except stl.LibraryError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    return stl.load_library(path)
 
 
 def _print_mesh_summary(mesh: stl.TriangleMesh):
@@ -96,38 +87,32 @@ def _print_mesh_summary(mesh: stl.TriangleMesh):
 
 def _cmd_tree(args) -> int:
     seed = _pick_seed(args.seed)
-    try:
-        params = treemod.TreeParams(
-            branch_count=args.branches,
-            subbranches_per_branch=args.subbranches,
-            leaves_per_subbranch=args.leaves,
-            trunk_height=args.height,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    params = treemod.TreeParams(
+        branch_count=args.branches,
+        subbranches_per_branch=args.subbranches,
+        leaves_per_subbranch=args.leaves,
+        trunk_height=args.height,
+        seed=seed,
+    )
     lib = _load_library(args.lib)
     model = treemod.build_tree(params, lib)
     mesh = model.stage_mesh(args.stage)
     out = Path(args.out)
-    _write_bytes(out, stl.write_stl(mesh, args.format))
+    _write(out, stl.write_stl(mesh, args.format))
     _emit("seed", seed)
     _emit("stage", args.stage)
     _print_mesh_summary(mesh)
     _emit("out", out)
     if args.stage == "leaves":
         csv_path = out.parent / "leaves.csv"
-        _write_text(csv_path, treemod.centroids_to_csv(model.leaf_centroids))
+        _write(csv_path, treemod.centroids_to_csv(model.leaf_centroids))
         _emit("leaf_centroids", len(model.leaf_centroids))
         _emit("leaves_csv", csv_path)
     return EXIT_OK
 
 
 def _cmd_forest(args) -> int:
-    try:
-        config, lib_path = forestmod.load_scene_config(args.config)
-    except forestmod.SceneConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    config, lib_path = forestmod.load_scene_config(args.config)
     lib = _load_library(args.lib or lib_path)
     scene = forestmod.compose_forest(config, lib)
     try:
@@ -160,16 +145,12 @@ def _parse_intensity(text: str):
     kind, _, rest = text.partition(":")
     if kind == "constant":
         try:
-            return ipp.ConstantIntensity(float(rest))
+            rate = float(rest)
         except ValueError as exc:
             raise CliError(f"invalid constant intensity '{rest}'") from exc
-        except ipp.IntensityError as exc:
-            raise CliError(str(exc), EXIT_CONFIG) from exc
+        return ipp.ConstantIntensity(rate)
     if kind == "raster":
-        try:
-            return ipp.load_intensity(rest)
-        except ipp.IntensityError as exc:
-            raise CliError(str(exc), EXIT_CONFIG) from exc
+        return ipp.load_intensity(rest)
     raise CliError(f"--intensity expects constant:RATE or raster:FILE, got '{text}'")
 
 
@@ -180,20 +161,17 @@ def _cmd_ipp_sample(args) -> int:
     if args.reps < 1:
         raise CliError("--reps must be at least 1")
     seeds = ipp.replication_seeds(seed, args.reps)
-    try:
-        patterns = [ipp.sample_ipp_thinning(field, region, s) for s in seeds]
-    except ipp.IntensityError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    patterns = [ipp.sample_ipp_thinning(field, region, s) for s in seeds]
     counts = np.array([len(p) for p in patterns])
     out = Path(args.out)
     if args.counts_only:
         lines = ["rep,count"] + [f"{i},{c}" for i, c in enumerate(counts)]
-        _write_text(out, "\n".join(lines) + "\n")
+        _write(out, "\n".join(lines) + "\n")
     elif args.reps == 1:
-        _write_text(out, ipp.pattern_to_csv(patterns[0]))
+        _write(out, ipp.pattern_to_csv(patterns[0]))
     else:
         for i, p in enumerate(patterns):
-            _write_text(out / f"sample_{i:04d}.csv", ipp.pattern_to_csv(p))
+            _write(out / f"sample_{i:04d}.csv", ipp.pattern_to_csv(p))
     _emit("seed", seed)
     _emit("reps", args.reps)
     _emit("mean_count", _fmt(float(counts.mean())))
@@ -231,7 +209,7 @@ def _cmd_rewrite(args) -> int:
     try:
         system = lsys.parse_lsystem(text)
         derivation = lsys.rewrite(system, args.iterations)
-    except (lsys.GrammarError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     _emit("level", derivation.level)
     _emit("derivation", derivation.symbols)
@@ -297,7 +275,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (lsys.GrammarError, lsys.TurtleError, stl.StlParseError, stl.LibraryError) as exc:
+    except (lsys.LSystemError, stl.StlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ipp.IntensityError, forestmod.SceneConfigError) as exc:

@@ -14,7 +14,8 @@ identical scene.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,12 @@ class ParameterJitter:
     def __post_init__(self):
         if self.branch_count is not None:
             lo, hi = self.branch_count
-            if not (1 <= lo <= hi):
-                raise SceneConfigError("branch_count jitter must satisfy 1 <= min <= max")
+            if not (1 <= lo <= hi < math.inf):
+                raise SceneConfigError("branch_count jitter must satisfy 1 <= min <= max < inf")
         if self.trunk_height is not None:
             lo, hi = self.trunk_height
-            if not (0 < lo <= hi):
-                raise SceneConfigError("trunk_height jitter must satisfy 0 < min <= max")
+            if not (0 < lo <= hi < math.inf):
+                raise SceneConfigError("trunk_height jitter must satisfy 0 < min <= max < inf")
 
 
 @dataclass
@@ -67,6 +68,8 @@ class SceneConfig:
     def __post_init__(self):
         self.min_spacing = float(self.min_spacing)
         self.master_seed = int(self.master_seed)
+        if not math.isfinite(self.min_spacing):
+            raise SceneConfigError("min_spacing must be finite")
         if self.min_spacing < 0:
             raise SceneConfigError("min_spacing must be non-negative")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -105,7 +108,7 @@ def tree_seed_for(master_seed: int, index: int) -> int:
 
 
 def _tree_params_for(config: SceneConfig, seed: int) -> treemod.TreeParams:
-    params = treemod.with_seed(config.tree_params_template, seed)
+    params = replace(config.tree_params_template, seed=seed)
     jitter = config.parameter_jitter
     if jitter is None or (jitter.branch_count is None and jitter.trunk_height is None):
         return params
@@ -139,13 +142,12 @@ def scene_stats(scene: Scene) -> SceneStats:
     total = 0
     mins, maxs = [], []
     for p in scene.placements:
-        mesh = p.tree.full_mesh()
-        total += len(mesh)
-        stats = stl.mesh_stats(mesh)
-        if stats.bounds is not None:
-            offset = np.array([p.x, p.y, 0.0])
-            mins.append(stats.bounds[0] + offset)
-            maxs.append(stats.bounds[1] + offset)
+        total += p.tree.stage_counts["leaves"]
+        offset = np.array([p.x, p.y, 0.0])
+        for mesh in (p.tree.mesh, p.tree.leaf_mesh):
+            if len(mesh):
+                mins.append(mesh.vertices.min(axis=(0, 1)) + offset)
+                maxs.append(mesh.vertices.max(axis=(0, 1)) + offset)
     bounds = None
     if mins:
         bounds = (np.min(mins, axis=0), np.max(maxs, axis=0))

@@ -170,11 +170,6 @@ class PointPattern:
         return self.points.shape[0]
 
 
-def integrate_intensity(field, region: Region) -> float:
-    """Total mass over the region: the expected point count."""
-    return field.integrate(region)
-
-
 def poisson_count(mean: float, rng: np.random.Generator) -> int:
     """Exact Poisson draw: CDF inversion below _INVERSION_MAX_MEAN,
     unit-exponential gap counting above."""

@@ -26,8 +26,3 @@ def stream_seed(master_seed: int, stream: int) -> int:
     if stream < 0:
         raise ValueError("stream index must be non-negative")
     return splitmix64((master_seed + stream * _GOLDEN) & _MASK)
-
-
-def spawn_seeds(master_seed: int, count: int) -> list[int]:
-    """The first ``count`` substream seeds of ``master_seed``."""
-    return [stream_seed(master_seed, k) for k in range(count)]

@@ -62,6 +62,9 @@ class AngleJitterParams:
     scale_range: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        for name in ("azimuth_range", "pitch_range", "scale_range"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.azimuth_range < 0 or self.pitch_range < 0:
             raise ValueError("jitter ranges must be non-negative")
         lo, hi = self.scale_range

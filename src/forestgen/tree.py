@@ -16,7 +16,8 @@ geometry of an otherwise identical build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class TreeParams:
             raise ValueError("branch_count must be at least 1")
         if self.subbranches_per_branch < 0 or self.leaves_per_subbranch < 0:
             raise ValueError("per-level counts must be non-negative")
+        if not math.isfinite(self.trunk_height):
+            raise ValueError("trunk_height must be finite")
         if self.trunk_height <= 0.0:
             raise ValueError("trunk_height must be positive")
         if not 0.0 < self.depth_scale_decay <= 1.0:
@@ -223,17 +226,15 @@ def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
 def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
     """Thin rectangle (two triangles) per skeleton segment, for STL export
     of the bare branching structure."""
-    rows = []
-    for node in skeleton.nodes:
-        a = node.attachment_point
-        b = a + node.length * node.direction
-        side = tf.align_z_to(node.direction).rotation @ np.array([1.0, 0.0, 0.0])
-        half = 0.5 * width_fraction * node.length * side
-        p0, p1, p2, p3 = a - half, a + half, b + half, b - half
-        rows.append([np.zeros(3), p0, p1, p2])
-        rows.append([np.zeros(3), p0, p2, p3])
-    mesh = stl.TriangleMesh(np.array(rows) if rows else np.zeros((0, 4, 3)), "skeleton")
-    return stl.recompute_normals(mesh)
+    a, directions, lengths = _frames(skeleton, range(len(skeleton.nodes)))
+    b = a + lengths[:, None] * directions
+    # each segment's width runs along its aligned template's +X axis
+    side = np.matmul(tf.z_alignments(directions), np.array([1.0, 0.0, 0.0]))
+    half = (0.5 * width_fraction * lengths)[:, None] * side
+    p0, p1, p2, p3 = a - half, a + half, b + half, b - half
+    zero = np.zeros_like(a)
+    facets = np.stack([zero, p0, p1, p2, zero, p0, p2, p3], axis=1).reshape(-1, 4, 3)
+    return stl.recompute_normals(stl.TriangleMesh(facets, "skeleton"))
 
 
 def centroids_to_csv(centroids: np.ndarray) -> str:
@@ -276,7 +277,3 @@ def params_from_dict(data: dict) -> TreeParams:
         depth_scale_decay=data.get("depth_scale_decay", 1.0),
         seed=data.get("seed", 0),
     )
-
-
-def with_seed(params: TreeParams, seed: int) -> TreeParams:
-    return replace(params, seed=seed)

@@ -1,6 +1,6 @@
 """One-instance-at-a-time placement math, kept as the reference that the
-stacked code in ``forestgen.transform`` and ``forestgen.lsystem`` must match
-bit for bit.
+stacked code in ``forestgen.transform``, ``forestgen.lsystem`` and
+``forestgen.tree.skeleton_to_mesh`` must match bit for bit.
 
 Each function does what forestgen did before placement was batched: scalar
 ``rng.uniform`` draws, ``math`` trigonometry, ``np.cross`` and
@@ -106,3 +106,17 @@ def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
         skeleton.nodes.append(lsys.SkeletonNode(origin, direction, em.depth, cfg.step_length,
                                                 em.parent.node_index))
     return skeleton
+
+
+def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
+    """Two triangles per skeleton node, one node aligned at a time."""
+    rows = []
+    for node in skeleton.nodes:
+        a = node.attachment_point
+        b = a + node.length * node.direction
+        side = align_z_to(node.direction) @ np.array([1.0, 0.0, 0.0])
+        half = 0.5 * width_fraction * node.length * side
+        p0, p1, p2, p3 = a - half, a + half, b + half, b - half
+        rows.append([np.zeros(3), p0, p1, p2])
+        rows.append([np.zeros(3), p0, p2, p3])
+    return stl.recompute_normals(stl.TriangleMesh(np.array(rows), "skeleton"))

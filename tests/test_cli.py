@@ -281,6 +281,121 @@ def test_ipp_sample_non_finite_rate_exit_5(rate, tmp_path):
     assert result.stderr.startswith("error:")
 
 
+# ---------------------------------------------------------------------------
+# one error line, with the documented code
+
+def single_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+DEGENERATE_LEAF = """solid leaf
+  facet normal 0 0 0
+    outer loop
+      vertex 0 0 0
+      vertex 0.5 0 1
+      vertex 0 0.2 1
+    endloop
+  endfacet
+  facet normal 0 0 0
+    outer loop
+      vertex 0 0 0
+      vertex 0 0 1
+      vertex 0 0 1
+    endloop
+  endfacet
+endsolid leaf
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["tree", "forest"])
+def test_unwritable_template_exit_3(subcommand, tiny_library, tmp_path, capsys):
+    # a zero-area leaf facet loads, but no tree that carries it can be written
+    lib = stl.save_library(tiny_library, tmp_path / "lib")
+    (lib.parent / "leaf.stl").write_text(DEGENERATE_LEAF)
+    if subcommand == "tree":
+        argv = ["tree", "--branches", "3", "--seed", "1", "--out", tmp_path / "t.stl"]
+    else:
+        argv = ["forest", "--config", scene_config_file(tmp_path), "--out", tmp_path / "o"]
+    code, out, err = run([*map(str, argv), "--lib", str(lib)], capsys)
+    assert code == 3
+    assert "degenerate facet" in single_error_line(err)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (("tree_params", "trunk_height"), NAN, "trunk_height"),
+    (("tree_params", "trunk_height"), INF, "trunk_height"),
+    (("tree_params", "jitter", "azimuth_range"), NAN, "azimuth_range"),
+    (("tree_params", "jitter", "azimuth_range"), INF, "azimuth_range"),
+    (("tree_params", "jitter", "pitch_range"), NAN, "pitch_range"),
+    (("tree_params", "jitter", "pitch_range"), INF, "pitch_range"),
+    (("tree_params", "jitter", "scale_range"), [0.85, INF], "scale_range"),
+    (("min_spacing",), NAN, "min_spacing"),
+    (("min_spacing",), INF, "min_spacing"),
+    (("parameter_jitter",), {"trunk_height": [1.0, INF]}, "trunk_height jitter"),
+    (("parameter_jitter",), {"branch_count": [1, INF]}, "branch_count jitter"),
+])
+def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, capsys):
+    config = scene_config_file(tmp_path)
+    data = json.loads(config.read_text())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    config.write_text(json.dumps(data))
+    code, out, err = run(["forest", "--config", str(config), "--out", str(tmp_path / "o"),
+                          "--lib", str(lib_dir)], capsys)
+    assert code == 5
+    assert field in single_error_line(err)
+
+
+def _raster_file(tmp_path) -> Path:
+    path = tmp_path / "raster.json"
+    path.write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 10.0,
+                                "values": [[1.0]]}))
+    return path
+
+
+@pytest.mark.parametrize("argv, expected, message", [
+    (["tree", "--branches", "0", "--out", "{tmp}/t.stl"], 2,
+     "branch_count must be at least 1"),
+    (["tree", "--branches", "3", "--height", "nan", "--out", "{tmp}/t.stl"], 2,
+     "trunk_height must be finite"),
+    (["tree", "--branches", "3", "--height", "inf", "--out", "{tmp}/t.stl"], 2,
+     "trunk_height must be finite"),
+    (["tree", "--branches", "4", "--lib", "{tmp}/nope.json", "--out", "{tmp}/t.stl"], 3,
+     "cannot read library manifest"),
+    (["forest", "--config", "{scene}", "--lib", "{tmp}/nope.json", "--out", "{tmp}/o"], 3,
+     "cannot read library manifest"),
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "constant:-1",
+      "--out", "{tmp}/o.csv"], 5, "intensity must be non-negative"),
+    (["ipp-sample", "--region", "0,20,0,10", "--intensity", "raster:{raster}",
+      "--out", "{tmp}/o.csv"], 5, "does not cover the region"),
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{tmp}/nope.json",
+      "--out", "{tmp}/o.csv"], 5, "cannot read intensity file"),
+    (["forest", "--config", "{tmp}/garbage.json", "--out", "{tmp}/o"], 5,
+     "cannot read scene config"),
+    (["forest", "--config", "{mistyped}", "--out", "{tmp}/o"], 5,
+     "malformed scene config"),
+])
+def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
+    (tmp_path / "garbage.json").write_text("{not json")
+    scene = scene_config_file(tmp_path)
+    config = json.loads(scene.read_text())
+    config["tree_params"]["branch_count"] = "many"
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps(config))
+    names = {"tmp": tmp_path, "scene": scene, "raster": _raster_file(tmp_path),
+             "mistyped": mistyped}
+    code, out, err = run([a.format(**names) for a in argv], capsys)
+    assert code == expected
+    assert message in single_error_line(err)
+
+
 def test_unknown_subcommand_exit_2(capsys):
     code, out, err = run(["prune"], capsys)
     assert code == 2

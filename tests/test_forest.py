@@ -144,6 +144,11 @@ def test_scene_stats(tiny_library, tmp_path):
     total = sum(len(stl.read_stl((tmp_path / e["file"]).read_bytes()))
                 for e in manifest["trees"])
     assert stats.total_triangles == total
+    # bounds are those of every placed vertex
+    placed = np.concatenate([p.tree.full_mesh().vertices.reshape(-1, 3) + (p.x, p.y, 0.0)
+                             for p in scene.placements])
+    assert np.array_equal(stats.bounds[0], placed.min(axis=0))
+    assert np.array_equal(stats.bounds[1], placed.max(axis=0))
 
 
 def test_scene_stats_single_tree_sentinel(tiny_library):

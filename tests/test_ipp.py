@@ -63,8 +63,8 @@ def test_constant_intensity_rejects_non_finite_rate(rate):
 
 
 def test_integrate_constant():
-    assert ipp.integrate_intensity(ipp.ConstantIntensity(0.01), REGION) == pytest.approx(100.0)
-    assert ipp.integrate_intensity(ipp.ConstantIntensity(0.0), REGION) == 0.0
+    assert ipp.ConstantIntensity(0.01).integrate(REGION) == pytest.approx(100.0)
+    assert ipp.ConstantIntensity(0.0).integrate(REGION) == 0.0
 
 
 def test_integrate_two_cell_raster():
@@ -72,8 +72,8 @@ def test_integrate_two_cell_raster():
     cell = math.sqrt(50.0)
     field = ipp.RasterIntensity(0.0, 0.0, cell, np.array([[2.0, 1.0]]))
     region = ipp.Region(0.0, 2 * cell, 0.0, cell)
-    assert ipp.integrate_intensity(field, region) == pytest.approx(150.0, rel=1e-12)
-    assert ipp.integrate_intensity(field, region) == pytest.approx(
+    assert field.integrate(region) == pytest.approx(150.0, rel=1e-12)
+    assert field.integrate(region) == pytest.approx(
         riemann_mass(field, region), rel=1e-9)
 
 
@@ -81,13 +81,13 @@ def test_integrate_raster_clips_to_region():
     field = ipp.RasterIntensity(0.0, 0.0, 10.0, np.array([[1.0, 3.0]]))
     # region covers the left cell plus half of the right one
     region = ipp.Region(0.0, 15.0, 0.0, 10.0)
-    assert ipp.integrate_intensity(field, region) == pytest.approx(100.0 + 150.0)
+    assert field.integrate(region) == pytest.approx(100.0 + 150.0)
 
 
 def test_integrate_requires_coverage():
     field = ipp.RasterIntensity(0.0, 0.0, 10.0, np.array([[1.0]]))
     with pytest.raises(ipp.IntensityError, match="does not cover"):
-        ipp.integrate_intensity(field, ipp.Region(0, 20, 0, 10))
+        field.integrate(ipp.Region(0, 20, 0, 10))
 
 
 def test_raster_rejects_negative_cell():
@@ -197,7 +197,7 @@ def test_thinning_two_cell_conditional_fraction():
 
 def test_thinning_mean_count_matches_mass():
     field = ipp.RasterIntensity(0, 0, 50.0, np.array([[0.02, 0.01], [0.005, 0.04]]))
-    mass = ipp.integrate_intensity(field, REGION)
+    mass = field.integrate(REGION)
     counts = np.array([len(ipp.sample_ipp_thinning(field, REGION, s))
                        for s in ipp.replication_seeds(55, 800)])
     se = math.sqrt(mass / 800)

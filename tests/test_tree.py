@@ -7,6 +7,8 @@ from forestgen import stl
 from forestgen import transform as tf
 from forestgen import tree as tm
 
+import scalar_reference as ref
+
 
 def make_params(**kw):
     defaults = dict(branch_count=8, subbranches_per_branch=3, leaves_per_subbranch=5,
@@ -185,6 +187,15 @@ def test_stage_skeleton_mesh(tiny_library):
     wire = model.stage_mesh("skeleton")
     # two triangles per node: trunk + 6 branches + 18 sub-branches
     assert len(wire) == 2 * (1 + 6 + 18)
+
+
+@pytest.mark.parametrize("branches, subs, seed", [(1, 0, 0), (6, 3, 17), (16, 2, 5),
+                                                  (9, 4, 2 ** 63)])
+@pytest.mark.parametrize("jitter", [tf.AngleJitterParams(), tm._DEFAULT_JITTER])
+def test_skeleton_mesh_matches_scalar_reference(branches, subs, seed, jitter):
+    sk = tm.build_skeleton(make_params(branch_count=branches, subbranches_per_branch=subs,
+                                       seed=seed, jitter=jitter))
+    assert tm.skeleton_to_mesh(sk).facets.tobytes() == ref.skeleton_to_mesh(sk).facets.tobytes()
 
 
 def test_unknown_stage_rejected(tiny_library):
