@@ -50,6 +50,15 @@ TREE_CASES = {
                                 "--seed", 19]),
     "skeleton-12x3": ("tiny", ["--branches", 12, "--subbranches", 3, "--seed", 23,
                                "--stage", "skeleton"]),
+    # the two stages exported as prefixes of the full tree, with and without sub-branches
+    "branches-6x3x5": ("tiny", ["--branches", 6, "--subbranches", 3, "--leaves", 5, "--seed", 7,
+                                "--stage", "branches"]),
+    "subbranches-6x3x5": ("tiny", ["--branches", 6, "--subbranches", 3, "--leaves", 5,
+                                   "--seed", 7, "--stage", "subbranches"]),
+    "branches-5x0x4": ("tiny", ["--branches", 5, "--subbranches", 0, "--leaves", 4, "--seed", 19,
+                                "--stage", "branches"]),
+    "subbranches-5x0x4": ("tiny", ["--branches", 5, "--subbranches", 0, "--leaves", 4,
+                                   "--seed", 19, "--stage", "subbranches"]),
 }
 
 TREE_GOLDEN = {
@@ -75,6 +84,23 @@ TREE_GOLDEN = {
         "2a80cbb7f8e4205c41acc3d8325cacc3ae0185d32ee5da509885056e46e79806",
     ("skeleton-12x3", "ascii"):
         "b0fec1f929252d77500bbdc7e5dcd29169d72e6ebc7d14bcededfc1608714ab2",
+    ("branches-6x3x5", "binary"):
+        "f96b81b7ee89f4ee8fcd64c4b34b75103b49dee00ecae7b55fde217fe7f47d37",
+    ("branches-6x3x5", "ascii"):
+        "be39c28ca7480006aa90ac95505f7b0c03c7ee85f920fb21d96d3c2f3817c471",
+    ("subbranches-6x3x5", "binary"):
+        "2748b4d6d5a4f01debaf126fac19df9ce1475635c799519b1e26d7d9d12bb4e3",
+    ("subbranches-6x3x5", "ascii"):
+        "64659fdfbcf58aab5173a00d64b4964ed7d76d36378e3f4727ba425b072d7c14",
+    # without sub-branches the subbranches stage is the branches stage
+    ("branches-5x0x4", "binary"):
+        "bab0530acfc6d9e65a9a7a98b95c3a67c4872c922ce22634275765aa35062233",
+    ("branches-5x0x4", "ascii"):
+        "beaf8e1632d37d209559fa2eebedac06196d84a78f4e44e98845f3960d5bc10a",
+    ("subbranches-5x0x4", "binary"):
+        "bab0530acfc6d9e65a9a7a98b95c3a67c4872c922ce22634275765aa35062233",
+    ("subbranches-5x0x4", "ascii"):
+        "beaf8e1632d37d209559fa2eebedac06196d84a78f4e44e98845f3960d5bc10a",
 }
 
 
