@@ -13,9 +13,8 @@ from .ipp import (ConstantIntensity, IntensityError, PointPattern, RasterIntensi
 from .lsystem import (DerivationString, GrammarError, LSystem, Skeleton,
                       TurtleConfig, TurtleError, count_branch_symbols,
                       interpret_turtle, parse_lsystem, rewrite)
-from .stl import (LibraryError, MeshLibrary, StlParseError, Triangle, TriangleMesh,
-                  load_library, mesh_stats, read_stl, recompute_normals, save_library,
-                  triangle_centroid, write_stl)
+from .stl import (LibraryError, MeshLibrary, StlParseError, TriangleMesh, load_library,
+                  mesh_stats, read_stl, recompute_normals, save_library, write_stl)
 from .templates import default_library
 from .transform import (AngleJitterParams, RigidTransform, apply_point, apply_to_mesh,
                         compose, inverse, random_attachment_transform)
@@ -27,13 +26,12 @@ __all__ = [
     "AngleJitterParams", "ConstantIntensity", "DerivationString", "GrammarError",
     "IntensityError", "LSystem", "LibraryError", "MeshLibrary", "ParameterJitter",
     "PointPattern", "RasterIntensity", "Region", "RigidTransform", "Scene",
-    "SceneConfig", "SceneConfigError", "Skeleton", "StlParseError", "Triangle",
-    "TriangleMesh", "TreeModel", "TreeParams", "TurtleConfig", "TurtleError",
+    "SceneConfig", "SceneConfigError", "Skeleton", "StlParseError", "TriangleMesh",
+    "TreeModel", "TreeParams", "TurtleConfig", "TurtleError",
     "apply_point", "apply_to_mesh", "build_skeleton", "build_tree", "compose",
     "compose_forest", "count_branch_symbols", "default_library", "export_scene",
     "interpret_turtle", "inverse", "load_library",
     "mesh_stats", "min_distance_filter", "parse_lsystem", "random_attachment_transform",
     "read_stl", "recompute_normals", "regenerate_scene", "rewrite",
-    "sample_homogeneous", "sample_ipp_thinning", "save_library", "scene_stats",
-    "triangle_centroid", "write_stl",
+    "sample_homogeneous", "sample_ipp_thinning", "save_library", "scene_stats", "write_stl",
 ]

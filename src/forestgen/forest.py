@@ -144,10 +144,9 @@ def scene_stats(scene: Scene) -> SceneStats:
     for p in scene.placements:
         total += p.tree.stage_counts["leaves"]
         offset = np.array([p.x, p.y, 0.0])
-        for mesh in (p.tree.mesh, p.tree.leaf_mesh):
-            if len(mesh):
-                mins.append(mesh.vertices.min(axis=(0, 1)) + offset)
-                maxs.append(mesh.vertices.max(axis=(0, 1)) + offset)
+        verts = p.tree.mesh.vertices
+        mins.append(verts.min(axis=(0, 1)) + offset)
+        maxs.append(verts.max(axis=(0, 1)) + offset)
     bounds = None
     if mins:
         bounds = (np.min(mins, axis=0), np.max(maxs, axis=0))
@@ -200,16 +199,14 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     manifest = build_manifest(scene, mode)
     if mode == "per-tree":
         for p in scene.placements:
-            mesh = p.tree.full_mesh()
-            mesh.name = f"tree_{p.index}"
+            mesh = stl.TriangleMesh(p.tree.full_mesh().facets, f"tree_{p.index}")
             (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
         parts = []
         for p in scene.placements:
-            mesh = p.tree.full_mesh()
-            shifted = mesh.facets.copy()
+            shifted = p.tree.full_mesh().facets.copy()
             shifted[:, 1:, :] += np.array([p.x, p.y, 0.0])
-            parts.append(stl.TriangleMesh(shifted, mesh.name))
+            parts.append(stl.TriangleMesh(shifted))
         merged = stl.concat_meshes(parts, "forest")
         (out / MERGED_NAME).write_bytes(stl.write_stl(merged, "binary"))
     (out / MANIFEST_NAME).write_text(dumps_manifest(manifest))
@@ -220,64 +217,71 @@ def dumps_manifest(manifest: dict) -> str:
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
+def _parse(source, what: str, parse):
+    """``parse`` applied to a JSON document: a dict, or the path of a file
+    holding one. A document of any wrong shape ends in SceneConfigError."""
+    if not isinstance(source, dict):
+        try:
+            source = json.loads(Path(source).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SceneConfigError(f"cannot read {what}: {exc}") from exc
+    try:
+        return parse(source)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise SceneConfigError(f"malformed {what}: {exc}") from exc
+    except ipp.IntensityError as exc:
+        raise SceneConfigError(str(exc)) from exc
+
+
+def _scene_config(data: dict, defaults: dict, **fields) -> SceneConfig:
+    """SceneConfig from the keys a scene config and a manifest share
+    (``region``, ``intensity``, ``min_spacing``, ``master_seed``; a key
+    missing from ``data`` is taken from ``defaults``) plus ``fields``."""
+    data = {**defaults, **data}
+    return SceneConfig(region=ipp.region_from_dict(data["region"]),
+                       intensity=ipp.intensity_from_dict(data["intensity"]),
+                       min_spacing=data["min_spacing"], master_seed=data["master_seed"],
+                       **fields)
+
+
 def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
     """Rebuild the exact scene recorded in a manifest (dict or path).
 
     Trees are rebuilt from their recorded params and seeds, not re-sampled,
     so the result re-exports bit-identically given the same library.
     """
-    if not isinstance(manifest, dict):
-        try:
-            manifest = json.loads(Path(manifest).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SceneConfigError(f"cannot read manifest: {exc}") from exc
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise SceneConfigError(f"unsupported manifest version {manifest.get('version')}")
-    try:
-        config = SceneConfig(
-            region=ipp.region_from_dict(manifest["region"]),
-            intensity=ipp.intensity_from_dict(manifest["intensity"]),
-            tree_params_template=treemod.TreeParams(),
-            min_spacing=manifest["min_spacing"],
-            master_seed=manifest["master_seed"],
-        )
+    def parse(data: dict) -> Scene:
+        if data.get("version") != MANIFEST_VERSION:
+            raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
+        config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
         placements = []
-        for entry in manifest["trees"]:
+        for entry in data["trees"]:
             params = treemod.params_from_dict(entry["params"])
             model = treemod.build_tree(params, lib)
             placements.append(Placement(int(entry["index"]), float(entry["x"]),
                                         float(entry["y"]), int(entry["seed"]), model))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneConfigError(f"malformed manifest: {exc}") from exc
-    return Scene(placements, config)
+        return Scene(placements, config)
+
+    return _parse(manifest, "manifest", parse)
 
 
 def load_scene_config(source) -> tuple[SceneConfig, str | None]:
     """Parse a scene config JSON (dict or path); returns the config plus the
     optional template library path named in the file."""
-    if not isinstance(source, dict):
-        try:
-            source = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SceneConfigError(f"cannot read scene config: {exc}") from exc
-    try:
+    def parse(data: dict) -> tuple[SceneConfig, str | None]:
         jitter = None
-        if source.get("parameter_jitter"):
-            pj = source["parameter_jitter"]
+        if data.get("parameter_jitter"):
+            pj = data["parameter_jitter"]
             jitter = ParameterJitter(
                 branch_count=tuple(pj["branch_count"]) if pj.get("branch_count") else None,
                 trunk_height=tuple(pj["trunk_height"]) if pj.get("trunk_height") else None,
             )
-        config = SceneConfig(
-            region=ipp.region_from_dict(source["region"]),
-            intensity=ipp.intensity_from_dict(source["intensity"]),
-            tree_params_template=treemod.params_from_dict(source["tree_params"]),
-            parameter_jitter=jitter,
-            min_spacing=source.get("min_spacing", 0.0),
-            master_seed=source.get("master_seed", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneConfigError(f"malformed scene config: {exc}") from exc
-    except ipp.IntensityError as exc:
-        raise SceneConfigError(str(exc)) from exc
-    return config, source.get("library")
+        config = _scene_config(data, {"min_spacing": 0.0, "master_seed": 0},
+                               tree_params_template=treemod.params_from_dict(data["tree_params"]),
+                               parameter_jitter=jitter)
+        library = data.get("library")
+        if library is not None and not isinstance(library, str):
+            raise SceneConfigError("scene config library must be a path string")
+        return config, library
+
+    return _parse(source, "scene config", parse)

@@ -300,6 +300,9 @@ def load_intensity(path) -> RasterIntensity | ConstantIntensity:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IntensityError(f"cannot read intensity file {path}: {exc}") from exc
-    if "form" not in data:
-        data = dict(data, form="raster")
-    return intensity_from_dict(data)
+    try:
+        if "form" not in data:
+            data = dict(data, form="raster")
+        return intensity_from_dict(data)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise IntensityError(f"malformed intensity file {path}: {exc}") from exc

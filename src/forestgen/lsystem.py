@@ -114,27 +114,23 @@ class TurtleConfig:
 
 
 @dataclass
-class SkeletonNode:
-    attachment_point: np.ndarray
-    direction: np.ndarray
-    depth: int
-    length: float
-    parent: int | None
-
-
-@dataclass
 class Skeleton:
-    nodes: list[SkeletonNode] = field(default_factory=list)
+    """Skeleton nodes in string order, the trunk first, as parallel arrays:
+    attachment ``points`` (n, 3), unit ``directions`` (n, 3), ``depths`` (n,),
+    ``lengths`` (n,) and ``parents`` (n,), -1 for the trunk."""
+
+    points: np.ndarray
+    directions: np.ndarray
+    depths: np.ndarray
+    lengths: np.ndarray
+    parents: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.depths)
 
-    def at_depth(self, depth: int) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.depth == depth]
-
-    @property
-    def trunk(self) -> SkeletonNode:
-        return self.nodes[0]
+    def at_depth(self, depth: int) -> np.ndarray:
+        """Rows of the nodes at ``depth``, ascending."""
+        return (self.depths == depth).nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +399,5 @@ def _to_skeleton(root: _Emission, emissions: list[_Emission], cfg: TurtleConfig,
                  for a in (math.radians(em.azimuth) for em in level)]
         turned = np.matmul(tf.z_alignments(directions[parents]), np.array(local)[:, :, None])
         directions[rows] = tf.normalize_rows(turned[:, :, 0])
-    return Skeleton([
-        SkeletonNode(points[0], directions[0], 0, height, None),
-        *(SkeletonNode(points[em.node_index], directions[em.node_index], em.depth,
-                       cfg.step_length, em.parent.node_index) for em in emissions),
-    ])
+    return Skeleton(points, directions, np.array([0] + [em.depth for em in emissions]),
+                    np.array(lengths), np.array([-1] + [em.parent.node_index for em in emissions]))

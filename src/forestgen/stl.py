@@ -39,24 +39,6 @@ class LibraryError(StlError):
 
 
 @dataclass
-class Triangle:
-    normal: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        self.normal = np.asarray(self.normal, dtype=np.float64)
-        self.v0 = np.asarray(self.v0, dtype=np.float64)
-        self.v1 = np.asarray(self.v1, dtype=np.float64)
-        self.v2 = np.asarray(self.v2, dtype=np.float64)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return np.stack([self.v0, self.v1, self.v2])
-
-
-@dataclass
 class TriangleMesh:
     facets: np.ndarray  # (n, 4, 3) float64, rows are [normal, v0, v1, v2]
     name: str = "mesh"
@@ -80,10 +62,6 @@ class TriangleMesh:
     def vertices(self) -> np.ndarray:
         """All vertices, shape (n, 3, 3)."""
         return self.facets[:, 1:, :]
-
-    def triangle(self, i: int) -> Triangle:
-        n, v0, v1, v2 = self.facets[i]
-        return Triangle(n, v0, v1, v2)
 
 
 def empty_mesh(name: str = "mesh") -> TriangleMesh:
@@ -287,16 +265,6 @@ def _write_ascii(facets: np.ndarray, name: str) -> bytes:
 # ---------------------------------------------------------------------------
 # queries
 
-def triangle_centroid(tri) -> np.ndarray:
-    """Arithmetic mean of the three vertices; accepts Triangle or (>=3,3) array."""
-    if isinstance(tri, Triangle):
-        verts = tri.vertices
-    else:
-        arr = np.asarray(tri, dtype=np.float64)
-        verts = arr[-3:] if arr.shape == (4, 3) else arr
-    return verts.mean(axis=0)
-
-
 def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
     """Per-facet centroids, shape (n, 3)."""
     return mesh.vertices.mean(axis=1)
@@ -388,26 +356,41 @@ def load_library(manifest_path) -> MeshLibrary:
         spec = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise LibraryError(f"cannot read library manifest {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise LibraryError(f"library manifest {path} must be a JSON object")
     meshes = {}
     for role in LIBRARY_ROLES:
         if role not in spec:
             raise LibraryError(f"library manifest missing role '{role}'")
         entry = spec[role]
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise LibraryError(f"library role '{role}' must be an object with a \"file\" path")
         stl_path = path.parent / entry["file"]
         try:
             mesh = read_stl(stl_path.read_bytes())
-        except (OSError, StlParseError) as exc:
+        except (OSError, ValueError, StlParseError) as exc:
             raise LibraryError(f"cannot load template '{role}' from {stl_path}: {exc}") from exc
         mesh.name = role
-        meshes[role] = _canonicalize(mesh, entry.get("origin"), entry.get("axis"))
+        origin = _frame_vector(entry.get("origin"), (0.0, 0.0, 0.0), f"{role} origin")
+        axis = _frame_vector(entry.get("axis"), (0.0, 0.0, 1.0), f"{role} axis")
+        meshes[role] = _canonicalize(mesh, origin, axis)
     return MeshLibrary(**meshes)
 
 
-def _canonicalize(mesh: TriangleMesh, origin, axis) -> TriangleMesh:
+def _frame_vector(value, default, what: str) -> np.ndarray:
+    """A template frame's 3-vector; ``default`` when the manifest omits it."""
+    try:
+        vector = np.asarray(default if value is None else value, dtype=np.float64)
+        if vector.shape == (3,) and np.isfinite(vector).all():
+            return vector
+    except (TypeError, ValueError):
+        pass
+    raise LibraryError(f"template {what} must be three finite numbers")
+
+
+def _canonicalize(mesh: TriangleMesh, origin: np.ndarray, axis: np.ndarray) -> TriangleMesh:
     from . import transform as tf  # runtime import; transform depends on stl
 
-    origin = np.zeros(3) if origin is None else np.asarray(origin, dtype=np.float64)
-    axis = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=np.float64)
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise LibraryError("template axis must be non-zero")

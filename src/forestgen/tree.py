@@ -1,9 +1,9 @@
 """Staged tree assembly: skeleton, trunk+branches, +sub-branches, +leaves.
 
 A tree is assembled by instancing template meshes onto a skeleton produced
-by turtle interpretation of a synthesized derivation string. Stage meshes
-grow by concatenation, so every stage is a prefix of the next and triangle
-counts follow an exact ledger:
+by turtle interpretation of a synthesized derivation string. A tree is one
+mesh, trunk first, then branches, sub-branches and leaves, so every stage
+mesh is a prefix of it, cut at the stage's count in this exact ledger:
 
     branches     = trunk_tris + branch_count * branch_tris
     subbranches  = branches + branch_count * subs_per_branch * sub_tris
@@ -77,26 +77,25 @@ class TreeParams:
 @dataclass
 class TreeModel:
     skeleton: lsys.Skeleton
-    mesh: stl.TriangleMesh            # trunk + branches + sub-branches
-    leaf_mesh: stl.TriangleMesh
+    mesh: stl.TriangleMesh            # trunk, branches, sub-branches, leaves
     leaf_centroids: np.ndarray        # (n_leaves, 3), one row per leaf triangle
     params: TreeParams
     stage_counts: dict = field(default_factory=dict)  # triangle count after each stage
 
     def stage_mesh(self, stage: str) -> stl.TriangleMesh:
+        """The skeleton as segments, or the mesh after a placement stage: a
+        prefix view of ``mesh``, not a copy."""
         if stage == "skeleton":
             return skeleton_to_mesh(self.skeleton)
-        if stage == "branches":
-            return stl.TriangleMesh(self.mesh.facets[: self.stage_counts["branches"]],
-                                    self.mesh.name)
-        if stage == "subbranches":
-            return self.mesh
         if stage == "leaves":
             return self.full_mesh()
-        raise ValueError(f"unknown stage '{stage}', expected one of {STAGES}")
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage '{stage}', expected one of {STAGES}")
+        return stl.TriangleMesh(self.mesh.facets[: self.stage_counts[stage]], self.mesh.name)
 
     def full_mesh(self) -> stl.TriangleMesh:
-        return stl.concat_meshes([self.mesh, self.leaf_mesh], self.mesh.name)
+        """Every triangle of the tree, as a view of ``mesh``."""
+        return stl.TriangleMesh(self.mesh.facets, self.mesh.name)
 
 
 def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> lsys.DerivationString:
@@ -128,18 +127,17 @@ def build_skeleton(params: TreeParams) -> lsys.Skeleton:
     cfg = turtle_config_for(params)
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_SKELETON))
     skeleton = lsys.interpret_turtle(derivation, cfg, (params.trunk_height, (0.0, 0.0, 0.0)), rng)
-    for node in skeleton.nodes:
-        if node.depth >= 2:
-            node.length *= params.depth_scale_decay ** (node.depth - 1)
+    if params.subbranches_per_branch:
+        # the derivation nests one group deep, so depth 2 is the only decayed one
+        skeleton.lengths[skeleton.depths == 2] *= params.depth_scale_decay
     return skeleton
 
 
-def _frames(skeleton: lsys.Skeleton, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attachment points (k, 3), directions (k, 3) and lengths (k,) of nodes."""
-    nodes = [skeleton.nodes[i] for i in indices]
-    return (np.array([n.attachment_point for n in nodes]),
-            np.array([n.direction for n in nodes]),
-            np.array([n.length for n in nodes]))
+def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attachment points (k, 3), directions (k, 3) and lengths (k,) of the
+    node rows ``nodes`` (``take`` is the cheap gather on few rows)."""
+    return (skeleton.points.take(nodes, 0), skeleton.directions.take(nodes, 0),
+            skeleton.lengths[nodes])
 
 
 def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
@@ -157,25 +155,23 @@ def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
                     params: TreeParams) -> stl.TriangleMesh:
     """Trunk template plus one branch instance per depth-1 node."""
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_BRANCHES))
-    trunk_node = skeleton.trunk
-    trunk_t = tf.RigidTransform(np.eye(3), trunk_node.attachment_point,
-                                trunk_node.length / lib.extent("trunk"))
+    trunk_t = tf.RigidTransform(np.eye(3), skeleton.points[0],
+                                skeleton.lengths[0] / lib.extent("trunk"))
     trunk = tf.apply_to_mesh(trunk_t, lib.trunk)
     branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)),
                       params.jitter, rng)
     return stl.concat_meshes([trunk, branches], "tree")
 
 
-def attach_subbranches(mesh: stl.TriangleMesh, skeleton: lsys.Skeleton,
-                       lib: stl.MeshLibrary, params: TreeParams) -> stl.TriangleMesh:
-    """Append one sub-branch instance per depth-2 node; node lengths already
-    carry the per-depth scale decay."""
-    indices = skeleton.at_depth(2)
-    if not indices:
-        return mesh
+def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
+                       params: TreeParams) -> stl.TriangleMesh:
+    """One sub-branch instance per depth-2 node; node lengths already carry
+    the per-depth scale decay."""
+    nodes = skeleton.at_depth(2)
+    if not len(nodes):
+        return stl.empty_mesh("sub_branches")
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_SUBBRANCHES))
-    subs = _place(lib, "sub_branch", *_frames(skeleton, indices), params.jitter, rng)
-    return stl.concat_meshes([mesh, subs], mesh.name)
+    return _place(lib, "sub_branch", *_frames(skeleton, nodes), params.jitter, rng)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
@@ -188,8 +184,11 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     ascending within an anchor.
     """
     count = params.leaves_per_subbranch
-    anchors = skeleton.at_depth(2) or skeleton.at_depth(1)
-    if count == 0 or not anchors:
+    if count:
+        anchors = skeleton.at_depth(2)
+        if not len(anchors):
+            anchors = skeleton.at_depth(1)
+    if count == 0 or not len(anchors):
         return stl.empty_mesh("leaves"), np.zeros((0, 3))
     rng = np.random.default_rng(stream_seed(params.seed, _STREAM_LEAVES))
     stations = _LEAF_STATION_LO + (1.0 - _LEAF_STATION_LO) * (np.arange(count) + 1) / count
@@ -207,18 +206,18 @@ def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
     the result via TreeModel.stage_mesh."""
     skeleton = build_skeleton(params)
     branches = attach_branches(skeleton, lib, params)
-    with_subs = attach_subbranches(branches, skeleton, lib, params)
-    leaf_mesh, centroids = attach_leaves(skeleton, lib, params)
+    subs = attach_subbranches(skeleton, lib, params)
+    leaves, centroids = attach_leaves(skeleton, lib, params)
+    mesh = stl.concat_meshes([branches, subs, leaves], "tree")
     return TreeModel(
         skeleton=skeleton,
-        mesh=with_subs,
-        leaf_mesh=leaf_mesh,
+        mesh=mesh,
         leaf_centroids=centroids,
         params=params,
         stage_counts={
             "branches": len(branches),
-            "subbranches": len(with_subs),
-            "leaves": len(with_subs) + len(leaf_mesh),
+            "subbranches": len(branches) + len(subs),
+            "leaves": len(mesh),
         },
     )
 
@@ -226,7 +225,7 @@ def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
 def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
     """Thin rectangle (two triangles) per skeleton segment, for STL export
     of the bare branching structure."""
-    a, directions, lengths = _frames(skeleton, range(len(skeleton.nodes)))
+    a, directions, lengths = skeleton.points, skeleton.directions, skeleton.lengths
     b = a + lengths[:, None] * directions
     # each segment's width runs along its aligned template's +X axis
     side = np.matmul(tf.z_alignments(directions), np.array([1.0, 0.0, 0.0]))

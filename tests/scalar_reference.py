@@ -71,7 +71,7 @@ def apply_to_mesh(t: tf.RigidTransform, mesh: stl.TriangleMesh) -> stl.TriangleM
 def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
                      rng: np.random.Generator) -> lsys.Skeleton:
     """Turtle interpretation with two scalar draws per child and one node
-    placed at a time."""
+    placed at a time; the nodes are packed into arrays at the end."""
     root = lsys._Emission(parent=None, depth=0)
     emissions = lsys._emit(text, root, lsys.BRANCH_SYMBOL, cfg.yaw_angle)
     jittered = cfg.azimuth_policy == "jittered-uniform"
@@ -87,35 +87,34 @@ def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
                 wiggle = rng.uniform(-1.0, 1.0) * 0.25 * (gap if k > 1 else (hi - lo))
                 child.station = float(np.clip(child.station + wiggle, lo, hi))
     base = np.asarray(base, dtype=np.float64)
-    skeleton = lsys.Skeleton()
-    skeleton.nodes.append(lsys.SkeletonNode(base.copy(), np.array([0.0, 0.0, 1.0]), 0,
-                                            float(height), None))
+    # one (point, direction, depth, length, parent) row per node
+    nodes = [(base.copy(), np.array([0.0, 0.0, 1.0]), 0, float(height), -1)]
     root.node_index = 0
     for em in emissions:
-        parent_node = skeleton.nodes[em.parent.node_index]
-        origin = parent_node.attachment_point \
-            + em.station * parent_node.length * parent_node.direction
+        point, axis, _, length, _ = nodes[em.parent.node_index]
+        origin = point + em.station * length * axis
         pitch = math.radians(cfg.branch_pitch)
         azimuth = math.radians(em.azimuth)
         local = np.array([math.sin(pitch) * math.cos(azimuth),
                           math.sin(pitch) * math.sin(azimuth),
                           math.cos(pitch)])
-        direction = align_z_to(parent_node.direction) @ local
+        direction = align_z_to(axis) @ local
         direction /= np.linalg.norm(direction)
-        em.node_index = len(skeleton.nodes)
-        skeleton.nodes.append(lsys.SkeletonNode(origin, direction, em.depth, cfg.step_length,
-                                                em.parent.node_index))
-    return skeleton
+        em.node_index = len(nodes)
+        nodes.append((origin, direction, em.depth, cfg.step_length, em.parent.node_index))
+    points, directions, depths, lengths, parents = zip(*nodes)
+    return lsys.Skeleton(np.array(points), np.array(directions), np.array(depths),
+                         np.array(lengths), np.array(parents))
 
 
 def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
     """Two triangles per skeleton node, one node aligned at a time."""
     rows = []
-    for node in skeleton.nodes:
-        a = node.attachment_point
-        b = a + node.length * node.direction
-        side = align_z_to(node.direction) @ np.array([1.0, 0.0, 0.0])
-        half = 0.5 * width_fraction * node.length * side
+    for a, direction, length in zip(skeleton.points, skeleton.directions,
+                                    skeleton.lengths.tolist()):
+        b = a + length * direction
+        side = align_z_to(direction) @ np.array([1.0, 0.0, 0.0])
+        half = 0.5 * width_fraction * length * side
         p0, p1, p2, p3 = a - half, a + half, b + half, b - half
         rows.append([np.zeros(3), p0, p1, p2])
         rows.append([np.zeros(3), p0, p2, p3])

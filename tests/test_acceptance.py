@@ -144,11 +144,12 @@ def test_criterion_6_leaf_centroids():
                                leaves_per_subbranch=3, seed=6)
         model = tm.build_tree(params, lib)
         assert len(model.leaf_centroids) >= 100
-        assert len(model.leaf_centroids) == len(model.leaf_mesh)
-        means = model.leaf_mesh.vertices.mean(axis=1)
+        leaf_facets = model.mesh.facets[model.stage_counts["subbranches"]:]
+        assert len(model.leaf_centroids) == len(leaf_facets)
+        means = leaf_facets[:, 1:, :].mean(axis=1)
         assert np.abs(model.leaf_centroids - means).max() <= 1e-9
-        for i in range(len(model.leaf_mesh)):
-            oracle = stl.triangle_centroid(model.leaf_mesh.triangle(i))
+        for i, (_, v0, v1, v2) in enumerate(leaf_facets):
+            oracle = (v0 + v1 + v2) / 3
             assert np.abs(model.leaf_centroids[i] - oracle).max() <= 1e-9
 
 

@@ -341,16 +341,60 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, capsys):
     config = scene_config_file(tmp_path)
-    data = json.loads(config.read_text())
-    target = data
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    config.write_text(json.dumps(data))
+    config.write_text(json.dumps(replaced(json.loads(config.read_text()), keys, value)))
     code, out, err = run(["forest", "--config", str(config), "--out", str(tmp_path / "o"),
                           "--lib", str(lib_dir)], capsys)
     assert code == 5
     assert field in single_error_line(err)
+
+
+def replaced(data, keys, value):
+    """``data`` with the entry at the key path ``keys`` set to ``value``
+    (the whole document for an empty path)."""
+    if not keys:
+        return value
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return data
+
+
+# valid JSON of the wrong shape ends in one error line with the documented code
+@pytest.mark.parametrize("keys, value", [
+    ((), [1]),
+    (("intensity",), 5),
+    (("tree_params",), [1]),
+    (("parameter_jitter",), 5),
+    (("tree_params", "jitter"), [1]),
+])
+def test_forest_config_of_wrong_shape_exit_5(keys, value, tmp_path, lib_dir, capsys):
+    config = scene_config_file(tmp_path)
+    config.write_text(json.dumps(replaced(json.loads(config.read_text()), keys, value)))
+    code, out, err = run(["forest", "--config", str(config), "--out", str(tmp_path / "o"),
+                          "--lib", str(lib_dir)], capsys)
+    assert code == 5
+    assert "malformed scene config" in single_error_line(err)
+
+
+@pytest.mark.parametrize("raster", [[1, 2], 5, {"values": [[1]]}])
+def test_ipp_sample_raster_of_wrong_shape_exit_5(raster, tmp_path, capsys):
+    path = tmp_path / "raster.json"
+    path.write_text(json.dumps(raster))
+    code, out, err = run(["ipp-sample", "--region", "0,10,0,10", "--intensity", f"raster:{path}",
+                          "--seed", "1", "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 5
+    assert "malformed intensity file" in single_error_line(err)
+
+
+@pytest.mark.parametrize("manifest", [{"trunk": {}}, {"trunk": 5}])
+def test_tree_library_role_of_wrong_shape_exit_3(manifest, tmp_path, capsys):
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run(["tree", "--branches", "3", "--lib", str(path),
+                          "--out", str(tmp_path / "t.stl")], capsys)
+    assert code == 3
+    assert "library role 'trunk'" in single_error_line(err)
 
 
 def _raster_file(tmp_path) -> Path:

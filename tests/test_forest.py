@@ -168,6 +168,31 @@ def test_regenerate_from_manifest_bitwise(tiny_library, tmp_path):
     assert read_dir(tmp_path / "orig") == read_dir(tmp_path / "regen")
 
 
+@pytest.mark.parametrize("mode", fo.EXPORT_MODES)
+def test_export_leaves_stored_mesh_name(mode, tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    assert len(scene) > 1
+    fo.export_scene(scene, tmp_path, mode)
+    assert {p.tree.mesh.name for p in scene.placements} == {"tree"}
+    assert {p.tree.full_mesh().name for p in scene.placements} == {"tree"}
+
+
+@pytest.mark.parametrize("where", ["top-level", "intensity", "params"])
+def test_regenerate_rejects_manifest_of_wrong_shape(where, tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "per-tree")
+    if where == "top-level":
+        manifest = [1]
+    elif where == "intensity":
+        manifest["intensity"] = [1]
+    else:
+        manifest["trees"][0]["params"] = [1]
+    path = tmp_path / fo.MANIFEST_NAME
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(fo.SceneConfigError, match="malformed manifest"):
+        fo.regenerate_scene(path, tiny_library)
+
+
 def test_regenerate_rejects_bad_version(tiny_library, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"version": 99}))

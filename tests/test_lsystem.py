@@ -24,8 +24,8 @@ def rewrite_length_oracle(rules: dict, text: str, n: int) -> int:
     return sum(rewrite_length_oracle(rules, rules.get(ch, ch), n - 1) for ch in text)
 
 
-def azimuth_of(node) -> float:
-    return math.degrees(math.atan2(node.direction[1], node.direction[0])) % 360.0
+def azimuth_of(direction) -> float:
+    return math.degrees(math.atan2(direction[1], direction[0])) % 360.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,8 @@ def test_interpret_rule1_gives_six_depth1_fan():
                                np.random.default_rng(0))
     ones = sk.at_depth(1)
     assert len(ones) == 6
-    assert sk.at_depth(2) == []
-    azimuths = sorted(azimuth_of(sk.nodes[i]) for i in ones)
+    assert sk.at_depth(2).tolist() == []
+    azimuths = sorted(azimuth_of(sk.directions[i]) for i in ones)
     assert np.allclose(azimuths, [0, 60, 120, 180, 240, 300], atol=1e-9)
 
 
@@ -176,12 +176,12 @@ def test_interpret_single_symbol():
     sk = lsys.interpret_turtle("d", UNIFORM_CFG, (10.0, (0, 0, 0)),
                                np.random.default_rng(0))
     assert len(sk) == 2
-    node = sk.nodes[sk.at_depth(1)[0]]
-    assert azimuth_of(node) == pytest.approx(0.0, abs=1e-9)
+    i = sk.at_depth(1)[0]
+    assert azimuth_of(sk.directions[i]) == pytest.approx(0.0, abs=1e-9)
     # attachment on the trunk axis
-    assert node.attachment_point[0] == pytest.approx(0.0, abs=1e-12)
-    assert node.attachment_point[1] == pytest.approx(0.0, abs=1e-12)
-    assert 0.0 <= node.attachment_point[2] <= 10.0
+    assert sk.points[i][0] == pytest.approx(0.0, abs=1e-12)
+    assert sk.points[i][1] == pytest.approx(0.0, abs=1e-12)
+    assert 0.0 <= sk.points[i][2] <= 10.0
 
 
 def test_interpret_is_deterministic_per_seed():
@@ -189,10 +189,10 @@ def test_interpret_is_deterministic_per_seed():
                             azimuth_policy="jittered-uniform", jitter_range=10.0)
     a = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
     b = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
-    for na, nb in zip(a.nodes, b.nodes):
-        assert np.array_equal(na.attachment_point, nb.attachment_point)
-        assert np.array_equal(na.direction, nb.direction)
-        assert (na.depth, na.length, na.parent) == (nb.depth, nb.length, nb.parent)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.directions, b.directions)
+    for name in ("depths", "lengths", "parents"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_interpret_matched_groups_nest():
@@ -208,7 +208,7 @@ def test_interpret_unclosed_brackets_stay_flat():
     sk = lsys.interpret_turtle("d[d[d[d", UNIFORM_CFG, (10.0, (0, 0, 0)),
                                np.random.default_rng(0))
     assert len(sk.at_depth(1)) == 4
-    assert sk.at_depth(2) == []
+    assert sk.at_depth(2).tolist() == []
 
 
 def test_interpret_bracket_underflow_raises():
@@ -224,16 +224,16 @@ def test_skeleton_invariants():
     sk = lsys.interpret_turtle("d[ddd]d[ddd]d[ddd]", cfg, (trunk_len, (1.0, 2.0, 0.0)),
                                np.random.default_rng(7))
     assert len(sk.at_depth(0)) == 1
-    for node in sk.nodes:
-        assert np.linalg.norm(node.direction) == pytest.approx(1.0, abs=1e-9)
-        if node.parent is None:
+    for i in range(len(sk)):
+        assert np.linalg.norm(sk.directions[i]) == pytest.approx(1.0, abs=1e-9)
+        parent = sk.parents[i]
+        if parent == -1:
             continue
-        parent = sk.nodes[node.parent]
-        rel = node.attachment_point - parent.attachment_point
-        along = float(np.dot(rel, parent.direction))
-        off_axis = np.linalg.norm(rel - along * parent.direction)
+        rel = sk.points[i] - sk.points[parent]
+        along = float(np.dot(rel, sk.directions[parent]))
+        off_axis = np.linalg.norm(rel - along * sk.directions[parent])
         assert off_axis <= 1e-6 * trunk_len
-        assert -1e-9 <= along <= parent.length + 1e-9
+        assert -1e-9 <= along <= sk.lengths[parent] + 1e-9
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
@@ -242,7 +242,7 @@ def test_uniform_fan_azimuths_are_multiples_of_360_over_k(k):
                                np.random.default_rng(0))
     ones = sk.at_depth(1)
     assert len(ones) == k
-    azimuths = [azimuth_of(sk.nodes[i]) for i in ones]
+    azimuths = [azimuth_of(sk.directions[i]) for i in ones]
     unit = 360.0 / k
     for i in range(k):
         for j in range(i + 1, k):
@@ -274,7 +274,7 @@ def test_skeleton_matches_scalar_reference(text, policy, pitch):
     got = lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
     want = ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), np.random.default_rng(5))
     assert len(got) == len(want)
-    for a, b in zip(got.nodes, want.nodes):
-        assert (a.depth, a.length, a.parent) == (b.depth, b.length, b.parent)
-        for x, y in ((a.attachment_point, b.attachment_point), (a.direction, b.direction)):
-            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+    for name in ("depths", "lengths", "parents"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("points", "directions"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))

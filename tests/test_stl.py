@@ -206,23 +206,26 @@ def test_recompute_normals_idempotent():
 # ---------------------------------------------------------------------------
 # centroid and stats
 
+def one_facet(v0, v1, v2) -> stl.TriangleMesh:
+    return stl.TriangleMesh(np.array([[[0, 0, 1], v0, v1, v2]], dtype=np.float64))
+
+
 def test_centroid_simple():
-    tri = stl.Triangle([0, 0, 1], [0, 0, 0], [3, 0, 0], [0, 3, 0])
-    assert np.allclose(stl.triangle_centroid(tri), [1, 1, 0])
+    centroid = stl.triangle_centroids(one_facet([0, 0, 0], [3, 0, 0], [0, 3, 0]))[0]
+    assert np.allclose(centroid, [1, 1, 0])
 
 
 def test_centroid_equilateral_at_origin():
     pts = [(np.cos(a), np.sin(a), 0.0) for a in (0, 2 * np.pi / 3, 4 * np.pi / 3)]
-    tri = stl.Triangle([0, 0, 1], *pts)
-    assert np.allclose(stl.triangle_centroid(tri), [0, 0, 0], atol=1e-15)
+    assert np.allclose(stl.triangle_centroids(one_facet(*pts))[0], [0, 0, 0], atol=1e-15)
 
 
 @given(verts=arrays(np.float64, (3, 3), elements=coord),
        perm=st.permutations([0, 1, 2]))
 @settings(max_examples=50, deadline=None)
 def test_centroid_invariant_under_vertex_permutation(verts, perm):
-    a = stl.triangle_centroid(verts)
-    b = stl.triangle_centroid(verts[list(perm)])
+    a = stl.triangle_centroids(one_facet(*verts))[0]
+    b = stl.triangle_centroids(one_facet(*verts[list(perm)]))[0]
     assert np.allclose(a, b, atol=1e-12)
 
 

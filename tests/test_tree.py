@@ -31,22 +31,21 @@ def test_skeleton_depth1_counts(branches):
 def test_skeleton_no_subbranches():
     sk = tm.build_skeleton(make_params(branch_count=8, subbranches_per_branch=0))
     assert len(sk) == 1 + 8
-    assert sk.at_depth(2) == []
+    assert sk.at_depth(2).tolist() == []
 
 
 def test_skeleton_deterministic():
     a = tm.build_skeleton(make_params(seed=123))
     b = tm.build_skeleton(make_params(seed=123))
-    for na, nb in zip(a.nodes, b.nodes):
-        assert np.array_equal(na.attachment_point, nb.attachment_point)
-        assert np.array_equal(na.direction, nb.direction)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.directions, b.directions)
 
 
 def test_skeleton_subbranch_lengths_decay():
     params = make_params(depth_scale_decay=0.5)
     sk = tm.build_skeleton(params)
-    depth1 = sk.nodes[sk.at_depth(1)[0]].length
-    depth2 = sk.nodes[sk.at_depth(2)[0]].length
+    depth1 = sk.lengths[sk.at_depth(1)[0]]
+    depth2 = sk.lengths[sk.at_depth(2)[0]]
     assert depth1 == pytest.approx(params.trunk_height * 0.5)
     assert depth2 == pytest.approx(depth1 * 0.5)
 
@@ -71,17 +70,14 @@ def test_branch_stage_triangle_ledger(tiny_library):
 def test_subbranch_stage_counts(tiny_library):
     params = make_params(branch_count=8, subbranches_per_branch=3)
     sk = tm.build_skeleton(params)
-    mesh = tm.attach_branches(sk, tiny_library, params)
-    full = tm.attach_subbranches(mesh, sk, tiny_library, params)
-    assert len(full) == len(mesh) + 24 * len(tiny_library.sub_branch)
+    subs = tm.attach_subbranches(sk, tiny_library, params)
+    assert len(subs) == 24 * len(tiny_library.sub_branch)
 
 
 def test_subbranch_stage_noop_when_zero(tiny_library):
     params = make_params(subbranches_per_branch=0)
     sk = tm.build_skeleton(params)
-    mesh = tm.attach_branches(sk, tiny_library, params)
-    full = tm.attach_subbranches(mesh, sk, tiny_library, params)
-    assert np.array_equal(full.facets, mesh.facets)
+    assert len(tm.attach_subbranches(sk, tiny_library, params)) == 0
 
 
 def test_leaves_zero_gives_empty(tiny_library):
@@ -99,8 +95,8 @@ def test_leaf_counts_and_centroids(tiny_library):
     leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, params)
     assert len(leaf_mesh) == 8 * 3 * 5
     assert centroids.shape == (len(leaf_mesh), 3)
-    for i in range(len(leaf_mesh)):
-        oracle = stl.triangle_centroid(leaf_mesh.triangle(i))
+    for i, (_, v0, v1, v2) in enumerate(leaf_mesh.facets):
+        oracle = (v0 + v1 + v2) / 3
         assert np.allclose(centroids[i], oracle, atol=1e-9)
 
 
@@ -118,9 +114,8 @@ def test_branch_bases_land_on_attachment_points(tiny_library):
     per_branch = len(tiny_library.branch)
     offset = len(tiny_library.trunk)
     for rank, i in enumerate(sk.at_depth(1)):
-        node = sk.nodes[i]
         verts = mesh.vertices[offset + rank * per_branch: offset + (rank + 1) * per_branch]
-        nearest = np.linalg.norm(verts.reshape(-1, 3) - node.attachment_point, axis=1).min()
+        nearest = np.linalg.norm(verts.reshape(-1, 3) - sk.points[i], axis=1).min()
         assert nearest <= 1e-6 * params.trunk_height
 
 
@@ -128,13 +123,12 @@ def test_subbranch_attachments_on_parent_axes():
     params = make_params(seed=11)
     sk = tm.build_skeleton(params)
     for i in sk.at_depth(2):
-        node = sk.nodes[i]
-        parent = sk.nodes[node.parent]
-        rel = node.attachment_point - parent.attachment_point
-        along = float(np.dot(rel, parent.direction))
-        off = np.linalg.norm(rel - along * parent.direction)
+        parent = sk.parents[i]
+        rel = sk.points[i] - sk.points[parent]
+        along = float(np.dot(rel, sk.directions[parent]))
+        off = np.linalg.norm(rel - along * sk.directions[parent])
         assert off <= 1e-6 * params.trunk_height
-        assert -1e-9 <= along <= parent.length + 1e-9
+        assert -1e-9 <= along <= sk.lengths[parent] + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +144,19 @@ def test_build_tree_stage_monotone_prefix(tiny_library):
     assert model.stage_counts["leaves"] == len(leaves)
 
 
+@pytest.mark.parametrize("subs, leaves", [(3, 5), (0, 4), (2, 0)])
+def test_stage_meshes_are_views_of_one_mesh(subs, leaves, tiny_library):
+    model = tm.build_tree(make_params(subbranches_per_branch=subs, leaves_per_subbranch=leaves),
+                          tiny_library)
+    for stage in ("branches", "subbranches", "leaves"):
+        mesh = model.stage_mesh(stage)
+        assert np.shares_memory(mesh.facets, model.mesh.facets)
+        assert len(mesh) == model.stage_counts[stage]
+        assert mesh.name == "tree"
+    assert np.shares_memory(model.full_mesh().facets, model.mesh.facets)
+    assert len(model.full_mesh()) == len(model.mesh) == model.stage_counts["leaves"]
+
+
 def test_build_tree_deterministic_export(tiny_library):
     params = make_params(seed=77)
     a = stl.write_stl(tm.build_tree(params, tiny_library).full_mesh(), "binary")
@@ -160,7 +167,8 @@ def test_build_tree_deterministic_export(tiny_library):
 def test_leaf_request_does_not_disturb_branches(tiny_library):
     bare = tm.build_tree(make_params(leaves_per_subbranch=0), tiny_library)
     leafy = tm.build_tree(make_params(leaves_per_subbranch=5), tiny_library)
-    assert np.array_equal(bare.mesh.facets, leafy.mesh.facets)
+    assert np.array_equal(bare.stage_mesh("subbranches").facets,
+                          leafy.stage_mesh("subbranches").facets)
 
 
 def test_zero_jitter_build_reproducible(tiny_library):
