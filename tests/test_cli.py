@@ -326,6 +326,18 @@ def test_unwritable_template_exit_3(subcommand, tiny_library, tmp_path, capsys):
 NAN, INF = float("nan"), float("inf")
 
 
+def replaced(data, keys, value):
+    """``data`` with the entry at the key path ``keys`` set to ``value``
+    (the whole document for an empty path)."""
+    if not keys:
+        return value
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize("keys, value, field", [
     (("tree_params", "trunk_height"), NAN, "trunk_height"),
     (("tree_params", "trunk_height"), INF, "trunk_height"),
@@ -346,18 +358,6 @@ def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, c
                           "--lib", str(lib_dir)], capsys)
     assert code == 5
     assert field in single_error_line(err)
-
-
-def replaced(data, keys, value):
-    """``data`` with the entry at the key path ``keys`` set to ``value``
-    (the whole document for an empty path)."""
-    if not keys:
-        return value
-    target = data
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    return data
 
 
 # valid JSON of the wrong shape ends in one error line with the documented code
