@@ -137,6 +137,18 @@ FOREST_CASES = {
                         "depth_scale_decay": 0.7, "jitter": _NO_JITTER},
         "min_spacing": 1.0,
     },
+    # a few hundred trivial trees whose envelope (~480 points) has many
+    # spacing conflicts: pins the spacing filter's choices and, through
+    # stdout, the nearest_neighbor= line of scene_stats
+    "crowded": {
+        "master_seed": 2025,
+        "region": {"x_min": 0.0, "x_max": 40.0, "y_min": 0.0, "y_max": 40.0},
+        "intensity": {"form": "constant", "rate": 0.3},
+        "tree_params": {"branch_count": 1, "subbranches_per_branch": 0,
+                        "leaves_per_subbranch": 0, "trunk_height": 4.0,
+                        "depth_scale_decay": 0.5, "jitter": _JITTER},
+        "min_spacing": 1.0,
+    },
 }
 
 FOREST_GOLDEN = {
@@ -148,14 +160,40 @@ FOREST_GOLDEN = {
         "b62ef6bb9daa0aa3301e9aaf88c096522d919f688a7c1e3456675870979feef5",
     ("unjittered", "merged"):
         "b26c6403b16bc1b31ffa39415e50d294b075b039e82281968d990dd09361b483",
+    ("crowded", "per-tree"):
+        "f3dcae4c944cc52dd50b34b9e1da32b329716e944752172913b7607622757d1c",
+    ("crowded", "merged"):
+        "a473823766e2b8f97f8ee5efe1c3a26f4ea1560cb22fa1951f72f3c41f5a9f99",
+}
+
+
+# SHA-256 of the forest summary on stdout, with the output directory
+# written as <out>
+FOREST_STDOUT_GOLDEN = {
+    ("jittered", "per-tree"):
+        "3b9e3491f1e3fb8bcd098c4cbeda04f3448a227c49282a1c4a6c634a229e6bbb",
+    ("jittered", "merged"):
+        "e3f938fc948efd803c9738dc0e7cd4f4e3868fd515f488bda581dd2d13c63800",
+    ("unjittered", "per-tree"):
+        "190865d39ff31d633faee10dc104b50e39a24c3a3e40638234edf161d9596ccb",
+    ("unjittered", "merged"):
+        "6621a9ca467ef409907dbfb35a09d97d6bbea24f120e92810d39412ad9bab574",
+    # trees=321 nearest_neighbor=1.00138941
+    ("crowded", "per-tree"):
+        "f859dc8f65e9d90010c7ef53c3ff7873367b96e68d5211170d2b4253dc52ef77",
+    ("crowded", "merged"):
+        "0c0e3de6112547479cf489ef1b44139c39a522f8cc7727474aebb655bef0b029",
 }
 
 
 @pytest.mark.parametrize("case,mode", sorted(FOREST_GOLDEN))
-def test_forest_export_digest(case, mode, libs, tmp_path):
+def test_forest_export_digest(case, mode, libs, tmp_path, capsys):
     config = dict(FOREST_CASES[case], library=str(libs["tiny"]))
     config_path = tmp_path / "scene_config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "scene"
+    capsys.readouterr()
     run_cli(["forest", "--config", config_path, "--out", out, "--mode", mode])
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
     assert digest_dir(out) == FOREST_GOLDEN[(case, mode)]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == FOREST_STDOUT_GOLDEN[(case, mode)]
