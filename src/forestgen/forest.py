@@ -137,8 +137,9 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
 
 
 def scene_stats(scene: Scene) -> SceneStats:
-    """Exact aggregates over placed trees; nearest-neighbor distance is the
-    brute-force minimum over all pairs (+inf for fewer than two trees)."""
+    """Exact aggregates over placed trees; the nearest-neighbor distance is
+    ``ipp.nearest_pair_distance`` of the tree locations (+inf for fewer than
+    two trees)."""
     total = 0
     mins, maxs = [], []
     for p in scene.placements:
@@ -150,12 +151,7 @@ def scene_stats(scene: Scene) -> SceneStats:
     bounds = None
     if mins:
         bounds = (np.min(mins, axis=0), np.max(maxs, axis=0))
-    nn = float("inf")
-    pts = [(p.x, p.y) for p in scene.placements]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(np.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]))
-            nn = min(nn, d)
+    nn = ipp.nearest_pair_distance([(p.x, p.y) for p in scene.placements])
     return SceneStats(len(scene), total, bounds, nn)
 
 

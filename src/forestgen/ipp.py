@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,20 +228,102 @@ def sample_ipp_thinning(field, region: Region, seed: int) -> PointPattern:
     return PointPattern(envelope.points[keep], seed)
 
 
+class _Grid:
+    """Uniform grid over a point set, mapping each cell to the points added
+    to it, in the order they were added.
+
+    Points less than ``h`` apart along both axes fall in the same or
+    adjacent cells. The cell side exceeds ``h`` by a 2**-40 margin, plus
+    2**-40 of the pattern's extent, which absorbs the rounding of the cell
+    computation. Cells are counted from the pattern's lower-left corner in
+    half units, so neither a coordinate difference nor a cell number (below
+    2**41) can overflow.
+    """
+
+    def __init__(self, points: np.ndarray, h: float):
+        half = points * 0.5
+        lo = half.min(axis=0)
+        side = h * 0.5 * (1 + 2 ** -40) + float((half.max(axis=0) - lo).max()) * 2 ** -40
+        self.cells = [tuple(c) for c in np.floor((half - lo) / side).astype(np.int64).tolist()]
+        self.members: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, i: int):
+        self.members.setdefault(self.cells[i], []).append(i)
+
+    def near(self, i: int):
+        """Points added so far in the 3 x 3 cells around point ``i``."""
+        cx, cy = self.cells[i]
+        for a in (cx - 1, cx, cx + 1):
+            for b in (cy - 1, cy, cy + 1):
+                yield from self.members.get((a, b), ())
+
+
+def _finite_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        shown = ", ".join(f"{i} ({pts[i, 0]}, {pts[i, 1]})" for i in bad[:3])
+        raise ValueError(f"{bad.size} non-finite point(s), at index {shown}")
+    return pts
+
+
 def min_distance_filter(pattern: PointPattern, r: float) -> PointPattern:
     """Greedy hard-core filter: walk points in generation order, keeping a
-    point only when it is at least r away from everything kept so far."""
-    if r < 0:
-        raise ValueError("minimum distance must be non-negative")
-    if r == 0 or len(pattern) == 0:
-        return PointPattern(pattern.points.copy(), pattern.seed)
-    kept: list[np.ndarray] = []
+    point only when it is at least r away from everything kept so far.
+
+    Kept points go into a uniform grid, so each point is tested only
+    against kept points in its 3 x 3 cells; the result is the same as
+    testing it against every kept point.
+    """
+    if not 0 <= r < math.inf:
+        raise ValueError("minimum distance must be finite and non-negative")
+    pts = _finite_points(pattern.points)
     r2 = r * r
-    for p in pattern.points:
-        if all(((p - q) ** 2).sum() >= r2 for q in kept):
-            kept.append(p)
-    pts = np.array(kept) if kept else np.zeros((0, 2))
-    return PointPattern(pts, pattern.seed)
+    if r2 == 0 or len(pts) == 0:
+        return PointPattern(pts.copy(), pattern.seed)
+    # A pair fails dx*dx + dy*dy >= r2 only if |dx| and |dy| are both below
+    # sqrt(r2) (sqrt(2**1024) once r2 overflows): cells that wide, with a
+    # margin for rounding dx and the square root, hold every such pair.
+    grid = _Grid(pts, math.sqrt(min(r2, sys.float_info.max)) * (1 + 2 ** -50))
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    kept = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if all((x - xs[j]) * (x - xs[j]) + (y - ys[j]) * (y - ys[j]) >= r2
+               for j in grid.near(i)):
+            grid.add(i)
+            kept.append(i)
+    return PointPattern(pts[kept], pattern.seed)
+
+
+def nearest_pair_distance(points) -> float:
+    """Smallest ``np.hypot`` distance between two of ``points`` (an (n, 2)
+    array of finite coordinates); +inf for fewer than two points.
+
+    Only pairs in adjacent cells of a uniform grid are measured. A pair in
+    cells further apart is at least the cell size ``h`` apart, so a minimum
+    below ``h`` is exact; otherwise ``h`` doubles, until one 2 x 2 block of
+    cells covers every point.
+    """
+    pts = _finite_points(points)
+    n = len(pts)
+    if n < 2:
+        return math.inf
+    x, y = pts[:, 0], pts[:, 1]
+    half_span = float(np.ptp(pts * 0.5, axis=0).max())
+    # about one point per cell; a normal-range h keeps the rounding of
+    # subnormal distances far below it
+    h = max(half_span / math.sqrt(n) * 2, 2.0 ** -1000)
+    while True:
+        grid = _Grid(pts, h)
+        nearest = math.inf
+        for i in range(n):
+            js = list(grid.near(i))
+            if js:
+                nearest = min(nearest, float(np.hypot(x[i] - x[js], y[i] - y[js]).min()))
+            grid.add(i)
+        if nearest < h * (1 - 2 ** -40) or max(map(max, grid.cells)) <= 1:
+            return nearest
+        h *= 2
 
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:

@@ -1,10 +1,12 @@
-"""One-instance-at-a-time placement math, kept as the reference that the
-stacked code in ``forestgen.transform``, ``forestgen.lsystem`` and
-``forestgen.tree.skeleton_to_mesh`` must match bit for bit.
+"""One-at-a-time reference code that forestgen's faster paths must match
+bit for bit.
 
-Each function does what forestgen did before placement was batched: scalar
-``rng.uniform`` draws, ``math`` trigonometry, ``np.cross`` and
-``np.linalg.norm`` on single vectors, and one mesh copy per instance.
+Placement math, the reference for ``forestgen.transform``,
+``forestgen.lsystem`` and ``forestgen.tree.skeleton_to_mesh``, does what
+forestgen did before placement was batched: scalar ``rng.uniform`` draws,
+``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
+and one mesh copy per instance. The point-pattern loops at the end are the
+references for the grid code in ``forestgen.ipp``.
 """
 
 import math
@@ -119,3 +121,29 @@ def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> s
         rows.append([np.zeros(3), p0, p1, p2])
         rows.append([np.zeros(3), p0, p2, p3])
     return stl.recompute_normals(stl.TriangleMesh(np.array(rows), "skeleton"))
+
+
+# ---------------------------------------------------------------------------
+# point patterns
+
+def min_distance_filter(points: np.ndarray, r: float) -> np.ndarray:
+    """Greedy hard-core filter that tests each point against every point
+    kept so far."""
+    kept: list[np.ndarray] = []
+    r2 = r * r
+    for p in points:
+        if all(((p - q) ** 2).sum() >= r2 for q in kept):
+            kept.append(p)
+    return np.array(kept) if kept else np.zeros((0, 2))
+
+
+def nearest_pair_distance(points) -> float:
+    """Minimum of ``np.hypot`` over all pairs; +inf for fewer than two."""
+    pts = [(float(x), float(y)) for x, y in points]
+    nn = float("inf")
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = float(np.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]))
+            nn = min(nn, d)
+    return nn
+

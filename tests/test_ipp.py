@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import scalar_reference as ref
 from forestgen import ipp
 
 REGION = ipp.Region(0.0, 100.0, 0.0, 100.0)
@@ -155,6 +157,7 @@ def test_poisson_count_large_mean_regime():
     assert 0.8 <= draws.var(ddof=1) / draws.mean() <= 1.2
 
 
+
 # ---------------------------------------------------------------------------
 # thinning
 
@@ -236,6 +239,91 @@ def test_filter_property(seed, r):
     out = ipp.min_distance_filter(pattern, r)
     assert brute_force_min_distance_ok(out.points, r)
     assert len(out) <= len(pattern)
+
+
+@st.composite
+def grid_cases(draw):
+    """Points and a spacing at one scale from 1e-300 to 1e300: random,
+    lattice (so with duplicates and exact distances) or packed into one
+    cell; r is zero, subnormal, a multiple of the scale, or a pair's own
+    distance, exactly or one ulp either side."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "lattice", "one-cell"]))
+    if kind == "lattice":
+        coords = [draw(st.integers(-6, 6)) for _ in range(2 * n)]
+    else:
+        coords = [draw(st.floats(-6.0, 6.0)) for _ in range(2 * n)]
+    points = np.array(coords, dtype=np.float64).reshape(-1, 2) * scale
+    points += draw(st.sampled_from([0.0, 1.0, -1e3, 7.5e5])) * scale
+    r_kind = draw(st.sampled_from(["zero", "subnormal", "scaled", "pair"]))
+    if r_kind == "zero":
+        r = 0.0
+    elif r_kind == "subnormal":
+        r = draw(st.sampled_from([5e-324, 1e-310, 2.2e-308]))
+    elif r_kind == "scaled" or n < 2:
+        r = draw(st.floats(0.0, 20.0)) * scale
+        if kind == "one-cell":
+            r = 1e3 * scale
+    else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d = float(np.hypot(*(points[i] - points[j])))
+        r = abs(float(np.nextafter(d, draw(st.sampled_from([-math.inf, d, math.inf])))))
+    return points, r
+
+
+@given(case=grid_cases())
+@settings(max_examples=400, deadline=None)
+@example(case=(np.array([[0.0, 0.0], [1.5e-162, 0.0]]), 2.2e-162))   # r*r subnormal
+@example(case=(np.array([[0.0, 0.0], [3e154, 0.0], [0.0, 1e200]]), 2e154))   # r*r overflows
+@example(case=(np.array([[-1.7e308, 0.0], [1.7e308, 0.0]]), 1.0))
+def test_filter_matches_scalar_reference(case):
+    points, r = case
+    out = ipp.min_distance_filter(ipp.PointPattern(points, seed=1), r)
+    with np.errstate(over="ignore"):
+        expected = ref.min_distance_filter(points, r).reshape(-1, 2)
+    np.testing.assert_array_equal(out.points, expected)
+
+
+@given(case=grid_cases())
+@settings(max_examples=400, deadline=None)
+@example(case=(np.zeros((0, 2)), 0.0))
+@example(case=(np.array([[1.0, 2.0]]), 0.0))
+@example(case=(np.array([[1e-320, 0.0], [0.0, 3e-320], [2e-320, 2e-320]]), 0.0))
+@example(case=(np.array([[-1.7e308, 0.0], [1.7e308, 0.0], [0.0, 1e308]]), 0.0))
+def test_nearest_pair_distance_matches_scalar_reference(case):
+    points, _ = case
+    with np.errstate(over="ignore"):
+        expected = ref.nearest_pair_distance(points)
+    assert ipp.nearest_pair_distance(points) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_points(bad):
+    points = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
+    with pytest.raises(ValueError, match=r"non-finite point.*index 1 "):
+        ipp.min_distance_filter(ipp.PointPattern(points, seed=0), 1.0)
+    with pytest.raises(ValueError, match=r"non-finite point.*index 1 "):
+        ipp.nearest_pair_distance(points)
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+def test_filter_rejects_bad_distance(r):
+    pattern = ipp.PointPattern(np.zeros((2, 2)), seed=0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ipp.min_distance_filter(pattern, r)
+
+
+def test_grid_scales_linearly():
+    # 20 000 points: the grid takes well under a second, an all-pairs loop
+    # minutes
+    rng = np.random.default_rng(41)
+    points = rng.uniform(0.0, 1000.0, size=(20000, 2))
+    start = time.perf_counter()
+    kept = ipp.min_distance_filter(ipp.PointPattern(points, seed=41), 1.0)
+    nearest = ipp.nearest_pair_distance(points)
+    assert time.perf_counter() - start < 10.0
+    assert 0 < len(kept) < len(points) and 0 < nearest < 1.0
 
 
 # ---------------------------------------------------------------------------
