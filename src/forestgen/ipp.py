@@ -24,6 +24,8 @@ from .seeds import stream_seed
 
 # switch point between inversion and exponential-gap counting
 _INVERSION_MAX_MEAN = 30.0
+# most exponential gaps drawn at once, which bounds a count's memory
+_GAP_BLOCK_MAX = 65536
 
 
 class IntensityError(Exception):
@@ -188,12 +190,23 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
             p *= mean / k
             cdf += p
         return k
+    # k is the number of gaps whose running sum stays <= mean. Gaps come in
+    # blocks; cumsum adds them one by one in draw order, like a scalar loop,
+    # and the block holding the crossing is drawn again up to the crossing so
+    # the generator ends exactly where one draw per gap would leave it.
     total = 0.0
-    k = -1
-    while total <= mean:
-        total += rng.standard_exponential()
-        k += 1
-    return k
+    k = 0
+    while True:
+        state = rng.bit_generator.state
+        gaps = rng.standard_exponential(min(_GAP_BLOCK_MAX, int(2 * (mean - total)) + 64))
+        sums = np.cumsum(np.concatenate(([total], gaps)))[1:]
+        crossing = int(np.searchsorted(sums, mean, side="right"))
+        if crossing < len(gaps):
+            rng.bit_generator.state = state
+            rng.standard_exponential(crossing + 1)
+            return k + crossing
+        k += len(gaps)
+        total = float(sums[-1])
 
 
 def sample_homogeneous(region: Region, rate: float, seed: int) -> PointPattern:

@@ -6,7 +6,8 @@ Placement math, the reference for ``forestgen.transform``,
 forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
-references for the grid code in ``forestgen.ipp``.
+references for the grid code and the block-drawn counts in
+``forestgen.ipp``.
 """
 
 import math
@@ -147,3 +148,12 @@ def nearest_pair_distance(points) -> float:
             nn = min(nn, d)
     return nn
 
+
+def poisson_count_by_gaps(mean: float, rng: np.random.Generator) -> int:
+    """Poisson count from one unit-exponential draw per gap."""
+    total = 0.0
+    k = -1
+    while total <= mean:
+        total += rng.standard_exponential()
+        k += 1
+    return k

@@ -157,6 +157,17 @@ def test_poisson_count_large_mean_regime():
     assert 0.8 <= draws.var(ddof=1) / draws.mean() <= 1.2
 
 
+@given(seed=st.integers(0, 2**64 - 1),
+       mean=st.floats(30.0, 2e5) | st.sampled_from([30.0, 65536.0, 131072.5, 140000.0]))
+@settings(max_examples=150, deadline=None)
+def test_poisson_count_matches_one_draw_per_gap(seed, mean):
+    # same count, and the generator left where the scalar loop leaves it;
+    # means near 65536 and above cross between blocks of gaps
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert ipp.poisson_count(mean, fast) == ref.poisson_count_by_gaps(mean, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.uniform() == slow.uniform()
+
 
 # ---------------------------------------------------------------------------
 # thinning
