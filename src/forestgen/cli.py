@@ -113,6 +113,9 @@ def _cmd_tree(args) -> int:
 
 def _cmd_forest(args) -> int:
     config, lib_path = forestmod.load_scene_config(args.config)
+    if args.lib is None and lib_path is not None:
+        # a relative library path names a file beside the scene config
+        lib_path = str(Path(args.config).parent / lib_path)
     lib = _load_library(args.lib or lib_path)
     scene = forestmod.compose_forest(config, lib)
     try:

@@ -241,6 +241,22 @@ def test_forest_per_tree_file_count_matches_manifest(tmp_path, lib_dir, capsys):
     assert len(stl_files) == len(manifest["trees"])
 
 
+@pytest.mark.parametrize("cwd,config", [(".", "relcfg/scene.json"),
+                                        ("relcfg", "scene.json"),
+                                        ("elsewhere", "../relcfg/scene.json")])
+def test_forest_library_relative_to_config(cwd, config, tmp_path, tiny_library, monkeypatch,
+                                           capsys):
+    cfg_dir = tmp_path / "relcfg"
+    stl.save_library(tiny_library, cfg_dir / "templates")
+    data = json.loads(scene_config_file(tmp_path).read_text())
+    (cfg_dir / "scene.json").write_text(json.dumps(dict(data, library="templates/library.json")))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / cwd)
+    code, out, err = run(["forest", "--config", config, "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (0, "")
+    assert int(kv(out)["trees"]) > 0
+
+
 def test_forest_invalid_config_exit_5(tmp_path, lib_dir, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"master_seed": 1}))
