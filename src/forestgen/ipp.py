@@ -190,16 +190,18 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
             p *= mean / k
             cdf += p
         return k
-    # k is the number of gaps whose running sum stays <= mean. Gaps come in
-    # blocks; cumsum adds them one by one in draw order, like a scalar loop,
-    # and the block holding the crossing is drawn again up to the crossing so
-    # the generator ends exactly where one draw per gap would leave it.
+    # k counts the gaps whose running sum stays <= mean. Gaps are drawn in
+    # blocks and cumsum adds them one at a time in draw order, the running
+    # total carried into the first, as one draw per gap would; the block
+    # holding the crossing is drawn again up to the crossing, so the
+    # generator ends where one draw per gap would leave it.
     total = 0.0
     k = 0
     while True:
         state = rng.bit_generator.state
         gaps = rng.standard_exponential(min(_GAP_BLOCK_MAX, int(2 * (mean - total)) + 64))
-        sums = np.cumsum(np.concatenate(([total], gaps)))[1:]
+        gaps[0] += total
+        sums = np.cumsum(gaps)
         crossing = int(np.searchsorted(sums, mean, side="right"))
         if crossing < len(gaps):
             rng.bit_generator.state = state

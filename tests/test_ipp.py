@@ -302,6 +302,18 @@ def test_filter_matches_scalar_reference(case):
 @example(case=(np.array([[1.0, 2.0]]), 0.0))
 @example(case=(np.array([[1e-320, 0.0], [0.0, 3e-320], [2e-320, 2e-320]]), 0.0))
 @example(case=(np.array([[-1.7e308, 0.0], [1.7e308, 0.0], [0.0, 1e308]]), 0.0))
+# spread out so that the nearest pair lies in non-adjacent cells of the
+# first grid, while an adjacent pair is only slightly further apart
+@example(case=(np.array([[0.4196685744769144, 0.4443162068217552],
+                         [0.45851856099809474, 0.9854236870170019],
+                         [0.9965119796711706, 0.2999565266181031],
+                         [0.07144595451835412, 0.024852512705043184],
+                         [0.9922195972766491, 0.9299871402561328]]), 0.0))
+@example(case=(np.array([[0.07957051946839178, 0.08222075216952018],
+                         [0.12156394000623505, 0.8075613577318947],
+                         [0.6507159487011063, 0.36978631019759345],
+                         [0.7982547911627095, 0.7845152642054329],
+                         [0.9178976287588468, 0.017856898035384927]]), 0.0))
 def test_nearest_pair_distance_matches_scalar_reference(case):
     points, _ = case
     with np.errstate(over="ignore"):
