@@ -191,7 +191,8 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
             cdf += p
         return k
     # k counts the gaps whose running sum stays <= mean. Gaps are drawn in
-    # blocks and cumsum adds them one at a time in draw order, the running
+    # blocks of about twice the count still expected (so one block usually
+    # suffices), and cumsum adds them one at a time in draw order, the running
     # total carried into the first, as one draw per gap would; the block
     # holding the crossing is drawn again up to the crossing, so the
     # generator ends where one draw per gap would leave it.
