@@ -252,10 +252,12 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
         placements = []
         for entry in data["trees"]:
+            x, y = float(entry["x"]), float(entry["y"])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SceneConfigError(f"tree {entry['index']} position must be finite")
             params = treemod.params_from_dict(entry["params"])
             model = treemod.build_tree(params, lib)
-            placements.append(Placement(int(entry["index"]), float(entry["x"]),
-                                        float(entry["y"]), int(entry["seed"]), model))
+            placements.append(Placement(int(entry["index"]), x, y, int(entry["seed"]), model))
         return Scene(placements, config)
 
     return _parse(manifest, "manifest", parse)

@@ -98,9 +98,10 @@ class RasterIntensity:
     values: np.ndarray
 
     def __post_init__(self):
-        self.x_min = float(self.x_min)
-        self.y_min = float(self.y_min)
-        self.cell_size = float(self.cell_size)
+        for name in ("x_min", "y_min", "cell_size"):
+            setattr(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise IntensityError(f"raster {name} must be finite")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.cell_size <= 0:
             raise IntensityError("cell_size must be positive")

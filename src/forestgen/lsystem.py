@@ -24,7 +24,7 @@ group opened afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,6 @@ BRANCH_SYMBOL = "d"
 
 REPLACEABLE = "replaceable"
 CONSTANT = "constant"
-
-AZIMUTH_POLICIES = ("uniform-spacing", "jittered-uniform")
 
 # child attachments span this fraction of the parent axis, lowest to highest
 _STATION_LO = 0.30
@@ -99,18 +97,18 @@ class TurtleConfig:
     step_length: float = 1.0
     yaw_angle: float = 60.0       # degrees turned by '+' / '-'
     branch_pitch: float = 40.0    # tilt of a child off its parent axis
-    azimuth_policy: str = "uniform-spacing"
-    jitter_range: float = 0.0     # degrees, jittered-uniform policy only
+    jitter_range: float = 0.0     # degrees; fans jitter exactly when > 0
 
     def __post_init__(self):
+        for name in ("step_length", "yaw_angle", "jitter_range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.branch_pitch <= 180.0:
             raise ValueError("branch_pitch must be within [0, 180] degrees")
         if self.jitter_range < 0.0:
             raise ValueError("jitter_range must be non-negative")
         if self.step_length <= 0.0:
             raise ValueError("step_length must be positive")
-        if self.azimuth_policy not in AZIMUTH_POLICIES:
-            raise ValueError(f"azimuth_policy must be one of {AZIMUTH_POLICIES}")
 
 
 @dataclass
@@ -244,26 +242,13 @@ def rewrite(ls: LSystem, iterations: int) -> DerivationString:
     return DerivationString(text, iterations)
 
 
-def count_branch_symbols(s, symbol: str = BRANCH_SYMBOL) -> int:
+def count_branch_symbols(s) -> int:
     text = s.symbols if isinstance(s, DerivationString) else s
-    return text.count(symbol)
+    return text.count(BRANCH_SYMBOL)
 
 
 # ---------------------------------------------------------------------------
 # turtle interpretation
-
-@dataclass
-class _Emission:
-    parent: "_Emission | None"
-    depth: int
-    children: list = field(default_factory=list)
-    # geometry assigned once sibling counts are known
-    order: int = 0
-    azimuth: float = 0.0
-    station: float = 0.0
-    group_phase: float = 0.0   # cursor captured when this node's child group opened
-    node_index: int = -1
-
 
 def _match_brackets(text: str) -> set[int]:
     """Indices of '[' that have a matching ']'. Unmatched '[' are legal
@@ -280,124 +265,96 @@ def _match_brackets(text: str) -> set[int]:
     return matched
 
 
-def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator,
-                     branch_symbol: str = BRANCH_SYMBOL) -> Skeleton:
+def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator) -> Skeleton:
     """Interpret a derivation string as a branching skeleton.
 
     ``trunk_spec`` is (height, base point). The result is deterministic in
-    (s, cfg, trunk_spec, seed): jitter draws, consumed only under the
-    jittered-uniform policy, happen in a fixed order (parents in emission
-    order; per child an azimuth then a station offset).
+    (s, cfg, trunk_spec, seed). Fans jitter exactly when ``cfg.jitter_range
+    > 0``; the draws then happen in a fixed order (parents in row order; per
+    child an azimuth then a station offset).
+
+    One walk over the string gives every node a row (the trunk is row 0),
+    its parent row, its depth, the phase of the nested group it opens and
+    its child rows. Only a matched '[' (see _match_brackets) makes the
+    latest child of the current context the new context; the '+'/'-' cursor
+    at that moment becomes the phase of that child's fan.
     """
     text = s.symbols if isinstance(s, DerivationString) else s
     height, base = trunk_spec
     height = float(height)
-    if height <= 0.0:
-        raise ValueError("trunk height must be positive")
-    base = np.asarray(base, dtype=np.float64)
+    if not 0.0 < height < math.inf:
+        raise ValueError("trunk height must be positive and finite")
 
-    root = _Emission(parent=None, depth=0)
-    emissions = _emit(text, root, branch_symbol, cfg.yaw_angle)
-    _assign_fan_geometry(root, emissions, cfg, rng)
-    return _to_skeleton(root, emissions, cfg, height, base)
-
-
-def _emit(text: str, root: _Emission, branch_symbol: str,
-          yaw_angle: float) -> list[_Emission]:
-    """Walk the string, building the emission tree and tracking the
-    '+'/'-' azimuth cursor. Only a matched '[' (see _match_brackets) pushes
-    the latest emission as the new attachment context; the cursor at that
-    moment becomes the phase of the nested fan."""
     matched = _match_brackets(text)
-    emissions: list[_Emission] = []
-    context = [root]             # whose children we are currently emitting
-    open_kinds: list[bool] = []  # per '[': True when it pushed a context
+    parents, depths, phases, children = [-1], [0], [0.0], [[]]
+    context = [0]                # rows whose children are being emitted
+    pushed: list[bool] = []      # per '[': True when it pushed a context
     cursor = 0.0
     for i, ch in enumerate(text):
-        if ch == branch_symbol:
+        if ch == BRANCH_SYMBOL:
             parent = context[-1]
-            node = _Emission(parent=parent, depth=parent.depth + 1)
-            parent.children.append(node)
-            emissions.append(node)
+            children[parent].append(len(parents))
+            parents.append(parent)
+            depths.append(depths[parent] + 1)
+            phases.append(0.0)
+            children.append([])
         elif ch == "+":
-            cursor += yaw_angle
+            cursor += cfg.yaw_angle
         elif ch == "-":
-            cursor -= yaw_angle
+            cursor -= cfg.yaw_angle
         elif ch == "[":
-            if i in matched and context[-1].children:
-                child = context[-1].children[-1]
-                if not child.children:
-                    child.group_phase = cursor
-                context.append(child)
-                open_kinds.append(True)
-            else:
-                open_kinds.append(False)
+            fan = children[context[-1]]
+            pushed.append(i in matched and bool(fan))
+            if pushed[-1]:
+                if not children[fan[-1]]:
+                    phases[fan[-1]] = cursor
+                context.append(fan[-1])
         elif ch == "]":
-            if open_kinds.pop():
+            if pushed.pop():
                 context.pop()
-    return emissions
 
-
-def _assign_fan_geometry(root: _Emission, emissions: list[_Emission],
-                         cfg: TurtleConfig, rng: np.random.Generator):
-    """Give every emission an azimuth and an attachment station.
-
-    Children of one parent form an evenly spaced fan (360/k apart) offset by
-    the parent's group phase; stations spread over the upper fraction of the
-    parent axis. The jittered-uniform policy adds bounded uniform noise to
-    both, drawn as one (children, 2) block of (azimuth, station) rows: the
-    same stream as two ``rng.uniform`` draws per child in turn.
-    """
-    jittered = cfg.azimuth_policy == "jittered-uniform"
-    if jittered:
-        draws = iter(rng.random((len(emissions), 2)).tolist())
-        j = cfg.jitter_range
-    for parent in [root] + emissions:
-        k = len(parent.children)
-        if k == 0:
-            continue
+    # Children of one parent form an evenly spaced fan (360/k apart) offset
+    # by the parent's phase; stations spread over the upper fraction of the
+    # parent axis. Jitter adds bounded uniform noise to both, drawn as one
+    # (children, 2) block of (azimuth, station) rows: the same stream as two
+    # ``rng.uniform`` draws per child in turn.
+    n = len(parents)
+    azimuths = [0.0] * n
+    stations = [0.0] * n
+    j = cfg.jitter_range
+    if j > 0:
+        draws = iter(rng.random((n - 1, 2)).tolist())
+    for parent, fan in enumerate(children):
+        k = len(fan)
         gap = (_STATION_HI - _STATION_LO) / (k - 1) if k > 1 else 0.0
-        for i, child in enumerate(parent.children):
-            child.order = i
-            child.azimuth = parent.group_phase + i * (360.0 / k)
-            if k == 1:
-                child.station = _STATION_HI
-            else:
-                child.station = _STATION_LO + i * gap
-            if jittered:
+        for i, row in enumerate(fan):
+            azimuths[row] = phases[parent] + i * (360.0 / k)
+            stations[row] = _STATION_LO + i * gap if k > 1 else _STATION_HI
+            if j > 0:
                 # rng.uniform(low, high) is low + (high - low) * U[0, 1)
                 u_turn, u_shift = next(draws)
-                child.azimuth += -j + (j + j) * u_turn
+                azimuths[row] += -j + (j + j) * u_turn
                 span = gap if k > 1 else (_STATION_HI - _STATION_LO)
                 wiggle = (-1.0 + 2.0 * u_shift) * 0.25 * span
-                child.station = min(max(child.station + wiggle, _STATION_LO), _STATION_HI)
+                stations[row] = min(max(stations[row] + wiggle, _STATION_LO), _STATION_HI)
 
-
-def _to_skeleton(root: _Emission, emissions: list[_Emission], cfg: TurtleConfig,
-                 height: float, base: np.ndarray) -> Skeleton:
-    """Nodes in string order (the trunk first), placed one depth at a time:
-    every node of a depth is computed in one stack from its parents."""
-    points = np.empty((len(emissions) + 1, 3))
-    directions = np.empty((len(emissions) + 1, 3))
-    lengths = [height] + [cfg.step_length] * len(emissions)
-    points[0] = base
+    # placed one depth at a time: every node of a depth is computed in one
+    # stack from its parents, which are all placed before it
+    skeleton = Skeleton(np.empty((n, 3)), np.empty((n, 3)), np.array(depths),
+                        np.array([height] + [cfg.step_length] * (n - 1)), np.array(parents))
+    points, directions = skeleton.points, skeleton.directions
+    points[0] = np.asarray(base, dtype=np.float64)
     directions[0] = (0.0, 0.0, 1.0)
-    root.node_index = 0
-    by_depth: dict[int, list[_Emission]] = {}
-    for i, em in enumerate(emissions, start=1):
-        em.node_index = i
-        by_depth.setdefault(em.depth, []).append(em)
+    station_of = np.array(stations)
     pitch = math.radians(cfg.branch_pitch)
     sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
-    for depth in sorted(by_depth):  # a depth's parents are all placed before it
-        level = by_depth[depth]
-        rows = np.array([em.node_index for em in level])
-        parents = np.array([em.parent.node_index for em in level])
-        reach = [[em.station * lengths[em.parent.node_index]] for em in level]
-        points[rows] = points[parents] + reach * directions[parents]
+    for depth in range(1, max(depths) + 1):
+        rows = skeleton.at_depth(depth)
+        up = skeleton.parents[rows]
+        reach = station_of[rows] * skeleton.lengths[up]
+        points[rows] = points[up] + reach[:, None] * directions[up]
         local = [[sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch]
-                 for a in (math.radians(em.azimuth) for em in level)]
-        turned = np.matmul(tf.z_alignments(directions[parents]), np.array(local)[:, :, None])
+                 for a in (math.radians(azimuths[r]) for r in rows.tolist())]
+        turned = np.matmul(tf.z_alignments(directions[up]), np.array(local)[:, :, None])
         directions[rows] = tf.normalize_rows(turned[:, :, 0])
-    return Skeleton(points, directions, np.array([0] + [em.depth for em in emissions]),
-                    np.array(lengths), np.array([-1] + [em.parent.node_index for em in emissions]))
+    return skeleton

@@ -109,14 +109,11 @@ def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> lsy
 
 
 def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
-    jitter_range = params.jitter.azimuth_range
-    policy = "jittered-uniform" if jitter_range > 0 else "uniform-spacing"
     return lsys.TurtleConfig(
         step_length=params.trunk_height * params.depth_scale_decay,
         yaw_angle=360.0 / params.branch_count,
         branch_pitch=40.0,
-        azimuth_policy=policy,
-        jitter_range=jitter_range,
+        jitter_range=params.jitter.azimuth_range,
     )
 
 

@@ -71,13 +71,66 @@ def apply_to_mesh(t: tf.RigidTransform, mesh: stl.TriangleMesh) -> stl.TriangleM
     return stl.TriangleMesh(facets, mesh.name)
 
 
+class Node:
+    """One branch symbol of the string, linked to its parent and children."""
+
+    def __init__(self, parent, depth: int):
+        self.parent = parent
+        self.depth = depth
+        self.children = []
+        self.group_phase = 0.0  # cursor when this node's child group opened
+        self.azimuth = 0.0
+        self.station = 0.0
+        self.row = 0
+
+
+def emit_nodes(text: str, yaw_angle: float) -> tuple[Node, list[Node]]:
+    """The root (trunk) and every branch node in string order. Only a '['
+    that a later ']' closes opens a nested group, under the latest child of
+    the current context."""
+    open_at: list[int] = []
+    closed: set[int] = set()
+    for i, ch in enumerate(text):
+        if ch == "[":
+            open_at.append(i)
+        elif ch == "]":
+            if not open_at:
+                raise lsys.TurtleError(f"']' at position {i} has no matching '['")
+            closed.add(open_at.pop())
+    root = Node(None, 0)
+    nodes: list[Node] = []
+    context = [root]
+    pushed: list[bool] = []
+    cursor = 0.0
+    for i, ch in enumerate(text):
+        if ch == "d":
+            node = Node(context[-1], context[-1].depth + 1)
+            context[-1].children.append(node)
+            nodes.append(node)
+        elif ch == "+":
+            cursor += yaw_angle
+        elif ch == "-":
+            cursor -= yaw_angle
+        elif ch == "[":
+            if i in closed and context[-1].children:
+                child = context[-1].children[-1]
+                if not child.children:
+                    child.group_phase = cursor
+                context.append(child)
+                pushed.append(True)
+            else:
+                pushed.append(False)
+        elif ch == "]":
+            if pushed.pop():
+                context.pop()
+    return root, nodes
+
+
 def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
                      rng: np.random.Generator) -> lsys.Skeleton:
     """Turtle interpretation with two scalar draws per child and one node
     placed at a time; the nodes are packed into arrays at the end."""
-    root = lsys._Emission(parent=None, depth=0)
-    emissions = lsys._emit(text, root, lsys.BRANCH_SYMBOL, cfg.yaw_angle)
-    jittered = cfg.azimuth_policy == "jittered-uniform"
+    root, emissions = emit_nodes(text, cfg.yaw_angle)
     lo, hi = 0.30, 0.95
     for parent in [root] + emissions:
         k = len(parent.children)
@@ -85,16 +138,15 @@ def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
         for i, child in enumerate(parent.children):
             child.azimuth = parent.group_phase + i * (360.0 / k)
             child.station = hi if k == 1 else lo + i * gap
-            if jittered:
+            if cfg.jitter_range > 0:
                 child.azimuth += rng.uniform(-cfg.jitter_range, cfg.jitter_range)
                 wiggle = rng.uniform(-1.0, 1.0) * 0.25 * (gap if k > 1 else (hi - lo))
                 child.station = float(np.clip(child.station + wiggle, lo, hi))
     base = np.asarray(base, dtype=np.float64)
     # one (point, direction, depth, length, parent) row per node
     nodes = [(base.copy(), np.array([0.0, 0.0, 1.0]), 0, float(height), -1)]
-    root.node_index = 0
     for em in emissions:
-        point, axis, _, length, _ = nodes[em.parent.node_index]
+        point, axis, _, length, _ = nodes[em.parent.row]
         origin = point + em.station * length * axis
         pitch = math.radians(cfg.branch_pitch)
         azimuth = math.radians(em.azimuth)
@@ -103,8 +155,8 @@ def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
                           math.cos(pitch)])
         direction = align_z_to(axis) @ local
         direction /= np.linalg.norm(direction)
-        em.node_index = len(nodes)
-        nodes.append((origin, direction, em.depth, cfg.step_length, em.parent.node_index))
+        em.row = len(nodes)
+        nodes.append((origin, direction, em.depth, cfg.step_length, em.parent.row))
     points, directions, depths, lengths, parents = zip(*nodes)
     return lsys.Skeleton(np.array(points), np.array(directions), np.array(depths),
                          np.array(lengths), np.array(parents))

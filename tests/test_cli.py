@@ -403,6 +403,20 @@ def test_ipp_sample_raster_of_wrong_shape_exit_5(raster, tmp_path, capsys):
     assert "malformed intensity file" in single_error_line(err)
 
 
+@pytest.mark.parametrize("field, value", [("cell_size", "NaN"), ("cell_size", "Infinity"),
+                                          ("x_min", "NaN")])
+def test_ipp_sample_non_finite_raster_geometry_exit_5(field, value, tmp_path, capsys):
+    path = tmp_path / "raster.json"
+    raster = {"cell_size": 5.0, "values": [[1]]}
+    raster[field] = value
+    path.write_text(json.dumps(raster).replace(f'"{value}"', value))
+    code, out, err = run(["ipp-sample", "--region", "0,5,0,5", "--intensity", f"raster:{path}",
+                          "--seed", "1", "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 5
+    assert f"raster {field} must be finite" in single_error_line(err)
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("manifest", [{"trunk": {}}, {"trunk": 5}])
 def test_tree_library_role_of_wrong_shape_exit_3(manifest, tmp_path, capsys):
     path = tmp_path / "library.json"

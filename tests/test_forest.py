@@ -193,6 +193,17 @@ def test_regenerate_rejects_manifest_of_wrong_shape(where, tiny_library, tmp_pat
         fo.regenerate_scene(path, tiny_library)
 
 
+@pytest.mark.parametrize("axis, value", [("x", math.nan), ("y", math.inf), ("x", -math.inf)])
+def test_regenerate_rejects_non_finite_position(axis, value, tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "per-tree")
+    manifest["trees"][1][axis] = value
+    path = tmp_path / fo.MANIFEST_NAME
+    path.write_text(json.dumps(manifest))  # NaN / Infinity, as Python's json writes them
+    with pytest.raises(fo.SceneConfigError, match="tree 1 position must be finite"):
+        fo.regenerate_scene(path, tiny_library)
+
+
 def test_regenerate_rejects_bad_version(tiny_library, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"version": 99}))

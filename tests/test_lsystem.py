@@ -14,7 +14,7 @@ RULE1_DERIVATION = "d(d)+d)[d(d)+d)"
 RULE2_DERIVATION = "d(d)+d)[d(d)+d)[d(d)+d)"
 
 UNIFORM_CFG = lsys.TurtleConfig(step_length=5.0, yaw_angle=60.0, branch_pitch=40.0,
-                                azimuth_policy="uniform-spacing", jitter_range=0.0)
+                                jitter_range=0.0)
 
 
 def rewrite_length_oracle(rules: dict, text: str, n: int) -> int:
@@ -78,6 +78,27 @@ def test_parse_duplicate_production_rejected():
 def test_parse_errors(text, match):
     with pytest.raises(lsys.GrammarError, match=match):
         lsys.parse_lsystem(text)
+
+
+_DECLARATION = st.one_of(
+    st.sampled_from(["vars: g", "consts: d", "axiom: g"]),
+    st.builds("{} {}".format,
+              st.sampled_from(["vars:", "consts:", "axiom:", "rule: g ->", "rule: d ->"]),
+              st.text(alphabet="gd[]()+-", max_size=8)),
+    st.builds("{}:{}".format,
+              st.sampled_from(["vars", "consts", "axiom", "rule", " Rule ", "bogus", ""]),
+              st.text(alphabet="gdx []()+-,>#", max_size=8)))
+
+
+@given(declarations=st.lists(_DECLARATION, max_size=6), sep=st.sampled_from([";", "\n"]),
+       noise=st.one_of(st.just(""), st.text(max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_parse_any_grammar_like_text_returns_or_raises_grammar_error(declarations, sep, noise):
+    try:
+        ls = lsys.parse_lsystem(sep.join(declarations + [noise]))
+    except lsys.GrammarError:
+        return
+    assert isinstance(ls, lsys.LSystem)
 
 
 def test_parse_allows_unclosed_square_bracket():
@@ -186,7 +207,7 @@ def test_interpret_single_symbol():
 
 def test_interpret_is_deterministic_per_seed():
     cfg = lsys.TurtleConfig(step_length=5.0, yaw_angle=45.0, branch_pitch=40.0,
-                            azimuth_policy="jittered-uniform", jitter_range=10.0)
+                            jitter_range=10.0)
     a = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
     b = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
     assert np.array_equal(a.points, b.points)
@@ -219,7 +240,7 @@ def test_interpret_bracket_underflow_raises():
 
 def test_skeleton_invariants():
     cfg = lsys.TurtleConfig(step_length=4.0, yaw_angle=30.0, branch_pitch=40.0,
-                            azimuth_policy="jittered-uniform", jitter_range=10.0)
+                            jitter_range=10.0)
     trunk_len = 12.0
     sk = lsys.interpret_turtle("d[ddd]d[ddd]d[ddd]", cfg, (trunk_len, (1.0, 2.0, 0.0)),
                                np.random.default_rng(7))
@@ -256,9 +277,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         lsys.TurtleConfig(jitter_range=-1.0)
     with pytest.raises(ValueError):
-        lsys.TurtleConfig(azimuth_policy="spiral")
-    with pytest.raises(ValueError):
         lsys.interpret_turtle("d", UNIFORM_CFG, (0.0, (0, 0, 0)), np.random.default_rng(0))
+    for name in ("step_length", "yaw_angle", "jitter_range"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                lsys.TurtleConfig(**{name: bad})
+    for height in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="trunk height"):
+            lsys.interpret_turtle("d", UNIFORM_CFG, (height, (0, 0, 0)),
+                                  np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +293,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("text", ["d", "d[ddd][d[ddd]", "d[dd]d[d[d]]", "d[d[d[d]]]d[d]",
                                   RULE1_DERIVATION, "d+[d-d[dd]]+d[d[dd][d]]"])
-@pytest.mark.parametrize("policy", ["uniform-spacing", "jittered-uniform"])
+# ids name the fan each range gives: evenly spaced, or jittered about even spacing
+@pytest.mark.parametrize("jitter_range", [0.0, 12.0], ids=["uniform-spacing", "jittered-uniform"])
 @pytest.mark.parametrize("pitch", [35.0, 0.0, 180.0])
-def test_skeleton_matches_scalar_reference(text, policy, pitch):
+def test_skeleton_matches_scalar_reference(text, jitter_range, pitch):
     cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
-                            azimuth_policy=policy, jitter_range=12.0)
+                            jitter_range=jitter_range)
     got = lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
     want = ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), np.random.default_rng(5))
     assert len(got) == len(want)
@@ -278,3 +306,32 @@ def test_skeleton_matches_scalar_reference(text, policy, pitch):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     for name in ("points", "directions"):
         assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))
+
+
+def _turtle_outcome(interpret, rng):
+    """Skeleton arrays (floats as their bits) and the generator's end state,
+    or the TurtleError message."""
+    try:
+        sk = interpret(rng)
+    except lsys.TurtleError as exc:
+        return str(exc)
+    return ([sk.points.view(np.int64).tolist(), sk.directions.view(np.int64).tolist(),
+             sk.depths.tolist(), sk.lengths.view(np.int64).tolist(), sk.parents.tolist()],
+            rng.bit_generator.state)
+
+
+@given(text=st.text(alphabet="d[]+-()", max_size=40),
+       jitter_range=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+       pitch=st.floats(0.0, 180.0), yaw=st.floats(-180.0, 180.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_turtle_matches_scalar_reference_on_any_string(text, jitter_range, pitch, yaw, seed):
+    cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=yaw, branch_pitch=pitch,
+                            jitter_range=jitter_range)
+    got = _turtle_outcome(
+        lambda rng: lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), rng),
+        np.random.default_rng(seed))
+    want = _turtle_outcome(
+        lambda rng: ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), rng),
+        np.random.default_rng(seed))
+    assert got == want
