@@ -89,6 +89,9 @@ class Placement:
 class Scene:
     placements: list[Placement]
     config: SceneConfig
+    # every tree in its local frame, in placement order; each placement's
+    # tree mesh is a view of it
+    mesh: stl.TriangleMesh
 
     def __len__(self) -> int:
         return len(self.placements)
@@ -127,32 +130,34 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
     location_seed = stream_seed(config.master_seed, 0)
     pattern = ipp.sample_ipp_thinning(config.intensity, config.region, location_seed)
     pattern = ipp.min_distance_filter(pattern, config.min_spacing)
-    placements = []
-    for i, (x, y) in enumerate(pattern.points):
-        seed = tree_seed_for(config.master_seed, i)
-        params = _tree_params_for(config, seed)
-        model = treemod.build_tree(params, lib)
-        placements.append(Placement(i, float(x), float(y), seed, model))
-    return Scene(placements, config)
+    seeds = [tree_seed_for(config.master_seed, i) for i in range(len(pattern))]
+    mesh, models = treemod.build_trees([_tree_params_for(config, s) for s in seeds], lib)
+    placements = [Placement(i, x, y, seed, model) for i, ((x, y), seed, model)
+                  in enumerate(zip(pattern.points.tolist(), seeds, models))]
+    return Scene(placements, config, mesh)
 
 
 def scene_stats(scene: Scene) -> SceneStats:
     """Exact aggregates over placed trees; the nearest-neighbor distance is
     ``ipp.nearest_pair_distance`` of the tree locations (+inf for fewer than
     two trees)."""
-    total = 0
-    mins, maxs = [], []
-    for p in scene.placements:
-        total += p.tree.stage_counts["leaves"]
-        offset = np.array([p.x, p.y, 0.0])
-        verts = p.tree.mesh.vertices
-        mins.append(verts.min(axis=(0, 1)) + offset)
-        maxs.append(verts.max(axis=(0, 1)) + offset)
+    sizes = [p.tree.stage_counts["leaves"] for p in scene.placements]
     bounds = None
-    if mins:
-        bounds = (np.min(mins, axis=0), np.max(maxs, axis=0))
+    if sizes:
+        # each tree's vertex bounds, reduced over the scene mesh at once
+        vertices = scene.mesh.facets.reshape(-1, 12)[:, 3:]
+        starts = np.cumsum(sizes) - sizes
+        offsets = _offsets(scene)
+        lo = np.minimum.reduceat(vertices, starts).reshape(-1, 3, 3).min(axis=1) + offsets
+        hi = np.maximum.reduceat(vertices, starts).reshape(-1, 3, 3).max(axis=1) + offsets
+        bounds = (lo.min(axis=0), hi.max(axis=0))
     nn = ipp.nearest_pair_distance([(p.x, p.y) for p in scene.placements])
-    return SceneStats(len(scene), total, bounds, nn)
+    return SceneStats(len(scene), sum(sizes), bounds, nn)
+
+
+def _offsets(scene: Scene) -> np.ndarray:
+    """(x, y, 0) of every tree, one row per placement."""
+    return np.array([(p.x, p.y, 0.0) for p in scene.placements]).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +203,9 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
             mesh = stl.TriangleMesh(p.tree.full_mesh().facets, f"tree_{p.index}")
             (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
-        parts = []
-        for p in scene.placements:
-            shifted = p.tree.full_mesh().facets.copy()
-            shifted[:, 1:, :] += np.array([p.x, p.y, 0.0])
-            parts.append(stl.TriangleMesh(shifted))
-        merged = stl.concat_meshes(parts, "forest")
+        merged = stl.concat_meshes([p.tree.full_mesh() for p in scene.placements], "forest")
+        sizes = [len(p.tree.mesh) for p in scene.placements]
+        merged.facets[:, 1:, :] += np.repeat(_offsets(scene), sizes, axis=0)[:, None, :]
         (out / MERGED_NAME).write_bytes(stl.write_stl(merged, "binary"))
     (out / MANIFEST_NAME).write_text(dumps_manifest(manifest))
     return manifest
@@ -250,15 +252,16 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
         if data.get("version") != MANIFEST_VERSION:
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
-        placements = []
+        entries = []
         for entry in data["trees"]:
             x, y = float(entry["x"]), float(entry["y"])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SceneConfigError(f"tree {entry['index']} position must be finite")
-            params = treemod.params_from_dict(entry["params"])
-            model = treemod.build_tree(params, lib)
-            placements.append(Placement(int(entry["index"]), x, y, int(entry["seed"]), model))
-        return Scene(placements, config)
+            entries.append((int(entry["index"]), x, y, int(entry["seed"]),
+                            treemod.params_from_dict(entry["params"])))
+        mesh, models = treemod.build_trees([e[4] for e in entries], lib)
+        placements = [Placement(*e[:4], model) for e, model in zip(entries, models)]
+        return Scene(placements, config, mesh)
 
     return _parse(manifest, "manifest", parse)
 

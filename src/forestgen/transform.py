@@ -55,20 +55,30 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class AngleJitterParams:
-    """Bounded uniform jitter for attachment transforms (degrees, scale)."""
+    """Bounded uniform jitter for attachment transforms (degrees, scale).
 
-    azimuth_range: float = 0.0
-    pitch_range: float = 0.0
-    scale_range: tuple[float, float] = (1.0, 1.0)
+    The jitter of a stack of k frames may instead carry one value per frame
+    on every field: (k,) ranges and a pair of (k,) scale bounds. The checks
+    apply to every element.
+    """
+
+    azimuth_range: float | np.ndarray = 0.0
+    pitch_range: float | np.ndarray = 0.0
+    scale_range: tuple = (1.0, 1.0)
 
     def __post_init__(self):
         for name in ("azimuth_range", "pitch_range", "scale_range"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if self.azimuth_range < 0 or self.pitch_range < 0:
-            raise ValueError("jitter ranges must be non-negative")
+        for name in ("azimuth_range", "pitch_range"):
+            degrees = np.asarray(getattr(self, name))
+            if (degrees < 0).any():
+                raise ValueError("jitter ranges must be non-negative")
+            # a wider range only repeats turns, and a huge one overflows
+            if (degrees > 360.0).any():
+                raise ValueError(f"{name} must be at most 360 degrees")
         lo, hi = self.scale_range
-        if not (0 < lo <= hi):
+        if not np.all((0 < np.asarray(lo)) & (np.asarray(lo) <= hi)):
             raise ValueError("scale_range must satisfy 0 < min <= max")
 
 
@@ -190,15 +200,17 @@ def z_alignments(directions: np.ndarray) -> np.ndarray:
     axis = d[:, [1, 0, 2]] * _Z_CROSS_SIGNS
     if any_pole:
         axis[poles] = (1.0, 0.0, 0.0)
-    theta = [math.radians(math.degrees(math.acos(max(-1.0, min(1.0, x))))) for x in c.tolist()]
-    rotation = _axis_rotations(axis, np.array(theta))
+    # math.acos, because np.arccos rounds differently on some inputs; the
+    # degree round trip multiplies by the same constants as math's
+    theta = np.array(list(map(math.acos, c.clip(-1.0, 1.0).tolist())))
+    rotation = _axis_rotations(axis, np.radians(np.degrees(theta)))
     if any_pole:
         rotation[poles] = pole_rotation[poles]
     return rotation
 
 
 def random_attachment_transform(frame, jitter: AngleJitterParams,
-                                rng: np.random.Generator) -> RigidTransform:
+                                rng: np.random.Generator | np.ndarray) -> RigidTransform:
     """Transform placing a +Z template at an attachment frame.
 
     ``frame`` is (point, unit direction). The template axis lands on the
@@ -210,18 +222,27 @@ def random_attachment_transform(frame, jitter: AngleJitterParams,
     A frame of k stacked points and directions, each (k, 3), draws its
     uniforms as one (k, 3) block, which is the same stream as k single
     frames in turn, and returns a stack of k transforms.
+
+    ``rng`` may also be that (k, 3) block of uniforms on [0, 1), already
+    drawn. A stack gathered from several generators, such as the trees of a
+    scene, passes their blocks stacked in frame order, together with a
+    jitter that holds one range per frame.
     """
     points, directions = frame
     points = np.asarray(points, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     stacked = directions.ndim == 2
     directions = directions.reshape(-1, 3)
+    k = len(directions)
+    uniforms = rng.random((k, 3)) if isinstance(rng, np.random.Generator) else rng
+    if uniforms.shape != (k, 3):
+        raise ValueError(f"need a ({k}, 3) block of uniforms, got {uniforms.shape}")
     a, p = jitter.azimuth_range, jitter.pitch_range
     lo, hi = jitter.scale_range
     # low + (high - low) * U[0, 1) is how rng.uniform maps its draws, so this
     # gives its doubles without its per-call argument broadcasting
-    span = np.array((a + a, p + p, hi - lo))
-    draws = np.array((-a, -p, lo)) + span * rng.random((len(directions), 3))
+    span = np.array((a + a, p + p, hi - lo)).T
+    draws = np.array((-a, -p, lo)).T + span * uniforms
     turns = _rodrigues(_JITTER_K, _JITTER_K2, np.radians(draws[:, :2]))
     rotation = z_alignments(directions) @ turns[:, 0] @ turns[:, 1]
     if not stacked:

@@ -39,6 +39,8 @@ _LEAF_STATION_LO = 0.30
 # leaf template extent relative to the parent node length
 _LEAF_FRACTION = 0.25
 
+_EYE = np.eye(3)[None]
+
 _DEFAULT_JITTER = tf.AngleJitterParams(
     azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15))
 
@@ -130,6 +132,18 @@ def build_skeleton(params: TreeParams) -> lsys.Skeleton:
     return skeleton
 
 
+def _stack(skeletons: list[lsys.Skeleton]) -> lsys.Skeleton:
+    """The skeletons of a stack of trees as one, tree after tree; each
+    parent row still points into its own tree."""
+    if len(skeletons) == 1:
+        return skeletons[0]
+    sizes = [len(sk) for sk in skeletons]
+    parents = np.concatenate([sk.parents for sk in skeletons])
+    parents += np.repeat(np.cumsum(sizes) - sizes, sizes) * (parents >= 0)
+    return lsys.Skeleton(*(np.concatenate([getattr(sk, name) for sk in skeletons])
+                           for name in ("points", "directions", "depths", "lengths")), parents)
+
+
 def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attachment points (k, 3), directions (k, 3) and lengths (k,) of the
     node rows ``nodes`` (``take`` is the cheap gather on few rows)."""
@@ -137,42 +151,73 @@ def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.
             skeleton.lengths[nodes])
 
 
+def _instance_counts(params: list[TreeParams]) -> np.ndarray:
+    """Instances of each role in ``stl.LIBRARY_ROLES`` order, one row per
+    tree: the stage ledger before it is multiplied by template sizes. The
+    trunk, branch and sub-branch counts are also the tree's skeleton rows."""
+    counts = []
+    for p in params:
+        b, s, leaves = p.branch_count, p.subbranches_per_branch, p.leaves_per_subbranch
+        counts.append((1, b, b * s, (b * s if s else b) * leaves))
+    return np.array(counts, dtype=np.int64).reshape(-1, 4)
+
+
 def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
-           lengths: np.ndarray, jitter: tf.AngleJitterParams,
-           rng: np.random.Generator) -> stl.TriangleMesh:
+           lengths: np.ndarray, params: list[TreeParams], counts: np.ndarray,
+           stream: int) -> stl.TriangleMesh:
     """One instance of a template role per frame, all from one stacked
     transform, each scaled to length / template extent on top of its jittered
-    scale; instances are concatenated in frame order."""
-    t = tf.random_attachment_transform((points, directions), jitter, rng)
+    scale; instances are concatenated in frame order.
+
+    The frames come tree after tree, ``counts[i]`` of them from tree i. Each
+    tree draws its (counts[i], 3) block of uniforms from its own ``stream``
+    generator and jitters within its own ranges, as it would alone.
+    """
+    uniforms = np.concatenate([
+        np.random.default_rng(stream_seed(p.seed, stream)).random((k, 3))
+        for p, k in zip(params, counts.tolist()) if k])
+    jitter = params[0].jitter
+    if any(p.jitter != jitter for p in params):
+        # trees of a hand-edited manifest may each have their own ranges
+        ranges = np.repeat([(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
+                            for p in params], counts, axis=0)
+        jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
+    t = tf.random_attachment_transform((points, directions), jitter, uniforms)
     t = tf.RigidTransform(t.rotation, t.translation, t.scale * (lengths / lib.extent(role)))
     return tf.apply_to_mesh(t, lib.template(role))
 
 
+# The stage functions place one role over a stack of trees: ``skeleton``
+# holds the nodes of every tree of ``params``, tree after tree (one tree's
+# skeleton alone, or the stack ``build_trees`` makes), and each role's
+# instances come out tree after tree.
+
 def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                    params: TreeParams) -> stl.TriangleMesh:
-    """Trunk template plus one branch instance per depth-1 node."""
-    rng = np.random.default_rng(stream_seed(params.seed, _STREAM_BRANCHES))
-    trunk_t = tf.RigidTransform(np.eye(3), skeleton.points[0],
-                                skeleton.lengths[0] / lib.extent("trunk"))
-    trunk = tf.apply_to_mesh(trunk_t, lib.trunk)
-    branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)),
-                      params.jitter, rng)
-    return stl.concat_meshes([trunk, branches], "tree")
+                    params: list[TreeParams]) -> tuple[stl.TriangleMesh, stl.TriangleMesh]:
+    """The trunk template of each tree, and one branch instance per depth-1
+    node."""
+    points, _, lengths = _frames(skeleton, skeleton.at_depth(0))
+    trunk_t = tf.RigidTransform(np.repeat(_EYE, len(points), axis=0), points,
+                                lengths / lib.extent("trunk"))
+    trunks = tf.apply_to_mesh(trunk_t, lib.trunk)
+    branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), params,
+                      _instance_counts(params)[:, 1], _STREAM_BRANCHES)
+    return trunks, branches
 
 
 def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                       params: TreeParams) -> stl.TriangleMesh:
+                       params: list[TreeParams]) -> stl.TriangleMesh:
     """One sub-branch instance per depth-2 node; node lengths already carry
     the per-depth scale decay."""
     nodes = skeleton.at_depth(2)
     if not len(nodes):
-        return stl.empty_mesh("sub_branches")
-    rng = np.random.default_rng(stream_seed(params.seed, _STREAM_SUBBRANCHES))
-    return _place(lib, "sub_branch", *_frames(skeleton, nodes), params.jitter, rng)
+        return stl.empty_mesh("sub_branch")
+    return _place(lib, "sub_branch", *_frames(skeleton, nodes), params,
+                  _instance_counts(params)[:, 2], _STREAM_SUBBRANCHES)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                  params: TreeParams) -> tuple[stl.TriangleMesh, np.ndarray]:
+                  params: list[TreeParams]) -> tuple[stl.TriangleMesh, np.ndarray]:
     """Leaf instances along the distal portion of each anchor axis, plus the
     centroid of every placed leaf triangle (one row per triangle).
 
@@ -180,43 +225,83 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     tree has no sub-branches. Leaves are placed anchor by anchor, stations
     ascending within an anchor.
     """
-    count = params.leaves_per_subbranch
-    if count:
-        anchors = skeleton.at_depth(2)
-        if not len(anchors):
-            anchors = skeleton.at_depth(1)
-    if count == 0 or not len(anchors):
-        return stl.empty_mesh("leaves"), np.zeros((0, 3))
-    rng = np.random.default_rng(stream_seed(params.seed, _STREAM_LEAVES))
-    stations = _LEAF_STATION_LO + (1.0 - _LEAF_STATION_LO) * (np.arange(count) + 1) / count
+    if not any(p.leaves_per_subbranch for p in params):
+        return stl.empty_mesh("leaf"), np.zeros((0, 3))
+    counts = _instance_counts(params)
+    each = np.array([p.leaves_per_subbranch for p in params], dtype=np.int64)
+    anchor_depth = np.where(each > 0, np.where(counts[:, 2] > 0, 2, 1), -1)
+    anchors = (skeleton.depths == np.repeat(anchor_depth, counts[:, :3].sum(1))).nonzero()[0]
     points, directions, lengths = _frames(skeleton, anchors)
-    offsets = (stations * lengths[:, None])[:, :, None] * directions[:, None, :]
-    leaf_mesh = _place(lib, "leaf", (points[:, None, :] + offsets).reshape(-1, 3),
-                       np.repeat(directions, count, axis=0),
-                       np.repeat(_LEAF_FRACTION * lengths, count), params.jitter, rng)
-    leaf_mesh.name = "leaves"
+    # every anchor of tree i carries each[i] leaves
+    per_anchor = np.repeat(each, counts[:, 3] // np.maximum(each, 1))
+    count = np.repeat(per_anchor, per_anchor)
+    station = np.arange(len(count)) - np.repeat(np.cumsum(per_anchor) - per_anchor, per_anchor)
+    stations = _LEAF_STATION_LO + (1.0 - _LEAF_STATION_LO) * (station + 1) / count
+    lengths = np.repeat(lengths, per_anchor)
+    directions = np.repeat(directions, per_anchor, axis=0)
+    offsets = (stations * lengths)[:, None] * directions
+    leaf_mesh = _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
+                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3],
+                       _STREAM_LEAVES)
     return leaf_mesh, stl.triangle_centroids(leaf_mesh)
 
 
+def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: np.ndarray, sizes: np.ndarray):
+    """Copy the blocks of ``mesh``, ``sizes[i]`` rows of tree i, tree after
+    tree, to rows ``starts[i]`` onward of ``facets``. Block copies beat one
+    fancy-indexed copy at every scene size."""
+    if len(mesh):
+        at = 0
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            facets[start:start + size] = mesh.facets[at:at + size]
+            at += size
+
+
+def build_trees(params: list[TreeParams],
+                lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, list[TreeModel]]:
+    """Build a stack of trees, such as every tree of a scene, together.
+
+    Each tree's turtle walk and per-stage draws come from its own
+    generators, so each tree is the tree ``build_tree`` gives alone; each
+    template role is then placed by one stacked transform over every tree.
+    Returns the scene mesh, every tree's triangles tree after tree, and one
+    TreeModel per params whose mesh is a view of it.
+    """
+    if not params:
+        return stl.empty_mesh("trees"), []
+    skeletons = [build_skeleton(p) for p in params]
+    stack = _stack(skeletons)
+    # rows of each (tree, role) block, laid out tree after tree
+    sizes = _instance_counts(params) * [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
+    ends = sizes.cumsum().reshape(sizes.shape)
+    starts = ends - sizes
+    facets = np.empty((int(ends[-1, -1]), 4, 3))
+    # each role is copied in and dropped before the next is placed, so the
+    # scene never has a second, role-major copy
+    trunks, branches = attach_branches(stack, lib, params)
+    _scatter(facets, trunks, starts[:, 0], sizes[:, 0])
+    _scatter(facets, branches, starts[:, 1], sizes[:, 1])
+    del trunks, branches
+    _scatter(facets, attach_subbranches(stack, lib, params), starts[:, 2], sizes[:, 2])
+    leaves, centroids = attach_leaves(stack, lib, params)
+    _scatter(facets, leaves, starts[:, 3], sizes[:, 3])
+    del leaves
+    models, leaf_at = [], 0
+    for sk, p, start, (_, branch_end, sub_end, end), leaf_rows in zip(
+            skeletons, params, starts[:, 0].tolist(), ends.tolist(), sizes[:, 3].tolist()):
+        stage_counts = {"branches": branch_end - start, "subbranches": sub_end - start,
+                        "leaves": end - start}
+        models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"),
+                                centroids[leaf_at:leaf_at + leaf_rows], p, stage_counts))
+        leaf_at += leaf_rows
+    return stl.TriangleMesh(facets, "trees"), models
+
+
 def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
-    """Run the full stage pipeline; per-stage meshes stay retrievable from
-    the result via TreeModel.stage_mesh."""
-    skeleton = build_skeleton(params)
-    branches = attach_branches(skeleton, lib, params)
-    subs = attach_subbranches(skeleton, lib, params)
-    leaves, centroids = attach_leaves(skeleton, lib, params)
-    mesh = stl.concat_meshes([branches, subs, leaves], "tree")
-    return TreeModel(
-        skeleton=skeleton,
-        mesh=mesh,
-        leaf_centroids=centroids,
-        params=params,
-        stage_counts={
-            "branches": len(branches),
-            "subbranches": len(branches) + len(subs),
-            "leaves": len(mesh),
-        },
-    )
+    """Run the full stage pipeline for one tree (the one-tree case of
+    ``build_trees``); per-stage meshes stay retrievable from the result via
+    TreeModel.stage_mesh."""
+    return build_trees([params], lib)[1][0]
 
 
 def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:

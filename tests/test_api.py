@@ -3,9 +3,11 @@ the scalar reference's independence from private forestgen code."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import forestgen
+from forestgen import cli, forest, stl, templates
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,6 +34,57 @@ def test_public_names_and_benchmark_targets_resolve():
                 break
             obj = getattr(obj, part)
     assert not missing, missing
+
+
+def test_every_benchmark_target_is_called(tmp_path, monkeypatch, capsys):
+    # The benchmark's traced run counts a wrapped function that records no
+    # call as a failed op, so a refactor that takes one off every op's path
+    # fails here first. These are the benchmark's ops, at a small size.
+    lib_path = stl.save_library(templates.default_library("tiny"), tmp_path / "lib")
+    lib = stl.load_library(lib_path)
+    config = tmp_path / "scene_config.json"
+    config.write_text(json.dumps({
+        "master_seed": 3,
+        "region": {"x_min": 0.0, "x_max": 20.0, "y_min": 0.0, "y_max": 20.0},
+        "intensity": {"form": "constant", "rate": 0.02},
+        "tree_params": {"branch_count": 3, "subbranches_per_branch": 1,
+                        "leaves_per_subbranch": 2, "trunk_height": 5.0},
+        "min_spacing": 1.0,
+    }))
+    calls = {}
+    for module, attr in _span_targets():
+        owner = importlib.import_module(f"forestgen.{module}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        name = f"{module}.{attr}"
+        calls[name] = 0
+
+        def counted(*args, _fn=owner.__dict__[leaf], _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, leaf, counted)
+
+    scene, tree = tmp_path / "scene", tmp_path / "tree.stl"
+    tree_argv = ["tree", "--branches", 2, "--subbranches", 1, "--leaves", 2, "--seed", 4,
+                 "--out", tree]
+    argvs = [
+        ["forest", "--config", config, "--out", scene, "--mode", "merged", "--lib", lib_path],
+        tree_argv + ["--lib", lib_path],
+        ["stl-info", tree],
+        ["ipp-sample", "--region", "0,20,0,20", "--intensity", "constant:0.05", "--seed", 5,
+         "--reps", 3, "--counts-only", "--out", tmp_path / "counts.csv"],
+    ]
+    for argv in argvs:
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    regenerated = forest.regenerate_scene(scene / forest.MANIFEST_NAME, lib)
+    forest.export_scene(regenerated, tmp_path / "regen", "merged")
+    # building the built-in templates places meshes too, so it runs last,
+    # where it cannot stand in for the placement layers
+    assert [name for name, n in calls.items() if n == 0] == ["templates.default_library"]
+    assert cli.main([str(a) for a in tree_argv]) == 0
+    capsys.readouterr()
+    assert calls["templates.default_library"] > 0
 
 
 REFERENCE = Path(__file__).resolve().parent / "scalar_reference.py"

@@ -366,6 +366,9 @@ def replaced(data, keys, value):
     (("min_spacing",), INF, "min_spacing"),
     (("parameter_jitter",), {"trunk_height": [1.0, INF]}, "trunk_height jitter"),
     (("parameter_jitter",), {"branch_count": [1, INF]}, "branch_count jitter"),
+    # finite but above 360 degrees: the turtle's and the transform's sums overflow
+    (("tree_params", "jitter", "azimuth_range"), 1e308, "azimuth_range"),
+    (("tree_params", "jitter", "pitch_range"), 1e308, "pitch_range"),
 ])
 def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, capsys):
     config = scene_config_file(tmp_path)

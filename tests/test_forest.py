@@ -10,6 +10,8 @@ from forestgen import ipp
 from forestgen import stl
 from forestgen import tree as tm
 
+import scalar_reference as ref
+
 
 def make_config(**kw):
     defaults = dict(
@@ -151,6 +153,23 @@ def test_scene_stats(tiny_library, tmp_path):
     assert np.array_equal(stats.bounds[1], placed.max(axis=0))
 
 
+@pytest.mark.parametrize("kw", [
+    {},
+    {"min_spacing": 0.5, "intensity": ipp.ConstantIntensity(40.0 / 3600.0)},
+    {"parameter_jitter": fo.ParameterJitter(branch_count=(1, 9), trunk_height=(2.0, 15.0))},
+    {"region": ipp.Region(-30.0, -10.0, 5.0, 25.0), "master_seed": 7},
+    {"intensity": ipp.ConstantIntensity(0.0)},
+])
+def test_scene_stats_bounds_match_per_tree_loop(kw, tiny_library):
+    scene = fo.compose_forest(make_config(**kw), tiny_library)
+    bounds, oracle = fo.scene_stats(scene).bounds, ref.scene_bounds(scene)
+    if oracle is None:
+        assert bounds is None
+    else:
+        for got, want in zip(bounds, oracle):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_scene_stats_single_tree_sentinel(tiny_library):
     scene = fo.compose_forest(make_config(intensity=ipp.ConstantIntensity(0.0)), tiny_library)
     assert fo.scene_stats(scene).nearest_neighbor_min_distance == math.inf
@@ -202,6 +221,15 @@ def test_regenerate_rejects_non_finite_position(axis, value, tiny_library, tmp_p
     path.write_text(json.dumps(manifest))  # NaN / Infinity, as Python's json writes them
     with pytest.raises(fo.SceneConfigError, match="tree 1 position must be finite"):
         fo.regenerate_scene(path, tiny_library)
+
+
+@pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
+def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "per-tree")
+    manifest["trees"][1]["params"]["jitter"][field] = 1e308
+    with pytest.raises(fo.SceneConfigError, match=f"{field} must be at most 360 degrees"):
+        fo.regenerate_scene(manifest, tiny_library)
 
 
 def test_regenerate_rejects_bad_version(tiny_library, tmp_path):

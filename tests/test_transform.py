@@ -188,6 +188,19 @@ def test_jitter_params_validation():
         tf.AngleJitterParams(scale_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         tf.AngleJitterParams(scale_range=(0.0, 1.0))
+    for field in ("azimuth_range", "pitch_range"):
+        with pytest.raises(ValueError, match=f"{field} must be at most 360 degrees"):
+            tf.AngleJitterParams(**{field: 360.5})
+        tf.AngleJitterParams(**{field: 360.0})
+    # one range per frame of a stack: every element is checked
+    ok = np.array([0.0, 10.0])
+    tf.AngleJitterParams(ok, ok, (np.array([0.5, 1.0]), np.array([1.0, 2.0])))
+    with pytest.raises(ValueError, match="pitch_range must be at most 360"):
+        tf.AngleJitterParams(ok, np.array([10.0, 400.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        tf.AngleJitterParams(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="scale_range"):
+        tf.AngleJitterParams(ok, ok, (np.array([0.5, 2.0]), np.array([1.0, 1.5])))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +280,38 @@ def test_stacked_placement_writes_same_stl_bytes_as_single_frames(seed, k, jitte
     written = [stl.write_stl(stl.TriangleMesh(m.facets, "instances"), fmt)
                for m in (stacked, singles, scalar)]
     assert written[0] == written[1] == written[2]
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(JITTERS)),
+                       min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_drawn_blocks_with_per_frame_jitter_match_per_block_calls(seed, blocks):
+    # frames of several generators and jitter ranges, as the trees of a scene
+    # stack them: the blocks of uniforms drawn in turn, one range per frame
+    sizes = [k for k, _ in blocks]
+    points, directions = random_frames(np.random.default_rng(seed), sum(sizes))
+    rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(blocks))]
+    uniforms = np.concatenate([g.random((k, 3)) for g, (k, _) in zip(rngs, blocks)])
+    ranges = np.repeat([(j.azimuth_range, j.pitch_range, *j.scale_range) for _, j in blocks],
+                       sizes, axis=0)
+    jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
+    stacked = tf.random_attachment_transform((points, directions), jitter, uniforms)
+    at = 0
+    for i, (k, block_jitter) in enumerate(blocks):
+        alone = tf.random_attachment_transform(
+            (points[at:at + k], directions[at:at + k]), block_jitter,
+            np.random.default_rng(seed + 1 + i))
+        assert same_bits(alone.rotation, stacked.rotation[at:at + k])
+        assert same_bits(alone.translation, stacked.translation[at:at + k])
+        assert same_bits(alone.scale, stacked.scale[at:at + k])
+        at += k
+
+
+def test_drawn_uniforms_must_match_the_stack():
+    points, directions = random_frames(np.random.default_rng(1), 3)
+    with pytest.raises(ValueError, match=r"\(3, 3\) block of uniforms"):
+        tf.random_attachment_transform((points, directions), JITTERS[1], np.zeros((2, 3)))
 
 
 def test_stacked_apply_concatenates_in_stack_order(tiny_library):

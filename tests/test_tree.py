@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestgen import stl
+from forestgen import stl, templates
 from forestgen import transform as tf
 from forestgen import tree as tm
 
@@ -62,28 +62,28 @@ def test_synthesize_derivation_forms():
 def test_branch_stage_triangle_ledger(tiny_library):
     params = make_params(branch_count=8)
     sk = tm.build_skeleton(params)
-    mesh = tm.attach_branches(sk, tiny_library, params)
+    trunks, branches = tm.attach_branches(sk, tiny_library, [params])
     expected = len(tiny_library.trunk) + 8 * len(tiny_library.branch)
-    assert len(mesh) == expected
+    assert len(trunks) + len(branches) == expected
 
 
 def test_subbranch_stage_counts(tiny_library):
     params = make_params(branch_count=8, subbranches_per_branch=3)
     sk = tm.build_skeleton(params)
-    subs = tm.attach_subbranches(sk, tiny_library, params)
+    subs = tm.attach_subbranches(sk, tiny_library, [params])
     assert len(subs) == 24 * len(tiny_library.sub_branch)
 
 
 def test_subbranch_stage_noop_when_zero(tiny_library):
     params = make_params(subbranches_per_branch=0)
     sk = tm.build_skeleton(params)
-    assert len(tm.attach_subbranches(sk, tiny_library, params)) == 0
+    assert len(tm.attach_subbranches(sk, tiny_library, [params])) == 0
 
 
 def test_leaves_zero_gives_empty(tiny_library):
     params = make_params(leaves_per_subbranch=0)
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, params)
+    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
     assert len(leaf_mesh) == 0
     assert centroids.shape == (0, 3)
 
@@ -92,7 +92,7 @@ def test_leaf_counts_and_centroids(tiny_library):
     # 8 branches x 3 sub-branches x 5 leaves with a 1-triangle template
     params = make_params()
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, params)
+    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
     assert len(leaf_mesh) == 8 * 3 * 5
     assert centroids.shape == (len(leaf_mesh), 3)
     for i, (_, v0, v1, v2) in enumerate(leaf_mesh.facets):
@@ -103,18 +103,17 @@ def test_leaf_counts_and_centroids(tiny_library):
 def test_leaves_fall_back_to_branches(tiny_library):
     params = make_params(subbranches_per_branch=0, leaves_per_subbranch=2)
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, params)
+    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
     assert len(leaf_mesh) == 8 * 2
 
 
 def test_branch_bases_land_on_attachment_points(tiny_library):
     params = make_params(seed=5)
     sk = tm.build_skeleton(params)
-    mesh = tm.attach_branches(sk, tiny_library, params)
+    _, branches = tm.attach_branches(sk, tiny_library, [params])
     per_branch = len(tiny_library.branch)
-    offset = len(tiny_library.trunk)
     for rank, i in enumerate(sk.at_depth(1)):
-        verts = mesh.vertices[offset + rank * per_branch: offset + (rank + 1) * per_branch]
+        verts = branches.vertices[rank * per_branch: (rank + 1) * per_branch]
         nearest = np.linalg.norm(verts.reshape(-1, 3) - sk.points[i], axis=1).min()
         assert nearest <= 1e-6 * params.trunk_height
 
@@ -235,3 +234,49 @@ def test_centroids_csv_format():
     assert lines[0] == "x,y,z"
     assert lines[1] == "1,2,3"
     assert lines[2] == "0.5,0.25,-1"
+
+
+# ---------------------------------------------------------------------------
+# a stack of trees built together
+
+STACK_JITTERS = [
+    tf.AngleJitterParams(),
+    tm._DEFAULT_JITTER,
+    tf.AngleJitterParams(azimuth_range=30.0, pitch_range=5.0, scale_range=(0.5, 2.0)),
+    tf.AngleJitterParams(azimuth_range=360.0, pitch_range=0.0, scale_range=(1.0, 1.25)),
+]
+
+stack_trees = st.lists(st.tuples(
+    st.integers(1, 6), st.integers(0, 3), st.integers(0, 3),
+    st.floats(0.5, 20.0), st.sampled_from([0.3, 0.5, 1.0]),
+    st.integers(0, 2 ** 64 - 1), st.sampled_from(STACK_JITTERS)), min_size=1, max_size=6)
+
+
+@given(trees=stack_trees, shared_jitter=st.booleans(),
+       detail=st.sampled_from(["tiny", "normal"]))
+@settings(max_examples=60, deadline=None)
+def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail):
+    lib = templates.default_library(detail)
+    params = [tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=n,
+                            trunk_height=h, depth_scale_decay=d, seed=seed,
+                            jitter=trees[0][6] if shared_jitter else jitter)
+              for b, s, n, h, d, seed, jitter in trees]
+    mesh, models = tm.build_trees(params, lib)
+    at = 0
+    for p, model in zip(params, models):
+        alone = tm.build_tree(p, lib)
+        assert model.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
+        assert model.stage_counts == alone.stage_counts
+        assert model.leaf_centroids.tobytes() == alone.leaf_centroids.tobytes()
+        for name in ("points", "directions", "depths", "lengths", "parents"):
+            assert getattr(model.skeleton, name).tobytes() == getattr(alone.skeleton, name).tobytes()
+        # each tree is the next contiguous block of the one scene mesh
+        assert model.mesh.facets.base is mesh.facets
+        assert model.mesh.facets.tobytes() == mesh.facets[at:at + len(model.mesh)].tobytes()
+        at += len(model.mesh)
+    assert at == len(mesh)
+
+
+def test_build_trees_of_no_trees(tiny_library):
+    mesh, models = tm.build_trees([], tiny_library)
+    assert len(mesh) == 0 and models == []
