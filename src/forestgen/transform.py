@@ -202,8 +202,8 @@ def z_alignments(directions: np.ndarray) -> np.ndarray:
         axis[poles] = (1.0, 0.0, 0.0)
     # math.acos, because np.arccos rounds differently on some inputs; the
     # degree round trip multiplies by the same constants as math's
-    theta = np.array(list(map(math.acos, c.clip(-1.0, 1.0).tolist())))
-    rotation = _axis_rotations(axis, np.radians(np.degrees(theta)))
+    theta = np.radians(np.degrees(list(map(math.acos, c.clip(-1.0, 1.0).tolist()))))
+    rotation = _axis_rotations(axis, theta)
     if any_pole:
         rotation[poles] = pole_rotation[poles]
     return rotation

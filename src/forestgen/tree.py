@@ -119,12 +119,18 @@ def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
     )
 
 
+def _stage_rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator of substream ``stream`` of a tree's seed: the generator
+    ``np.random.default_rng`` builds from that seed, built more cheaply."""
+    return np.random.Generator(np.random.PCG64(stream_seed(seed, stream)))
+
+
 def build_skeleton(params: TreeParams) -> lsys.Skeleton:
     """Skeleton with exactly branch_count depth-1 nodes and
     branch_count * subbranches_per_branch depth-2 nodes."""
     derivation = synthesize_derivation(params.branch_count, params.subbranches_per_branch)
     cfg = turtle_config_for(params)
-    rng = np.random.default_rng(stream_seed(params.seed, _STREAM_SKELETON))
+    rng = _stage_rng(params.seed, _STREAM_SKELETON)
     skeleton = lsys.interpret_turtle(derivation, cfg, (params.trunk_height, (0.0, 0.0, 0.0)), rng)
     if params.subbranches_per_branch:
         # the derivation nests one group deep, so depth 2 is the only decayed one
@@ -174,8 +180,8 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     generator and jitters within its own ranges, as it would alone.
     """
     uniforms = np.concatenate([
-        np.random.default_rng(stream_seed(p.seed, stream)).random((k, 3))
-        for p, k in zip(params, counts.tolist()) if k])
+        _stage_rng(p.seed, stream).random((k, 3))
+        for p, k in zip(params, counts) if k])
     jitter = params[0].jitter
     if any(p.jitter != jitter for p in params):
         # trees of a hand-edited manifest may each have their own ranges
@@ -201,7 +207,7 @@ def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
                                 lengths / lib.extent("trunk"))
     trunks = tf.apply_to_mesh(trunk_t, lib.trunk)
     branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), params,
-                      _instance_counts(params)[:, 1], _STREAM_BRANCHES)
+                      [p.branch_count for p in params], _STREAM_BRANCHES)
     return trunks, branches
 
 
@@ -213,7 +219,8 @@ def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     if not len(nodes):
         return stl.empty_mesh("sub_branch")
     return _place(lib, "sub_branch", *_frames(skeleton, nodes), params,
-                  _instance_counts(params)[:, 2], _STREAM_SUBBRANCHES)
+                  [p.branch_count * p.subbranches_per_branch for p in params],
+                  _STREAM_SUBBRANCHES)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
@@ -241,18 +248,18 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     directions = np.repeat(directions, per_anchor, axis=0)
     offsets = (stations * lengths)[:, None] * directions
     leaf_mesh = _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
-                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3],
+                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3].tolist(),
                        _STREAM_LEAVES)
     return leaf_mesh, stl.triangle_centroids(leaf_mesh)
 
 
-def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: np.ndarray, sizes: np.ndarray):
+def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: list[int], sizes: list[int]):
     """Copy the blocks of ``mesh``, ``sizes[i]`` rows of tree i, tree after
     tree, to rows ``starts[i]`` onward of ``facets``. Block copies beat one
     fancy-indexed copy at every scene size."""
     if len(mesh):
         at = 0
-        for start, size in zip(starts.tolist(), sizes.tolist()):
+        for start, size in zip(starts, sizes):
             facets[start:start + size] = mesh.facets[at:at + size]
             at += size
 
@@ -274,21 +281,21 @@ def build_trees(params: list[TreeParams],
     # rows of each (tree, role) block, laid out tree after tree
     sizes = _instance_counts(params) * [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     ends = sizes.cumsum().reshape(sizes.shape)
-    starts = ends - sizes
+    starts, rows = (ends - sizes).T.tolist(), sizes.T.tolist()
     facets = np.empty((int(ends[-1, -1]), 4, 3))
     # each role is copied in and dropped before the next is placed, so the
     # scene never has a second, role-major copy
     trunks, branches = attach_branches(stack, lib, params)
-    _scatter(facets, trunks, starts[:, 0], sizes[:, 0])
-    _scatter(facets, branches, starts[:, 1], sizes[:, 1])
+    _scatter(facets, trunks, starts[0], rows[0])
+    _scatter(facets, branches, starts[1], rows[1])
     del trunks, branches
-    _scatter(facets, attach_subbranches(stack, lib, params), starts[:, 2], sizes[:, 2])
+    _scatter(facets, attach_subbranches(stack, lib, params), starts[2], rows[2])
     leaves, centroids = attach_leaves(stack, lib, params)
-    _scatter(facets, leaves, starts[:, 3], sizes[:, 3])
+    _scatter(facets, leaves, starts[3], rows[3])
     del leaves
     models, leaf_at = [], 0
     for sk, p, start, (_, branch_end, sub_end, end), leaf_rows in zip(
-            skeletons, params, starts[:, 0].tolist(), ends.tolist(), sizes[:, 3].tolist()):
+            skeletons, params, starts[0], ends.tolist(), rows[3]):
         stage_counts = {"branches": branch_end - start, "subbranches": sub_end - start,
                         "leaves": end - start}
         models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"),
