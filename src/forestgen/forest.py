@@ -1,9 +1,14 @@
-"""Forest scenes: sampled tree locations, per-tree builds, and export.
+"""Forest scenes: sampled tree locations, one stacked build, and export.
 
 Locations come from the thinning sampler followed by the hard-core spacing
 filter. Every tree is an independent rebuild: tree i is seeded with
 substream i + 1 of the master seed (substream 0 drives location sampling),
-so scenes are reproducible end to end and trees can build in parallel.
+so scenes are reproducible end to end. All trees of a scene are built
+together by ``tree.build_trees``: each tree still walks its own turtle and
+draws its own blocks from its own generators, so the random streams are
+those of a tree built alone, and only the arithmetic of each template role
+is stacked across trees. The scene keeps every tree's triangles in one
+buffer, tree after tree, and each tree's mesh is a view of it.
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export

@@ -12,6 +12,14 @@ mesh is a prefix of it, cut at the stage's count in this exact ledger:
 Randomness is split into one substream per stage (skeleton, branches,
 sub-branches, leaves), so e.g. requesting leaves never perturbs the branch
 geometry of an otherwise identical build.
+
+The ledger needs only the params and the template sizes, so ``build_trees``
+sizes the buffer of a whole stack of trees (a scene) before placing
+anything: each tree's block is the sum of its ledger, blocks follow each
+other tree after tree, and within a block the trunk, branch, sub-branch and
+leaf instances follow each other. Each template role is placed for every
+tree at once and copied into its slots, so a tree's mesh is a contiguous
+view of the buffer.
 """
 
 from __future__ import annotations
@@ -40,6 +48,12 @@ _LEAF_STATION_LO = 0.30
 _LEAF_FRACTION = 0.25
 
 _EYE = np.eye(3)[None]
+
+# build_trees places each role over a run of trees that closes once it holds
+# this many triangles, so a role's temporaries stay small and near the cache.
+# Scenes below the count are one run; a 505-tree, 3.3 M-triangle scene took
+# 1.0 s and peaked at 355 MB this way, and 1.3-1.5 s and 613 MB as one run.
+_RUN_TRIANGLES = 1 << 17
 
 _DEFAULT_JITTER = tf.AngleJitterParams(
     azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15))
@@ -270,21 +284,33 @@ def build_trees(params: list[TreeParams],
 
     Each tree's turtle walk and per-stage draws come from its own
     generators, so each tree is the tree ``build_tree`` gives alone; each
-    template role is then placed by one stacked transform over every tree.
-    Returns the scene mesh, every tree's triangles tree after tree, and one
-    TreeModel per params whose mesh is a view of it.
+    template role is then placed by one stacked transform over a run of
+    trees (see _RUN_TRIANGLES). Returns the scene mesh, every tree's
+    triangles tree after tree, and one TreeModel per params whose mesh is a
+    view of it.
     """
-    if not params:
-        return stl.empty_mesh("trees"), []
-    skeletons = [build_skeleton(p) for p in params]
-    stack = _stack(skeletons)
     # rows of each (tree, role) block, laid out tree after tree
     sizes = _instance_counts(params) * [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     ends = sizes.cumsum().reshape(sizes.shape)
+    facets = np.empty((int(ends[-1, -1]) if len(params) else 0, 4, 3))
+    models, first, run_start = [], 0, 0
+    for last, end in enumerate(ends[:, 3].tolist(), 1):
+        if end - run_start >= _RUN_TRIANGLES or last == len(params):
+            models += _build_run(params[first:last], lib, facets, ends[first:last],
+                                 sizes[first:last])
+            first, run_start = last, end
+    return stl.TriangleMesh(facets, "trees"), models
+
+
+def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarray,
+               ends: np.ndarray, sizes: np.ndarray) -> list[TreeModel]:
+    """Build a run of trees into their blocks of ``facets``, which end at
+    ``ends`` and hold ``sizes`` rows per role."""
+    skeletons = [build_skeleton(p) for p in params]
+    stack = _stack(skeletons)
     starts, rows = (ends - sizes).T.tolist(), sizes.T.tolist()
-    facets = np.empty((int(ends[-1, -1]), 4, 3))
     # each role is copied in and dropped before the next is placed, so the
-    # scene never has a second, role-major copy
+    # run never has a second, role-major copy
     trunks, branches = attach_branches(stack, lib, params)
     _scatter(facets, trunks, starts[0], rows[0])
     _scatter(facets, branches, starts[1], rows[1])
@@ -301,7 +327,7 @@ def build_trees(params: list[TreeParams],
         models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"),
                                 centroids[leaf_at:leaf_at + leaf_rows], p, stage_counts))
         leaf_at += leaf_rows
-    return stl.TriangleMesh(facets, "trees"), models
+    return models
 
 
 def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:

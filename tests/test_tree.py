@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,15 +255,17 @@ stack_trees = st.lists(st.tuples(
 
 
 @given(trees=stack_trees, shared_jitter=st.booleans(),
-       detail=st.sampled_from(["tiny", "normal"]))
+       detail=st.sampled_from(["tiny", "normal"]), run=st.sampled_from([1, 400, 1 << 17]))
 @settings(max_examples=60, deadline=None)
-def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail):
+def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail, run):
     lib = templates.default_library(detail)
     params = [tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=n,
                             trunk_height=h, depth_scale_decay=d, seed=seed,
                             jitter=trees[0][6] if shared_jitter else jitter)
               for b, s, n, h, d, seed, jitter in trees]
-    mesh, models = tm.build_trees(params, lib)
+    # runs of one tree, of a few trees, and one run for the whole stack
+    with mock.patch.object(tm, "_RUN_TRIANGLES", run):
+        mesh, models = tm.build_trees(params, lib)
     at = 0
     for p, model in zip(params, models):
         alone = tm.build_tree(p, lib)
