@@ -195,7 +195,7 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     """
     uniforms = np.concatenate([
         _stage_rng(p.seed, stream).random((k, 3))
-        for p, k in zip(params, counts) if k])
+        for p, k in zip(params, counts.tolist()) if k])
     jitter = params[0].jitter
     if any(p.jitter != jitter for p in params):
         # trees of a hand-edited manifest may each have their own ranges
@@ -221,7 +221,7 @@ def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
                                 lengths / lib.extent("trunk"))
     trunks = tf.apply_to_mesh(trunk_t, lib.trunk)
     branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), params,
-                      [p.branch_count for p in params], _STREAM_BRANCHES)
+                      _instance_counts(params)[:, 1], _STREAM_BRANCHES)
     return trunks, branches
 
 
@@ -233,8 +233,7 @@ def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     if not len(nodes):
         return stl.empty_mesh("sub_branch")
     return _place(lib, "sub_branch", *_frames(skeleton, nodes), params,
-                  [p.branch_count * p.subbranches_per_branch for p in params],
-                  _STREAM_SUBBRANCHES)
+                  _instance_counts(params)[:, 2], _STREAM_SUBBRANCHES)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
@@ -262,7 +261,7 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     directions = np.repeat(directions, per_anchor, axis=0)
     offsets = (stations * lengths)[:, None] * directions
     leaf_mesh = _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
-                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3].tolist(),
+                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3],
                        _STREAM_LEAVES)
     return leaf_mesh, stl.triangle_centroids(leaf_mesh)
 
