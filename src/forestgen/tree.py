@@ -47,12 +47,14 @@ _LEAF_STATION_LO = 0.30
 # leaf template extent relative to the parent node length
 _LEAF_FRACTION = 0.25
 
+# a trunk stands upright: its rotation, repeated once per tree
 _EYE = np.eye(3)[None]
 
 # build_trees places each role over a run of trees that closes once it holds
 # this many triangles, so a role's temporaries stay small and near the cache.
-# Scenes below the count are one run; a 505-tree, 3.3 M-triangle scene took
-# 1.0 s and peaked at 355 MB this way, and 1.3-1.5 s and 613 MB as one run.
+# Scenes below the count are one run. On a 2-vCPU host a 505-tree,
+# 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way, against
+# 1.3-1.5 s and 613 MB as one run.
 _RUN_TRIANGLES = 1 << 17
 
 _DEFAULT_JITTER = tf.AngleJitterParams(
