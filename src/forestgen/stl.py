@@ -2,12 +2,14 @@
 
 Meshes are stored as float64 arrays of shape (n, 4, 3) where each row is
 [normal, v0, v1, v2]. Binary STL narrows to little-endian float32 on write
-(the format mandates it); reading widens back to float64 exactly, so a
+(the format mandates it); reading widens back to float64 exactly. ASCII STL
+writes every number at 9 significant digits. In either format a
 write -> read -> write cycle is byte stable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -142,6 +144,72 @@ def _sanitize_normals(facets: np.ndarray) -> np.ndarray:
 
 def _read_ascii(data: bytes) -> TriangleMesh:
     text = data.decode("ascii", errors="replace")
+    mesh = _read_ascii_table(data, text)
+    return _read_ascii_lines(text) if mesh is None else mesh
+
+
+# The control bytes that str.split() treats as whitespace, and those of them
+# that str.splitlines() breaks at. Space is the only other whitespace byte:
+# an ASCII decode maps every byte above 0x7f to U+FFFD, which is neither.
+_SPACE_CONTROLS = (9, 10, 11, 12, 13, 28, 29, 30, 31)
+_BREAK_CONTROLS = (10, 11, 12, 13, 28, 29, 30)
+
+# one facet as the line parser reads it: 21 tokens on 7 lines
+_FACET_KEYWORDS = ((0, "facet"), (1, "normal"), (5, "outer"), (6, "loop"), (7, "vertex"),
+                   (11, "vertex"), (15, "vertex"), (19, "endloop"), (20, "endfacet"))
+_FACET_NUMBERS = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
+_FACET_LINE_STARTS = np.isin(np.arange(21), (0, 5, 7, 11, 15, 19, 20))
+
+
+def _read_ascii_table(data: bytes, text: str) -> TriangleMesh | None:
+    """The whole-file reading of an ASCII STL: split ``text`` once, check the
+    keywords column by column of the (n, 21) token table, check on ``data``
+    that line breaks fall between the facet lines and nowhere else, and
+    convert all 12 n numbers in one pass. Returns None where any check fails,
+    a non-finite value included, leaving the outcome to ``_read_ascii_lines``;
+    a mesh it returns is the one that parser gives."""
+    tokens = text.split()
+    if tokens[:1] != ["solid"]:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    controls = np.flatnonzero(buf < 32)
+    codes = buf[controls]
+    if not np.isin(codes, _SPACE_CONTROLS).all():
+        return None  # a control byte inside a token
+    space = buf <= 32
+    # the byte before each token that does not start the file
+    before = np.flatnonzero(space[:-1] > space[1:])
+    # first[k]: token k begins a line (k = len(tokens) stands for the end)
+    first = np.zeros(len(tokens) + 1, dtype=bool)
+    first[0] = True
+    breaks = controls[np.isin(codes, _BREAK_CONTROLS)]
+    first[np.searchsorted(before, breaks) + (not space[0])] = True
+    lines = np.flatnonzero(first[:-1])
+    if len(lines) < 2:
+        return None
+    head, tail = int(lines[1]), int(lines[-1])  # the solid line ends, the endsolid line starts
+    n, rest = divmod(tail - head, 21)
+    if rest or tokens[tail] != "endsolid":
+        return None
+    body = tokens[head:tail]
+    if any(body[col::21].count(word) != n for col, word in _FACET_KEYWORDS):
+        return None
+    if not np.array_equal(first[head:tail], np.tile(_FACET_LINE_STARTS, n)):
+        return None
+    numbers = itertools.chain.from_iterable(body[col::21] for col in _FACET_NUMBERS)
+    try:
+        values = np.fromiter(map(float, numbers), dtype=np.float64, count=12 * n)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    facets = values.reshape(12, n).T.reshape(n, 4, 3)
+    return TriangleMesh(_sanitize_normals(facets), " ".join(tokens[1:head]))
+
+
+def _read_ascii_lines(text: str) -> TriangleMesh:
+    """The line-by-line reading of an ASCII STL, whose errors name the line;
+    it decides every file the whole-file reading turns down."""
     lines = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, toks) for no, toks in lines if toks]
     if not lines:
@@ -246,20 +314,18 @@ def _write_binary(facets: np.ndarray, name: str) -> bytes:
     return header + struct.pack("<I", n) + arr.tobytes()
 
 
-def _write_ascii(facets: np.ndarray, name: str) -> bytes:
-    def f(x: float) -> str:
-        return f"{x:.9g}"
+_ASCII_FACET = ("  facet normal %.9g %.9g %.9g\n    outer loop\n"
+                + "      vertex %.9g %.9g %.9g\n" * 3 + "    endloop\n  endfacet\n")
 
-    out = [f"solid {name}".rstrip()]
-    for normal, v0, v1, v2 in facets:
-        out.append(f"  facet normal {f(normal[0])} {f(normal[1])} {f(normal[2])}")
-        out.append("    outer loop")
-        for v in (v0, v1, v2):
-            out.append(f"      vertex {f(v[0])} {f(v[1])} {f(v[2])}")
-        out.append("    endloop")
-        out.append("  endfacet")
-    out.append(f"endsolid {name}".rstrip())
-    return ("\n".join(out) + "\n").encode("ascii")
+
+def _write_ascii(facets: np.ndarray, name: str) -> bytes:
+    """Every number at 9 significant digits. The name goes on the solid and
+    endsolid lines as the reader gives it back: ASCII, with '?' for any
+    other character, and each run of whitespace one space."""
+    name = " ".join(name.encode("ascii", errors="replace").decode("ascii").split())
+    body = (_ASCII_FACET * facets.shape[0]) % tuple(facets.ravel().tolist())
+    return (f"solid {name}".rstrip() + "\n" + body + f"endsolid {name}".rstrip()
+            + "\n").encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ _EYE = np.eye(3)[None]
 # 1.3-1.5 s and 613 MB as one run.
 _RUN_TRIANGLES = 1 << 17
 
+# build_trees refuses a tree or scene whose stage ledger exceeds this many
+# triangles, about 3.2 GB of float64 facets: ten times the 3.3 M-triangle
+# normal scene (505 trees of 16 branches), and more than a small host holds.
+MAX_TRIANGLES = 1 << 25
+
 _DEFAULT_JITTER = tf.AngleJitterParams(
     azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15))
 
@@ -173,15 +178,17 @@ def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.
             skeleton.lengths[nodes])
 
 
+def _instances(p: TreeParams) -> tuple[int, int, int, int]:
+    """Instances of each role in ``stl.LIBRARY_ROLES`` order: the stage
+    ledger before it is multiplied by template sizes. The trunk, branch and
+    sub-branch counts are also the tree's skeleton rows."""
+    b, s, leaves = p.branch_count, p.subbranches_per_branch, p.leaves_per_subbranch
+    return 1, b, b * s, (b * s if s else b) * leaves
+
+
 def _instance_counts(params: list[TreeParams]) -> np.ndarray:
-    """Instances of each role in ``stl.LIBRARY_ROLES`` order, one row per
-    tree: the stage ledger before it is multiplied by template sizes. The
-    trunk, branch and sub-branch counts are also the tree's skeleton rows."""
-    counts = []
-    for p in params:
-        b, s, leaves = p.branch_count, p.subbranches_per_branch, p.leaves_per_subbranch
-        counts.append((1, b, b * s, (b * s if s else b) * leaves))
-    return np.array(counts, dtype=np.int64).reshape(-1, 4)
+    """``_instances`` of each tree, one row per tree."""
+    return np.array([_instances(p) for p in params], dtype=np.int64).reshape(-1, 4)
 
 
 def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
@@ -288,10 +295,17 @@ def build_trees(params: list[TreeParams],
     template role is then placed by one stacked transform over a run of
     trees (see _RUN_TRIANGLES). Returns the scene mesh, every tree's
     triangles tree after tree, and one TreeModel per params whose mesh is a
-    view of it.
+    view of it. A stack whose ledger totals more than MAX_TRIANGLES is a
+    ValueError, raised before anything is allocated.
     """
+    template_sizes = [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
+    # the ledger in Python integers, before any array can overflow or allocate
+    total = sum(k * size for p in params for k, size in zip(_instances(p), template_sizes))
+    if total > MAX_TRIANGLES:
+        raise ValueError(f"the stage ledger needs {total} triangles, more than the budget "
+                         f"of {MAX_TRIANGLES} (forestgen.tree.MAX_TRIANGLES)")
     # rows of each (tree, role) block, laid out tree after tree
-    sizes = _instance_counts(params) * [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
+    sizes = _instance_counts(params) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
     facets = np.empty((int(ends[-1, -1]) if len(params) else 0, 4, 3))
     models, first, run_start = [], 0, 0

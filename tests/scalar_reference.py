@@ -7,8 +7,9 @@ forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
 references for the grid code and the block-drawn counts in
-``forestgen.ipp``, and the per-tree bounds loop is the reference for
-``forestgen.forest.scene_stats``.
+``forestgen.ipp``, the per-tree bounds loop is the reference for
+``forestgen.forest.scene_stats``, and the per-facet text loop is the
+reference for ASCII STL writing.
 """
 
 import math
@@ -224,3 +225,25 @@ def scene_bounds(scene) -> tuple[np.ndarray, np.ndarray] | None:
     if not mins:
         return None
     return np.min(mins, axis=0), np.max(maxs, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# STL text
+
+def write_ascii(facets: np.ndarray, name: str) -> bytes:
+    """ASCII STL one facet and one formatted number at a time, for a name
+    already in the form the writer gives it (ASCII, single spaces, no space
+    at either end)."""
+    def f(x: float) -> str:
+        return f"{x:.9g}"
+
+    out = [f"solid {name}".rstrip()]
+    for normal, v0, v1, v2 in facets:
+        out.append(f"  facet normal {f(normal[0])} {f(normal[1])} {f(normal[2])}")
+        out.append("    outer loop")
+        for v in (v0, v1, v2):
+            out.append(f"      vertex {f(v[0])} {f(v[1])} {f(v[2])}")
+        out.append("    endloop")
+        out.append("  endfacet")
+    out.append(f"endsolid {name}".rstrip())
+    return ("\n".join(out) + "\n").encode("ascii")

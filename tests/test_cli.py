@@ -109,6 +109,34 @@ def test_tree_seed_omitted_prints_chosen_seed(lib_dir, tmp_path, capsys):
     assert int(kv(out)["seed"]) >= 0
 
 
+def test_tree_from_ascii_library(tiny_library, tmp_path, capsys):
+    # CAD tools often export ASCII STL: the templates of this library are ASCII
+    manifest = stl.save_library(tiny_library, tmp_path / "lib", "ascii")
+    out_path = tmp_path / "t.stl"
+    code, out, err = run(["tree", "--branches", "4", "--subbranches", "2", "--leaves", "3",
+                          "--seed", "7", "--lib", str(manifest), "--format", "ascii",
+                          "--out", str(out_path)], capsys)
+    assert code == 0, err
+    lib = stl.load_library(manifest)
+    ledger = len(lib.trunk) + 4 * len(lib.branch) + 8 * len(lib.sub_branch) + 8 * 3 * len(lib.leaf)
+    assert kv(out)["triangles"] == str(ledger)
+    mesh, fmt = stl.read_stl(out_path.read_bytes(), return_format=True)
+    assert (fmt, len(mesh)) == ("ascii", ledger)
+
+
+def test_tree_truncated_ascii_template_exit_3(tiny_library, tmp_path, capsys):
+    manifest = stl.save_library(tiny_library, tmp_path / "lib", "ascii")
+    leaf = manifest.parent / "leaf.stl"
+    data = leaf.read_bytes()
+    leaf.write_bytes(data[:data.rindex(b"endloop")])
+    with pytest.raises(stl.StlParseError, match=r"^line \d+: unexpected end of file") as parse:
+        stl.read_stl(leaf.read_bytes())
+    code, out, err = run(["tree", "--branches", "2", "--seed", "1", "--lib", str(manifest),
+                          "--out", str(tmp_path / "t.stl")], capsys)
+    assert code == 3
+    assert single_error_line(err) == f"error: cannot load template 'leaf' from {leaf}: {parse.value}"
+
+
 # ---------------------------------------------------------------------------
 # stl-info
 
@@ -295,6 +323,18 @@ def test_ipp_sample_non_finite_rate_exit_5(rate, tmp_path):
                           f"constant:{rate}", "--seed", "1", "--out", tmp_path / "o.csv"])
     assert result.returncode == 5, result.stderr
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("counts", [
+    ["--branches", 100_000_000],   # once an allocation of ~3.8 TB
+    ["--branches", 3_000_000_000, "--subbranches", 3_000_000_000,
+     "--leaves", 3_000_000_000],   # once an int64 overflow
+])
+def test_tree_over_triangle_budget_exit_2(counts, tmp_path):
+    result = run_bounded(["tree", *counts, "--seed", 1, "--out", tmp_path / "t.stl"])
+    assert result.returncode == 2, result.stderr
+    assert "forestgen.tree.MAX_TRIANGLES" in single_error_line(result.stderr)
+    assert not (tmp_path / "t.stl").exists()
 
 
 # ---------------------------------------------------------------------------

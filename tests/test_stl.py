@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forestgen import stl
 from forestgen import transform as tf
+
+import scalar_reference as ref
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, width=32)
 
@@ -112,6 +114,141 @@ def test_binary_file_starting_with_solid_falls_back():
     assert len(out) == 4
 
 
+# Reading ASCII takes the whole file at once and leaves every file it turns
+# down to the line parser, whose messages name the line. The outcome must be
+# the line parser's either way.
+
+def read_outcome(data: bytes, whole_file: bool = True):
+    """read_stl's mesh (name, format and facet bits) or its error message,
+    with the whole-file reading on or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not whole_file:
+            mp.setattr(stl, "_read_ascii_table", lambda data, text: None)
+        try:
+            mesh, fmt = stl.read_stl(data, return_format=True)
+        except stl.StlParseError as exc:
+            return "error", str(exc)
+    return fmt, mesh.name, mesh.facets.tobytes()
+
+
+SEPARATORS = [b" ", b"  ", b"\t", b"\x1f"]
+LINE_BREAKS = [b"\n", b"\r\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\n \n",
+               b"\r\r\n"]
+ODD_NUMBERS = [b"nan", b"-inf", b"Infinity", b"1_0", b"1__0", b"1e400", b"-1e-400", b"-0", b"0x1",
+               b"+.5", b"5.", b"1e", b"1\xff", b"1\x00"]
+ODD_TOKENS = [b"solid", b"facet", b"normal", b"outer", b"loop", b"vertex", b"endloop",
+              b"endfacet", b"endsolid", b"\xff", b"caf\xc3\xa9", b"\x01", b"\x7f", b"1"]
+
+
+@st.composite
+def mutated_ascii(draw):
+    n = draw(st.integers(0, 3))
+    facets = draw(arrays(np.float64, (n, 4, 3), elements=st.floats(-1e3, 1e3, width=32)))
+    norms = np.linalg.norm(facets[:, 0], axis=1, keepdims=True)
+    facets[:, 0] = np.where(norms > 1e-3, facets[:, 0] / np.maximum(norms, 1e-3), [0, 0, 1])
+    text = ref.write_ascii(facets, draw(st.sampled_from(["", "part", "a b"])))
+    lines = [line.split(b" ") for line in text.split(b"\n") if line.strip()]
+    lines = [[t for t in line if t] for line in lines]
+    # sampled_from draws rows and places evenly, where integers() would favour the ends
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["swap", "delete", "duplicate", "glue", "merge", "split",
+                                   "blank", "odd", "after", "stray"]))
+        row = draw(st.sampled_from(range(len(lines))))
+        line = lines[row]
+        at = draw(st.sampled_from(range(max(len(line), 1))))
+        if op == "swap" and line:
+            other = draw(st.sampled_from(lines))
+            if other:
+                j = draw(st.sampled_from(range(len(other))))
+                line[at], other[j] = other[j], line[at]
+        elif op == "delete" and line:
+            del line[at]
+        elif op == "duplicate" and line:
+            line.insert(at, line[at])
+        elif op == "merge" and row + 1 < len(lines):
+            lines[row:row + 2] = [line + lines[row + 1]]
+        elif op == "split":
+            lines[row:row + 1] = [line[:at], line[at:]]
+        elif op == "blank":
+            lines.insert(row, [])
+        elif op == "glue" and at + 1 < len(line):
+            line[at:at + 2] = [line[at] + line[at + 1]]
+        elif op == "odd" and line:
+            number = line[at][-1:].isdigit()
+            line[at] = draw(st.sampled_from(ODD_NUMBERS if number else ODD_TOKENS))
+        elif op == "after":
+            lines.append(draw(st.sampled_from([[b"x"], [b"solid", b"again"], [b"\xfe"]])))
+        elif op == "stray":
+            line.insert(at, draw(st.sampled_from(ODD_TOKENS)))
+    seps = st.sampled_from(SEPARATORS)
+    out = draw(st.sampled_from([b"", b"\n", b" \t"]))
+    for line in lines:
+        out += draw(seps).join(line) + draw(st.sampled_from(LINE_BREAKS))
+    return out if draw(st.booleans()) else out.rstrip()
+
+
+def one_edit_away(lines: list[list[bytes]]):
+    """Every file one token or line edit away from ``lines``, lists of tokens."""
+    def render(edited):
+        return b"\n".join(b" ".join(line) for line in edited) + b"\n"
+
+    places = [(r, i) for r, line in enumerate(lines) for i in range(len(line))]
+    for r, i in places:
+        line = lines[r]
+        news = [[], [line[i], line[i]], *([t] for t in ODD_NUMBERS + ODD_TOKENS)]
+        for new in news:
+            yield render(lines[:r] + [line[:i] + new + line[i + 1:]] + lines[r + 1:])
+        yield render(lines[:r] + [line[:i] + [line[i] + b"x"] + line[i + 1:]] + lines[r + 1:])
+        if i + 1 < len(line):
+            yield render(lines[:r] + [line[:i] + [line[i] + line[i + 1]] + line[i + 2:]]
+                         + lines[r + 1:])
+        yield render(lines[:r] + [line[:i], line[i:]] + lines[r + 1:])
+    for r in range(len(lines) - 1):
+        yield render(lines[:r] + [lines[r] + lines[r + 1]] + lines[r + 2:])
+    for a, (r1, i1) in enumerate(places):
+        for r2, i2 in places[a + 1:]:
+            swapped = [list(line) for line in lines]
+            swapped[r1][i1], swapped[r2][i2] = lines[r2][i2], lines[r1][i1]
+            yield render(swapped)
+
+
+def test_read_ascii_one_edit_away_same_outcome_as_line_parser():
+    facets = np.array([[[0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=np.float64)
+    text = ref.write_ascii(facets, "part")
+    lines = [line.split() for line in text.splitlines()]
+    for data in one_edit_away(lines):
+        assert read_outcome(data) == read_outcome(data, whole_file=False), data
+
+
+@given(data=mutated_ascii())
+@settings(max_examples=400, deadline=None)
+def test_read_ascii_same_outcome_as_line_parser(data):
+    assert read_outcome(data) == read_outcome(data, whole_file=False)
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param(lambda d: d, id="as written"),
+    pytest.param(lambda d: b"\n\t  " + d + b"\n\n", id="blank lines around"),
+    pytest.param(lambda d: d.replace(b"\n", b"\r\n"), id="CRLF"),
+    pytest.param(lambda d: d.replace(b"\n", b"\x1c").replace(b"    ", b"\t\x1f"),
+                 id="x1c breaks, tab and x1f spaces"),
+    pytest.param(lambda d: d.replace(b"endsolid part", b"endsolid other words"),
+                 id="other endsolid words"),
+    pytest.param(lambda d: d.replace(b"outer loop", b"outer\tloop\n\n"), id="blank lines inside"),
+    pytest.param(lambda d: d.replace(b"facet normal 0 ", b"facet normal 1_0e-1_0 "),
+                 id="underscores in a number"),
+    pytest.param(lambda d: d.replace(b"solid part", b"solid  caf\xc3\xa9   part"),
+                 id="non-ASCII name"),
+])
+def test_whole_file_reading_takes_well_formed_files(variant):
+    facets = np.zeros((3, 4, 3))
+    facets[:, 0, 2] = 1.0
+    facets[:, 2, 0] = facets[:, 3, 1] = [1.0, 2.5e-7, -3e8]
+    data = variant(ref.write_ascii(facets, "part"))
+    assert stl._read_ascii_table(data, data.decode("ascii", errors="replace")) is not None
+    assert read_outcome(data) == read_outcome(data, whole_file=False)
+
+
 # ---------------------------------------------------------------------------
 # writing and round trips
 
@@ -141,6 +278,58 @@ def test_binary_round_trip_corpus_byte_identical():
         assert len(b1) == 84 + 50 * len(mesh)
         b2 = stl.write_stl(stl.read_stl(b1), "binary")
         assert b1 == b2
+
+
+def test_ascii_round_trip_corpus_byte_identical():
+    rng = np.random.default_rng(44)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+               1.7976931348623157e308, 1.0 / 3.0]
+    for i in range(30):
+        n = int(rng.integers(0, 40))
+        verts = 10.0 ** rng.uniform(-300, 300, size=(n, 3, 3)) * rng.choice([-1.0, 1.0], (n, 3, 3))
+        verts.reshape(-1)[rng.integers(0, 9 * n, size=min(n, 9))] = rng.choice(special, min(n, 9))
+        normals = rng.normal(size=(n, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        if n:
+            normals[0] = [-0.0, 5e-324, 1.0]
+        mesh = stl.TriangleMesh(np.concatenate([normals[:, None], verts], axis=1), f"corpus {i}")
+        a1 = stl.write_stl(mesh, "ascii")
+        assert stl.write_stl(stl.read_stl(a1), "ascii") == a1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# names in the form the ASCII writer gives them
+written_name = st.from_regex(r"([!-~]+( [!-~]+)*)?", fullmatch=True)
+
+
+@given(normals=arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)),
+       verts=arrays(np.float64, (3, 3, 3), elements=finite), name=written_name)
+@settings(max_examples=200, deadline=None)
+def test_ascii_writer_matches_per_facet_reference(normals, verts, name):
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = np.where(norms > 0.0, normals / np.where(norms > 0.0, norms, 1.0), [0.0, 0.0, 1.0])
+    assume(np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-3))
+    facets = np.concatenate([normals[:, None], verts], axis=1)
+    assert stl.write_stl(stl.TriangleMesh(facets, name), "ascii") == ref.write_ascii(facets, name)
+
+
+@pytest.mark.parametrize("name, solid_line", [
+    ("caf\u00e9 \u00fcber", b"solid caf? ?ber"),   # as from a binary header byte >= 0x80
+    ("two\nlines", b"solid two lines"),
+    ("a  b", b"solid a b"),
+    (" lead\t", b"solid lead"),
+    ("x\u2028y\x85z\x1cw", b"solid x?y?z w"),
+    (" \r\n ", b"solid"),
+])
+def test_ascii_name_written_as_one_ascii_line(name, solid_line):
+    mesh = unit_cube_mesh()
+    mesh.name = name
+    a1 = stl.write_stl(mesh, "ascii")
+    assert a1.startswith(solid_line + b"\n")
+    assert a1.endswith(b"\nend" + solid_line + b"\n")
+    back = stl.read_stl(a1)
+    assert back.name == solid_line[6:].decode()
+    assert stl.write_stl(back, "ascii") == a1
 
 
 def test_ascii_round_trip_relative_error():
@@ -268,6 +457,15 @@ def test_library_save_load_round_trip(tiny_library, tmp_path):
         a, b = tiny_library.template(role), lib.template(role)
         assert np.allclose(a.facets, b.facets, atol=1e-5)
         assert lib.extent(role) == pytest.approx(tiny_library.extent(role), rel=1e-5)
+
+
+def test_library_ascii_save_load(tiny_library, tmp_path):
+    lib = stl.load_library(stl.save_library(tiny_library, tmp_path, "ascii"))
+    for role in stl.LIBRARY_ROLES:
+        assert (tmp_path / f"{role}.stl").read_bytes().startswith(b"solid ")
+        expected = stl.read_stl(stl.write_stl(tiny_library.template(role), "ascii"))
+        assert np.array_equal(lib.template(role).facets, expected.facets)
+        assert lib.extent(role) == float(expected.vertices[..., 2].max())
 
 
 def test_library_rejects_empty_template(tiny_library):
