@@ -27,6 +27,13 @@ _INVERSION_MAX_MEAN = 30.0
 # most exponential gaps drawn at once, which bounds a count's memory
 _GAP_BLOCK_MAX = 65536
 
+# sample_homogeneous refuses a pattern whose expected point count (rate times
+# area) exceeds this many points, before drawing anything: about 4.2 M
+# points, whose coordinates alone take 67 MB. That is a thousand times the
+# envelope of any scene here (a few thousand points), and a small host holds
+# the points and the thinning's per-point arrays.
+MAX_ENVELOPE_POINTS = 1 << 22
+
 
 class IntensityError(Exception):
     """Invalid intensity field, or one that does not cover the region."""
@@ -215,11 +222,16 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
 
 def sample_homogeneous(region: Region, rate: float, seed: int) -> PointPattern:
     """Homogeneous Poisson pattern: Poisson(rate * area) points placed
-    independently and uniformly over the region."""
+    independently and uniformly over the region. An expected count above
+    MAX_ENVELOPE_POINTS is an IntensityError."""
     if not 0 <= rate < math.inf:
         raise IntensityError("rate must be finite and non-negative")
+    mean = rate * region.area
+    if mean > MAX_ENVELOPE_POINTS:
+        raise IntensityError(f"the pattern expects {mean:.6g} points, more than the budget of "
+                             f"{MAX_ENVELOPE_POINTS} (forestgen.ipp.MAX_ENVELOPE_POINTS)")
     rng = np.random.default_rng(seed)
-    n = poisson_count(rate * region.area, rng)
+    n = poisson_count(mean, rng)
     pts = rng.uniform(low=[region.x_min, region.y_min],
                       high=[region.x_max, region.y_max], size=(n, 2))
     return PointPattern(pts, seed)

@@ -115,7 +115,8 @@ class TurtleConfig:
 class Skeleton:
     """Skeleton nodes in string order, the trunk first, as parallel arrays:
     attachment ``points`` (n, 3), unit ``directions`` (n, 3), ``depths`` (n,),
-    ``lengths`` (n,) and ``parents`` (n,), -1 for the trunk."""
+    ``lengths`` (n,) and ``parents`` (n,), -1 for the trunk. A stack of
+    trees holds each tree's nodes in turn, with parent rows into the stack."""
 
     points: np.ndarray
     directions: np.ndarray
@@ -129,6 +130,19 @@ class Skeleton:
     def at_depth(self, depth: int) -> np.ndarray:
         """Rows of the nodes at ``depth``, ascending."""
         return (self.depths == depth).nonzero()[0]
+
+    def trees(self) -> list[Skeleton]:
+        """The skeleton of each tree of a stack (see interpret_turtle), tree
+        after tree: views of these arrays, each tree starting at its trunk,
+        with parent rows local to the tree."""
+        starts = self.at_depth(0)
+        if len(starts) == 1:
+            return [self]
+        sizes = np.diff(starts, append=len(self))
+        parents = self.parents - np.repeat(starts, sizes) * (self.parents >= 0)
+        return [Skeleton(self.points[a:b], self.directions[a:b], self.depths[a:b],
+                         self.lengths[a:b], parents[a:b])
+                for a, b in zip(starts.tolist(), (starts + sizes).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +287,64 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     > 0``; the draws then happen in a fixed order (parents in row order; per
     child an azimuth then a station offset).
 
-    One walk over the string gives every node a row (the trunk is row 0),
-    its parent row, its depth, the phase of the nested group it opens and
-    its child rows. Only a matched '[' (see _match_brackets) makes the
-    latest child of the current context the new context; the '+'/'-' cursor
-    at that moment becomes the phase of that child's fan.
+    A stack of trees passes a sequence on every argument, one string,
+    config, trunk spec and generator per tree, the way
+    ``transform.random_attachment_transform`` takes stacked frames; a single
+    tree is the stack of one. Each tree walks its own string and draws from
+    its own generator, as it would alone (see _walk). Every node of the
+    stack is then placed together, one depth at a time. The skeleton holds
+    the trees' rows tree after tree, each tree's trunk first, with parent
+    rows pointing into the stack; ``Skeleton.trees`` splits it per tree.
     """
-    text = s.symbols if isinstance(s, DerivationString) else s
-    height, base = trunk_spec
-    height = float(height)
-    if not 0.0 < height < math.inf:
-        raise ValueError("trunk height must be positive and finite")
+    if isinstance(s, (str, DerivationString)):
+        s, cfg, trunk_spec, rng = [s], [cfg], [trunk_spec], [rng]
+    parents, depths, lengths, stations, turns, bases, trunks = [], [], [], [], [], [], []
+    for text, tree_cfg, (height, base), tree_rng in zip(s, cfg, trunk_spec, rng, strict=True):
+        height = float(height)
+        if not 0.0 < height < math.inf:
+            raise ValueError("trunk height must be positive and finite")
+        walk = _walk(text.symbols if isinstance(text, DerivationString) else text,
+                     tree_cfg, tree_rng)
+        trunks.append(len(parents))
+        for column, rows in zip((parents, depths, stations, turns), walk):
+            column += rows
+        lengths += [height] + [tree_cfg.step_length] * (len(walk[0]) - 1)
+        bases.append(base)
 
+    # placed one depth at a time: every node of a depth, over all trees, is
+    # computed in one stack from its parents, which are all placed before it
+    parents = np.array(parents, dtype=np.int64)
+    if len(trunks) > 1:
+        # a tree's parent rows count from its trunk's row in the stack
+        parents += np.repeat(trunks, np.diff(trunks, append=len(parents))) * (parents >= 0)
+    skeleton = Skeleton(np.empty((len(parents), 3)), np.empty((len(parents), 3)),
+                        np.array(depths, dtype=np.int64), np.array(lengths, dtype=np.float64),
+                        parents)
+    points, directions = skeleton.points, skeleton.directions
+    points[trunks] = np.array(bases, dtype=np.float64).reshape(-1, 3)
+    directions[trunks] = (0.0, 0.0, 1.0)
+    station_of, turn_of = np.array(stations), np.array(turns)
+    for depth in range(1, max(depths, default=0) + 1):
+        rows = skeleton.at_depth(depth)
+        up = parents[rows]
+        reach = station_of[rows] * skeleton.lengths[up]
+        points[rows] = points[up] + reach[:, None] * directions[up]
+        turned = np.matmul(tf.z_alignments(directions[up]), turn_of[rows][:, :, None])
+        directions[rows] = tf.normalize_rows(turned[:, :, 0])
+    return skeleton
+
+
+def _walk(text: str, cfg: TurtleConfig, rng: np.random.Generator) -> tuple[list, list, list, list]:
+    """One tree's string walk: per node (row 0 is the trunk) its parent row
+    in the tree (-1 for the trunk), its depth, its station on the parent
+    axis and its direction in the parent's frame, the parent axis along +Z.
+
+    The walk gives every node a row, its parent row, its depth, the phase
+    of the nested group it opens and its child rows. Only a matched '['
+    (see _match_brackets) makes the latest child of the current context the
+    new context; the '+'/'-' cursor at that moment becomes the phase of
+    that child's fan.
+    """
     matched = _match_brackets(text)
     parents, depths, phases, children = [-1], [0], [0.0], [[]]
     context = [0]                # rows whose children are being emitted
@@ -317,10 +377,13 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     # by the parent's phase; stations spread over the upper fraction of the
     # parent axis. Jitter adds bounded uniform noise to both, drawn as one
     # (children, 2) block of (azimuth, station) rows: the same stream as two
-    # ``rng.uniform`` draws per child in turn.
+    # ``rng.uniform`` draws per child in turn. Each child leaves its parent
+    # axis at the branch pitch, turned to its azimuth.
     n = len(parents)
-    azimuths = [0.0] * n
     stations = [0.0] * n
+    turns = [(0.0, 0.0, 1.0)] * n  # the trunk's is never read
+    pitch = math.radians(cfg.branch_pitch)
+    sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
     j = cfg.jitter_range
     if j > 0:
         draws = iter(rng.random((n - 1, 2)).tolist())
@@ -328,33 +391,16 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
         k = len(fan)
         gap = (_STATION_HI - _STATION_LO) / (k - 1) if k > 1 else 0.0
         for i, row in enumerate(fan):
-            azimuths[row] = phases[parent] + i * (360.0 / k)
-            stations[row] = _STATION_LO + i * gap if k > 1 else _STATION_HI
+            azimuth = phases[parent] + i * (360.0 / k)
+            station = _STATION_LO + i * gap if k > 1 else _STATION_HI
             if j > 0:
                 # rng.uniform(low, high) is low + (high - low) * U[0, 1)
                 u_turn, u_shift = next(draws)
-                azimuths[row] += -j + (j + j) * u_turn
+                azimuth += -j + (j + j) * u_turn
                 span = gap if k > 1 else (_STATION_HI - _STATION_LO)
                 wiggle = (-1.0 + 2.0 * u_shift) * 0.25 * span
-                stations[row] = min(max(stations[row] + wiggle, _STATION_LO), _STATION_HI)
-
-    # placed one depth at a time: every node of a depth is computed in one
-    # stack from its parents, which are all placed before it
-    skeleton = Skeleton(np.empty((n, 3)), np.empty((n, 3)), np.array(depths),
-                        np.array([height] + [cfg.step_length] * (n - 1)), np.array(parents))
-    points, directions = skeleton.points, skeleton.directions
-    points[0] = np.asarray(base, dtype=np.float64)
-    directions[0] = (0.0, 0.0, 1.0)
-    station_of = np.array(stations)
-    pitch = math.radians(cfg.branch_pitch)
-    sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
-    for depth in range(1, max(depths) + 1):
-        rows = skeleton.at_depth(depth)
-        up = skeleton.parents[rows]
-        reach = station_of[rows] * skeleton.lengths[up]
-        points[rows] = points[up] + reach[:, None] * directions[up]
-        local = [[sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch]
-                 for a in (math.radians(azimuths[r]) for r in rows.tolist())]
-        turned = np.matmul(tf.z_alignments(directions[up]), np.array(local)[:, :, None])
-        directions[rows] = tf.normalize_rows(turned[:, :, 0])
-    return skeleton
+                station = min(max(station + wiggle, _STATION_LO), _STATION_HI)
+            stations[row] = station
+            a = math.radians(azimuth)
+            turns[row] = (sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch)
+    return parents, depths, stations, turns

@@ -17,9 +17,9 @@ The ledger needs only the params and the template sizes, so ``build_trees``
 sizes the buffer of a whole stack of trees (a scene) before placing
 anything: each tree's block is the sum of its ledger, blocks follow each
 other tree after tree, and within a block the trunk, branch, sub-branch and
-leaf instances follow each other. Each template role is placed for every
-tree at once and copied into its slots, so a tree's mesh is a contiguous
-view of the buffer.
+leaf instances follow each other. The skeletons of the trees are placed as
+one stack, and each template role is placed for every tree at once and
+copied into its slots, so a tree's mesh is a contiguous view of the buffer.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ _RUN_TRIANGLES = 1 << 17
 # triangles, about 3.2 GB of float64 facets: ten times the 3.3 M-triangle
 # normal scene (505 trees of 16 branches), and more than a small host holds.
 MAX_TRIANGLES = 1 << 25
+
+
+class TriangleBudgetError(ValueError):
+    """A tree or a stack of trees whose stage ledger exceeds MAX_TRIANGLES."""
+
 
 _DEFAULT_JITTER = tf.AngleJitterParams(
     azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15))
@@ -146,29 +151,27 @@ def _stage_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(stream_seed(seed, stream)))
 
 
-def build_skeleton(params: TreeParams) -> lsys.Skeleton:
+def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     """Skeleton with exactly branch_count depth-1 nodes and
-    branch_count * subbranches_per_branch depth-2 nodes."""
-    derivation = synthesize_derivation(params.branch_count, params.subbranches_per_branch)
-    cfg = turtle_config_for(params)
-    rng = _stage_rng(params.seed, _STREAM_SKELETON)
-    skeleton = lsys.interpret_turtle(derivation, cfg, (params.trunk_height, (0.0, 0.0, 0.0)), rng)
-    if params.subbranches_per_branch:
-        # the derivation nests one group deep, so depth 2 is the only decayed one
-        skeleton.lengths[skeleton.depths == 2] *= params.depth_scale_decay
+    branch_count * subbranches_per_branch depth-2 nodes.
+
+    A list of params gives the stack of their skeletons, tree after tree,
+    as ``lsystem.interpret_turtle`` stacks them; each tree draws from its
+    own generator, so ``Skeleton.trees`` gives each tree's skeleton alone.
+    """
+    stack = [params] if isinstance(params, TreeParams) else params
+    skeleton = lsys.interpret_turtle(
+        [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack],
+        [turtle_config_for(p) for p in stack],
+        [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack],
+        [_stage_rng(p.seed, _STREAM_SKELETON) for p in stack])
+    # the derivation nests one group deep, so depth 2 is the only decayed one
+    decayed = (skeleton.depths == 2).nonzero()[0]
+    if len(decayed):
+        tree_of = np.cumsum(skeleton.depths == 0) - 1
+        decay = np.array([p.depth_scale_decay for p in stack])
+        skeleton.lengths[decayed] *= decay[tree_of[decayed]]
     return skeleton
-
-
-def _stack(skeletons: list[lsys.Skeleton]) -> lsys.Skeleton:
-    """The skeletons of a stack of trees as one, tree after tree; each
-    parent row still points into its own tree."""
-    if len(skeletons) == 1:
-        return skeletons[0]
-    sizes = [len(sk) for sk in skeletons]
-    parents = np.concatenate([sk.parents for sk in skeletons])
-    parents += np.repeat(np.cumsum(sizes) - sizes, sizes) * (parents >= 0)
-    return lsys.Skeleton(*(np.concatenate([getattr(sk, name) for sk in skeletons])
-                           for name in ("points", "directions", "depths", "lengths")), parents)
 
 
 def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,19 +294,20 @@ def build_trees(params: list[TreeParams],
     """Build a stack of trees, such as every tree of a scene, together.
 
     Each tree's turtle walk and per-stage draws come from its own
-    generators, so each tree is the tree ``build_tree`` gives alone; each
-    template role is then placed by one stacked transform over a run of
-    trees (see _RUN_TRIANGLES). Returns the scene mesh, every tree's
-    triangles tree after tree, and one TreeModel per params whose mesh is a
-    view of it. A stack whose ledger totals more than MAX_TRIANGLES is a
-    ValueError, raised before anything is allocated.
+    generators, so each tree is the tree ``build_tree`` gives alone; the
+    skeletons of a run of trees (see _RUN_TRIANGLES) are placed as one
+    stack, and each template role by one stacked transform over the run.
+    Returns the scene mesh, every tree's triangles tree after tree, and one
+    TreeModel per params whose mesh and skeleton are views of the stacks.
+    A stack whose ledger totals more than MAX_TRIANGLES is a
+    TriangleBudgetError, raised before anything is allocated.
     """
     template_sizes = [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     # the ledger in Python integers, before any array can overflow or allocate
     total = sum(k * size for p in params for k, size in zip(_instances(p), template_sizes))
     if total > MAX_TRIANGLES:
-        raise ValueError(f"the stage ledger needs {total} triangles, more than the budget "
-                         f"of {MAX_TRIANGLES} (forestgen.tree.MAX_TRIANGLES)")
+        raise TriangleBudgetError(f"the stage ledger needs {total} triangles, more than the "
+                                  f"budget of {MAX_TRIANGLES} (forestgen.tree.MAX_TRIANGLES)")
     # rows of each (tree, role) block, laid out tree after tree
     sizes = _instance_counts(params) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
@@ -321,8 +325,7 @@ def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarra
                ends: np.ndarray, sizes: np.ndarray) -> list[TreeModel]:
     """Build a run of trees into their blocks of ``facets``, which end at
     ``ends`` and hold ``sizes`` rows per role."""
-    skeletons = [build_skeleton(p) for p in params]
-    stack = _stack(skeletons)
+    stack = build_skeleton(params)
     starts, rows = (ends - sizes).T.tolist(), sizes.T.tolist()
     # each role is copied in and dropped before the next is placed, so the
     # run never has a second, role-major copy
@@ -336,7 +339,7 @@ def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarra
     del leaves
     models, leaf_at = [], 0
     for sk, p, start, (_, branch_end, sub_end, end), leaf_rows in zip(
-            skeletons, params, starts[0], ends.tolist(), rows[3]):
+            stack.trees(), params, starts[0], ends.tolist(), rows[3]):
         stage_counts = {"branches": branch_end - start, "subbranches": sub_end - start,
                         "leaves": end - start}
         models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"),
@@ -390,19 +393,28 @@ def params_to_dict(params: TreeParams) -> dict:
     }
 
 
-def params_from_dict(data: dict) -> TreeParams:
+def params_from_dict(data: dict, jitters: dict | None = None) -> TreeParams:
+    """TreeParams from the form ``params_to_dict`` writes.
+
+    ``jitters`` is a dict the caller keeps across calls, such as one per
+    manifest: trees with the same jitter then share one AngleJitterParams,
+    validated once.
+    """
     jitter = data.get("jitter", {})
     scale_range = jitter.get("scale_range", (1.0, 1.0))
+    ranges = (float(jitter.get("azimuth_range", 0.0)), float(jitter.get("pitch_range", 0.0)),
+              float(scale_range[0]), float(scale_range[1]))
+    jitters = {} if jitters is None else jitters
+    # keyed by the bits, so that -0.0 and 0.0 stay apart
+    key = tuple(map(float.hex, ranges))
+    if key not in jitters:
+        jitters[key] = tf.AngleJitterParams(ranges[0], ranges[1], ranges[2:])
     return TreeParams(
         branch_count=data["branch_count"],
         subbranches_per_branch=data.get("subbranches_per_branch", 0),
         leaves_per_subbranch=data.get("leaves_per_subbranch", 0),
         trunk_height=data["trunk_height"],
-        jitter=tf.AngleJitterParams(
-            azimuth_range=float(jitter.get("azimuth_range", 0.0)),
-            pitch_range=float(jitter.get("pitch_range", 0.0)),
-            scale_range=(float(scale_range[0]), float(scale_range[1])),
-        ),
+        jitter=jitters[key],
         depth_scale_decay=data.get("depth_scale_decay", 1.0),
         seed=data.get("seed", 0),
     )

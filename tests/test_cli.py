@@ -337,6 +337,30 @@ def test_tree_over_triangle_budget_exit_2(counts, tmp_path):
     assert not (tmp_path / "t.stl").exists()
 
 
+def test_forest_over_triangle_budget_exit_5(tmp_path):
+    # a scene config's fault, so the config code, not the flags code of `tree`;
+    # seven 100 000-branch trees of the built-in normal templates need 98 M triangles
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({
+        "master_seed": 3,
+        "region": {"x_min": 0, "x_max": 20, "y_min": 0, "y_max": 20},
+        "intensity": {"form": "constant", "rate": 0.01},
+        "tree_params": {"branch_count": 100_000, "trunk_height": 8.0},
+    }))
+    result = run_bounded(["forest", "--config", config, "--out", tmp_path / "o"])
+    assert result.returncode == 5, result.stderr
+    assert "forestgen.tree.MAX_TRIANGLES" in single_error_line(result.stderr)
+
+
+def test_ipp_sample_over_envelope_budget_exit_5(tmp_path):
+    # once a run that was still drawing its 1e12-point envelope after 8 s
+    result = run_bounded(["ipp-sample", "--region", "0,1e6,0,1e6", "--intensity", "constant:1",
+                          "--seed", 1, "--out", tmp_path / "o.csv"], timeout=30.0)
+    assert result.returncode == 5, result.stderr
+    assert "forestgen.ipp.MAX_ENVELOPE_POINTS" in single_error_line(result.stderr)
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # one error line, with the documented code
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestgen import forest as fo
 from forestgen import ipp
@@ -232,6 +234,33 @@ def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path
         fo.regenerate_scene(manifest, tiny_library)
 
 
+def test_regenerate_validates_each_distinct_jitter_once(tiny_library):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    assert len(scene) > 2
+    manifest = fo.build_manifest(scene, "merged")
+    # -0.0 is a jitter of its own: it must come back as written
+    manifest["trees"][1]["params"]["jitter"]["pitch_range"] = -0.0
+    manifest = json.loads(json.dumps(manifest))
+    regen = fo.regenerate_scene(manifest, tiny_library)
+    jitters = [p.tree.params.jitter for p in regen.placements]
+    assert len({id(j) for j in jitters}) == 2
+    assert all(j is jitters[0] for i, j in enumerate(jitters) if i != 1)
+    assert math.copysign(1.0, jitters[1].pitch_range) == -1.0
+    assert fo.dumps_manifest(fo.build_manifest(regen, "merged")) == fo.dumps_manifest(manifest)
+
+
+def test_scene_over_the_triangle_budget_is_a_scene_config_error(tiny_library):
+    # one tree of 10 M branches alone needs more than 2 ** 25 triangles
+    budget = r"^the stage ledger needs \d+ triangles, .* \(forestgen\.tree\.MAX_TRIANGLES\)$"
+    config = make_config(tree_params_template=tm.TreeParams(branch_count=10_000_000))
+    with pytest.raises(fo.SceneConfigError, match=budget):
+        fo.compose_forest(config, tiny_library)
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "merged")
+    manifest["trees"][0]["params"]["branch_count"] = 10_000_000
+    with pytest.raises(fo.SceneConfigError, match=budget):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
 def test_regenerate_rejects_bad_version(tiny_library, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"version": 99}))
@@ -260,3 +289,86 @@ def test_load_scene_config_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"region": {"x_min": 0}}))
     with pytest.raises(fo.SceneConfigError, match="malformed"):
         fo.load_scene_config(path)
+
+
+# ---------------------------------------------------------------------------
+# the manifest writer against json.dumps
+
+@pytest.mark.parametrize("mode", fo.EXPORT_MODES)
+def test_scene_manifests_are_written_from_the_entry_template(mode, tiny_library):
+    # the manifests forestgen writes, built or regenerated, take the fast path
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, mode)
+    regenerated = fo.build_manifest(fo.regenerate_scene(manifest, tiny_library), mode)
+    for trees in (manifest["trees"], regenerated["trees"]):
+        assert len(trees) > 1 and fo._dumps_entries(trees) is not None
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1e22, 1.7976931348623157e308]
+manifest_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                            st.floats(allow_nan=False, allow_infinity=False))
+manifest_ints = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers())
+manifest_entries = st.fixed_dictionaries({
+    "index": manifest_ints, "x": manifest_floats, "y": manifest_floats,
+    "seed": manifest_ints, "triangles": manifest_ints, "file": st.none(),
+    "params": st.fixed_dictionaries({
+        "branch_count": manifest_ints, "subbranches_per_branch": manifest_ints,
+        "leaves_per_subbranch": manifest_ints, "trunk_height": manifest_floats,
+        "depth_scale_decay": manifest_floats, "seed": manifest_ints,
+        "jitter": st.fixed_dictionaries({
+            "azimuth_range": manifest_floats, "pitch_range": manifest_floats,
+            "scale_range": st.lists(manifest_floats, min_size=2, max_size=2)}),
+    }),
+})
+
+
+def _with_jitter(entry, **fields):
+    params = entry["params"]
+    return {**entry, "params": {**params, "jitter": {**params["jitter"], **fields}}}
+
+
+# one entry changed: a value json writes its own way, or a shape unlike the first entry's
+TWISTS = {
+    "numpy float": lambda e: {**e, "x": np.float64(e["x"])},
+    "nan": lambda e: {**e, "y": math.nan},
+    "infinity": lambda e: _with_jitter(e, pitch_range=-math.inf),
+    "booleans": lambda e: {**e, "index": True, "file": False},
+    "escapes": lambda e: {**e, "file": "tr\u00e9e \"%s\"\n\x00.stl"},
+    "extra key": lambda e: {**e, "note": "hand-edited"},
+    "missing key": lambda e: {k: v for k, v in e.items() if k != "file"},
+    "container for scalar": lambda e: {**e, "file": [1, {"a": None}]},
+    "tuple for list": lambda e: _with_jitter(
+        e, scale_range=tuple(e["params"]["jitter"]["scale_range"])),
+    "longer list": lambda e: _with_jitter(e, scale_range=[1.0, 2.0, 3.0]),
+}
+
+
+@given(data=st.data(), twist=st.sampled_from([None, *TWISTS]))
+@settings(max_examples=200, deadline=None)
+def test_dumps_manifest_is_json_dumps(data, twist):
+    trees = data.draw(st.lists(manifest_entries, max_size=6))
+    if data.draw(st.booleans()):
+        # per-tree mode: every entry names its file
+        for entry in trees:
+            entry["file"] = data.draw(st.text(max_size=12))
+    if twist is not None and trees:
+        at = data.draw(st.integers(0, len(trees) - 1))
+        trees[at] = TWISTS[twist](trees[at])
+    manifest = {"version": fo.MANIFEST_VERSION, "master_seed": 2 ** 64 - 1,
+                "region": {"x_min": -0.0, "x_max": 1e16, "y_min": 5e-324, "y_max": 1.0},
+                "intensity": {"form": "raster", "values": [[0.5, np.float64(1.0)], [2.0, 0.0]]},
+                "min_spacing": 0.0, "mode": "merged", "trees": trees}
+    assert fo.dumps_manifest(manifest) == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("trees", [
+    [{"\x00": 1, "x": 0.5}, {"\x00": 2, "x": 1.5}],     # a key written like a template leaf
+    [{"%s": 1.0, "n": "%d"}, {"%s": 2.0, "n": "%%"}],     # format characters
+    [{"i": 1}, {"i": True}], [{"i": True}, {"i": 1}],     # a bool among ints
+    [{"f": None}, {"f": "a"}], [{"f": "a"}, {"f": None}],
+    [{"x": np.float64(0.1)}, {"x": np.float64(-0.0)}],
+    [{"a": [], "b": {}}, {"a": [], "b": {}}],             # no scalar at all
+    [{2: "int keys", 10: 1}, {2: "int keys", 10: 2}],
+])
+def test_dumps_manifest_is_json_dumps_on_odd_columns(trees):
+    manifest = {"version": fo.MANIFEST_VERSION, "trees": trees}
+    assert fo.dumps_manifest(manifest) == json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ def test_sample_points_inside_region():
     pattern = ipp.sample_homogeneous(ipp.Region(-5, 5, 10, 30), 1.0, seed=9)
     assert np.all(pattern.points[:, 0] >= -5) and np.all(pattern.points[:, 0] <= 5)
     assert np.all(pattern.points[:, 1] >= 10) and np.all(pattern.points[:, 1] <= 30)
+
+
+def test_envelope_budget_refuses_before_drawing():
+    # REGION at rate 0.01 expects exactly 100 points
+    with mock.patch.object(ipp, "MAX_ENVELOPE_POINTS", 100):
+        at_budget = ipp.sample_homogeneous(REGION, 0.01, seed=6)
+        for sample in (lambda: ipp.sample_homogeneous(REGION, 0.0101, seed=6),
+                       lambda: ipp.sample_ipp_thinning(ipp.ConstantIntensity(0.0101), REGION, 6)):
+            with pytest.raises(ipp.IntensityError, match="forestgen.ipp.MAX_ENVELOPE_POINTS"):
+                sample()
+    assert np.array_equal(at_budget.points, ipp.sample_homogeneous(REGION, 0.01, seed=6).points)
 
 
 def test_sample_deterministic_per_seed():

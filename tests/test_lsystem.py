@@ -335,3 +335,32 @@ def test_turtle_matches_scalar_reference_on_any_string(text, jitter_range, pitch
         lambda rng: ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), rng),
         np.random.default_rng(seed))
     assert got == want
+
+
+@given(trees=st.lists(st.tuples(
+    st.text(alphabet="d[]+-()", max_size=30), st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+    st.floats(0.0, 180.0), st.floats(0.5, 20.0), st.integers(0, 2 ** 32 - 1)),
+    min_size=1, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_turtle_stack_matches_each_tree_alone(trees):
+    texts = [text for text, *_ in trees]
+    cfgs = [lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
+                              jitter_range=jitter) for _, jitter, pitch, _, _ in trees]
+    specs = [(height, (float(i), 2.0 * i, -1.0)) for i, (*_, height, _) in enumerate(trees)]
+    seeds = [seed for *_, seed in trees]
+    alone = [_turtle_outcome(lambda rng: ref.interpret_turtle(text, cfg, *spec, rng),
+                             np.random.default_rng(seed))
+             for text, cfg, spec, seed in zip(texts, cfgs, specs, seeds)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if any(isinstance(outcome, str) for outcome in alone):
+        with pytest.raises(lsys.TurtleError):
+            lsys.interpret_turtle(texts, cfgs, specs, rngs)
+        return
+    stack = lsys.interpret_turtle(texts, cfgs, specs, rngs)
+    # every parent row of the stack points into its own tree's rows
+    starts = stack.at_depth(0)
+    first_row = np.repeat(starts, np.diff(starts, append=len(stack)))
+    assert ((stack.parents == -1) == (stack.depths == 0)).all()
+    assert (stack.parents[stack.depths > 0] >= first_row[stack.depths > 0]).all()
+    got = [_turtle_outcome(lambda _: sk, rng) for sk, rng in zip(stack.trees(), rngs)]
+    assert got == alone

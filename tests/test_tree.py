@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from forestgen import stl, templates
 from forestgen import transform as tf
 from forestgen import tree as tm
+from forestgen.seeds import stream_seed
 
 import scalar_reference as ref
 
@@ -284,3 +285,30 @@ def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail, r
 def test_build_trees_of_no_trees(tiny_library):
     mesh, models = tm.build_trees([], tiny_library)
     assert len(mesh) == 0 and models == []
+
+
+@given(trees=st.lists(st.tuples(
+    st.integers(1, 12), st.integers(0, 4), st.floats(0.5, 30.0),
+    st.sampled_from([0.3, 0.5, 1.0]), st.one_of(st.just(0.0), st.floats(0.0, 360.0)),
+    st.integers(0, 2 ** 64 - 1)),
+    min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_stacked_skeletons_match_each_tree_alone(trees, tiny_library):
+    params = [tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=0,
+                            trunk_height=h, depth_scale_decay=d, seed=seed,
+                            jitter=tf.AngleJitterParams(azimuth_range=jitter))
+              for b, s, h, d, jitter, seed in trees]
+    _, models = tm.build_trees(params, tiny_library)
+    for p, model in zip(params, models):
+        text = tm.synthesize_derivation(p.branch_count, p.subbranches_per_branch).symbols
+        want = ref.interpret_turtle(text, tm.turtle_config_for(p), p.trunk_height, (0, 0, 0),
+                                    np.random.default_rng(stream_seed(p.seed, 0)))
+        want.lengths[want.depths == 2] *= p.depth_scale_decay
+        alone = tm.build_skeleton(p)
+        for name in ("points", "directions", "depths", "lengths", "parents"):
+            got = getattr(model.skeleton, name).tobytes()
+            assert got == getattr(alone, name).tobytes() == getattr(want, name).tobytes(), name
+        # parent rows are the tree's own: the trunk's is -1, every other row's an earlier row
+        parents = model.skeleton.parents
+        assert parents[0] == -1 and (0 <= parents[1:]).all()
+        assert (parents[1:] < np.arange(1, len(parents))).all()
