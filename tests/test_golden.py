@@ -16,10 +16,11 @@ import pytest
 from forestgen import cli, forest, stl, templates
 
 
-def digest_dir(path: Path) -> str:
-    """One SHA-256 over every file of a directory, by name and content."""
+def digest_dir(path: Path, skip=()) -> str:
+    """One SHA-256 over every file of a directory, by name and content,
+    leaving out the files named in ``skip``."""
     h = hashlib.sha256()
-    for f in sorted(path.iterdir()):
+    for f in sorted(f for f in path.iterdir() if f.name not in skip):
         h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).digest())
     return h.hexdigest()
 
@@ -166,6 +167,23 @@ FOREST_GOLDEN = {
         "a473823766e2b8f97f8ee5efe1c3a26f4ea1560cb22fa1951f72f3c41f5a9f99",
 }
 
+# the same exports without scene.json: the STL bytes alone, which a change
+# of the manifest's layout or version must not move
+FOREST_STL_GOLDEN = {
+    ("jittered", "per-tree"):
+        "b8f838e904c5dc10cd80b7cea9acf3abe1b6e14ce454aa36920a97b82ef3333e",
+    ("jittered", "merged"):
+        "63ec424cd1d3eae4bdb505285775309c95f210b0f8a1b55f18f8899e8e8b811d",
+    ("unjittered", "per-tree"):
+        "a9c81b6bcf89b9d4ccdb1451f844ec9c9300d2d6c6fc79a9617a4732b8ac6a8c",
+    ("unjittered", "merged"):
+        "3c37ad18b46bfea7c33969735d1adbb8cc86667fa83bfb721d194b528f00a9c9",
+    ("crowded", "per-tree"):
+        "d3510148223d1200b5922418dfc9aee5ce31c8181dbbc478f5a2946e320caeba",
+    ("crowded", "merged"):
+        "085a90688ec756257711f86445333a55d770a0d308480e5f8db5e55d870f97d9",
+}
+
 
 # SHA-256 of the forest summary on stdout, with the output directory
 # written as <out>
@@ -195,6 +213,7 @@ def test_forest_export_digest(case, mode, libs, tmp_path, capsys):
     capsys.readouterr()
     run_cli(["forest", "--config", config_path, "--out", out, "--mode", mode])
     stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    assert digest_dir(out, skip={forest.MANIFEST_NAME}) == FOREST_STL_GOLDEN[(case, mode)]
     assert digest_dir(out) == FOREST_GOLDEN[(case, mode)]
     assert hashlib.sha256(stdout.encode()).hexdigest() == FOREST_STDOUT_GOLDEN[(case, mode)]
 
@@ -236,9 +255,15 @@ REGEN_GOLDEN = {
     "merged": "af3fcee08a68ec42946d8200a0d1b4fc65789bdfeb2b758c784852cc30046174",
 }
 
+REGEN_STL_GOLDEN = {
+    "per-tree": "b8ddf3acee24fcd08e09b0c9e646ee6e7492c70ea96a9851de9f10e450e1991a",
+    "merged": "af6ea60c219d6ec967775388ed8d75c5a8739a84c9b12e745c48724f6db9185b",
+}
+
 
 @pytest.mark.parametrize("mode", sorted(REGEN_GOLDEN))
 def test_regenerated_mixed_manifest_digest(mode, libs, tmp_path):
     scene = forest.regenerate_scene(MIXED_MANIFEST, stl.load_library(libs["tiny"]))
     forest.export_scene(scene, tmp_path, mode)
+    assert digest_dir(tmp_path, skip={forest.MANIFEST_NAME}) == REGEN_STL_GOLDEN[mode]
     assert digest_dir(tmp_path) == REGEN_GOLDEN[mode]
