@@ -34,8 +34,9 @@ def main():
             path.write_bytes(stl.write_stl(mesh, "binary"))
             print(f"{path}  triangles={len(mesh)}")
         csv_path = out / f"tree{branches:02d}_leaves.csv"
-        csv_path.write_text(tm.centroids_to_csv(model.leaf_centroids))
-        print(f"{csv_path}  centroids={len(model.leaf_centroids)}")
+        centroids = model.leaf_centroids
+        csv_path.write_text(tm.centroids_to_csv(centroids))
+        print(f"{csv_path}  centroids={len(centroids)}")
 
 
 if __name__ == "__main__":

@@ -105,8 +105,9 @@ def _cmd_tree(args) -> int:
     _emit("out", out)
     if args.stage == "leaves":
         csv_path = out.parent / "leaves.csv"
-        _write(csv_path, treemod.centroids_to_csv(model.leaf_centroids))
-        _emit("leaf_centroids", len(model.leaf_centroids))
+        centroids = model.leaf_centroids
+        _write(csv_path, treemod.centroids_to_csv(centroids))
+        _emit("leaf_centroids", len(centroids))
         _emit("leaves_csv", csv_path)
     return EXIT_OK
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ import numpy as np
 from . import ipp
 from . import stl
 from . import tree as treemod
-from .seeds import stream_seed
+from .seeds import stream_rng, stream_seed
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "scene.json"
 MERGED_NAME = "forest.stl"
 EXPORT_MODES = ("per-tree", "merged")
@@ -121,7 +120,7 @@ def _tree_params_for(config: SceneConfig, seed: int) -> treemod.TreeParams:
     jitter = config.parameter_jitter
     if jitter is None or (jitter.branch_count is None and jitter.trunk_height is None):
         return params
-    rng = np.random.default_rng(stream_seed(seed, _STREAM_PARAM_JITTER))
+    rng = stream_rng(seed, _STREAM_PARAM_JITTER)
     if jitter.branch_count is not None:
         lo, hi = jitter.branch_count
         params.branch_count = int(rng.integers(lo, hi + 1))
@@ -227,94 +226,20 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
 
 
 def dumps_manifest(manifest: dict) -> str:
-    """``json.dumps(manifest, indent=2, sort_keys=True) + "\\n"``, at close
-    to the C encoder's cost.
+    """The manifest as ``json.dumps(indent=2, sort_keys=True)`` writes it,
+    except that each ``"trees"`` entry is one line, indented four spaces, as
+    ``json`` writes it without ``indent``; the text ends in a newline.
 
-    With ``indent`` set, ``json`` runs its pure-Python encoder, which
-    spends most of a scene's manifest on the tree entries. So when every
-    entry of ``"trees"`` has the shape of the first, each is written from
-    one template of that shape (see _entry_template), its scalars encoded
-    by the functions ``json`` itself uses; the rest of the manifest is small
-    and goes through ``json.dumps``. Any other manifest, such as one with
-    NaN or numpy scalars in its entries, goes through ``json.dumps`` whole.
+    Without ``indent``, ``json`` runs its C encoder, so the tree entries,
+    nearly all of a scene's manifest, cost little to write.
     """
-    trees = manifest.get("trees") if isinstance(manifest, dict) else None
-    entries = _dumps_entries(trees) if isinstance(trees, list) and trees else None
-    if entries is None:
-        return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    # the rest of the manifest, with "trees" written empty: a newline, two
-    # spaces and a quote start a top-level key and nothing else
     text = json.dumps({**manifest, "trees": []}, indent=2, sort_keys=True)
-    return text.replace('\n  "trees": []', '\n  "trees": [\n' + entries + '\n  ]', 1) + "\n"
-
-
-# a leaf of a tree entry's template, written by json as "\u0000"
-_LEAF = "\x00"
-
-
-def _entry_template(entry) -> tuple[str, list, list]:
-    """The text ``json.dumps(indent=2, sort_keys=True)`` writes for
-    ``entry`` as an item of the manifest's ``"trees"``, with ``%s`` for
-    every scalar, plus the key path of every scalar in the order the text
-    holds them and the key path of every dict and list, parents first."""
-    leaves, containers = [], []
-
-    def mark(value, path):
-        if isinstance(value, (list, tuple)):
-            containers.append(path)
-            return [mark(v, path + (i,)) for i, v in enumerate(value)]
-        if isinstance(value, dict):
-            containers.append(path)
-            return {k: mark(v, path + (k,)) for k, v in sorted(value.items())}
-        leaves.append(path)
-        return _LEAF
-
-    text = json.dumps(mark(entry, ()), indent=2, sort_keys=True)
-    leaf = json.dumps(_LEAF)
-    if text.count(leaf) != len(leaves):
-        raise ValueError("a key of the entry writes as a leaf")
-    template = "    " + text.replace("\n", "\n    ").replace("%", "%%").replace(leaf, "%s")
-    return template, leaves, containers
-
-
-def _dumps_entries(trees: list) -> str | None:
-    """The items of ``"trees"`` as json writes them inside the manifest,
-    joined; None when an entry differs in shape from the first (a key set,
-    a list length or a container type), when the entries hold no scalar,
-    or when a key path's values are not all of one type that
-    _json_scalars encodes."""
-    try:
-        template, leaves, containers = _entry_template(trees[0])
-        # one column per key path: its value in every entry, in entry order
-        columns = {(): trees}
-        for path in containers[1:] + leaves:
-            columns[path] = [value[path[-1]] for value in columns[path[:-1]]]
-        for path in containers:
-            column = columns[path]
-            kind, size = type(column[0]), len(column[0])
-            if not all(type(value) is kind and len(value) == size for value in column):
-                return None
-        scalars = [_json_scalars(columns[path]) for path in leaves]
-    except (LookupError, TypeError, ValueError):
-        return None
-    if not scalars or any(column is None for column in scalars):
-        return None
-    return ",\n".join(map(template.__mod__, zip(*scalars)))
-
-
-# json's own encoders of the scalars a manifest holds
-_SCALAR_ENCODERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
-                    type(None): lambda _: "null"}
-
-
-def _json_scalars(column: list) -> list[str] | None:
-    """Each value of ``column`` as ``json.dumps`` writes it, when all are
-    finite floats, or all ints, strings or None; otherwise None."""
-    kinds = set(map(type, column))
-    encode = _SCALAR_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
-    if encode is None or (encode is float.__repr__ and not all(map(math.isfinite, column))):
-        return None
-    return list(map(encode, column))
+    if manifest["trees"]:
+        encode = json.JSONEncoder(sort_keys=True).encode
+        entries = ",\n".join("    " + encode(entry) for entry in manifest["trees"])
+        # a newline, two spaces and a quote start a top-level key and nothing else
+        text = text.replace('\n  "trees": []', '\n  "trees": [\n' + entries + '\n  ]', 1)
+    return text + "\n"
 
 
 def _parse(source, what: str, parse):
@@ -351,7 +276,7 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
     so the result re-exports bit-identically given the same library.
     """
     def parse(data: dict) -> Scene:
-        if data.get("version") != MANIFEST_VERSION:
+        if data.get("version") not in (1, MANIFEST_VERSION):  # 1 differs only in layout
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
         entries, jitters = [], {}

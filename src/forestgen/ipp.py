@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import stream_seed
+from .seeds import stream_rng, stream_seed
 
 # switch point between inversion and exponential-gap counting
 _INVERSION_MAX_MEAN = 30.0
@@ -251,8 +251,7 @@ def sample_ipp_thinning(field, region: Region, seed: int) -> PointPattern:
     envelope = sample_homogeneous(region, lam_max, seed)
     if len(envelope) == 0:
         return PointPattern(envelope.points, seed)
-    accept_rng = np.random.default_rng(stream_seed(seed, 1))
-    u = accept_rng.uniform(size=len(envelope))
+    u = stream_rng(seed, 1).uniform(size=len(envelope))
     keep = u * lam_max < field.rate_at(envelope.points)
     return PointPattern(envelope.points[keep], seed)
 
@@ -345,11 +344,13 @@ def nearest_pair_distance(points) -> float:
     while True:
         grid = _Grid(pts, h)
         nearest = math.inf
-        for i in range(n):
-            js = list(grid.near(i))
-            if js:
-                nearest = min(nearest, float(np.hypot(x[i] - x[js], y[i] - y[js]).min()))
-            grid.add(i)
+        # points over ~1.8e308 apart overflow to inf, the rounded distance
+        with np.errstate(over="ignore"):
+            for i in range(n):
+                js = list(grid.near(i))
+                if js:
+                    nearest = min(nearest, float(np.hypot(x[i] - x[js], y[i] - y[js]).min()))
+                grid.add(i)
         if nearest < h * (1 - 2 ** -40) or max(map(max, grid.cells)) <= 1:
             return nearest
         h *= 2

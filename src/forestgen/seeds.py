@@ -9,6 +9,8 @@ the k-th step of the SplitMix64 sequence started at ``master``.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -26,3 +28,10 @@ def stream_seed(master_seed: int, stream: int) -> int:
     if stream < 0:
         raise ValueError("stream index must be non-negative")
     return splitmix64((master_seed + stream * _GOLDEN) & _MASK)
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator of substream ``stream`` of ``seed``: the generator
+    ``np.random.default_rng(stream_seed(seed, stream))`` builds, built more
+    cheaply."""
+    return np.random.Generator(np.random.PCG64(stream_seed(seed, stream)))

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import transform as tf
+
 HEADER_BYTES = 80
 FACET_BYTES = 50
 
@@ -455,8 +457,6 @@ def _frame_vector(value, default, what: str) -> np.ndarray:
 
 
 def _canonicalize(mesh: TriangleMesh, origin: np.ndarray, axis: np.ndarray) -> TriangleMesh:
-    from . import transform as tf  # runtime import; transform depends on stl
-
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise LibraryError("template axis must be non-zero")

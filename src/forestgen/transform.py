@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .stl import TriangleMesh
+if TYPE_CHECKING:
+    from .stl import TriangleMesh
 
 _EYE = np.eye(3)
 # z x d = d[[1, 0, 2]] * these, for z = (0, 0, 1)
@@ -108,7 +110,7 @@ def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
     rotation alone (re-normalized; zero normals stay zero).
 
     A stack of k transforms maps the mesh once per transform and returns
-    the k copies concatenated in stack order.
+    the k copies concatenated in stack order, as a mesh of ``mesh``'s type.
     """
     rotation_t = t.rotation.reshape(-1, 3, 3).transpose(0, 2, 1)
     k, m = rotation_t.shape[0], len(mesh)
@@ -132,7 +134,7 @@ def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
     norms[norms == 0.0] = 1.0  # zero normals stay zero
     for j in range(3):
         normals[..., j] /= norms
-    return TriangleMesh(facets.reshape(k * m, 4, 3), mesh.name)
+    return type(mesh)(facets.reshape(k * m, 4, 3), mesh.name)
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:

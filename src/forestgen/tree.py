@@ -32,7 +32,7 @@ import numpy as np
 from . import lsystem as lsys
 from . import stl
 from . import transform as tf
-from .seeds import stream_seed
+from .seeds import stream_rng
 
 STAGES = ("skeleton", "branches", "subbranches", "leaves")
 
@@ -106,9 +106,14 @@ class TreeParams:
 class TreeModel:
     skeleton: lsys.Skeleton
     mesh: stl.TriangleMesh            # trunk, branches, sub-branches, leaves
-    leaf_centroids: np.ndarray        # (n_leaves, 3), one row per leaf triangle
     params: TreeParams
     stage_counts: dict = field(default_factory=dict)  # triangle count after each stage
+
+    @property
+    def leaf_centroids(self) -> np.ndarray:
+        """(n_leaves, 3): the centroid of every leaf triangle, in mesh order."""
+        leaves = self.mesh.facets[self.stage_counts["subbranches"]:]
+        return stl.triangle_centroids(stl.TriangleMesh(leaves, "leaves"))
 
     def stage_mesh(self, stage: str) -> stl.TriangleMesh:
         """The skeleton as segments, or the mesh after a placement stage: a
@@ -145,12 +150,6 @@ def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
     )
 
 
-def _stage_rng(seed: int, stream: int) -> np.random.Generator:
-    """Generator of substream ``stream`` of a tree's seed: the generator
-    ``np.random.default_rng`` builds from that seed, built more cheaply."""
-    return np.random.Generator(np.random.PCG64(stream_seed(seed, stream)))
-
-
 def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     """Skeleton with exactly branch_count depth-1 nodes and
     branch_count * subbranches_per_branch depth-2 nodes.
@@ -164,7 +163,7 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
         [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack],
         [turtle_config_for(p) for p in stack],
         [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack],
-        [_stage_rng(p.seed, _STREAM_SKELETON) for p in stack])
+        [stream_rng(p.seed, _STREAM_SKELETON) for p in stack])
     # the derivation nests one group deep, so depth 2 is the only decayed one
     decayed = (skeleton.depths == 2).nonzero()[0]
     if len(decayed):
@@ -206,7 +205,7 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     generator and jitters within its own ranges, as it would alone.
     """
     uniforms = np.concatenate([
-        _stage_rng(p.seed, stream).random((k, 3))
+        stream_rng(p.seed, stream).random((k, 3))
         for p, k in zip(params, counts.tolist()) if k])
     jitter = params[0].jitter
     if any(p.jitter != jitter for p in params):
@@ -249,16 +248,15 @@ def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                  params: list[TreeParams]) -> tuple[stl.TriangleMesh, np.ndarray]:
-    """Leaf instances along the distal portion of each anchor axis, plus the
-    centroid of every placed leaf triangle (one row per triangle).
+                  params: list[TreeParams]) -> stl.TriangleMesh:
+    """Leaf instances along the distal portion of each anchor axis.
 
     Anchors are the depth-2 nodes, falling back to depth-1 branches when the
     tree has no sub-branches. Leaves are placed anchor by anchor, stations
     ascending within an anchor.
     """
     if not any(p.leaves_per_subbranch for p in params):
-        return stl.empty_mesh("leaf"), np.zeros((0, 3))
+        return stl.empty_mesh("leaf")
     counts = _instance_counts(params)
     each = np.array([p.leaves_per_subbranch for p in params], dtype=np.int64)
     anchor_depth = np.where(each > 0, np.where(counts[:, 2] > 0, 2, 1), -1)
@@ -272,10 +270,8 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     lengths = np.repeat(lengths, per_anchor)
     directions = np.repeat(directions, per_anchor, axis=0)
     offsets = (stations * lengths)[:, None] * directions
-    leaf_mesh = _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
-                       directions, _LEAF_FRACTION * lengths, params, counts[:, 3],
-                       _STREAM_LEAVES)
-    return leaf_mesh, stl.triangle_centroids(leaf_mesh)
+    return _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
+                  directions, _LEAF_FRACTION * lengths, params, counts[:, 3], _STREAM_LEAVES)
 
 
 def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: list[int], sizes: list[int]):
@@ -334,17 +330,13 @@ def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarra
     _scatter(facets, branches, starts[1], rows[1])
     del trunks, branches
     _scatter(facets, attach_subbranches(stack, lib, params), starts[2], rows[2])
-    leaves, centroids = attach_leaves(stack, lib, params)
-    _scatter(facets, leaves, starts[3], rows[3])
-    del leaves
-    models, leaf_at = [], 0
-    for sk, p, start, (_, branch_end, sub_end, end), leaf_rows in zip(
-            stack.trees(), params, starts[0], ends.tolist(), rows[3]):
+    _scatter(facets, attach_leaves(stack, lib, params), starts[3], rows[3])
+    models = []
+    for sk, p, start, (_, branch_end, sub_end, end) in zip(
+            stack.trees(), params, starts[0], ends.tolist()):
         stage_counts = {"branches": branch_end - start, "subbranches": sub_end - start,
                         "leaves": end - start}
-        models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"),
-                                centroids[leaf_at:leaf_at + leaf_rows], p, stage_counts))
-        leaf_at += leaf_rows
+        models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"), p, stage_counts))
     return models
 
 

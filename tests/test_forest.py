@@ -292,16 +292,7 @@ def test_load_scene_config_rejects_garbage(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the manifest writer against json.dumps
-
-@pytest.mark.parametrize("mode", fo.EXPORT_MODES)
-def test_scene_manifests_are_written_from_the_entry_template(mode, tiny_library):
-    # the manifests forestgen writes, built or regenerated, take the fast path
-    scene = fo.compose_forest(make_config(), tiny_library)
-    manifest = fo.build_manifest(scene, mode)
-    regenerated = fo.build_manifest(fo.regenerate_scene(manifest, tiny_library), mode)
-    for trees in (manifest["trees"], regenerated["trees"]):
-        assert len(trees) > 1 and fo._dumps_entries(trees) is not None
+# the manifest writer against json
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1e22, 1.7976931348623157e308]
 manifest_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
@@ -342,6 +333,31 @@ TWISTS = {
 }
 
 
+def _canonical(text: str) -> str:
+    """The JSON value of ``text``, written one way, so that values json reads
+    back as equal (NaN, numpy floats, tuples, int keys) compare equal."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+def assert_manifest_written(manifest: dict):
+    """``dumps_manifest`` reads back as ``manifest``, with each tree entry
+    on a line of its own."""
+    text = fo.dumps_manifest(manifest)
+    assert _canonical(text) == _canonical(json.dumps(manifest))
+    assert text.endswith("}\n")
+    trees = manifest["trees"]
+    lines = text.split("\n")
+    if not trees:
+        assert '  "trees": [],' in lines or '  "trees": []' in lines
+        return
+    at = lines.index('  "trees": [')
+    assert lines[at + len(trees) + 1] in ("  ]", "  ],")
+    for i, (line, entry) in enumerate(zip(lines[at + 1:], trees)):
+        assert line.startswith("    {")
+        assert line.endswith("," if i + 1 < len(trees) else "}")
+        assert _canonical(line.strip().rstrip(",")) == _canonical(json.dumps(entry))
+
+
 @given(data=st.data(), twist=st.sampled_from([None, *TWISTS]))
 @settings(max_examples=200, deadline=None)
 def test_dumps_manifest_is_json_dumps(data, twist):
@@ -357,18 +373,29 @@ def test_dumps_manifest_is_json_dumps(data, twist):
                 "region": {"x_min": -0.0, "x_max": 1e16, "y_min": 5e-324, "y_max": 1.0},
                 "intensity": {"form": "raster", "values": [[0.5, np.float64(1.0)], [2.0, 0.0]]},
                 "min_spacing": 0.0, "mode": "merged", "trees": trees}
-    assert fo.dumps_manifest(manifest) == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert_manifest_written(manifest)
 
 
 @pytest.mark.parametrize("trees", [
-    [{"\x00": 1, "x": 0.5}, {"\x00": 2, "x": 1.5}],     # a key written like a template leaf
+    [{"\x00": 1, "x": 0.5}, {"\x00": 2, "x": 1.5}],
     [{"%s": 1.0, "n": "%d"}, {"%s": 2.0, "n": "%%"}],     # format characters
     [{"i": 1}, {"i": True}], [{"i": True}, {"i": 1}],     # a bool among ints
     [{"f": None}, {"f": "a"}], [{"f": "a"}, {"f": None}],
     [{"x": np.float64(0.1)}, {"x": np.float64(-0.0)}],
     [{"a": [], "b": {}}, {"a": [], "b": {}}],             # no scalar at all
     [{2: "int keys", 10: 1}, {2: "int keys", 10: 2}],
+    [{"f": "\n  \"trees\": []"}],                        # the text the writer replaces
 ])
 def test_dumps_manifest_is_json_dumps_on_odd_columns(trees):
-    manifest = {"version": fo.MANIFEST_VERSION, "trees": trees}
-    assert fo.dumps_manifest(manifest) == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert_manifest_written({"version": fo.MANIFEST_VERSION, "trees": trees})
+
+
+@pytest.mark.parametrize("mode", fo.EXPORT_MODES)
+def test_version_1_manifest_regenerates_the_same_stl_bytes(mode, tiny_library, tmp_path):
+    # version 1 wrote the whole manifest with json.dumps(indent=2, sort_keys=True)
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.export_scene(scene, tmp_path / "v2", mode)
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({**manifest, "version": 1}, indent=2, sort_keys=True) + "\n")
+    fo.export_scene(fo.regenerate_scene(v1, tiny_library), tmp_path / "regen", mode)
+    assert read_dir(tmp_path / "regen") == read_dir(tmp_path / "v2")

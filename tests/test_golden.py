@@ -154,17 +154,17 @@ FOREST_CASES = {
 
 FOREST_GOLDEN = {
     ("jittered", "per-tree"):
-        "c09a307c4051bef899eaed372a723403d2296600cb28ef76a8678b49da860d79",
+        "e49fececb13c4c292a47e98190dd5f5eac5f3c4dac2a8137c18295e7408cd786",
     ("jittered", "merged"):
-        "a899c88130b9323022b831a3a1f41ca93ea6004f5c9d6ba568e7f7d7d8bdc3e0",
+        "0f107c932877c38fba74285172237c3e6e6835351cc5992d3dd2320b4673d1a7",
     ("unjittered", "per-tree"):
-        "b62ef6bb9daa0aa3301e9aaf88c096522d919f688a7c1e3456675870979feef5",
+        "3790e9f7530a0afd10363c4840ab545fa89a53ed0385fe8bff5bb6f8c497f599",
     ("unjittered", "merged"):
-        "b26c6403b16bc1b31ffa39415e50d294b075b039e82281968d990dd09361b483",
+        "fb352dc58486521cc1898b9632b6cf0a07cb4d605458ee556e83aa4ac86c8ee2",
     ("crowded", "per-tree"):
-        "f3dcae4c944cc52dd50b34b9e1da32b329716e944752172913b7607622757d1c",
+        "4dcb6a0e9c949a02b73953e006d3decdb40dc68d630c220e742572fd1f9fea2f",
     ("crowded", "merged"):
-        "a473823766e2b8f97f8ee5efe1c3a26f4ea1560cb22fa1951f72f3c41f5a9f99",
+        "f9a40ecc30dc25200e23dcc9133fb8d950ec8f09c2e83f8cc46fbd6cedb05822",
 }
 
 # the same exports without scene.json: the STL bytes alone, which a change
@@ -251,8 +251,8 @@ MIXED_MANIFEST = {
 }
 
 REGEN_GOLDEN = {
-    "per-tree": "5dbf7ff9332a3f0a0cd5b0305191490871d6e4600633fff8ef96c341b7a7897f",
-    "merged": "af3fcee08a68ec42946d8200a0d1b4fc65789bdfeb2b758c784852cc30046174",
+    "per-tree": "7ca1e00494e7950757177994024f6f32814e833b0fb5dcce15288d4b70be7ae3",
+    "merged": "6fada29eb9bfcbf7860ae0fa3dc59744c7f07836ccd21d959d39a992dd35f282",
 }
 
 REGEN_STL_GOLDEN = {

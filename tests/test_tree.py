@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from forestgen import stl, templates
 from forestgen import transform as tf
 from forestgen import tree as tm
-from forestgen.seeds import stream_seed
+from forestgen.seeds import stream_rng, stream_seed
 
 import scalar_reference as ref
 
@@ -18,6 +18,21 @@ def make_params(**kw):
                     trunk_height=10.0, seed=17)
     defaults.update(kw)
     return tm.TreeParams(**defaults)
+
+
+# ---------------------------------------------------------------------------
+# substream generators
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_stream_rng_is_default_rng_of_the_stream_seed(seed):
+    # stream_rng skips default_rng's argument handling; its generators and
+    # draws must be those default_rng builds
+    assert (np.random.Generator(np.random.PCG64(seed)).bytes(64)
+            == np.random.default_rng(seed).bytes(64))
+    for stream in (0, 4):
+        got, want = stream_rng(seed, stream), np.random.default_rng(stream_seed(seed, stream))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random((5, 3)).tobytes() == want.random((5, 3)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +101,8 @@ def test_subbranch_stage_noop_when_zero(tiny_library):
 def test_leaves_zero_gives_empty(tiny_library):
     params = make_params(leaves_per_subbranch=0)
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
+    leaf_mesh = tm.attach_leaves(sk, tiny_library, [params])
+    centroids = tm.build_tree(params, tiny_library).leaf_centroids
     assert len(leaf_mesh) == 0
     assert centroids.shape == (0, 3)
 
@@ -95,7 +111,8 @@ def test_leaf_counts_and_centroids(tiny_library):
     # 8 branches x 3 sub-branches x 5 leaves with a 1-triangle template
     params = make_params()
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
+    leaf_mesh = tm.attach_leaves(sk, tiny_library, [params])
+    centroids = tm.build_tree(params, tiny_library).leaf_centroids
     assert len(leaf_mesh) == 8 * 3 * 5
     assert centroids.shape == (len(leaf_mesh), 3)
     for i, (_, v0, v1, v2) in enumerate(leaf_mesh.facets):
@@ -106,7 +123,7 @@ def test_leaf_counts_and_centroids(tiny_library):
 def test_leaves_fall_back_to_branches(tiny_library):
     params = make_params(subbranches_per_branch=0, leaves_per_subbranch=2)
     sk = tm.build_skeleton(params)
-    leaf_mesh, centroids = tm.attach_leaves(sk, tiny_library, [params])
+    leaf_mesh = tm.attach_leaves(sk, tiny_library, [params])
     assert len(leaf_mesh) == 8 * 2
 
 
