@@ -25,8 +25,8 @@ def main():
     print(f"{'mass':>8} {'mean':>10} {'variance':>10} {'dispersion':>10}")
     for mass in (5.0, 20.0, 100.0, 400.0):
         field = ipp.ConstantIntensity(mass / region.area)
-        counts = np.array([len(ipp.sample_ipp_thinning(field, region, s))
-                           for s in ipp.replication_seeds(args.seed, args.reps)])
+        seeds = ipp.replication_seeds(args.seed, args.reps)
+        counts = np.array([len(p) for p in ipp.sample_replications(field, region, seeds)])
         mean = counts.mean()
         var = counts.var(ddof=1)
         print(f"{mass:8.1f} {mean:10.3f} {var:10.3f} {var / mean:10.4f}")

@@ -164,18 +164,19 @@ def _cmd_ipp_sample(args) -> int:
     seed = _pick_seed(args.seed)
     if args.reps < 1:
         raise CliError("--reps must be at least 1")
-    seeds = ipp.replication_seeds(seed, args.reps)
-    patterns = [ipp.sample_ipp_thinning(field, region, s) for s in seeds]
-    counts = np.array([len(p) for p in patterns])
     out = Path(args.out)
+    # each pattern is written, or only counted, as it is sampled
+    counts = []
+    for i, pattern in enumerate(ipp.sample_replications(
+            field, region, ipp.replication_seeds(seed, args.reps))):
+        counts.append(len(pattern))
+        if not args.counts_only:
+            _write(out if args.reps == 1 else out / f"sample_{i:04d}.csv",
+                   ipp.pattern_to_csv(pattern))
+    counts = np.array(counts)
     if args.counts_only:
         lines = ["rep,count"] + [f"{i},{c}" for i, c in enumerate(counts)]
         _write(out, "\n".join(lines) + "\n")
-    elif args.reps == 1:
-        _write(out, ipp.pattern_to_csv(patterns[0]))
-    else:
-        for i, p in enumerate(patterns):
-            _write(out / f"sample_{i:04d}.csv", ipp.pattern_to_csv(p))
     _emit("seed", seed)
     _emit("reps", args.reps)
     _emit("mean_count", _fmt(float(counts.mean())))

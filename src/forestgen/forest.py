@@ -28,7 +28,7 @@ import numpy as np
 from . import ipp
 from . import stl
 from . import tree as treemod
-from .seeds import stream_rng, stream_seed
+from .seeds import generators, stream_seed
 
 MANIFEST_VERSION = 2
 MANIFEST_NAME = "scene.json"
@@ -106,7 +106,6 @@ class Scene:
 class SceneStats:
     tree_count: int
     total_triangles: int
-    bounds: tuple[np.ndarray, np.ndarray] | None
     nearest_neighbor_min_distance: float
 
 
@@ -115,18 +114,20 @@ def tree_seed_for(master_seed: int, index: int) -> int:
     return stream_seed(master_seed, index + 1)
 
 
-def _tree_params_for(config: SceneConfig, seed: int) -> treemod.TreeParams:
-    params = replace(config.tree_params_template, seed=seed)
+def _tree_params(config: SceneConfig, seeds: list[int]) -> list[treemod.TreeParams]:
+    """The template params of each tree seed, varied by the parameter
+    jitter, which each tree draws from its own substream."""
+    params = [replace(config.tree_params_template, seed=seed) for seed in seeds]
     jitter = config.parameter_jitter
     if jitter is None or (jitter.branch_count is None and jitter.trunk_height is None):
         return params
-    rng = stream_rng(seed, _STREAM_PARAM_JITTER)
-    if jitter.branch_count is not None:
-        lo, hi = jitter.branch_count
-        params.branch_count = int(rng.integers(lo, hi + 1))
-    if jitter.trunk_height is not None:
-        lo, hi = jitter.trunk_height
-        params.trunk_height = float(rng.uniform(lo, hi))
+    for p, rng in zip(params, generators([stream_seed(s, _STREAM_PARAM_JITTER) for s in seeds])):
+        if jitter.branch_count is not None:
+            lo, hi = jitter.branch_count
+            p.branch_count = int(rng.integers(lo, hi + 1))
+        if jitter.trunk_height is not None:
+            lo, hi = jitter.trunk_height
+            p.trunk_height = float(rng.uniform(lo, hi))
     return params
 
 
@@ -136,7 +137,7 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
     pattern = ipp.sample_ipp_thinning(config.intensity, config.region, location_seed)
     pattern = ipp.min_distance_filter(pattern, config.min_spacing)
     seeds = [tree_seed_for(config.master_seed, i) for i in range(len(pattern))]
-    mesh, models = _build_trees([_tree_params_for(config, s) for s in seeds], lib)
+    mesh, models = _build_trees(_tree_params(config, seeds), lib)
     placements = [Placement(i, x, y, seed, model) for i, ((x, y), seed, model)
                   in enumerate(zip(pattern.points.tolist(), seeds, models))]
     return Scene(placements, config, mesh)
@@ -155,23 +156,9 @@ def scene_stats(scene: Scene) -> SceneStats:
     """Exact aggregates over placed trees; the nearest-neighbor distance is
     ``ipp.nearest_pair_distance`` of the tree locations (+inf for fewer than
     two trees)."""
-    sizes = [p.tree.stage_counts["leaves"] for p in scene.placements]
-    bounds = None
-    if sizes:
-        # each tree's vertex bounds, reduced over the scene mesh at once
-        vertices = scene.mesh.facets.reshape(-1, 12)[:, 3:]
-        starts = np.cumsum(sizes) - sizes
-        offsets = _offsets(scene)
-        lo = np.minimum.reduceat(vertices, starts).reshape(-1, 3, 3).min(axis=1) + offsets
-        hi = np.maximum.reduceat(vertices, starts).reshape(-1, 3, 3).max(axis=1) + offsets
-        bounds = (lo.min(axis=0), hi.max(axis=0))
+    triangles = sum(p.tree.stage_counts["leaves"] for p in scene.placements)
     nn = ipp.nearest_pair_distance([(p.x, p.y) for p in scene.placements])
-    return SceneStats(len(scene), sum(sizes), bounds, nn)
-
-
-def _offsets(scene: Scene) -> np.ndarray:
-    """(x, y, 0) of every tree, one row per placement."""
-    return np.array([(p.x, p.y, 0.0) for p in scene.placements]).reshape(-1, 3)
+    return SceneStats(len(scene), triangles, nn)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +205,9 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
             (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
         merged = stl.concat_meshes([p.tree.full_mesh() for p in scene.placements], "forest")
+        offsets = np.array([(p.x, p.y, 0.0) for p in scene.placements]).reshape(-1, 3)
         sizes = [len(p.tree.mesh) for p in scene.placements]
-        merged.facets[:, 1:, :] += np.repeat(_offsets(scene), sizes, axis=0)[:, None, :]
+        merged.facets[:, 1:, :] += np.repeat(offsets, sizes, axis=0)[:, None, :]
         (out / MERGED_NAME).write_bytes(stl.write_stl(merged, "binary"))
     (out / MANIFEST_NAME).write_text(dumps_manifest(manifest))
     return manifest

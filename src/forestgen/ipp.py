@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import stream_rng, stream_seed
+from .seeds import generators, stream_seed
 
 # switch point between inversion and exponential-gap counting
 _INVERSION_MAX_MEAN = 30.0
@@ -220,9 +220,12 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
         total = float(sums[-1])
 
 
-def sample_homogeneous(region: Region, rate: float, seed: int) -> PointPattern:
+def sample_homogeneous(region: Region, rate: float, seed: int,
+                       rng: np.random.Generator | None = None) -> PointPattern:
     """Homogeneous Poisson pattern: Poisson(rate * area) points placed
-    independently and uniformly over the region. An expected count above
+    independently and uniformly over the region, drawn from
+    ``np.random.default_rng(seed)``; a caller that has seeded that
+    generator already passes it as ``rng``. An expected count above
     MAX_ENVELOPE_POINTS is an IntensityError."""
     if not 0 <= rate < math.inf:
         raise IntensityError("rate must be finite and non-negative")
@@ -230,30 +233,43 @@ def sample_homogeneous(region: Region, rate: float, seed: int) -> PointPattern:
     if mean > MAX_ENVELOPE_POINTS:
         raise IntensityError(f"the pattern expects {mean:.6g} points, more than the budget of "
                              f"{MAX_ENVELOPE_POINTS} (forestgen.ipp.MAX_ENVELOPE_POINTS)")
-    rng = np.random.default_rng(seed)
+    if rng is None:
+        rng = np.random.default_rng(seed)
     n = poisson_count(mean, rng)
     pts = rng.uniform(low=[region.x_min, region.y_min],
                       high=[region.x_max, region.y_max], size=(n, 2))
     return PointPattern(pts, seed)
 
 
-def sample_ipp_thinning(field, region: Region, seed: int) -> PointPattern:
+def sample_ipp_thinning(field, region: Region, seed: int, rngs=None) -> PointPattern:
     """Lewis-Shedler thinning: homogeneous envelope at the supremum, then an
     independent keep decision per point with probability lambda(s)/lambda_max.
 
     The envelope uses ``seed`` itself and the acceptance draws use substream
     1, so a constant field reproduces ``sample_homogeneous(region, rate,
-    seed)`` exactly.
+    seed)`` exactly. A caller that has seeded both generators already
+    passes ``rngs``, an iterator whose next two items are them, in that
+    order, as ``seeds.generators`` yields them; both are taken, whether
+    drawn from or not.
     """
+    if rngs is None:
+        rngs = generators((seed, stream_seed(seed, 1)))
     lam_max = field.max_rate(region)
-    if lam_max <= 0.0:
-        return PointPattern(np.zeros((0, 2)), seed)
-    envelope = sample_homogeneous(region, lam_max, seed)
+    envelope = sample_homogeneous(region, lam_max, seed, next(rngs))
+    accept = next(rngs)
     if len(envelope) == 0:
-        return PointPattern(envelope.points, seed)
-    u = stream_rng(seed, 1).uniform(size=len(envelope))
-    keep = u * lam_max < field.rate_at(envelope.points)
+        return envelope
+    keep = accept.uniform(size=len(envelope)) * lam_max < field.rate_at(envelope.points)
     return PointPattern(envelope.points[keep], seed)
+
+
+def sample_replications(field, region: Region, seeds):
+    """Yield ``sample_ipp_thinning(field, region, seed)`` for each seed in
+    turn, every rep's two generators seeded in one batch."""
+    seeds = list(seeds)
+    rngs = generators([s for seed in seeds for s in (seed, stream_seed(seed, 1))])
+    for seed in seeds:
+        yield sample_ipp_thinning(field, region, seed, rngs)
 
 
 class _Grid:

@@ -291,7 +291,9 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     config, trunk spec and generator per tree, the way
     ``transform.random_attachment_transform`` takes stacked frames; a single
     tree is the stack of one. Each tree walks its own string and draws from
-    its own generator, as it would alone (see _walk). Every node of the
+    its own generator, as it would alone (see _walk). The generators may be
+    any iterable: each is taken when its tree is walked, and done with
+    before the next is taken, as ``seeds.generators`` requires. Every node of the
     stack is then placed together, one depth at a time. The skeleton holds
     the trees' rows tree after tree, each tree's trunk first, with parent
     rows pointing into the stack; ``Skeleton.trees`` splits it per tree.

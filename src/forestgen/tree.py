@@ -32,7 +32,7 @@ import numpy as np
 from . import lsystem as lsys
 from . import stl
 from . import transform as tf
-from .seeds import stream_rng
+from .seeds import generators, stream_seed
 
 STAGES = ("skeleton", "branches", "subbranches", "leaves")
 
@@ -163,7 +163,7 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
         [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack],
         [turtle_config_for(p) for p in stack],
         [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack],
-        [stream_rng(p.seed, _STREAM_SKELETON) for p in stack])
+        generators([stream_seed(p.seed, _STREAM_SKELETON) for p in stack]))
     # the derivation nests one group deep, so depth 2 is the only decayed one
     decayed = (skeleton.depths == 2).nonzero()[0]
     if len(decayed):
@@ -202,11 +202,12 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
 
     The frames come tree after tree, ``counts[i]`` of them from tree i. Each
     tree draws its (counts[i], 3) block of uniforms from its own ``stream``
-    generator and jitters within its own ranges, as it would alone.
+    generator and jitters within its own ranges, as it would alone; a tree
+    with no frames seeds no generator.
     """
-    uniforms = np.concatenate([
-        stream_rng(p.seed, stream).random((k, 3))
-        for p, k in zip(params, counts.tolist()) if k])
+    blocks = [(p.seed, k) for p, k in zip(params, counts.tolist()) if k]
+    rngs = generators([stream_seed(seed, stream) for seed, _ in blocks])
+    uniforms = np.concatenate([rng.random((k, 3)) for rng, (_, k) in zip(rngs, blocks)])
     jitter = params[0].jitter
     if any(p.jitter != jitter for p in params):
         # trees of a hand-edited manifest may each have their own ranges

@@ -7,9 +7,8 @@ forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
 references for the grid code and the block-drawn counts in
-``forestgen.ipp``, the per-tree bounds loop is the reference for
-``forestgen.forest.scene_stats``, and the per-facet text loop is the
-reference for ASCII STL writing.
+``forestgen.ipp``, and the per-facet text loop is the reference for ASCII
+STL writing.
 """
 
 import math
@@ -211,20 +210,6 @@ def poisson_count_by_gaps(mean: float, rng: np.random.Generator) -> int:
         total += rng.standard_exponential()
         k += 1
     return k
-
-
-def scene_bounds(scene) -> tuple[np.ndarray, np.ndarray] | None:
-    """Scene vertex bounds as a min/max over each tree's own mesh, shifted
-    by its placement, then over the trees; None for an empty scene."""
-    mins, maxs = [], []
-    for p in scene.placements:
-        offset = np.array([p.x, p.y, 0.0])
-        verts = p.tree.mesh.vertices
-        mins.append(verts.min(axis=(0, 1)) + offset)
-        maxs.append(verts.max(axis=(0, 1)) + offset)
-    if not mins:
-        return None
-    return np.min(mins, axis=0), np.max(maxs, axis=0)
 
 
 # ---------------------------------------------------------------------------

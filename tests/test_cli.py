@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,36 @@ def test_ipp_sample_multi_rep_files(tmp_path, capsys):
     assert code == 0
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "sample_0000.csv", "sample_0001.csv", "sample_0002.csv"]
+
+
+# SHA-256 of the counts file, and of the 30 sample files joined in name
+# order, that 30 reps of seed 11 write when every rep is sampled and seeded
+# alone; batched seeding and counting each rep as it is sampled must keep them
+IPP_SAMPLE_GOLDEN = {
+    ("constant", True): "4b4a6d7872676c8b28e04dc43efa6e13a2377a78369c1eeeb5d072992e6d6e9a",
+    ("constant", False): "31805fd110b3f8e37a4372d9a9b41fbf659a8d3c8888116e0eff99d7dd542b4b",
+    ("raster", True): "9a905b583472884f1c3b0692dc66bf34a38451b0659e8a14614b376d27b8553f",
+    ("raster", False): "ff43f523b7b9f1b637e34beab0e06b5d9331a93307aa323bd16700027ebddb96",
+}
+
+
+@pytest.mark.parametrize("form, counts_only", sorted(IPP_SAMPLE_GOLDEN))
+def test_ipp_sample_bytes_are_pinned(form, counts_only, tmp_path, capsys):
+    raster = tmp_path / "raster.json"
+    raster.write_text(json.dumps({
+        "x_min": 0.0, "y_min": 0.0, "cell_size": 25.0,
+        "values": [[0.002, 0.01, 0.02, 0.005], [0.0, 0.015, 0.03, 0.01],
+                   [0.004, 0.0, 0.012, 0.02], [0.02, 0.008, 0.0, 0.001]]}))
+    intensity = "constant:0.01" if form == "constant" else f"raster:{raster}"
+    out = tmp_path / ("counts.csv" if counts_only else "samples")
+    code, _, err = run(["ipp-sample", "--region", "0,100,0,100", "--intensity", intensity,
+                        "--seed", "11", "--reps", "30", "--out", str(out)]
+                       + ["--counts-only"] * counts_only, capsys)
+    assert code == 0, err
+    files = [out] if counts_only else sorted(out.iterdir())
+    assert len(files) == (1 if counts_only else 30)
+    digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+    assert digest == IPP_SAMPLE_GOLDEN[form, counts_only]
 
 
 def test_ipp_sample_negative_raster_cell_exit_5(tmp_path, capsys):

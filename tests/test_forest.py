@@ -12,8 +12,6 @@ from forestgen import ipp
 from forestgen import stl
 from forestgen import tree as tm
 
-import scalar_reference as ref
-
 
 def make_config(**kw):
     defaults = dict(
@@ -148,28 +146,6 @@ def test_scene_stats(tiny_library, tmp_path):
     total = sum(len(stl.read_stl((tmp_path / e["file"]).read_bytes()))
                 for e in manifest["trees"])
     assert stats.total_triangles == total
-    # bounds are those of every placed vertex
-    placed = np.concatenate([p.tree.full_mesh().vertices.reshape(-1, 3) + (p.x, p.y, 0.0)
-                             for p in scene.placements])
-    assert np.array_equal(stats.bounds[0], placed.min(axis=0))
-    assert np.array_equal(stats.bounds[1], placed.max(axis=0))
-
-
-@pytest.mark.parametrize("kw", [
-    {},
-    {"min_spacing": 0.5, "intensity": ipp.ConstantIntensity(40.0 / 3600.0)},
-    {"parameter_jitter": fo.ParameterJitter(branch_count=(1, 9), trunk_height=(2.0, 15.0))},
-    {"region": ipp.Region(-30.0, -10.0, 5.0, 25.0), "master_seed": 7},
-    {"intensity": ipp.ConstantIntensity(0.0)},
-])
-def test_scene_stats_bounds_match_per_tree_loop(kw, tiny_library):
-    scene = fo.compose_forest(make_config(**kw), tiny_library)
-    bounds, oracle = fo.scene_stats(scene).bounds, ref.scene_bounds(scene)
-    if oracle is None:
-        assert bounds is None
-    else:
-        for got, want in zip(bounds, oracle):
-            assert got.tobytes() == want.tobytes()
 
 
 def test_scene_stats_single_tree_sentinel(tiny_library):

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script under ``scripts/`` runs to exit 0 on small inputs."""
+"""Smoke test: every script under ``scripts/`` runs to exit 0 on small inputs."""
 
 import os
 import subprocess
@@ -13,6 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # script -> arguments that keep it small; every script but ipp_counts writes to --out
 ARGS = {
+    "bench.py": ["--smoke", "--seeds", "1"],
     "figure_stages.py": ["--detail", "tiny"],
     "forest_demo.py": ["--detail", "tiny"],
     "ipp_counts.py": ["--reps", "20"],

@@ -1,0 +1,114 @@
+"""Batched generator seeding against numpy's own ``default_rng``.
+
+``seeds.generators`` reproduces numpy's SeedSequence and PCG64 seeding
+algorithms over a whole batch of seeds; these tests pin that on the
+installed numpy, on both sides of the batch threshold.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forestgen import forest as fo
+from forestgen import ipp, templates
+from forestgen import seeds as sd
+from forestgen import tree as tm
+from forestgen import transform as tf
+
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1]
+
+seed_lists = st.lists(st.integers(0, 2 ** 64 - 1) | st.sampled_from(EDGE_SEEDS),
+                      min_size=0, max_size=40)
+
+
+def assert_default_rng(seeds):
+    count = 0
+    for seed, rng in zip(seeds, sd.generators(seeds), strict=True):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+        assert rng.random((5, 3)).tobytes() == want.random((5, 3)).tobytes(), seed
+        count += 1
+    assert count == len(seeds)
+
+
+@given(seeds=seed_lists)
+@settings(max_examples=200, deadline=None)
+def test_generators_start_as_default_rng(seeds):
+    assert_default_rng(seeds)
+
+
+@pytest.mark.parametrize("copies", [1, 3, 200])
+def test_generators_of_edge_seeds(copies):
+    # 6, 18 and 1200 seeds: one below the batch threshold, two above it
+    assert_default_rng(EDGE_SEEDS * copies)
+
+
+def test_generators_outside_64_bits_fall_back_to_pcg64():
+    # a batch holding a seed of more than 64 bits is seeded one seed at a time
+    assert_default_rng(EDGE_SEEDS * 3 + [2 ** 64, 2 ** 100 + 7])
+    with pytest.raises(ValueError):
+        next(sd.generators([-1] * 20))
+
+
+def test_batched_generators_reuse_one_generator():
+    batch = list(sd.generators(range(sd._BATCH_MIN)))
+    assert all(rng is batch[0] for rng in batch)
+    small = list(sd.generators(range(sd._BATCH_MIN - 1)))
+    assert len({id(rng) for rng in small}) == len(small)
+
+
+FIELDS = {
+    "constant": ipp.ConstantIntensity(0.02),
+    # about one envelope point per rep, so many reps have an empty envelope
+    "sparse": ipp.ConstantIntensity(0.0025),
+    "zero": ipp.ConstantIntensity(0.0),
+    "raster": ipp.RasterIntensity(0.0, 0.0, 10.0, np.array([[0.01, 0.05], [0.0, 0.03]])),
+}
+REGION = ipp.Region(0.0, 20.0, 0.0, 20.0)
+
+
+@given(seeds=seed_lists, form=st.sampled_from(sorted(FIELDS)))
+@settings(max_examples=80, deadline=None)
+def test_sample_replications_match_each_rep_alone(seeds, form):
+    field = FIELDS[form]
+    reps = list(ipp.sample_replications(field, REGION, seeds))
+    assert len(reps) == len(seeds)
+    for seed, got in zip(seeds, reps):
+        want = ipp.sample_ipp_thinning(field, REGION, seed)
+        assert got.seed == want.seed == seed
+        assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_stacked_build_of_a_batch_matches_trees_built_alone():
+    # 20 trees in one run seed every stage in one batch; alone, each tree
+    # seeds its few generators one at a time
+    lib = templates.default_library("tiny")
+    jitter = tf.AngleJitterParams(azimuth_range=25.0, pitch_range=8.0, scale_range=(0.8, 1.2))
+    params = [tm.TreeParams(branch_count=1 + i % 5, subbranches_per_branch=i % 3,
+                            leaves_per_subbranch=(i * 7) % 4, trunk_height=4.0 + i,
+                            jitter=jitter, seed=sd.stream_seed(99, i))
+              for i in range(20)]
+    with mock.patch.object(tm, "_RUN_TRIANGLES", 1 << 40):
+        _, models = tm.build_trees(params, lib)
+    for p, model in zip(params, models):
+        alone = tm.build_tree(p, lib)
+        assert model.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
+        assert model.skeleton.points.tobytes() == alone.skeleton.points.tobytes()
+
+
+def test_parameter_jitter_of_a_batch_is_each_tree_stream(tiny_library):
+    config = fo.SceneConfig(
+        region=ipp.Region(0.0, 60.0, 0.0, 60.0), intensity=ipp.ConstantIntensity(0.01),
+        tree_params_template=tm.TreeParams(branch_count=3, subbranches_per_branch=1,
+                                           leaves_per_subbranch=0),
+        parameter_jitter=fo.ParameterJitter(branch_count=(1, 9), trunk_height=(2.0, 15.0)),
+        master_seed=3)
+    scene = fo.compose_forest(config, tiny_library)
+    assert len(scene) >= sd._BATCH_MIN
+    for p in scene.placements:
+        rng = np.random.default_rng(sd.stream_seed(p.seed, fo._STREAM_PARAM_JITTER))
+        assert p.tree.params.branch_count == int(rng.integers(1, 10))
+        assert p.tree.params.trunk_height == float(rng.uniform(2.0, 15.0))
