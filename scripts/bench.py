@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Benchmark trend file: medians of the end-to-end metrics of every workload.
 
-For each workload and seed, runs
+For each workload and each of the seeds 1, 2 and 3, runs
 
     python3 perfbench/run.py --workload W --seed S --trace 0
 
-in a fresh process, then writes one JSON file with the median of each
+in a fresh process at the benchmark's run length, so that every trend file
+is taken the same way. It then writes one JSON file with the median of each
 metric over the seeds, every run's value, the failed-op counts, and the
 commit, Python, numpy and nproc that perfbench reports. It never passes
 ``--all``, which also rewrites BENCHMARK.json and perfbench/results/.
+``--smoke`` runs seed 1 only, on tiny inputs and with no timed cycles beyond
+the first; its file is not a trend point.
 Exits 1 when a run fails or reports a failed op; the file is written anyway.
 
-Usage: python scripts/bench.py --out BENCH_<n>.json [--seeds 1,2,3]
-                               [--seconds S] [--smoke]
+Usage: python scripts/bench.py --out BENCH_<n>.json [--smoke]
 """
 
 import argparse
@@ -28,14 +30,14 @@ sys.path.insert(0, str(RUN.parent))
 
 import spec  # noqa: E402
 
+SEEDS = (1, 2, 3)
 
-def run_once(workload: str, seed: int, seconds, smoke: bool) -> tuple[dict, dict]:
+
+def run_once(workload: str, seed: int, smoke: bool) -> tuple[dict, dict]:
     """The provenance and result objects of one untraced run."""
     argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     if smoke:
-        argv.append("--smoke")
+        argv += ["--smoke", "--seconds", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -59,20 +61,17 @@ def uncommitted_changes() -> bool | None:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="trend file to write")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: the benchmark's run length)")
-    parser.add_argument("--smoke", action="store_true", help="tiny inputs and no timed cycles")
+    parser.add_argument("--smoke", action="store_true",
+                        help="seed 1 only, tiny inputs and no timed cycles")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = 0 if args.smoke and args.seconds is None else args.seconds
+    seeds = SEEDS[:1] if args.smoke else SEEDS
 
     ok, provenance, workloads = True, {}, {}
     for workload in spec.WORKLOADS:
         runs = {}
         for seed in seeds:
             try:
-                provenance, runs[seed] = run_once(workload, seed, seconds, args.smoke)
+                provenance, runs[seed] = run_once(workload, seed, args.smoke)
             except (RuntimeError, subprocess.SubprocessError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 ok = False
@@ -96,7 +95,7 @@ def main():
         "python": provenance.get("python"),
         "numpy": provenance.get("numpy"),
         "nproc": provenance.get("nproc"),
-        "seconds": spec.RUN_SECONDS if seconds is None else seconds,
+        "seconds": 0 if args.smoke else spec.RUN_SECONDS,
         "smoke": args.smoke,
         "workloads": workloads,
     }

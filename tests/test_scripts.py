@@ -13,7 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # script -> arguments that keep it small; every script but ipp_counts writes to --out
 ARGS = {
-    "bench.py": ["--smoke", "--seeds", "1"],
+    "bench.py": ["--smoke"],
     "figure_stages.py": ["--detail", "tiny"],
     "forest_demo.py": ["--detail", "tiny"],
     "ipp_counts.py": ["--reps", "20"],
