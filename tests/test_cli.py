@@ -47,6 +47,18 @@ def test_rewrite_rule1(tmp_path, capsys):
     assert pairs["branch_symbols"] == "6"
 
 
+@pytest.mark.parametrize("iterations, stdout", [
+    (0, "level=0\nderivation=g\nbranch_symbols=0\n"),
+    (3, "level=3\nderivation=d[d[d[g\nbranch_symbols=3\n"),
+])
+def test_rewrite_stdout_is_pinned(iterations, stdout, tmp_path, capsys):
+    grammar = tmp_path / "chain.txt"
+    grammar.write_text("vars: g\nconsts: d\naxiom: g\nrule: g -> d[g\n")
+    code, out, err = run(["rewrite", "--grammar", str(grammar),
+                          "--iterations", str(iterations)], capsys)
+    assert (code, out, err) == (0, stdout, "")
+
+
 def test_rewrite_parse_failure_exit_3(tmp_path, capsys):
     grammar = tmp_path / "bad.txt"
     grammar.write_text("vars: g\naxiom: g\nrule: g -> g\nrule: g -> gg\n")

@@ -238,6 +238,15 @@ def test_interpret_bracket_underflow_raises():
                               np.random.default_rng(0))
 
 
+def test_bracket_underflow_texts_are_pinned():
+    with pytest.raises(lsys.GrammarError) as grammar:
+        lsys.parse_lsystem("vars: g; axiom: g; rule: g -> g]g")
+    assert str(grammar.value) == "line 1: successor of 'g' closes ']' at position 1 with no open '['"
+    with pytest.raises(lsys.TurtleError) as turtle:
+        lsys.interpret_turtle("]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    assert str(turtle.value) == "']' at position 0 has no matching '['"
+
+
 def test_skeleton_invariants():
     cfg = lsys.TurtleConfig(step_length=4.0, yaw_angle=30.0, branch_pitch=40.0,
                             jitter_range=10.0)
