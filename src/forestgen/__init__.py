@@ -10,9 +10,8 @@ from .forest import (ParameterJitter, Scene, SceneConfig, SceneConfigError,
 from .ipp import (ConstantIntensity, IntensityError, PointPattern, RasterIntensity,
                   Region, min_distance_filter,
                   sample_homogeneous, sample_ipp_thinning)
-from .lsystem import (DerivationString, GrammarError, LSystem, Skeleton,
-                      TurtleConfig, TurtleError, count_branch_symbols,
-                      interpret_turtle, parse_lsystem, rewrite)
+from .lsystem import (GrammarError, LSystem, Skeleton, TurtleConfig, TurtleError,
+                      count_branch_symbols, interpret_turtle, parse_lsystem, rewrite)
 from .stl import (LibraryError, MeshLibrary, StlParseError, TriangleMesh, load_library,
                   mesh_stats, read_stl, recompute_normals, save_library, write_stl)
 from .templates import default_library
@@ -23,7 +22,7 @@ from .tree import TreeModel, TreeParams, build_skeleton, build_tree
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleJitterParams", "ConstantIntensity", "DerivationString", "GrammarError",
+    "AngleJitterParams", "ConstantIntensity", "GrammarError",
     "IntensityError", "LSystem", "LibraryError", "MeshLibrary", "ParameterJitter",
     "PointPattern", "RasterIntensity", "Region", "RigidTransform", "Scene",
     "SceneConfig", "SceneConfigError", "Skeleton", "StlParseError", "TriangleMesh",

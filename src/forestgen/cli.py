@@ -216,8 +216,8 @@ def _cmd_rewrite(args) -> int:
         derivation = lsys.rewrite(system, args.iterations)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    _emit("level", derivation.level)
-    _emit("derivation", derivation.symbols)
+    _emit("level", args.iterations)
+    _emit("derivation", derivation)
     _emit("branch_symbols", lsys.count_branch_symbols(derivation))
     return EXIT_OK
 

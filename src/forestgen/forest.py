@@ -267,15 +267,18 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
         if data.get("version") not in (1, MANIFEST_VERSION):  # 1 differs only in layout
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
-        entries, jitters = [], {}
+        entries, jitters = {}, {}  # by index: each tree exports to tree_<index>.stl
         for entry in data["trees"]:
             x, y = float(entry["x"]), float(entry["y"])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SceneConfigError(f"tree {entry['index']} position must be finite")
-            entries.append((int(entry["index"]), x, y, int(entry["seed"]),
-                            treemod.params_from_dict(entry["params"], jitters)))
-        mesh, models = _build_trees([e[4] for e in entries], lib)
-        placements = [Placement(*e[:4], model) for e, model in zip(entries, models)]
+            index = int(entry["index"])
+            if index in entries:
+                raise SceneConfigError(f"tree index {index} is repeated")
+            entries[index] = (index, x, y, int(entry["seed"]),
+                              treemod.params_from_dict(entry["params"], jitters))
+        mesh, models = _build_trees([e[4] for e in entries.values()], lib)
+        placements = [Placement(*e[:4], model) for e, model in zip(entries.values(), models)]
         return Scene(placements, config, mesh)
 
     return _parse(manifest, "manifest", parse)

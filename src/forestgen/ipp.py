@@ -241,35 +241,28 @@ def sample_homogeneous(region: Region, rate: float, seed: int,
     return PointPattern(pts, seed)
 
 
-def sample_ipp_thinning(field, region: Region, seed: int, rngs=None) -> PointPattern:
+def sample_ipp_thinning(field, region: Region, seed: int) -> PointPattern:
     """Lewis-Shedler thinning: homogeneous envelope at the supremum, then an
     independent keep decision per point with probability lambda(s)/lambda_max.
 
     The envelope uses ``seed`` itself and the acceptance draws use substream
     1, so a constant field reproduces ``sample_homogeneous(region, rate,
-    seed)`` exactly. A caller that has seeded both generators already
-    passes ``rngs``, an iterator whose next two items are them, in that
-    order, as ``seeds.generators`` yields them; both are taken, whether
-    drawn from or not.
+    seed)`` exactly. This is the one-rep case of ``sample_replications``.
     """
-    if rngs is None:
-        rngs = generators((seed, stream_seed(seed, 1)))
-    lam_max = field.max_rate(region)
-    envelope = sample_homogeneous(region, lam_max, seed, next(rngs))
-    accept = next(rngs)
-    if len(envelope) == 0:
-        return envelope
-    keep = accept.uniform(size=len(envelope)) * lam_max < field.rate_at(envelope.points)
-    return PointPattern(envelope.points[keep], seed)
+    return next(sample_replications(field, region, [seed]))
 
 
 def sample_replications(field, region: Region, seeds):
     """Yield ``sample_ipp_thinning(field, region, seed)`` for each seed in
-    turn, every rep's two generators seeded in one batch."""
+    turn. The supremum is taken once, and every rep's two generators are
+    seeded in one batch."""
     seeds = list(seeds)
     rngs = generators([s for seed in seeds for s in (seed, stream_seed(seed, 1))])
+    lam_max = field.max_rate(region)
     for seed in seeds:
-        yield sample_ipp_thinning(field, region, seed, rngs)
+        envelope = sample_homogeneous(region, lam_max, seed, next(rngs))
+        keep = next(rngs).uniform(size=len(envelope)) * lam_max < field.rate_at(envelope.points)
+        yield PointPattern(envelope.points[keep], seed)
 
 
 class _Grid:

@@ -33,9 +33,6 @@ from . import transform as tf
 CONTROL_SYMBOLS = frozenset("()+-[]")
 BRANCH_SYMBOL = "d"
 
-REPLACEABLE = "replaceable"
-CONSTANT = "constant"
-
 # child attachments span this fraction of the parent axis, lowest to highest
 _STATION_LO = 0.30
 _STATION_HI = 0.95
@@ -54,42 +51,23 @@ class GrammarError(LSystemError):
 
 
 class TurtleError(LSystemError):
-    """Raised when a derivation cannot be interpreted (bracket underflow)."""
+    """Raised when a derivation cannot be interpreted: the ']' at
+    ``position`` closes no '['."""
 
-
-@dataclass(frozen=True)
-class Symbol:
-    """Alphabet member. Control characters ()+-[] are not alphabet symbols;
-    they are recognized through CONTROL_SYMBOLS."""
-
-    id: str
-    kind: str  # REPLACEABLE or CONSTANT
-
-
-@dataclass(frozen=True)
-class Production:
-    predecessor: Symbol
-    successor: str
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
 class LSystem:
-    alphabet: frozenset[Symbol]
+    """A D0L system: the declared symbols (control characters ()+-[] are
+    not among them), the axiom and one successor per rewritten variable.
+    A symbol without a rule, variable or constant, rewrites to itself."""
+
+    alphabet: frozenset[str]
     axiom: str
-    productions: tuple[Production, ...]
-
-    @property
-    def rules(self) -> dict[str, str]:
-        return {p.predecessor.id: p.successor for p in self.productions}
-
-
-@dataclass(frozen=True)
-class DerivationString:
-    symbols: str
-    level: int = 0
-
-    def __str__(self) -> str:
-        return self.symbols
+    rules: dict[str, str]
 
 
 @dataclass
@@ -198,13 +176,16 @@ def parse_lsystem(spec_text: str) -> LSystem:
         if not succ:
             raise GrammarError(f"successor for '{pred}' is empty", lineno)
         _check_symbols(succ, declared, f"successor of '{pred}'", lineno)
-        _check_brackets(succ, f"successor of '{pred}'", lineno)
+        try:
+            # square brackets must never underflow; an unclosed '[' is allowed
+            _match_brackets(succ)
+        except TurtleError as exc:
+            raise GrammarError(f"successor of '{pred}' closes ']' at position {exc.position} "
+                               f"with no open '['", lineno) from None
         productions[pred] = succ
         rule_lines[pred] = lineno
 
-    symbols = {s: Symbol(s, REPLACEABLE if s in productions else CONSTANT) for s in declared}
-    prods = tuple(Production(symbols[p], s) for p, s in productions.items())
-    return LSystem(frozenset(symbols.values()), axiom, prods)
+    return LSystem(frozenset(declared), axiom, productions)
 
 
 def _declarations(text: str):
@@ -230,22 +211,10 @@ def _check_symbols(text: str, declared: set[str], where: str, lineno: int | None
             raise GrammarError(f"{where} references undeclared symbol '{ch}'", lineno)
 
 
-def _check_brackets(text: str, where: str, lineno: int | None):
-    # square brackets must never underflow; an unclosed '[' is allowed
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise GrammarError(f"{where} closes ']' at position {i} with no open '['", lineno)
-
-
 # ---------------------------------------------------------------------------
 # rewriting
 
-def rewrite(ls: LSystem, iterations: int) -> DerivationString:
+def rewrite(ls: LSystem, iterations: int) -> str:
     """Apply simultaneous replacement ``iterations`` times to the axiom."""
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -253,12 +222,11 @@ def rewrite(ls: LSystem, iterations: int) -> DerivationString:
     text = ls.axiom
     for _ in range(iterations):
         text = "".join(rules.get(ch, ch) for ch in text)
-    return DerivationString(text, iterations)
+    return text
 
 
-def count_branch_symbols(s) -> int:
-    text = s.symbols if isinstance(s, DerivationString) else s
-    return text.count(BRANCH_SYMBOL)
+def count_branch_symbols(s: str) -> int:
+    return s.count(BRANCH_SYMBOL)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +234,8 @@ def count_branch_symbols(s) -> int:
 
 def _match_brackets(text: str) -> set[int]:
     """Indices of '[' that have a matching ']'. Unmatched '[' are legal
-    (implicitly closed at end of string); unmatched ']' is an error."""
+    (implicitly closed at end of string); an unmatched ']' is a TurtleError
+    with its position, which parse_lsystem re-raises as a GrammarError."""
     stack: list[int] = []
     matched: set[int] = set()
     for i, ch in enumerate(text):
@@ -274,7 +243,7 @@ def _match_brackets(text: str) -> set[int]:
             stack.append(i)
         elif ch == "]":
             if not stack:
-                raise TurtleError(f"']' at position {i} has no matching '['")
+                raise TurtleError(f"']' at position {i} has no matching '['", i)
             matched.add(stack.pop())
     return matched
 
@@ -298,15 +267,14 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     the trees' rows tree after tree, each tree's trunk first, with parent
     rows pointing into the stack; ``Skeleton.trees`` splits it per tree.
     """
-    if isinstance(s, (str, DerivationString)):
+    if isinstance(s, str):
         s, cfg, trunk_spec, rng = [s], [cfg], [trunk_spec], [rng]
     parents, depths, lengths, stations, turns, bases, trunks = [], [], [], [], [], [], []
     for text, tree_cfg, (height, base), tree_rng in zip(s, cfg, trunk_spec, rng, strict=True):
         height = float(height)
         if not 0.0 < height < math.inf:
             raise ValueError("trunk height must be positive and finite")
-        walk = _walk(text.symbols if isinstance(text, DerivationString) else text,
-                     tree_cfg, tree_rng)
+        walk = _walk(text, tree_cfg, tree_rng)
         trunks.append(len(parents))
         for column, rows in zip((parents, depths, stations, turns), walk):
             column += rows

@@ -67,13 +67,6 @@ def stream_seed(master_seed: int, stream: int) -> int:
     return splitmix64((master_seed + stream * _GOLDEN) & _MASK)
 
 
-def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Generator of substream ``stream`` of ``seed``: the generator
-    ``np.random.default_rng(stream_seed(seed, stream))`` builds, built more
-    cheaply."""
-    return np.random.Generator(np.random.PCG64(stream_seed(seed, stream)))
-
-
 def _hashmix(value: np.ndarray, i: int) -> np.ndarray:
     value = (value ^ _MIX_CONSTANTS[i]) * _MIX_CONSTANTS[i + 1]
     return value ^ (value >> 16)

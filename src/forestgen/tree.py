@@ -46,6 +46,8 @@ _STREAM_LEAVES = 3
 _LEAF_STATION_LO = 0.30
 # leaf template extent relative to the parent node length
 _LEAF_FRACTION = 0.25
+# skeleton export: segment width relative to the segment length
+_SEGMENT_WIDTH = 0.02
 
 # a trunk stands upright: its rotation, repeated once per tree
 _EYE = np.eye(3)[None]
@@ -131,14 +133,14 @@ class TreeModel:
         return stl.TriangleMesh(self.mesh.facets, self.mesh.name)
 
 
-def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> lsys.DerivationString:
+def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> str:
     """Derivation equivalent to the printed production patterns for an
     arbitrary branch count: first-level branches separated by unclosed '['
     (sibling separators), each followed by an explicit [d...d] child group
     when sub-branches are requested."""
     group = "[" + lsys.BRANCH_SYMBOL * subbranches_per_branch + "]" if subbranches_per_branch else ""
     chunk = lsys.BRANCH_SYMBOL + group
-    return lsys.DerivationString("[".join([chunk] * branch_count), level=1)
+    return "[".join([chunk] * branch_count)
 
 
 def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
@@ -348,14 +350,14 @@ def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
     return build_trees([params], lib)[1][0]
 
 
-def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
+def skeleton_to_mesh(skeleton: lsys.Skeleton) -> stl.TriangleMesh:
     """Thin rectangle (two triangles) per skeleton segment, for STL export
     of the bare branching structure."""
     a, directions, lengths = skeleton.points, skeleton.directions, skeleton.lengths
     b = a + lengths[:, None] * directions
     # each segment's width runs along its aligned template's +X axis
     side = np.matmul(tf.z_alignments(directions), np.array([1.0, 0.0, 0.0]))
-    half = (0.5 * width_fraction * lengths)[:, None] * side
+    half = (0.5 * _SEGMENT_WIDTH * lengths)[:, None] * side
     p0, p1, p2, p3 = a - half, a + half, b + half, b - half
     zero = np.zeros_like(a)
     facets = np.stack([zero, p0, p1, p2, zero, p0, p2, p3], axis=1).reshape(-1, 4, 3)

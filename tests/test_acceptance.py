@@ -50,7 +50,7 @@ def test_criterion_1_lsystem_fidelity():
         lsys.rewrite(system, 1)
         elapsed = min(_timed_rule1() for _ in range(5))
         derivation = lsys.rewrite(lsys.parse_lsystem(RULE1), 1)
-        assert derivation.symbols == "d(d)+d)[d(d)+d)"
+        assert derivation == "d(d)+d)[d(d)+d)"
         assert lsys.count_branch_symbols(derivation) == 6
         assert elapsed < 1e-3, f"rule-1 expansion took {elapsed * 1e3:.3f} ms"
 

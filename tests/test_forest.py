@@ -201,6 +201,18 @@ def test_regenerate_rejects_non_finite_position(axis, value, tiny_library, tmp_p
         fo.regenerate_scene(path, tiny_library)
 
 
+def test_regenerate_rejects_repeated_tree_index(tiny_library, tmp_path):
+    # per-tree export would write both trees to one tree_<index>.stl
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "per-tree")
+    assert len(manifest["trees"]) > 2
+    manifest["trees"][2]["index"] = manifest["trees"][0]["index"]
+    path = tmp_path / fo.MANIFEST_NAME
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(fo.SceneConfigError, match="^tree index 0 is repeated$"):
+        fo.regenerate_scene(path, tiny_library)
+
+
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
 def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)

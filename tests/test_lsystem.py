@@ -33,9 +33,8 @@ def azimuth_of(direction) -> float:
 
 def test_parse_rule1_grammar():
     ls = lsys.parse_lsystem(RULE1)
-    assert len(ls.alphabet) == 2
+    assert ls.alphabet == frozenset({"g", "d"})
     assert ls.axiom == "g"
-    assert len(ls.productions) == 1
     assert ls.rules == {"g": RULE1_DERIVATION}
 
 
@@ -53,10 +52,10 @@ def test_parse_multiline_with_comments():
 
 def test_parse_no_rules_is_valid_fixed_point():
     ls = lsys.parse_lsystem("vars: g; consts: d; axiom: g")
-    assert lsys.rewrite(ls, 5).symbols == "g"
+    assert lsys.rewrite(ls, 5) == "g"
     # a declared variable without a production is effectively constant
-    (g,) = [s for s in ls.alphabet if s.id == "g"]
-    assert g.kind == lsys.CONSTANT
+    assert ls.alphabet == frozenset({"g", "d"})
+    assert ls.rules == {}
 
 
 def test_parse_duplicate_production_rejected():
@@ -110,8 +109,9 @@ def test_parse_allows_unclosed_square_bracket():
 
 def test_symbol_kinds_follow_productions():
     ls = lsys.parse_lsystem(RULE1)
-    kinds = {s.id: s.kind for s in ls.alphabet}
-    assert kinds == {"g": lsys.REPLACEABLE, "d": lsys.CONSTANT}
+    # the rewritten symbols are the rule keys; the rest of the alphabet is constant
+    assert set(ls.rules) == {"g"}
+    assert ls.alphabet - set(ls.rules) == {"d"}
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +119,18 @@ def test_symbol_kinds_follow_productions():
 
 def test_rewrite_rule1_once():
     ls = lsys.parse_lsystem(RULE1)
-    assert lsys.rewrite(ls, 1).symbols == RULE1_DERIVATION
-    assert lsys.rewrite(ls, 1).level == 1
+    assert lsys.rewrite(ls, 1) == RULE1_DERIVATION
 
 
 def test_rewrite_zero_iterations_is_identity():
     ls = lsys.parse_lsystem(RULE1)
-    out = lsys.rewrite(ls, 0)
-    assert out.symbols == ls.axiom
-    assert out.level == 0
+    assert lsys.rewrite(ls, 0) == ls.axiom
 
 
 def test_rewrite_doubling_three_iterations():
     # hand expansion: g -> gg -> gggg -> gggggggg
     ls = lsys.parse_lsystem("vars: g; axiom: g; rule: g -> gg")
-    assert lsys.rewrite(ls, 3).symbols == "gggggggg"
+    assert lsys.rewrite(ls, 3) == "gggggggg"
 
 
 @given(successor=st.text(alphabet="gd()+-[", min_size=1, max_size=6),
@@ -141,7 +138,7 @@ def test_rewrite_doubling_three_iterations():
 @settings(max_examples=60, deadline=None)
 def test_rewrite_length_matches_recursive_oracle(successor, n):
     ls = lsys.parse_lsystem(f"vars: g; consts: d; axiom: g; rule: g -> {successor}")
-    assert len(lsys.rewrite(ls, n).symbols) == rewrite_length_oracle(ls.rules, "g", n)
+    assert len(lsys.rewrite(ls, n)) == rewrite_length_oracle(ls.rules, "g", n)
 
 
 @given(text=st.text(alphabet="d()+-[]", max_size=20), n=st.integers(0, 4))

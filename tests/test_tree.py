@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from forestgen import stl, templates
 from forestgen import transform as tf
 from forestgen import tree as tm
-from forestgen.seeds import stream_rng, stream_seed
+from forestgen.seeds import generators, stream_seed
 
 import scalar_reference as ref
 
@@ -25,12 +25,13 @@ def make_params(**kw):
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_stream_rng_is_default_rng_of_the_stream_seed(seed):
-    # stream_rng skips default_rng's argument handling; its generators and
-    # draws must be those default_rng builds
+    # the generator of a stream seed skips default_rng's argument handling;
+    # its state and draws must be those default_rng builds
     assert (np.random.Generator(np.random.PCG64(seed)).bytes(64)
             == np.random.default_rng(seed).bytes(64))
     for stream in (0, 4):
-        got, want = stream_rng(seed, stream), np.random.default_rng(stream_seed(seed, stream))
+        got = next(generators([stream_seed(seed, stream)]))
+        want = np.random.default_rng(stream_seed(seed, stream))
         assert got.bit_generator.state == want.bit_generator.state
         assert got.random((5, 3)).tobytes() == want.random((5, 3)).tobytes()
 
@@ -69,9 +70,9 @@ def test_skeleton_subbranch_lengths_decay():
 
 
 def test_synthesize_derivation_forms():
-    assert tm.synthesize_derivation(4, 0).symbols == "d[d[d[d"
-    assert tm.synthesize_derivation(2, 3).symbols == "d[ddd][d[ddd]"
-    assert tm.synthesize_derivation(1, 0).symbols == "d"
+    assert tm.synthesize_derivation(4, 0) == "d[d[d[d"
+    assert tm.synthesize_derivation(2, 3) == "d[ddd][d[ddd]"
+    assert tm.synthesize_derivation(1, 0) == "d"
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +318,7 @@ def test_stacked_skeletons_match_each_tree_alone(trees, tiny_library):
               for b, s, h, d, jitter, seed in trees]
     _, models = tm.build_trees(params, tiny_library)
     for p, model in zip(params, models):
-        text = tm.synthesize_derivation(p.branch_count, p.subbranches_per_branch).symbols
+        text = tm.synthesize_derivation(p.branch_count, p.subbranches_per_branch)
         want = ref.interpret_turtle(text, tm.turtle_config_for(p), p.trunk_height, (0, 0, 0),
                                     np.random.default_rng(stream_seed(p.seed, 0)))
         want.lengths[want.depths == 2] *= p.depth_scale_decay
