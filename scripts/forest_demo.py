@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from forestgen import forest as fo
-from forestgen import ipp, stl, templates
+from forestgen import ipp, templates
 from forestgen import tree as tm
 
 
@@ -28,16 +28,10 @@ def two_tree_scene(lib, out: Path):
     scene = fo.compose_forest(config, lib)
     print(f"scene A: {len(scene)} trees")
     for stage in ("branches", "subbranches"):
-        parts = []
-        for p in scene.placements:
-            mesh = p.tree.stage_mesh(stage)
-            shifted = mesh.facets.copy()
-            shifted[:, 1:, :] += [p.x, p.y, 0.0]
-            parts.append(stl.TriangleMesh(shifted))
-        merged = stl.concat_meshes(parts, f"two_trees_{stage}")
         path = out / f"two_trees_{stage}.stl"
-        path.write_bytes(stl.write_stl(merged, "binary"))
-        print(f"  {path}  triangles={len(merged)}")
+        count = fo.write_merged(path, [p.tree.stage_mesh(stage) for p in scene.placements],
+                                [(p.x, p.y) for p in scene.placements], f"two_trees_{stage}")
+        print(f"  {path}  triangles={count}")
     fo.export_scene(scene, out / "two_trees", "per-tree")
 
 

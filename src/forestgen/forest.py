@@ -12,14 +12,15 @@ buffer, tree after tree, and each tree's mesh is a view of it.
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export
-bakes the offsets in. The manifest records everything needed to rebuild the
-identical scene.
+bakes the offsets in, writing the scene one run of trees at a time. The
+manifest records everything needed to rebuild the identical scene.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -204,13 +205,49 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
             mesh = stl.TriangleMesh(p.tree.full_mesh().facets, f"tree_{p.index}")
             (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
-        merged = stl.concat_meshes([p.tree.full_mesh() for p in scene.placements], "forest")
-        offsets = np.array([(p.x, p.y, 0.0) for p in scene.placements]).reshape(-1, 3)
-        sizes = [len(p.tree.mesh) for p in scene.placements]
-        merged.facets[:, 1:, :] += np.repeat(offsets, sizes, axis=0)[:, None, :]
-        (out / MERGED_NAME).write_bytes(stl.write_stl(merged, "binary"))
+        write_merged(out / MERGED_NAME, [p.tree.full_mesh() for p in scene.placements],
+                     [(p.x, p.y) for p in scene.placements], "forest")
     (out / MANIFEST_NAME).write_text(dumps_manifest(manifest))
     return manifest
+
+
+def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> int:
+    """Write ``meshes`` as one binary STL named ``name`` at ``path``, each
+    mesh moved by its (x, y) of ``positions`` on the ground plane; returns
+    the triangle count.
+
+    The file is the header of the whole count, then one chunk per run of
+    whole meshes (``tree.runs``): each run is copied out, shifted, encoded
+    and written, then dropped, so no copy of every mesh is ever held. The
+    bytes are those of shifting the concatenation of every mesh and
+    writing it with ``stl.write_stl``. The file is written beside ``path``
+    and moved onto it once complete, so a write that fails, such as on a
+    mesh that ``stl.write_stl`` refuses, leaves any previous file alone.
+    """
+    path = Path(path)
+    sizes = np.array([len(m) for m in meshes], dtype=np.int64)
+    total = int(sizes.sum())
+    # added to each tree's (k, 12) rows: -0.0 leaves a normal's bits alone,
+    # and +0.0 turns a vertex's -0.0 z into +0.0, as adding (x, y, 0.0) does
+    shifts = np.zeros((len(meshes), 12))
+    shifts[:, :3] = -0.0
+    xy = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    shifts[:, 3::3] = xy[:, :1]
+    shifts[:, 4::3] = xy[:, 1:]
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as f:
+            f.write(stl.binary_header(name, total))
+            for run in treemod.runs(sizes.tolist()):
+                chunk = stl.concat_meshes(meshes[run], name)
+                rows = chunk.facets.reshape(-1, 12)  # a view of the run's fresh copy
+                rows += np.repeat(shifts[run], sizes[run], axis=0)
+                f.write(memoryview(stl.write_stl(chunk, "binary"))[stl.HEADER_BYTES + 4:])
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return total
 
 
 def dumps_manifest(manifest: dict) -> str:

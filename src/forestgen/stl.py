@@ -280,7 +280,8 @@ def _read_ascii_lines(text: str) -> TriangleMesh:
 
 def write_stl(mesh: TriangleMesh, fmt: str = "binary") -> bytes:
     """Serialize a mesh. Normals that are not unit length are recomputed;
-    a degenerate facet that cannot carry a unit normal is an error."""
+    a degenerate facet that cannot carry a unit normal is an error, and so,
+    in binary, is a value beyond the range of float32."""
     if fmt not in ("binary", "ascii"):
         raise ValueError(f"unknown STL format '{fmt}'")
     if not np.all(np.isfinite(mesh.facets)):
@@ -295,7 +296,8 @@ def _with_writable_normals(mesh: TriangleMesh) -> np.ndarray:
     facets = mesh.facets
     if len(mesh) == 0:
         return facets
-    norms = np.linalg.norm(facets[:, 0, :], axis=1)
+    rows = facets.reshape(-1, 12)
+    norms = np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] + rows[:, 2] * rows[:, 2])
     bad = np.abs(norms - 1.0) > 1e-3
     if not np.any(bad):
         return facets
@@ -307,13 +309,26 @@ def _with_writable_normals(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
-def _write_binary(facets: np.ndarray, name: str) -> bytes:
+def binary_header(name: str, count: int) -> bytes:
+    """The 84 bytes that open a binary STL of ``count`` facets: ``name`` in
+    latin-1, cut or NUL-padded to 80 bytes, then the little-endian count."""
     header = name.encode("latin-1", errors="replace")[:HEADER_BYTES]
-    header = header.ljust(HEADER_BYTES, b"\0")
+    return header.ljust(HEADER_BYTES, b"\0") + struct.pack("<I", count)
+
+
+def _write_binary(facets: np.ndarray, name: str) -> bytes:
+    """Header, count and records in one buffer; a value that float32 cannot
+    hold is an error, not an infinity in the file."""
     n = facets.shape[0]
-    arr = np.zeros(n, dtype=_FACET_DTYPE)
-    arr["vals"] = facets.astype("<f4")
-    return header + struct.pack("<I", n) + arr.tobytes()
+    buf = np.empty(HEADER_BYTES + 4 + FACET_BYTES * n, dtype=np.uint8)
+    buf[:HEADER_BYTES + 4] = np.frombuffer(binary_header(name, n), dtype=np.uint8)
+    records = buf[HEADER_BYTES + 4:].view(_FACET_DTYPE)
+    with np.errstate(over="ignore"):
+        records["vals"] = facets
+    if not np.isfinite(records["vals"]).all():
+        raise StlError("mesh has values beyond the float32 range of binary STL")
+    records["attr"] = 0
+    return buf.tobytes()
 
 
 _ASCII_FACET = ("  facet normal %.9g %.9g %.9g\n    outer loop\n"

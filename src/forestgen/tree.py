@@ -52,8 +52,9 @@ _SEGMENT_WIDTH = 0.02
 # a trunk stands upright: its rotation, repeated once per tree
 _EYE = np.eye(3)[None]
 
-# build_trees places each role over a run of trees that closes once it holds
-# this many triangles, so a role's temporaries stay small and near the cache.
+# build_trees places each role over a run of trees (see ``runs``) that closes
+# once it holds this many triangles, so a role's temporaries stay small and
+# near the cache; merged export encodes and writes the same runs one by one.
 # Scenes below the count are one run. On a 2-vCPU host a 505-tree,
 # 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way, against
 # 1.3-1.5 s and 613 MB as one run.
@@ -294,7 +295,7 @@ def build_trees(params: list[TreeParams],
 
     Each tree's turtle walk and per-stage draws come from its own
     generators, so each tree is the tree ``build_tree`` gives alone; the
-    skeletons of a run of trees (see _RUN_TRIANGLES) are placed as one
+    skeletons of a run of trees (see ``runs``) are placed as one
     stack, and each template role by one stacked transform over the run.
     Returns the scene mesh, every tree's triangles tree after tree, and one
     TreeModel per params whose mesh and skeleton are views of the stacks.
@@ -311,13 +312,23 @@ def build_trees(params: list[TreeParams],
     sizes = _instance_counts(params) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
     facets = np.empty((int(ends[-1, -1]) if len(params) else 0, 4, 3))
-    models, first, run_start = [], 0, 0
-    for last, end in enumerate(ends[:, 3].tolist(), 1):
-        if end - run_start >= _RUN_TRIANGLES or last == len(params):
-            models += _build_run(params[first:last], lib, facets, ends[first:last],
-                                 sizes[first:last])
-            first, run_start = last, end
+    models = []
+    for run in runs(sizes.sum(axis=1).tolist()):
+        models += _build_run(params[run], lib, facets, ends[run], sizes[run])
     return stl.TriangleMesh(facets, "trees"), models
+
+
+def runs(triangles: list[int]):
+    """Split trees of ``triangles[i]`` triangles each into runs of whole
+    trees, yielding one slice per run: a run closes once it holds
+    _RUN_TRIANGLES triangles, or at the last tree. ``build_trees`` builds a
+    scene run by run, and ``forest.write_merged`` writes it that way."""
+    first, held = 0, 0
+    for last, k in enumerate(triangles, 1):
+        held += k
+        if held >= _RUN_TRIANGLES or last == len(triangles):
+            yield slice(first, last)
+            first, held = last, 0
 
 
 def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarray,

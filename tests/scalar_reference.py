@@ -7,11 +7,13 @@ forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
 references for the grid code and the block-drawn counts in
-``forestgen.ipp``, and the per-facet text loop is the reference for ASCII
-STL writing.
+``forestgen.ipp``, the per-facet text loop is the reference for ASCII
+STL writing, and the whole-scene binary writer is the reference for binary
+STL writing and merged export.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -232,3 +234,39 @@ def write_ascii(facets: np.ndarray, name: str) -> bytes:
         out.append("  endfacet")
     out.append(f"endsolid {name}".rstrip())
     return ("\n".join(out) + "\n").encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# binary STL
+
+def write_binary(facets: np.ndarray, name: str) -> bytes:
+    """Binary STL of the whole mesh at once: refuse non-finite values,
+    recompute each normal that is not unit length (refusing one that stays
+    zero), cast to float32 beside a zero attribute word, and join the
+    header, the count and the records."""
+    facets = np.asarray(facets, dtype=np.float64).reshape(-1, 4, 3)
+    if not np.all(np.isfinite(facets)):
+        raise stl.StlError("mesh contains non-finite values")
+    if len(facets):
+        bad = np.abs(np.linalg.norm(facets[:, 0, :], axis=1) - 1.0) > 1e-3
+        if np.any(bad):
+            fixed = stl.recompute_normals(stl.TriangleMesh(facets[bad])).facets
+            if np.any(np.linalg.norm(fixed[:, 0, :], axis=1) == 0.0):
+                raise stl.StlError("degenerate facet has no unit normal; cannot write")
+            facets = facets.copy()
+            facets[bad] = fixed
+    header = name.encode("latin-1", errors="replace")[:80].ljust(80, b"\0")
+    records = np.zeros(len(facets), dtype=[("vals", "<f4", (4, 3)), ("attr", "<u2")])
+    records["vals"] = facets.astype("<f4")
+    return header + struct.pack("<I", len(facets)) + records.tobytes()
+
+
+def write_merged(meshes: list[np.ndarray], positions, name: str) -> bytes:
+    """Merged export of the whole scene at once: concatenate every mesh's
+    facets, add (x, y, 0.0) to each vertex of a mesh, and write the result
+    with ``write_binary``."""
+    sizes = [len(f) for f in meshes]
+    merged = np.concatenate([np.zeros((0, 4, 3)), *meshes])
+    offsets = np.array([(x, y, 0.0) for x, y in positions]).reshape(-1, 3)
+    merged[:, 1:, :] += np.repeat(offsets, sizes, axis=0)[:, None, :]
+    return write_binary(merged, name)

@@ -404,6 +404,31 @@ def test_ipp_sample_over_envelope_budget_exit_5(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["forest", "tree"])
+def test_binary_stl_beyond_float32_exit_3(subcommand, tmp_path):
+    # once a RuntimeWarning and exit 0, with a file that stl-info refused
+    if subcommand == "forest":
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps({
+            "master_seed": 1,
+            "region": {"x_min": 0.0, "x_max": 1e39, "y_min": 0.0, "y_max": 1.0},
+            "intensity": {"form": "constant", "rate": 3e-39},
+            "tree_params": {"branch_count": 1, "subbranches_per_branch": 0,
+                            "leaves_per_subbranch": 0, "trunk_height": 5.0},
+        }))
+        out = tmp_path / "o"
+        argv = ["forest", "--config", config, "--out", out, "--mode", "merged"]
+    else:
+        out = tmp_path / "t"
+        argv = ["tree", "--branches", 1, "--subbranches", 0, "--leaves", 0, "--height", "1e39",
+                "--format", "binary", "--seed", 1, "--out", out / "t.stl"]
+    result = run_bounded(argv)
+    assert result.returncode == 3, result.stderr
+    assert "float32 range" in single_error_line(result.stderr)
+    assert result.stdout == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # one error line, with the documented code
 

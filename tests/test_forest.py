@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from forestgen import forest as fo
 from forestgen import ipp
 from forestgen import stl
 from forestgen import tree as tm
+
+import scalar_reference as ref
 
 
 def make_config(**kw):
@@ -133,6 +136,79 @@ def test_merged_vertices_are_per_tree_plus_offset(tiny_library, tmp_path):
                            atol=span * 1e-6)
         cursor += len(local)
     assert cursor == len(merged)
+
+
+def merged_reference(scene: fo.Scene) -> bytes:
+    return ref.write_merged([p.tree.mesh.facets for p in scene.placements],
+                            [(p.x, p.y) for p in scene.placements], "forest")
+
+
+@pytest.mark.parametrize("run", ["one triangle", "mid-list", "one run"])
+def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, monkeypatch):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    sizes = [len(p.tree.mesh) for p in scene.placements]
+    assert len(sizes) > 3
+    # a run of one tree each; runs that close mid-way through the list; one run
+    limit = {"one triangle": 1, "mid-list": sizes[0] + sizes[1] // 2, "one run": 1 << 40}[run]
+    monkeypatch.setattr(tm, "_RUN_TRIANGLES", limit)
+    count = len(list(tm.runs(sizes)))
+    if run == "mid-list":
+        assert 1 < count < len(sizes)
+    else:
+        assert count == {"one triangle": len(sizes), "one run": 1}[run]
+    # signed zeros in the offsets and in the vertices, and a tree whose
+    # normals are off unit length, so they are recomputed after the shift
+    scene.placements[0].x, scene.placements[0].y = -0.0, 0.0
+    scene.placements[1].x, scene.placements[1].y = 0.0, -0.0
+    z = scene.placements[2].tree.mesh.facets[:, 1:, 2]
+    z[z == 0.0] = -0.0
+    assert np.signbit(z).any()
+    scene.placements[3].tree.mesh.facets[:, 0, :] *= 2.0
+    fo.export_scene(scene, tmp_path, "merged")
+    assert (tmp_path / fo.MERGED_NAME).read_bytes() == merged_reference(scene)
+
+
+def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
+    positions = [(p.x, p.y) for p in scene.placements]
+    count = fo.write_merged(tmp_path / "b.stl", meshes, positions, "stage")
+    assert count == sum(len(m) for m in meshes)
+    assert (tmp_path / "b.stl").read_bytes() == ref.write_merged(
+        [m.facets for m in meshes], positions, "stage")
+    assert fo.write_merged(tmp_path / "e.stl", [], [], "empty") == 0
+    assert (tmp_path / "e.stl").read_bytes() == ref.write_merged([], [], "empty")
+
+
+def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, monkeypatch):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    fo.export_scene(scene, tmp_path, "merged")
+    before = read_dir(tmp_path)
+    # every tree is a run of its own, so the runs before the last are written
+    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    scene.placements[-1].tree.mesh.facets[:] = np.nan
+    with pytest.raises(stl.StlError, match="non-finite"):
+        fo.export_scene(scene, tmp_path, "merged")
+    assert read_dir(tmp_path) == before
+
+
+def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path, monkeypatch):
+    config = make_config(intensity=ipp.ConstantIntensity(40.0 / 3600.0),
+                         tree_params_template=tm.TreeParams(
+                             branch_count=12, subbranches_per_branch=3, leaves_per_subbranch=4))
+    scene = fo.compose_forest(config, tiny_library)
+    assert len(scene) > 20
+    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fo.export_scene(scene, tmp_path, "merged")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < scene.mesh.facets.nbytes / 4
+    assert (tmp_path / fo.MERGED_NAME).read_bytes() == merged_reference(scene)
 
 
 def test_scene_stats(tiny_library, tmp_path):

@@ -332,6 +332,55 @@ def test_ascii_name_written_as_one_ascii_line(name, solid_line):
     assert stl.write_stl(back, "ascii") == a1
 
 
+# the largest float32, the float64 halfway to 2**128 (the smallest value that
+# rounds past it) and its predecessor, and 2**128
+F32_EDGES = (float(np.finfo(np.float32).max), 2.0 ** 128 - 2.0 ** 103,
+             float(np.nextafter(2.0 ** 128 - 2.0 ** 103, 0.0)), 2.0 ** 128)
+binary_value = (st.floats(-3.5e38, 3.5e38)
+                | st.sampled_from([0.0, -0.0, *F32_EDGES, *(-v for v in F32_EDGES)]))
+
+
+def write_outcome(write):
+    """The bytes written, or the StlError raised."""
+    try:
+        return write()
+    except stl.StlError as exc:
+        return f"StlError: {exc}"
+
+
+@given(data=st.data(), name=st.text(max_size=90))
+@settings(max_examples=300, deadline=None)
+def test_binary_writer_matches_whole_mesh_reference(data, name):
+    n = data.draw(st.integers(0, 4))
+    verts = data.draw(arrays(np.float64, (n, 3, 3), elements=binary_value))
+    normals = data.draw(arrays(np.float64, (n, 3),
+                               elements=st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])))
+    # a unit normal is kept, any other is recomputed (or refused if degenerate)
+    unit = data.draw(arrays(np.bool_, (n,)))
+    norms = np.linalg.norm(normals, axis=1)
+    normals[unit & (norms > 0)] /= norms[unit & (norms > 0), None]
+    facets = np.concatenate([normals[:, None], verts], axis=1)
+    got = write_outcome(lambda: stl.write_stl(stl.TriangleMesh(facets, name), "binary"))
+    with np.errstate(over="ignore"):
+        expected = write_outcome(lambda: ref.write_binary(facets, name))
+    if isinstance(expected, bytes):
+        records = np.frombuffer(expected, dtype=[("vals", "<f4", 12), ("attr", "<u2")], offset=84)
+        if not np.isfinite(records["vals"]).all():
+            # the whole-mesh writer let float32 overflow to infinity
+            expected = "StlError: mesh has values beyond the float32 range of binary STL"
+    assert got == expected
+
+
+@pytest.mark.parametrize("value", [2.0 ** 128 - 2.0 ** 103, -1e39, 1e100])
+def test_binary_write_refuses_values_beyond_float32(value):
+    facets = np.array([[[0, 0, 1], [0, 0, 0], [value, 0, 0], [0, 1, 0]]], dtype=float)
+    mesh = stl.recompute_normals(stl.TriangleMesh(facets))
+    with pytest.raises(stl.StlError, match="float32 range"):
+        stl.write_stl(mesh, "binary")
+    # ASCII carries any finite value
+    assert stl.read_stl(stl.write_stl(mesh, "ascii")).facets[0, 2, 0] == float(f"{value:.9g}")
+
+
 def test_ascii_round_trip_relative_error():
     rng = np.random.default_rng(43)
     mesh = random_mesh(rng, 25)

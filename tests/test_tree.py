@@ -273,6 +273,21 @@ stack_trees = st.lists(st.tuples(
     st.integers(0, 2 ** 64 - 1), st.sampled_from(STACK_JITTERS)), min_size=1, max_size=6)
 
 
+@given(sizes=st.lists(st.integers(0, 50), max_size=30), limit=st.integers(1, 120))
+@settings(max_examples=200, deadline=None)
+def test_runs_close_once_they_hold_the_run_triangles(sizes, limit):
+    with mock.patch.object(tm, "_RUN_TRIANGLES", limit):
+        runs = list(tm.runs(sizes))
+    # consecutive runs of whole trees, covering every tree once
+    assert [i for run in runs for i in range(len(sizes))[run]] == list(range(len(sizes)))
+    for k, run in enumerate(runs):
+        held = sum(sizes[run])
+        assert run.stop > run.start
+        # each run but the last holds the limit, and held less before its last tree
+        assert k == len(runs) - 1 or held >= limit
+        assert held - sizes[run.stop - 1] < limit
+
+
 @given(trees=stack_trees, shared_jitter=st.booleans(),
        detail=st.sampled_from(["tiny", "normal"]), run=st.sampled_from([1, 400, 1 << 17]))
 @settings(max_examples=60, deadline=None)
