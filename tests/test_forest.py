@@ -156,13 +156,15 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
         assert 1 < count < len(sizes)
     else:
         assert count == {"one triangle": len(sizes), "one run": 1}[run]
-    # signed zeros in the offsets and in the vertices, and a tree whose
-    # normals are off unit length, so they are recomputed after the shift
+    # signed zeros in the offsets, the vertices and the kept normals, and a
+    # tree whose normals are off unit length, so they are recomputed after
+    # the shift
     scene.placements[0].x, scene.placements[0].y = -0.0, 0.0
     scene.placements[1].x, scene.placements[1].y = 0.0, -0.0
-    z = scene.placements[2].tree.mesh.facets[:, 1:, 2]
-    z[z == 0.0] = -0.0
-    assert np.signbit(z).any()
+    facets = scene.placements[2].tree.mesh.facets
+    for zeros in (facets[:, 1:, 2], facets[:, 0, :]):
+        zeros[zeros == 0.0] = -0.0
+        assert np.signbit(zeros[zeros == 0.0]).any()
     scene.placements[3].tree.mesh.facets[:, 0, :] *= 2.0
     fo.export_scene(scene, tmp_path, "merged")
     assert (tmp_path / fo.MERGED_NAME).read_bytes() == merged_reference(scene)
