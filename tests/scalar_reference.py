@@ -270,3 +270,27 @@ def write_merged(meshes: list[np.ndarray], positions, name: str) -> bytes:
     offsets = np.array([(x, y, 0.0) for x, y in positions]).reshape(-1, 3)
     merged[:, 1:, :] += np.repeat(offsets, sizes, axis=0)[:, None, :]
     return write_binary(merged, name)
+
+
+# faults that the binary writer refuses, and the one error each set of them
+# raises: non-finite before degenerate before beyond float32
+WRITER_FAULTS = {
+    ("nan",): "mesh contains non-finite values",
+    ("degenerate",): "degenerate facet has no unit normal",
+    ("beyond",): "beyond the float32 range",
+    ("nan", "beyond"): "non-finite",
+    ("degenerate", "beyond"): "degenerate",
+}
+
+
+def set_fault(facets: np.ndarray, fault: str, row: int) -> None:
+    """Put one of ``WRITER_FAULTS``' faults into facet ``row`` of ``facets``."""
+    f = facets[row]
+    if fault == "nan":  # beside a normal off unit length, which is recomputed
+        f[0] = (0.0, 0.0, 2.0)
+        f[1, 0] = np.nan
+    elif fault == "degenerate":  # a zero normal on a facet of no area
+        f[0] = 0.0
+        f[2:] = f[1]
+    else:  # "beyond": every vertex's y past the largest float32
+        f[1:, 1] = 1e39

@@ -195,6 +195,17 @@ def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, 
     assert read_dir(tmp_path) == before
 
 
+@pytest.mark.parametrize("faults, message", list(ref.WRITER_FAULTS.items()))
+def test_merged_export_error_order_is_pinned(faults, message, tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    # every fault in one facet, so in one chunk however the scene is cut
+    for fault in faults:
+        ref.set_fault(scene.placements[1].tree.mesh.facets, fault, 3)
+    with pytest.raises(stl.StlError, match=message):
+        fo.export_scene(scene, tmp_path, "merged")
+    assert not list(tmp_path.iterdir())
+
+
 def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path, monkeypatch):
     config = make_config(intensity=ipp.ConstantIntensity(40.0 / 3600.0),
                          tree_params_template=tm.TreeParams(

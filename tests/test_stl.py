@@ -381,6 +381,17 @@ def test_binary_write_refuses_values_beyond_float32(value):
     assert stl.read_stl(stl.write_stl(mesh, "ascii")).facets[0, 2, 0] == float(f"{value:.9g}")
 
 
+@pytest.mark.parametrize("faults, message", list(ref.WRITER_FAULTS.items()))
+@pytest.mark.parametrize("rows", ["apart", "one facet"])
+def test_binary_write_error_order_is_pinned(faults, message, rows):
+    mesh = unit_cube_mesh()
+    # apart, the fault whose error is raised comes last in the mesh
+    for k, fault in enumerate(faults):
+        ref.set_fault(mesh.facets, fault, 9 - 4 * k if rows == "apart" else 5)
+    with pytest.raises(stl.StlError, match=message):
+        stl.write_stl(mesh, "binary")
+
+
 def test_ascii_round_trip_relative_error():
     rng = np.random.default_rng(43)
     mesh = random_mesh(rng, 25)
