@@ -12,8 +12,8 @@ buffer, tree after tree, and each tree's mesh is a view of it.
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export
-bakes the offsets in, writing the scene one run of trees at a time. The
-manifest records everything needed to rebuild the identical scene.
+bakes the offsets in, writing the scene a fixed number of triangles at a
+time. The manifest records everything needed to rebuild the identical scene.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ EXPORT_MODES = ("per-tree", "merged")
 
 # substream of a tree's own seed used for parameter jitter draws
 _STREAM_PARAM_JITTER = 4
+
+# merged export encodes and writes this many triangles at a time, about
+# 390 KB of float64 facets and 200 KB of records, so a chunk's passes stay
+# near the cache
+_EXPORT_TRIANGLES = 1 << 12
 
 
 class SceneConfigError(Exception):
@@ -216,18 +221,20 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     mesh moved by its (x, y) of ``positions`` on the ground plane; returns
     the triangle count.
 
-    The file is the header of the whole count, then one chunk per run of
-    whole meshes (``tree.runs``): each run is copied out, shifted, encoded
-    and written, then dropped, so no copy of every mesh is ever held. The
-    bytes are those of shifting the concatenation of every mesh and
-    writing it with ``stl.write_stl``. The file is written beside ``path``
-    and moved onto it once complete, so a write that fails, such as on a
-    mesh that ``stl.write_stl`` refuses, leaves any previous file alone.
+    The file is the header of the whole count, then one chunk of
+    _EXPORT_TRIANGLES triangles at a time (the last may be shorter), cut
+    across meshes: each chunk is copied out of the meshes it covers, each
+    piece shifted by its own mesh's offset, encoded and written, then
+    dropped, so no copy of every mesh is ever held. The bytes are those of
+    shifting the concatenation of every mesh and writing it with
+    ``stl.write_stl``; each chunk is checked as ``stl.write_stl`` checks a
+    mesh, so the first chunk that cannot be written gives the error. The
+    file is written beside ``path`` and moved onto it once complete, so a
+    write that fails leaves any previous file alone.
     """
     path = Path(path)
-    sizes = np.array([len(m) for m in meshes], dtype=np.int64)
-    total = int(sizes.sum())
-    # added to each tree's (k, 12) rows: -0.0 leaves a normal's bits alone,
+    sizes = [len(m) for m in meshes]
+    # added to each mesh's (k, 12) rows: -0.0 leaves a normal's bits alone,
     # and +0.0 turns a vertex's -0.0 z into +0.0, as adding (x, y, 0.0) does
     shifts = np.zeros((len(meshes), 12))
     shifts[:, :3] = -0.0
@@ -237,17 +244,42 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     part = path.with_name(path.name + ".part")
     try:
         with open(part, "wb") as f:
-            f.write(stl.binary_header(name, total))
-            for run in treemod.runs(sizes.tolist()):
-                chunk = stl.concat_meshes(meshes[run], name)
-                rows = chunk.facets.reshape(-1, 12)  # a view of the run's fresh copy
-                rows += np.repeat(shifts[run], sizes[run], axis=0)
+            f.write(stl.binary_header(name, sum(sizes)))
+            for pieces in _chunks(sizes):
+                chunk = stl.concat_meshes([meshes[i] if b - a == sizes[i] else
+                                           stl.TriangleMesh(meshes[i].facets[a:b])
+                                           for i, a, b in pieces], name)
+                rows = chunk.facets.reshape(-1, 12)  # a view of the chunk's fresh copy
+                at = 0
+                for i, a, b in pieces:
+                    rows[at:at + b - a] += shifts[i]
+                    at += b - a
                 f.write(memoryview(stl.write_stl(chunk, "binary"))[stl.HEADER_BYTES + 4:])
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
-    return total
+    return sum(sizes)
+
+
+def _chunks(sizes: list[int]):
+    """Cut meshes of ``sizes[i]`` triangles, taken in order, into chunks of
+    _EXPORT_TRIANGLES triangles, the last possibly shorter; yields each
+    chunk as its pieces ``(i, a, b)``, rows a:b of mesh i. A chunk may end
+    inside a mesh or hold many; an empty mesh is in no chunk."""
+    pieces, room = [], _EXPORT_TRIANGLES
+    for i, k in enumerate(sizes):
+        a = 0
+        while a < k:
+            b = min(k, a + room)
+            pieces.append((i, a, b))
+            room -= b - a
+            a = b
+            if not room:
+                yield pieces
+                pieces, room = [], _EXPORT_TRIANGLES
+    if pieces:
+        yield pieces
 
 
 def dumps_manifest(manifest: dict) -> str:

@@ -284,15 +284,21 @@ def write_stl(mesh: TriangleMesh, fmt: str = "binary") -> bytes:
     in binary, is a value beyond the range of float32."""
     if fmt not in ("binary", "ascii"):
         raise ValueError(f"unknown STL format '{fmt}'")
-    if not np.all(np.isfinite(mesh.facets)):
-        raise StlError("mesh contains non-finite values")
-    facets = _with_writable_normals(mesh)
     if fmt == "binary":
-        return _write_binary(facets, mesh.name)
-    return _write_ascii(facets, mesh.name)
+        return _write_binary(mesh)
+    _refuse_if_not_finite(mesh.facets)
+    return _write_ascii(_with_writable_normals(mesh), mesh.name)
+
+
+def _refuse_if_not_finite(facets: np.ndarray) -> None:
+    if not np.isfinite(facets).all():
+        raise StlError("mesh contains non-finite values")
 
 
 def _with_writable_normals(mesh: TriangleMesh) -> np.ndarray:
+    """The facets with each normal off unit length recomputed. The facets
+    of such a normal are checked to be finite first, since recomputing it
+    would drop a non-finite normal."""
     facets = mesh.facets
     if len(mesh) == 0:
         return facets
@@ -301,8 +307,11 @@ def _with_writable_normals(mesh: TriangleMesh) -> np.ndarray:
     bad = np.abs(norms - 1.0) > 1e-3
     if not np.any(bad):
         return facets
-    fixed = recompute_normals(TriangleMesh(facets[bad], mesh.name)).facets
+    fixed = facets[bad]
+    _refuse_if_not_finite(fixed)
+    fixed = recompute_normals(TriangleMesh(fixed, mesh.name)).facets
     if np.any(np.linalg.norm(fixed[:, 0, :], axis=1) == 0.0):
+        _refuse_if_not_finite(facets)
         raise StlError("degenerate facet has no unit normal; cannot write")
     out = facets.copy()
     out[bad] = fixed
@@ -316,16 +325,20 @@ def binary_header(name: str, count: int) -> bytes:
     return header.ljust(HEADER_BYTES, b"\0") + struct.pack("<I", count)
 
 
-def _write_binary(facets: np.ndarray, name: str) -> bytes:
-    """Header, count and records in one buffer; a value that float32 cannot
-    hold is an error, not an infinity in the file."""
+def _write_binary(mesh: TriangleMesh) -> bytes:
+    """Header, count and records in one buffer. One finiteness pass, over
+    the float32 values, catches both a non-finite value and one that float32
+    cannot hold (an error, not an infinity in the file); the float64 facets
+    are looked at again only to tell the two apart."""
+    facets = _with_writable_normals(mesh)
     n = facets.shape[0]
     buf = np.empty(HEADER_BYTES + 4 + FACET_BYTES * n, dtype=np.uint8)
-    buf[:HEADER_BYTES + 4] = np.frombuffer(binary_header(name, n), dtype=np.uint8)
+    buf[:HEADER_BYTES + 4] = np.frombuffer(binary_header(mesh.name, n), dtype=np.uint8)
     records = buf[HEADER_BYTES + 4:].view(_FACET_DTYPE)
     with np.errstate(over="ignore"):
         records["vals"] = facets
     if not np.isfinite(records["vals"]).all():
+        _refuse_if_not_finite(mesh.facets)
         raise StlError("mesh has values beyond the float32 range of binary STL")
     records["attr"] = 0
     return buf.tobytes()

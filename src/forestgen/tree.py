@@ -54,8 +54,8 @@ _EYE = np.eye(3)[None]
 
 # build_trees places each role over a run of trees (see ``runs``) that closes
 # once it holds this many triangles, so a role's temporaries stay small and
-# near the cache; merged export encodes and writes the same runs one by one.
-# Scenes below the count are one run. On a 2-vCPU host a 505-tree,
+# near the cache. Scenes below the count are one run. (Merged export cuts
+# its own, smaller chunks: forest._EXPORT_TRIANGLES.) On a 2-vCPU host a 505-tree,
 # 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way, against
 # 1.3-1.5 s and 613 MB as one run.
 _RUN_TRIANGLES = 1 << 17
@@ -322,7 +322,7 @@ def runs(triangles: list[int]):
     """Split trees of ``triangles[i]`` triangles each into runs of whole
     trees, yielding one slice per run: a run closes once it holds
     _RUN_TRIANGLES triangles, or at the last tree. ``build_trees`` builds a
-    scene run by run, and ``forest.write_merged`` writes it that way."""
+    scene run by run."""
     first, held = 0, 0
     for last, k in enumerate(triangles, 1):
         held += k

@@ -380,6 +380,16 @@ def test_tree_over_triangle_budget_exit_2(counts, tmp_path):
     assert not (tmp_path / "t.stl").exists()
 
 
+def test_rewrite_over_derivation_budget_exit_3(tmp_path):
+    # once still running after 10 s under a 1.5 GB address-space limit
+    grammar = tmp_path / "g.txt"
+    grammar.write_text("vars: g; axiom: g; rule: g -> gg")
+    result = run_bounded(["rewrite", "--grammar", grammar, "--iterations", 40], timeout=20.0)
+    assert result.returncode == 3, result.stderr
+    assert "forestgen.lsystem.MAX_DERIVATION_SYMBOLS" in single_error_line(result.stderr)
+    assert result.stdout == ""
+
+
 def test_forest_over_triangle_budget_exit_5(tmp_path):
     # a scene config's fault, so the config code, not the flags code of `tree`;
     # seven 100 000-branch trees of the built-in normal templates need 98 M triangles

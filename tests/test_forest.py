@@ -148,14 +148,14 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
     scene = fo.compose_forest(make_config(), tiny_library)
     sizes = [len(p.tree.mesh) for p in scene.placements]
     assert len(sizes) > 3
-    # a run of one tree each; runs that close mid-way through the list; one run
+    # a chunk of one triangle; chunks that end mid-way through trees; one chunk
     limit = {"one triangle": 1, "mid-list": sizes[0] + sizes[1] // 2, "one run": 1 << 40}[run]
-    monkeypatch.setattr(tm, "_RUN_TRIANGLES", limit)
-    count = len(list(tm.runs(sizes)))
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
+    count = len(list(fo._chunks(sizes)))
     if run == "mid-list":
         assert 1 < count < len(sizes)
     else:
-        assert count == {"one triangle": len(sizes), "one run": 1}[run]
+        assert count == {"one triangle": sum(sizes), "one run": 1}[run]
     # signed zeros in the offsets, the vertices and the kept normals, and a
     # tree whose normals are off unit length, so they are recomputed after
     # the shift
@@ -172,7 +172,7 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
 
 def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
-    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 1)
     meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
     positions = [(p.x, p.y) for p in scene.placements]
     count = fo.write_merged(tmp_path / "b.stl", meshes, positions, "stage")
@@ -183,14 +183,60 @@ def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     assert (tmp_path / "e.stl").read_bytes() == ref.write_merged([], [], "empty")
 
 
+@pytest.mark.parametrize("chunk", ["one triangle", "half the first tree", "above the scene"])
+@pytest.mark.parametrize("empty", ["first", "middle", "last", "all"])
+def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library, tmp_path,
+                                                      monkeypatch):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    assert len(scene) > 3
+    meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
+    hole = stl.empty_mesh()
+    at = {"first": [0], "middle": [1, 2], "last": [len(meshes)], "all": []}[empty]
+    for i in reversed(at):
+        meshes.insert(i, hole)
+    if empty == "all":
+        meshes = [hole] * 3
+    positions = [(1.5 * i - 4.0, 0.25 - i) for i in range(len(meshes))]
+    sizes = [len(m) for m in meshes]
+    limit = {"one triangle": 1, "half the first tree": max(sizes) // 2,
+             "above the scene": sum(sizes) + 7}[chunk]
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", max(limit, 1))
+    assert fo.write_merged(tmp_path / "m.stl", meshes, positions, "cut") == sum(sizes)
+    assert (tmp_path / "m.stl").read_bytes() == ref.write_merged(
+        [m.facets for m in meshes], positions, "cut")
+
+
+def test_chunks_cover_every_triangle_once(monkeypatch):
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 4)
+    chunks = list(fo._chunks([0, 3, 0, 6, 1, 0]))
+    assert chunks == [[(1, 0, 3), (3, 0, 1)], [(3, 1, 5)], [(3, 5, 6), (4, 0, 1)]]
+    assert list(fo._chunks([0, 0])) == []
+
+
 def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
     fo.export_scene(scene, tmp_path, "merged")
     before = read_dir(tmp_path)
-    # every tree is a run of its own, so the runs before the last are written
-    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    # every triangle is a chunk of its own, so the chunks before the last are written
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 1)
     scene.placements[-1].tree.mesh.facets[:] = np.nan
     with pytest.raises(stl.StlError, match="non-finite"):
+        fo.export_scene(scene, tmp_path, "merged")
+    assert read_dir(tmp_path) == before
+
+
+@pytest.mark.parametrize("fault", ["nan", "beyond"])
+def test_fault_in_the_last_chunk_leaves_the_previous_files(fault, tiny_library, tmp_path,
+                                                           monkeypatch):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    fo.export_scene(scene, tmp_path, "merged")
+    before = read_dir(tmp_path)
+    total = len(scene.mesh)
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", total // 3)
+    assert len(list(fo._chunks([total]))) > 1
+    # the last facet of the last tree is the last triangle of the file
+    ref.set_fault(scene.placements[-1].tree.mesh.facets, fault, -1)
+    with pytest.raises(stl.StlError, match=ref.WRITER_FAULTS[(fault,)]):
         fo.export_scene(scene, tmp_path, "merged")
     assert read_dir(tmp_path) == before
 
@@ -206,13 +252,15 @@ def test_merged_export_error_order_is_pinned(faults, message, tiny_library, tmp_
     assert not list(tmp_path.iterdir())
 
 
-def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path, monkeypatch):
+def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path):
     config = make_config(intensity=ipp.ConstantIntensity(40.0 / 3600.0),
                          tree_params_template=tm.TreeParams(
                              branch_count=12, subbranches_per_branch=3, leaves_per_subbranch=4))
     scene = fo.compose_forest(config, tiny_library)
-    assert len(scene) > 20
-    monkeypatch.setattr(tm, "_RUN_TRIANGLES", 1)
+    chunk_bytes = fo._EXPORT_TRIANGLES * scene.mesh.facets[0].nbytes
+    # the scene, and a build run, are many chunks
+    assert len(scene.mesh) > 4 * fo._EXPORT_TRIANGLES
+    assert tm._RUN_TRIANGLES >= 8 * fo._EXPORT_TRIANGLES
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -220,7 +268,8 @@ def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path, monkeypat
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < scene.mesh.facets.nbytes / 4
+    # a chunk's copy, its records and their bytes, with room for the manifest
+    assert peak < 3 * chunk_bytes
     assert (tmp_path / fo.MERGED_NAME).read_bytes() == merged_reference(scene)
 
 
