@@ -279,9 +279,11 @@ def _read_ascii_lines(text: str) -> TriangleMesh:
 # writing
 
 def write_stl(mesh: TriangleMesh, fmt: str = "binary") -> bytes:
-    """Serialize a mesh. Normals that are not unit length are recomputed;
-    a degenerate facet that cannot carry a unit normal is an error, and so,
-    in binary, is a value beyond the range of float32."""
+    """Serialize a mesh. Normals that are not unit length are recomputed.
+    A non-finite value is an error, and so are a degenerate facet that
+    cannot carry a unit normal and, in binary, a value beyond the range of
+    float32; a mesh with several of these faults raises the first of them
+    in that order."""
     if fmt not in ("binary", "ascii"):
         raise ValueError(f"unknown STL format '{fmt}'")
     if fmt == "binary":

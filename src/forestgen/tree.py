@@ -54,10 +54,10 @@ _EYE = np.eye(3)[None]
 
 # build_trees places each role over a run of trees (see ``runs``) that closes
 # once it holds this many triangles, so a role's temporaries stay small and
-# near the cache. Scenes below the count are one run. (Merged export cuts
-# its own, smaller chunks: forest._EXPORT_TRIANGLES.) On a 2-vCPU host a 505-tree,
-# 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way, against
-# 1.3-1.5 s and 613 MB as one run.
+# near the cache. Scenes below the count are one run. On a 2-vCPU host a
+# 505-tree, 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way,
+# against 1.3-1.5 s and 613 MB as one run. Merged export cuts its own,
+# smaller chunks (forest._EXPORT_TRIANGLES).
 _RUN_TRIANGLES = 1 << 17
 
 # build_trees refuses a tree or scene whose stage ledger exceeds this many
