@@ -276,9 +276,13 @@ def write_merged(meshes: list[np.ndarray], positions, name: str) -> bytes:
 # raises: non-finite before degenerate before beyond float32
 WRITER_FAULTS = {
     ("nan",): "mesh contains non-finite values",
+    ("kept nan",): "mesh contains non-finite values",
+    ("inf normal",): "mesh contains non-finite values",
     ("degenerate",): "degenerate facet has no unit normal",
     ("beyond",): "beyond the float32 range",
     ("nan", "beyond"): "non-finite",
+    ("kept nan", "beyond"): "non-finite",
+    ("kept nan", "degenerate"): "non-finite",
     ("degenerate", "beyond"): "degenerate",
 }
 
@@ -289,6 +293,10 @@ def set_fault(facets: np.ndarray, fault: str, row: int) -> None:
     if fault == "nan":  # beside a normal off unit length, which is recomputed
         f[0] = (0.0, 0.0, 2.0)
         f[1, 0] = np.nan
+    elif fault == "kept nan":  # beside the facet's own normal, which is kept
+        f[1, 0] = np.nan
+    elif fault == "inf normal":  # which recomputing the normal would drop
+        f[0] = (np.inf, 0.0, 0.0)
     elif fault == "degenerate":  # a zero normal on a facet of no area
         f[0] = 0.0
         f[2:] = f[1]

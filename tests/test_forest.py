@@ -189,18 +189,16 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
                                                       monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
     assert len(scene) > 3
-    meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
+    trees = [p.tree.stage_mesh("branches") for p in scene.placements]
     hole = stl.empty_mesh()
-    at = {"first": [0], "middle": [1, 2], "last": [len(meshes)], "all": []}[empty]
-    for i in reversed(at):
-        meshes.insert(i, hole)
-    if empty == "all":
-        meshes = [hole] * 3
+    meshes = {"first": [hole, *trees], "middle": [trees[0], hole, trees[1], hole, *trees[2:]],
+              "last": [*trees, hole], "all": [hole] * 3}[empty]
     positions = [(1.5 * i - 4.0, 0.25 - i) for i in range(len(meshes))]
     sizes = [len(m) for m in meshes]
-    limit = {"one triangle": 1, "half the first tree": max(sizes) // 2,
+    first = next((k for k in sizes if k), 2)
+    limit = {"one triangle": 1, "half the first tree": first // 2,
              "above the scene": sum(sizes) + 7}[chunk]
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", max(limit, 1))
+    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
     assert fo.write_merged(tmp_path / "m.stl", meshes, positions, "cut") == sum(sizes)
     assert (tmp_path / "m.stl").read_bytes() == ref.write_merged(
         [m.facets for m in meshes], positions, "cut")
