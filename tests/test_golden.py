@@ -11,6 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from forestgen import cli, forest, stl, templates
@@ -267,3 +268,55 @@ def test_regenerated_mixed_manifest_digest(mode, libs, tmp_path):
     forest.export_scene(scene, tmp_path, mode)
     assert digest_dir(tmp_path, skip={forest.MANIFEST_NAME}) == REGEN_STL_GOLDEN[mode]
     assert digest_dir(tmp_path) == REGEN_GOLDEN[mode]
+
+
+def _signed_zero_stl() -> bytes:
+    """A binary STL of two zero-area facets whose every coordinate is a
+    signed zero: x is +0.0 in the first facet and -0.0 in the second, y the
+    other way round, and z mixes both within each facet, so every bound is 0
+    reached by both signs in both orders."""
+    records = np.zeros(2, dtype=[("vals", "<f4", (4, 3)), ("attr", "<u2")])
+    records["vals"][1, 1:, 0] = -0.0
+    records["vals"][0, 1:, 1] = -0.0
+    records["vals"][:, 1:, 2] = [[-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]]
+    return stl.binary_header("zeros", 2) + records.tobytes()
+
+
+def _stl_info_input(case, libs, path: Path) -> Path:
+    """Write the STL file that STL_INFO_GOLDEN's ``case`` inspects under
+    ``path`` and return it."""
+    if case == "jittered-merged":
+        config_path = path / "scene_config.json"
+        config_path.write_text(json.dumps(dict(FOREST_CASES["jittered"],
+                                               library=str(libs["tiny"]))))
+        run_cli(["forest", "--config", config_path, "--out", path / "scene",
+                 "--mode", "merged"])
+        return path / "scene" / "forest.stl"
+    if case == "tiny-6x3x5-ascii":
+        run_cli(["tree", *TREE_CASES["tiny-6x3x5"][1], "--lib", libs["tiny"],
+                 "--format", "ascii", "--out", path / "tree.stl"])
+        return path / "tree.stl"
+    (path / "zeros.stl").write_bytes(_signed_zero_stl())
+    return path / "zeros.stl"
+
+
+# SHA-256 of `forestgen stl-info` stdout, with the file's path written as
+# <file>: a merged binary scene, an ASCII tree and a mesh of signed zeros
+STL_INFO_GOLDEN = {
+    "jittered-merged":
+        "53411142ac69b473d0940d3d1c12e95538d0ab7b369b08ea99bf03186f8cb401",
+    "tiny-6x3x5-ascii":
+        "577fa3018c7d9d7211ac761c90a948a6818fcb98ace010f4cfed5026f9adc7d6",
+    # bounds_min=-0,0,-0 and bounds_max=-0,0,-0
+    "signed-zeros":
+        "afb87b36736c3dfe60cdc0e35c516cc2e6c3c2ee7cb422bcdbf60d84c952237f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STL_INFO_GOLDEN))
+def test_stl_info_digest(case, libs, tmp_path, capsys):
+    path = _stl_info_input(case, libs, tmp_path)
+    capsys.readouterr()
+    run_cli(["stl-info", path])
+    stdout = capsys.readouterr().out.replace(str(path), "<file>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STL_INFO_GOLDEN[case]
