@@ -9,7 +9,10 @@ and one mesh copy per instance. The point-pattern loops at the end are the
 references for the grid code and the block-drawn counts in
 ``forestgen.ipp``, the per-facet text loop is the reference for ASCII
 STL writing, and the whole-scene binary writer is the reference for binary
-STL writing and merged export.
+STL writing and merged export. The mesh queries at the end reduce over
+each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
+``min``/``max``/``mean`` over an axis, as ``forestgen.stl`` did before its
+kernels went one coordinate at a time.
 """
 
 import math
@@ -302,3 +305,51 @@ def set_fault(facets: np.ndarray, fault: str, row: int) -> None:
         f[2:] = f[1]
     else:  # "beyond": every vertex's y past the largest float32
         f[1:, 1] = 1e39
+
+
+# ---------------------------------------------------------------------------
+# mesh queries
+
+def sanitize_normals(facets: np.ndarray) -> np.ndarray:
+    if facets.shape[0] == 0:
+        return facets
+    norms = np.linalg.norm(facets[:, 0, :], axis=1)
+    off = np.abs(norms - 1.0) > 1e-3
+    if not np.any(off):
+        return facets
+    tiny = norms <= 1e-6
+    facets = facets.copy()
+    facets[off & tiny, 0, :] = 0.0
+    fix = off & ~tiny
+    facets[fix, 0, :] /= norms[fix, None]
+    return facets
+
+
+def recompute_normals(mesh: stl.TriangleMesh) -> stl.TriangleMesh:
+    facets = mesh.facets.copy()
+    if len(mesh) == 0:
+        return stl.TriangleMesh(facets, mesh.name)
+    e1 = facets[:, 2, :] - facets[:, 1, :]
+    e2 = facets[:, 3, :] - facets[:, 1, :]
+    cross = np.cross(e1, e2)
+    norms = np.linalg.norm(cross, axis=1)
+    scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    degenerate = norms <= 1e-12 * np.maximum(scale, 1.0)
+    safe = np.where(degenerate, 1.0, norms)
+    facets[:, 0, :] = np.where(degenerate[:, None], 0.0, cross / safe[:, None])
+    return stl.TriangleMesh(facets, mesh.name)
+
+
+def triangle_centroids(mesh: stl.TriangleMesh) -> np.ndarray:
+    return mesh.vertices.mean(axis=1)
+
+
+def mesh_stats(mesh: stl.TriangleMesh) -> stl.MeshStats:
+    if len(mesh) == 0:
+        return stl.MeshStats(0, None, 0.0)
+    verts = mesh.vertices.reshape(-1, 3)
+    bounds = (verts.min(axis=0), verts.max(axis=0))
+    e1 = mesh.facets[:, 2, :] - mesh.facets[:, 1, :]
+    e2 = mesh.facets[:, 3, :] - mesh.facets[:, 1, :]
+    area = 0.5 * float(np.linalg.norm(np.cross(e1, e2), axis=1).sum())
+    return stl.MeshStats(len(mesh), bounds, area)

@@ -507,6 +507,85 @@ def test_total_area_invariant_under_rigid_transform():
     assert after == pytest.approx(before, rel=1e-6)
 
 
+def assert_same(a, b):
+    """Equal values (NaN equal to NaN) with equal sign bits, zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# coordinates that tie at a bound: signed zeros beside a few other values
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def facet_arrays(max_facets=40, elements=st.one_of(_TIES, coord)):
+    return st.integers(0, max_facets).flatmap(
+        lambda n: arrays(np.float64, (n, 4, 3), elements=elements))
+
+
+def assert_stats_match_reference(facets):
+    mesh = stl.TriangleMesh(facets)
+    with np.errstate(all="ignore"):  # inf - inf in the edges of a non-finite mesh
+        got, want = stl.mesh_stats(mesh), ref.mesh_stats(mesh)
+    assert got.triangle_count == want.triangle_count
+    assert (got.bounds is None) == (want.bounds is None)
+    if got.bounds is not None:
+        assert_same(got.bounds[0], want.bounds[0])
+        assert_same(got.bounds[1], want.bounds[1])
+    assert_same(got.total_area, want.total_area)
+
+
+@given(facets=facet_arrays())
+@settings(max_examples=200, deadline=None)
+def test_mesh_stats_matches_reference_bit_for_bit(facets):
+    assert_stats_match_reference(facets)
+
+
+@given(facets=facet_arrays(elements=st.one_of(_TIES, _NON_FINITE, coord)))
+@settings(max_examples=100, deadline=None)
+def test_mesh_stats_of_non_finite_values_matches_reference(facets):
+    assert_stats_match_reference(facets)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000),
+       palette=st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1.0), (0.0, -0.0, -1.0),
+                                (0.0, -0.0, 1.0, -1.0, 2.5)]))
+@settings(max_examples=60, deadline=None)
+def test_mesh_stats_signed_zero_bounds_match_reference_on_large_meshes(seed, n, palette):
+    # long enough for numpy's unrolled and vectorized reduction loops
+    facets = np.random.default_rng(seed).choice(palette, size=(n, 4, 3))
+    assert_stats_match_reference(facets)
+
+
+@pytest.mark.parametrize("facets", [
+    np.zeros((0, 4, 3)),
+    np.array([[[0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float),
+    np.array([[[0, 0, 0], [-0.0, 0, -0.0], [0, -0.0, 0], [-0.0, -0.0, 0]]]),
+    np.array([[[0, 0, 0], [1, 2, 3], [1, 2, 3], [1, 2, 3]]], dtype=float),  # degenerate
+    np.array([[[0, 0, 0], [np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]]]),
+])
+def test_mesh_stats_of_empty_one_facet_and_degenerate_meshes_match_reference(facets):
+    assert_stats_match_reference(facets)
+
+
+@given(facets=facet_arrays(elements=st.one_of(_TIES, coord)))
+@settings(max_examples=150, deadline=None)
+def test_recompute_normals_and_centroids_match_reference_bit_for_bit(facets):
+    facets[1::3, 2:] = facets[1::3, 1:2]  # every third facet degenerate
+    mesh = stl.TriangleMesh(facets)
+    assert_same(stl.recompute_normals(mesh).facets, ref.recompute_normals(mesh).facets)
+    assert_same(stl.triangle_centroids(mesh), ref.triangle_centroids(mesh))
+
+
+@given(facets=facet_arrays(elements=st.one_of(_TIES, st.sampled_from([1e-7, 0.6, 0.8]),
+                                              coord)))
+@settings(max_examples=150, deadline=None)
+def test_sanitized_normals_match_reference_bit_for_bit(facets):
+    assert_same(stl._sanitize_normals(facets.copy()), ref.sanitize_normals(facets.copy()))
+
+
 # ---------------------------------------------------------------------------
 # library
 

@@ -327,6 +327,22 @@ def test_stacked_apply_concatenates_in_stack_order(tiny_library):
     assert len(tf.apply_to_mesh(t, stl.empty_mesh())) == 0
 
 
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 50]),
+       m=st.sampled_from([1, 2, 3, 17]), jitter=st.sampled_from(JITTERS))
+@settings(max_examples=60, deadline=None)
+def test_stacked_apply_matches_per_instance_reference(seed, k, m, jitter):
+    # m == 1 is the mesh numpy multiplies as a vector; some normals are zero
+    r = np.random.default_rng(seed)
+    facets = r.uniform(-3.0, 3.0, size=(m, 4, 3))
+    facets[r.random(m) < 0.3, 0] = 0.0
+    mesh = stl.TriangleMesh(facets)
+    stack = tf.random_attachment_transform(random_frames(r, k), jitter, r)
+    scalar = [ref.apply_to_mesh(tf.RigidTransform(stack.rotation[i], stack.translation[i],
+                                                  stack.scale[i]), mesh).facets
+              for i in range(k)]
+    assert same_bits(tf.apply_to_mesh(stack, mesh).facets, np.concatenate(scalar))
+
+
 def test_z_alignments_match_single_alignments():
     directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
                            [0.6, 0.0, 0.8], [-0.6, -0.0, -0.8], [0.0, 0.6, -0.8]])
