@@ -5,6 +5,13 @@ Meshes are stored as float64 arrays of shape (n, 4, 3) where each row is
 (the format mandates it); reading widens back to float64 exactly. ASCII STL
 writes every number at 9 significant digits. In either format a
 write -> read -> write cycle is byte stable.
+
+The per-facet kernels (normal lengths, cross products, areas, centroids and
+bounds) work one coordinate at a time on (n,) columns, so numpy runs one
+long loop per coordinate instead of a length-3 loop per facet. Each keeps
+the operation order of the axis form it replaces (``np.cross``,
+``np.linalg.norm``, ``mean`` and ``min``/``max`` over an axis), so every
+result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ def _sanitize_normals(facets: np.ndarray) -> np.ndarray:
     are kept bit-exact, so canonical files round-trip byte-identically)."""
     if facets.shape[0] == 0:
         return facets
-    norms = np.linalg.norm(facets[:, 0, :], axis=1)
+    norms = _norms(facets[:, 0].T)
     off = np.abs(norms - 1.0) > 1e-3
     if not np.any(off):
         return facets
@@ -304,15 +311,13 @@ def _with_writable_normals(mesh: TriangleMesh) -> np.ndarray:
     facets = mesh.facets
     if len(mesh) == 0:
         return facets
-    rows = facets.reshape(-1, 12)
-    norms = np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] + rows[:, 2] * rows[:, 2])
-    bad = np.abs(norms - 1.0) > 1e-3
+    bad = np.abs(_norms(facets[:, 0].T) - 1.0) > 1e-3
     if not np.any(bad):
         return facets
     fixed = facets[bad]
     _refuse_if_not_finite(fixed)
     fixed = recompute_normals(TriangleMesh(fixed, mesh.name)).facets
-    if np.any(np.linalg.norm(fixed[:, 0, :], axis=1) == 0.0):
+    if np.any(_norms(fixed[:, 0].T) == 0.0):
         _refuse_if_not_finite(facets)
         raise StlError("degenerate facet has no unit normal; cannot write")
     out = facets.copy()
@@ -363,9 +368,32 @@ def _write_ascii(facets: np.ndarray, name: str) -> bytes:
 # ---------------------------------------------------------------------------
 # queries
 
+def _norms(coords) -> np.ndarray:
+    """Lengths of vectors given as three coordinate columns (a tuple, or the
+    (3, n) transpose of an (n, 3) stack), summed in ``np.linalg.norm``'s
+    order."""
+    x, y, z = coords
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _edges_and_cross(facets: np.ndarray):
+    """Each facet's edges v1 - v0 and v2 - v0 and their cross product, each
+    as three coordinate columns; the cross product in ``np.cross``'s order."""
+    v0, v1, v2 = facets[:, 1], facets[:, 2], facets[:, 3]
+    ax, ay, az = (v1[:, j] - v0[:, j] for j in range(3))
+    bx, by, bz = (v2[:, j] - v0[:, j] for j in range(3))
+    cross = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return (ax, ay, az), (bx, by, bz), cross
+
+
 def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
-    """Per-facet centroids, shape (n, 3)."""
-    return mesh.vertices.mean(axis=1)
+    """Per-facet centroids (v0 + v1 + v2) / 3, shape (n, 3). The sum starts
+    from +0.0, as ``mean``'s does, so three -0.0 give +0.0."""
+    v = mesh.facets
+    centroids = np.empty((len(mesh), 3))
+    for j in range(3):
+        centroids[:, j] = (0.0 + v[:, 1, j] + v[:, 2, j] + v[:, 3, j]) / 3
+    return centroids
 
 
 def recompute_normals(mesh: TriangleMesh) -> TriangleMesh:
@@ -377,14 +405,13 @@ def recompute_normals(mesh: TriangleMesh) -> TriangleMesh:
     facets = mesh.facets.copy()
     if len(mesh) == 0:
         return TriangleMesh(facets, mesh.name)
-    e1 = facets[:, 2, :] - facets[:, 1, :]
-    e2 = facets[:, 3, :] - facets[:, 1, :]
-    cross = np.cross(e1, e2)
-    norms = np.linalg.norm(cross, axis=1)
-    scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    e1, e2, cross = _edges_and_cross(facets)
+    norms = _norms(cross)
+    scale = _norms(e1) * _norms(e2)
     degenerate = norms <= 1e-12 * np.maximum(scale, 1.0)
     safe = np.where(degenerate, 1.0, norms)
-    facets[:, 0, :] = np.where(degenerate[:, None], 0.0, cross / safe[:, None])
+    for j in range(3):
+        facets[:, 0, j] = np.where(degenerate, 0.0, cross[j] / safe)
     return TriangleMesh(facets, mesh.name)
 
 
@@ -396,14 +423,29 @@ class MeshStats:
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
+    """Facet count, vertex bounds and total area.
+
+    Each bound is one min or max over the (n, 3) vertex coordinates of one
+    axis. The value of a min or max does not depend on the order it is taken
+    in, but the sign of a zero bound does: a bound equal to 0 has the sign
+    of the last zero of its axis, in facet-then-vertex order, which is the
+    sign ``min(axis=0)`` and ``max(axis=0)`` over the (3n, 3) vertex rows
+    give, since they keep the last of equal values.
+    """
     if len(mesh) == 0:
         return MeshStats(0, None, 0.0)
-    verts = mesh.vertices.reshape(-1, 3)
-    bounds = (verts.min(axis=0), verts.max(axis=0))
-    e1 = mesh.facets[:, 2, :] - mesh.facets[:, 1, :]
-    e2 = mesh.facets[:, 3, :] - mesh.facets[:, 1, :]
-    area = 0.5 * float(np.linalg.norm(np.cross(e1, e2), axis=1).sum())
-    return MeshStats(len(mesh), bounds, area)
+    lo, hi = np.empty(3), np.empty(3)
+    for k in range(3):
+        coord = mesh.facets[:, 1:, k]
+        lo[k], hi[k] = coord.min(), coord.max()
+        if lo[k] == 0.0 or hi[k] == 0.0:
+            last_zero = coord[coord == 0.0][-1]
+            if lo[k] == 0.0:
+                lo[k] = last_zero
+            if hi[k] == 0.0:
+                hi[k] = last_zero
+    area = 0.5 * float(_norms(_edges_and_cross(mesh.facets)[2]).sum())
+    return MeshStats(len(mesh), (lo, hi), area)
 
 
 # ---------------------------------------------------------------------------
