@@ -164,6 +164,7 @@ def _cmd_ipp_sample(args) -> int:
     seed = _pick_seed(args.seed)
     if args.reps < 1:
         raise CliError("--reps must be at least 1")
+    ipp.check_replication_budget(field, region, args.reps)
     out = Path(args.out)
     # each pattern is written, or only counted, as it is sampled
     counts = []

@@ -365,6 +365,18 @@ def nearest_pair_distance(points) -> float:
         h *= 2
 
 
+def check_replication_budget(field, region: Region, reps: int) -> None:
+    """Refuse, as an IntensityError, ``reps`` thinned patterns whose work
+    exceeds MAX_ENVELOPE_POINTS: each rep counts its envelope mean plus one,
+    the one for seeding its generators on an empty field. Run before the
+    seeds are listed, since listing and seeding them is work per rep too."""
+    mean = field.max_rate(region) * region.area
+    if reps * (mean + 1.0) > MAX_ENVELOPE_POINTS:
+        raise IntensityError(f"{reps} replications of {mean:.6g} expected points each exceed "
+                             f"the budget of {MAX_ENVELOPE_POINTS} points "
+                             f"(forestgen.ipp.MAX_ENVELOPE_POINTS)")
+
+
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds (documented splitting rule)."""
     return [stream_seed(master_seed, k) for k in range(count)]

@@ -414,6 +414,16 @@ def test_ipp_sample_over_envelope_budget_exit_5(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_ipp_sample_over_replication_budget_exit_5(tmp_path):
+    # once a billion seeds listed before anything was checked; 10**9 reps of
+    # an empty field charge one point each
+    result = run_bounded(["ipp-sample", "--region", "0,10,0,10", "--intensity", "constant:0",
+                          "--seed", 1, "--reps", 10**9, "--out", tmp_path / "o"], timeout=30.0)
+    assert result.returncode == 5, result.stderr
+    assert "forestgen.ipp.MAX_ENVELOPE_POINTS" in single_error_line(result.stderr)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["forest", "tree"])
 def test_binary_stl_beyond_float32_exit_3(subcommand, tmp_path):
     # once a RuntimeWarning and exit 0, with a file that stl-info refused

@@ -146,6 +146,17 @@ def test_envelope_budget_refuses_before_drawing():
     assert np.array_equal(at_budget.points, ipp.sample_homogeneous(REGION, 0.01, seed=6).points)
 
 
+@pytest.mark.parametrize("rate,reps_at_budget", [(0.0, 1000), (0.01, 9), (0.0101, 9)])
+def test_replication_budget_charges_envelope_mean_plus_one_per_rep(rate, reps_at_budget):
+    # REGION expects 100 * rate / 0.01 points per rep: 0 points cost 1 each,
+    # 100 cost 101 and 101 cost 102, against a budget of 1000
+    field = ipp.ConstantIntensity(rate)
+    with mock.patch.object(ipp, "MAX_ENVELOPE_POINTS", 1000):
+        ipp.check_replication_budget(field, REGION, reps_at_budget)
+        with pytest.raises(ipp.IntensityError, match="forestgen.ipp.MAX_ENVELOPE_POINTS"):
+            ipp.check_replication_budget(field, REGION, reps_at_budget + 1)
+
+
 def test_sample_deterministic_per_seed():
     a = ipp.sample_homogeneous(REGION, 0.02, seed=4)
     b = ipp.sample_homogeneous(REGION, 0.02, seed=4)
