@@ -25,6 +25,7 @@ def main():
     print(f"{'mass':>8} {'mean':>10} {'variance':>10} {'dispersion':>10}")
     for mass in (5.0, 20.0, 100.0, 400.0):
         field = ipp.ConstantIntensity(mass / region.area)
+        ipp.check_replication_budget(field, region, args.reps)
         seeds = ipp.replication_seeds(args.seed, args.reps)
         counts = np.array([len(p) for p in ipp.sample_replications(field, region, seeds)])
         mean = counts.mean()
