@@ -150,11 +150,12 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
 
 
 def _build_trees(params: list[treemod.TreeParams], lib: stl.MeshLibrary):
-    """``tree.build_trees``; a scene too large to build is a fault of its
-    config or manifest, so a SceneConfigError with the budget's message."""
+    """``tree.build_trees``; a scene too large to build, or whose placement
+    scales overflow, is a fault of its config or manifest, so a
+    SceneConfigError with the build's message."""
     try:
         return treemod.build_trees(params, lib)
-    except treemod.TriangleBudgetError as exc:
+    except (treemod.TriangleBudgetError, OverflowError) as exc:
         raise SceneConfigError(str(exc)) from exc
 
 
@@ -309,7 +310,7 @@ def _parse(source, what: str, parse):
             raise SceneConfigError(f"cannot read {what}: {exc}") from exc
     try:
         return parse(source)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SceneConfigError(f"malformed {what}: {exc}") from exc
     except ipp.IntensityError as exc:
         raise SceneConfigError(str(exc)) from exc

@@ -265,36 +265,6 @@ def sample_replications(field, region: Region, seeds):
         yield PointPattern(envelope.points[keep], seed)
 
 
-class _Grid:
-    """Uniform grid over a point set, mapping each cell to the points added
-    to it, in the order they were added.
-
-    Points less than ``h`` apart along both axes fall in the same or
-    adjacent cells. The cell side exceeds ``h`` by a 2**-40 margin, plus
-    2**-40 of the pattern's extent, which absorbs the rounding of the cell
-    computation. Cells are counted from the pattern's lower-left corner in
-    half units, so neither a coordinate difference nor a cell number (below
-    2**41) can overflow.
-    """
-
-    def __init__(self, points: np.ndarray, h: float):
-        half = points * 0.5
-        lo = half.min(axis=0)
-        side = h * 0.5 * (1 + 2 ** -40) + float((half.max(axis=0) - lo).max()) * 2 ** -40
-        self.cells = [tuple(c) for c in np.floor((half - lo) / side).astype(np.int64).tolist()]
-        self.members: dict[tuple[int, int], list[int]] = {}
-
-    def add(self, i: int):
-        self.members.setdefault(self.cells[i], []).append(i)
-
-    def near(self, i: int):
-        """Points added so far in the 3 x 3 cells around point ``i``."""
-        cx, cy = self.cells[i]
-        for a in (cx - 1, cx, cx + 1):
-            for b in (cy - 1, cy, cy + 1):
-                yield from self.members.get((a, b), ())
-
-
 def _finite_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
@@ -321,13 +291,24 @@ def min_distance_filter(pattern: PointPattern, r: float) -> PointPattern:
     # A pair fails dx*dx + dy*dy >= r2 only if |dx| and |dy| are both below
     # sqrt(r2) (sqrt(2**1024) once r2 overflows): cells that wide, with a
     # margin for rounding dx and the square root, hold every such pair.
-    grid = _Grid(pts, math.sqrt(min(r2, sys.float_info.max)) * (1 + 2 ** -50))
+    h = math.sqrt(min(r2, sys.float_info.max)) * (1 + 2 ** -50)
+    # The cell side exceeds h by a 2**-40 margin, plus 2**-40 of the
+    # pattern's extent, which absorbs the rounding of the cell computation.
+    # Cells are counted from the pattern's lower-left corner in half units,
+    # so neither a coordinate difference nor a cell number (below 2**41) can
+    # overflow.
+    half = pts * 0.5
+    lo = half.min(axis=0)
+    side = h * 0.5 * (1 + 2 ** -40) + float((half.max(axis=0) - lo).max()) * 2 ** -40
+    cells = [tuple(c) for c in np.floor((half - lo) / side).astype(np.int64).tolist()]
+    members: dict[tuple[int, int], list[int]] = {}
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     kept = []
-    for i, (x, y) in enumerate(zip(xs, ys)):
+    for i, (x, y, (cx, cy)) in enumerate(zip(xs, ys, cells)):
         if all((x - xs[j]) * (x - xs[j]) + (y - ys[j]) * (y - ys[j]) >= r2
-               for j in grid.near(i)):
-            grid.add(i)
+               for a in (cx - 1, cx, cx + 1) for b in (cy - 1, cy, cy + 1)
+               for j in members.get((a, b), ())):
+            members.setdefault((cx, cy), []).append(i)
             kept.append(i)
     return PointPattern(pts[kept], pattern.seed)
 
@@ -336,33 +317,28 @@ def nearest_pair_distance(points) -> float:
     """Smallest ``np.hypot`` distance between two of ``points`` (an (n, 2)
     array of finite coordinates); +inf for fewer than two points.
 
-    Only pairs in adjacent cells of a uniform grid are measured. A pair in
-    cells further apart is at least the cell size ``h`` apart, so a minimum
-    below ``h`` is exact; otherwise ``h`` doubles, until one 2 x 2 block of
-    cells covers every point.
+    A plane sweep: points sorted along their wider axis are compared with
+    the point k places on, for k = 1, 2, ..., until every such gap along
+    that axis is at least the nearest distance found. Rounding is monotone,
+    so a pair further apart in the order has an axis gap at least as large,
+    and its distance is at least that gap: the result is exact.
     """
     pts = _finite_points(points)
     n = len(pts)
     if n < 2:
         return math.inf
-    x, y = pts[:, 0], pts[:, 1]
-    half_span = float(np.ptp(pts * 0.5, axis=0).max())
-    # about one point per cell; a normal-range h keeps the rounding of
-    # subnormal distances far below it
-    h = max(half_span / math.sqrt(n) * 2, 2.0 ** -1000)
-    while True:
-        grid = _Grid(pts, h)
-        nearest = math.inf
-        # points over ~1.8e308 apart overflow to inf, the rounded distance
-        with np.errstate(over="ignore"):
-            for i in range(n):
-                js = list(grid.near(i))
-                if js:
-                    nearest = min(nearest, float(np.hypot(x[i] - x[js], y[i] - y[js]).min()))
-                grid.add(i)
-        if nearest < h * (1 - 2 ** -40) or max(map(max, grid.cells)) <= 1:
-            return nearest
-        h *= 2
+    axis = int(np.ptp(pts * 0.5, axis=0).argmax())
+    order = np.argsort(pts[:, axis], kind="stable")
+    a, b = pts[order, axis], pts[order, 1 - axis]
+    nearest = math.inf
+    # points over ~1.8e308 apart overflow to inf, the rounded distance
+    with np.errstate(over="ignore"):
+        for k in range(1, n):
+            gaps = a[k:] - a[:-k]
+            if gaps.min() >= nearest:
+                break
+            nearest = min(nearest, float(np.hypot(gaps, b[k:] - b[:-k]).min()))
+    return nearest
 
 
 def check_replication_budget(field, region: Region, reps: int) -> None:
@@ -438,5 +414,5 @@ def load_intensity(path) -> RasterIntensity | ConstantIntensity:
         if "form" not in data:
             data = dict(data, form="raster")
         return intensity_from_dict(data)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise IntensityError(f"malformed intensity file {path}: {exc}") from exc

@@ -523,7 +523,7 @@ def _frame_vector(value, default, what: str) -> np.ndarray:
         vector = np.asarray(default if value is None else value, dtype=np.float64)
         if vector.shape == (3,) and np.isfinite(vector).all():
             return vector
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise LibraryError(f"template {what} must be three finite numbers")
 

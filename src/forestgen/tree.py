@@ -206,7 +206,8 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     The frames come tree after tree, ``counts[i]`` of them from tree i. Each
     tree draws its (counts[i], 3) block of uniforms from its own ``stream``
     generator and jitters within its own ranges, as it would alone; a tree
-    with no frames seeds no generator.
+    with no frames seeds no generator. A placement scale that overflows is
+    an OverflowError.
     """
     blocks = [(p.seed, k) for p, k in zip(params, counts.tolist()) if k]
     rngs = generators([stream_seed(seed, stream) for seed, _ in blocks])
@@ -218,7 +219,11 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
                             for p in params], counts, axis=0)
         jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
     t = tf.random_attachment_transform((points, directions), jitter, uniforms)
-    t = tf.RigidTransform(t.rotation, t.translation, t.scale * (lengths / lib.extent(role)))
+    with np.errstate(over="ignore"):
+        scale = t.scale * (lengths / lib.extent(role))
+    if not np.isfinite(scale).all():
+        raise OverflowError(f"a {role} placement scale overflows: scale_range is too large")
+    t = tf.RigidTransform(t.rotation, t.translation, scale)
     return tf.apply_to_mesh(t, lib.template(role))
 
 
@@ -300,7 +305,8 @@ def build_trees(params: list[TreeParams],
     Returns the scene mesh, every tree's triangles tree after tree, and one
     TreeModel per params whose mesh and skeleton are views of the stacks.
     A stack whose ledger totals more than MAX_TRIANGLES is a
-    TriangleBudgetError, raised before anything is allocated.
+    TriangleBudgetError, raised before anything is allocated; a jittered
+    scale too large to place is an OverflowError.
     """
     template_sizes = [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     # the ledger in Python integers, before any array can overflow or allocate

@@ -521,6 +521,7 @@ def replaced(data, keys, value):
     # finite but above 360 degrees: the turtle's and the transform's sums overflow
     (("tree_params", "jitter", "azimuth_range"), 1e308, "azimuth_range"),
     (("tree_params", "jitter", "pitch_range"), 1e308, "pitch_range"),
+    (("tree_params", "jitter", "scale_range"), [0.85, 1e308], "scale_range"),
 ])
 def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, capsys):
     config = scene_config_file(tmp_path)
@@ -538,6 +539,7 @@ def test_forest_non_finite_field_exit_5(keys, value, field, tmp_path, lib_dir, c
     (("tree_params",), [1]),
     (("parameter_jitter",), 5),
     (("tree_params", "jitter"), [1]),
+    (("intensity", "rate"), 10 ** 400),
 ])
 def test_forest_config_of_wrong_shape_exit_5(keys, value, tmp_path, lib_dir, capsys):
     config = scene_config_file(tmp_path)

@@ -360,16 +360,22 @@ def test_filter_rejects_bad_distance(r):
         ipp.min_distance_filter(pattern, r)
 
 
-def test_grid_scales_linearly():
-    # 20 000 points: the grid takes well under a second, an all-pairs loop
-    # minutes
-    rng = np.random.default_rng(41)
-    points = rng.uniform(0.0, 1000.0, size=(20000, 2))
+@pytest.mark.parametrize("layout", ["spread", "stacked"])
+def test_grid_scales_linearly(layout):
+    # 20 000 points, spread out or all on one spot: the filter and the sweep
+    # take well under a second, an all-pairs loop minutes
+    if layout == "spread":
+        points = np.random.default_rng(41).uniform(0.0, 1000.0, size=(20000, 2))
+    else:
+        points = np.full((20000, 2), 3.0)
     start = time.perf_counter()
     kept = ipp.min_distance_filter(ipp.PointPattern(points, seed=41), 1.0)
     nearest = ipp.nearest_pair_distance(points)
     assert time.perf_counter() - start < 10.0
-    assert 0 < len(kept) < len(points) and 0 < nearest < 1.0
+    if layout == "spread":
+        assert 0 < len(kept) < len(points) and 0 < nearest < 1.0
+    else:
+        assert len(kept) == 1 and nearest == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each test starts from a valid document, replaces one entry (or the whole
 document) with an arbitrary JSON value, and requires the loader to return a
 result or raise its documented error: SceneConfigError for scene configs and
 manifests, IntensityError for raster files, LibraryError for template
-library manifests. Numbers stay small, so no document asks for a huge build.
+library manifests. Numbers are small, or an integer too large for any float,
+a count the stage ledger refuses before any build.
 """
 
 import json
@@ -21,7 +22,9 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12)
     | st.floats(-2.0, 12.0, allow_nan=False)
     # a small alphabet: "/", "." and NUL cover the odd file names
-    | st.text(alphabet="ab./\0", max_size=4),
+    | st.text(alphabet="ab./\0", max_size=4)
+    # an integer no float can hold
+    | st.just(10 ** 400),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(alphabet="ab", max_size=2), children, max_size=3),
     max_leaves=6,
