@@ -210,13 +210,9 @@ def _cmd_stl_info(args) -> int:
 def _cmd_rewrite(args) -> int:
     try:
         text = Path(args.grammar).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {args.grammar}: {exc}", EXIT_PARSE) from exc
-    try:
-        system = lsys.parse_lsystem(text)
-        derivation = lsys.rewrite(system, args.iterations)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    derivation = lsys.rewrite(lsys.parse_lsystem(text), args.iterations)
     _emit("level", args.iterations)
     _emit("derivation", derivation)
     _emit("branch_symbols", lsys.count_branch_symbols(derivation))

@@ -306,7 +306,7 @@ def _parse(source, what: str, parse):
     if not isinstance(source, dict):
         try:
             source = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SceneConfigError(f"cannot read {what}: {exc}") from exc
     try:
         return parse(source)

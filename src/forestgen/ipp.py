@@ -355,6 +355,8 @@ def check_replication_budget(field, region: Region, reps: int) -> None:
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """Independent per-replication seeds (documented splitting rule)."""
+    if not 0 <= master_seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
     return [stream_seed(master_seed, k) for k in range(count)]
 
 
@@ -408,7 +410,7 @@ def intensity_from_dict(data: dict):
 def load_intensity(path) -> RasterIntensity | ConstantIntensity:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise IntensityError(f"cannot read intensity file {path}: {exc}") from exc
     try:
         if "form" not in data:

@@ -494,7 +494,7 @@ def load_library(manifest_path) -> MeshLibrary:
     path = Path(manifest_path)
     try:
         spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise LibraryError(f"cannot read library manifest {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise LibraryError(f"library manifest {path} must be a JSON object")

@@ -612,9 +612,29 @@ def _raster_file(tmp_path) -> Path:
      "cannot read scene config"),
     (["forest", "--config", "{mistyped}", "--out", "{tmp}/o"], 5,
      "malformed scene config"),
+    # a file that is not UTF-8 is a fault of the file, not of the flags
+    (["rewrite", "--grammar", "{tmp}/latin.txt", "--iterations", "1"], 3, "cannot read"),
+    (["forest", "--config", "{tmp}/latin.txt", "--out", "{tmp}/o"], 5,
+     "cannot read scene config"),
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{tmp}/latin.txt",
+      "--out", "{tmp}/o.csv"], 5, "cannot read intensity file"),
+    (["tree", "--branches", "4", "--lib", "{tmp}/latin.txt", "--out", "{tmp}/t.stl"], 3,
+     "cannot read library manifest"),
+    (["forest", "--config", "{scene}", "--lib", "{tmp}/latin.txt", "--out", "{tmp}/o"], 3,
+     "cannot read library manifest"),
+    # seeds are 64 unsigned bits, as for `tree --seed`, not aliased modulo 2**64
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "constant:0.1", "--seed", "-5",
+      "--out", "{tmp}/o.csv"], 2, "seed must fit in 64 unsigned bits"),
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "constant:0.1",
+      "--seed", str(2 ** 64 + 3), "--out", "{tmp}/o.csv"], 2,
+     "seed must fit in 64 unsigned bits"),
+    (["rewrite", "--grammar", "{tmp}/g.txt", "--iterations", "-1"], 2,
+     "iterations must be non-negative"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
+    (tmp_path / "latin.txt").write_bytes(b"\xff")
+    (tmp_path / "g.txt").write_text("vars: g; axiom: g; rule: g -> gg")
     scene = scene_config_file(tmp_path)
     config = json.loads(scene.read_text())
     config["tree_params"]["branch_count"] = "many"

@@ -385,6 +385,13 @@ def test_scene_over_the_triangle_budget_is_a_scene_config_error(tiny_library):
         fo.regenerate_scene(manifest, tiny_library)
 
 
+def test_regenerate_rejects_a_manifest_that_is_not_utf8(tiny_library, tmp_path):
+    path = tmp_path / fo.MANIFEST_NAME
+    path.write_bytes(b"\xff")
+    with pytest.raises(fo.SceneConfigError, match="cannot read manifest"):
+        fo.regenerate_scene(path, tiny_library)
+
+
 def test_regenerate_rejects_bad_version(tiny_library, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"version": 99}))

@@ -147,29 +147,34 @@ def test_rewrite_length_matches_recursive_oracle(successor, n):
        h=st.text(alphabet="ghd[", min_size=1, max_size=3),
        n=st.integers(0, 6), budget=st.integers(0, 200))
 @settings(max_examples=200, deadline=None)
-def test_derivation_symbols_is_the_sum_of_level_lengths(axiom, g, h, n, budget):
+def test_rewrite_refuses_past_the_sum_of_level_lengths(axiom, g, h, n, budget):
     ls = lsys.LSystem(frozenset("ghd"), axiom, {"g": g, "h": h})
     written = sum(rewrite_length_oracle(ls.rules, axiom, level) for level in range(1, n + 1))
     with mock.patch.object(lsys, "MAX_DERIVATION_SYMBOLS", budget):
-        predicted = lsys.derivation_symbols(ls, n)
         if written <= budget:
-            assert predicted == written
             assert len(lsys.rewrite(ls, n)) == rewrite_length_oracle(ls.rules, axiom, n)
         else:
-            # the count stops once past the budget, and rewrite refuses
-            assert budget < predicted <= written
             with pytest.raises(lsys.LSystemError, match="MAX_DERIVATION_SYMBOLS"):
                 lsys.rewrite(ls, n)
 
 
 def test_rewrite_budget_is_exact():
     ls = lsys.parse_lsystem("vars: g; axiom: g; rule: g -> gg")
-    # levels 1 to n of doubling hold 2**(n + 1) - 2 symbols
-    assert lsys.derivation_symbols(ls, 19) == 2 ** 20 - 2 <= lsys.MAX_DERIVATION_SYMBOLS
+    # levels 1 to n of doubling hold 2**(n + 1) - 2 symbols: 2**20 - 2 for 19
     assert len(lsys.rewrite(ls, 19)) == 2 ** 19
-    assert lsys.derivation_symbols(ls, 10 ** 12) <= 2 * lsys.MAX_DERIVATION_SYMBOLS + 2
     with pytest.raises(lsys.LSystemError, match="20 iterations write more than"):
         lsys.rewrite(ls, 20)
+    # refused at level 20, long before the 10**12th
+    with pytest.raises(lsys.LSystemError, match="MAX_DERIVATION_SYMBOLS"):
+        lsys.rewrite(ls, 10 ** 12)
+
+
+def test_fixed_point_counts_one_symbol_per_level():
+    ls = lsys.parse_lsystem("vars: g; axiom: g; rule: g -> g")
+    with mock.patch.object(lsys, "MAX_DERIVATION_SYMBOLS", 1000):
+        assert lsys.rewrite(ls, 1000) == "g"
+        with pytest.raises(lsys.LSystemError, match="1001 iterations write more than 1000"):
+            lsys.rewrite(ls, 1001)
 
 
 @given(text=st.text(alphabet="d()+-[]", max_size=20), n=st.integers(0, 4))
