@@ -4,16 +4,19 @@ Locations come from the thinning sampler followed by the hard-core spacing
 filter. Every tree is an independent rebuild: tree i is seeded with
 substream i + 1 of the master seed (substream 0 drives location sampling),
 so scenes are reproducible end to end. All trees of a scene are built
-together by ``tree.build_trees``: each tree still walks its own turtle and
-draws its own blocks from its own generators, so the random streams are
-those of a tree built alone, and only the arithmetic of each template role
-is stacked across trees. The scene keeps every tree's triangles in one
-buffer, tree after tree, and each tree's mesh is a view of it.
+together by ``tree.build_trees``: each tree still walks its own turtle, and
+each stage reads each tree's block of uniforms from that tree's own stream,
+all trees' blocks drawn at once (``seeds.uniform_blocks``), so the random
+streams are those of a tree built alone, and only the arithmetic of each
+template role is stacked across trees. The scene keeps every tree's
+triangles in one buffer, tree after tree, and each tree's mesh is a view of
+it.
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export
 bakes the offsets in, writing the scene a fixed number of triangles at a
-time. The manifest records everything needed to rebuild the identical scene.
+time. The manifest records everything needed to rebuild the identical scene;
+its tree lines are written from the scene's columns, one format per tree.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     else:
         write_merged(out / MERGED_NAME, [p.tree.full_mesh() for p in scene.placements],
                      [(p.x, p.y) for p in scene.placements], "forest")
-    (out / MANIFEST_NAME).write_text(dumps_manifest(manifest))
+    (out / MANIFEST_NAME).write_text(_manifest_text(scene, manifest))
     return manifest
 
 
@@ -283,21 +286,62 @@ def _chunks(sizes: list[int]):
         yield pieces
 
 
-def dumps_manifest(manifest: dict) -> str:
-    """The manifest as ``json.dumps(indent=2, sort_keys=True)`` writes it,
-    except that each ``"trees"`` entry is one line, indented four spaces, as
-    ``json`` writes it without ``indent``; the text ends in a newline.
-
-    Without ``indent``, ``json`` runs its C encoder, so the tree entries,
-    nearly all of a scene's manifest, cost little to write.
-    """
+def _manifest_text(scene: Scene, manifest: dict) -> str:
+    """The text of ``manifest``, the scene's ``build_manifest``: as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it, except that each
+    ``"trees"`` entry is one line, indented four spaces, as ``json`` writes
+    it without ``indent`` (see _tree_lines); the text ends in a newline."""
     text = json.dumps({**manifest, "trees": []}, indent=2, sort_keys=True)
-    if manifest["trees"]:
-        encode = json.JSONEncoder(sort_keys=True).encode
-        entries = ",\n".join("    " + encode(entry) for entry in manifest["trees"])
+    if scene.placements:
         # a newline, two spaces and a quote start a top-level key and nothing else
-        text = text.replace('\n  "trees": []', '\n  "trees": [\n' + entries + '\n  ]', 1)
+        text = text.replace('\n  "trees": []', '\n  "trees": [\n'
+                            + _tree_lines(scene, manifest["mode"]) + '\n  ]', 1)
     return text + "\n"
+
+
+# a manifest tree entry, keys sorted, as json writes it without indent
+_TREE_LINE = ('    {"file": %s, "index": %d, "params": %s%d%s, "seed": %d, "triangles": %d, '
+              '"x": %s, "y": %s}')
+
+
+def _tree_lines(scene: Scene, mode: str) -> str:
+    """The manifest's tree entries, one line each, in placement order: one
+    %-format per tree over the scene's columns, ints written as
+    ``int.__repr__`` and floats as ``_json_floats`` write them, as ``json``
+    does. The params object is formatted once per distinct block (jitter
+    object, counts, trunk height and decay), with json's encoder, and cut
+    around its seed, so a jitter field of any type is written as json
+    writes it."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    placements = scene.placements
+    params = [p.tree.params for p in placements]
+    blocks, heads, tails = {}, [], []
+    for tp in params:
+        key = (id(tp.jitter), tp.branch_count, tp.subbranches_per_branch,
+               tp.leaves_per_subbranch, tp.trunk_height, tp.depth_scale_decay)
+        if key not in blocks:
+            head, tail = encode({**treemod.params_to_dict(tp), "seed": 0}).split('"seed": 0', 1)
+            blocks[key] = (head + '"seed": ', tail)
+        head, tail = blocks[key]
+        heads.append(head)
+        tails.append(tail)
+    indices = [p.index for p in placements]
+    files = ([f'"tree_{i}.stl"' for i in indices] if mode == "per-tree"
+             else ["null"] * len(indices))
+    rows = zip(files, indices, heads, [tp.seed for tp in params], tails,
+               [p.seed for p in placements],
+               [p.tree.stage_counts["leaves"] for p in placements],
+               _json_floats([p.x for p in placements]), _json_floats([p.y for p in placements]))
+    return ",\n".join([_TREE_LINE % row for row in rows])
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """Each float as json writes it: ``float.__repr__``, and NaN, Infinity
+    or -Infinity for a value that is not finite."""
+    text = list(map(float.__repr__, values))
+    if not math.isfinite(sum(values)):
+        text = [t if math.isfinite(v) else json.dumps(v) for t, v in zip(text, values)]
+    return text
 
 
 def _parse(source, what: str, parse):

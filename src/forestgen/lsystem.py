@@ -265,21 +265,27 @@ def _match_brackets(text: str) -> set[int]:
     return matched
 
 
-def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator) -> Skeleton:
+def interpret_turtle(s, cfg: TurtleConfig, trunk_spec,
+                     rng: np.random.Generator | np.ndarray) -> Skeleton:
     """Interpret a derivation string as a branching skeleton.
 
     ``trunk_spec`` is (height, base point). The result is deterministic in
     (s, cfg, trunk_spec, seed). Fans jitter exactly when ``cfg.jitter_range
-    > 0``; the draws then happen in a fixed order (parents in row order; per
-    child an azimuth then a station offset).
+    > 0``; they then read one (azimuth, station) pair of uniforms per child
+    in a fixed order (parents in row order, children in string order), an
+    (n - 1, 2) block for a tree of n nodes (the trunk and one node per
+    branch symbol), drawn as one ``rng.random((n - 1, 2))``. ``rng`` may
+    also be that block, already drawn, as for
+    ``transform.random_attachment_transform``; with no jitter it is not
+    read.
 
     A stack of trees passes a sequence on every argument, one string,
-    config, trunk spec and generator per tree, the way
+    config, trunk spec and generator or block per tree, the way
     ``transform.random_attachment_transform`` takes stacked frames; a single
-    tree is the stack of one. Each tree walks its own string and draws from
-    its own generator, as it would alone (see _walk). The generators may be
-    any iterable: each is taken when its tree is walked, and done with
-    before the next is taken, as ``seeds.generators`` requires. Every node of the
+    tree is the stack of one. Each tree walks its own string (see _walk)
+    and reads its own draws, as it would alone. The generators may be any
+    iterable: each is taken when its tree is walked, and done with before
+    the next is taken, as ``seeds.generators`` requires. Every node of the
     stack is then placed together, one depth at a time. The skeleton holds
     the trees' rows tree after tree, each tree's trunk first, with parent
     rows pointing into the stack; ``Skeleton.trees`` splits it per tree.
@@ -287,15 +293,24 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     if isinstance(s, str):
         s, cfg, trunk_spec, rng = [s], [cfg], [trunk_spec], [rng]
     parents, depths, lengths, stations, turns, bases, trunks = [], [], [], [], [], [], []
-    for text, tree_cfg, (height, base), tree_rng in zip(s, cfg, trunk_spec, rng, strict=True):
+    for text, tree_cfg, (height, base), draws in zip(s, cfg, trunk_spec, rng, strict=True):
         height = float(height)
         if not 0.0 < height < math.inf:
             raise ValueError("trunk height must be positive and finite")
-        walk = _walk(text, tree_cfg, tree_rng)
+        tree_parents, tree_depths, phases, children = _walk(text, tree_cfg.yaw_angle)
+        if tree_cfg.jitter_range > 0:
+            if isinstance(draws, np.random.Generator):
+                draws = draws.random((len(tree_parents) - 1, 2))
+            elif draws.shape != (len(tree_parents) - 1, 2):
+                raise ValueError(f"need a ({len(tree_parents) - 1}, 2) block of uniforms, "
+                                 f"got {draws.shape}")
+        tree_stations, tree_turns = _fans(children, phases, tree_cfg, draws)
         trunks.append(len(parents))
-        for column, rows in zip((parents, depths, stations, turns), walk):
-            column += rows
-        lengths += [height] + [tree_cfg.step_length] * (len(walk[0]) - 1)
+        parents += tree_parents
+        depths += tree_depths
+        stations += tree_stations
+        turns += tree_turns
+        lengths += [height] + [tree_cfg.step_length] * (len(tree_parents) - 1)
         bases.append(base)
 
     # placed one depth at a time: every node of a depth, over all trees, is
@@ -321,16 +336,14 @@ def interpret_turtle(s, cfg: TurtleConfig, trunk_spec, rng: np.random.Generator)
     return skeleton
 
 
-def _walk(text: str, cfg: TurtleConfig, rng: np.random.Generator) -> tuple[list, list, list, list]:
-    """One tree's string walk: per node (row 0 is the trunk) its parent row
-    in the tree (-1 for the trunk), its depth, its station on the parent
-    axis and its direction in the parent's frame, the parent axis along +Z.
+def _walk(text: str, yaw_angle: float) -> tuple[list, list, list, list]:
+    """One tree's string pass: per node (row 0 is the trunk) its parent row
+    in the tree (-1 for the trunk), its depth, the phase of the nested group
+    it opens and its child rows. It draws nothing.
 
-    The walk gives every node a row, its parent row, its depth, the phase
-    of the nested group it opens and its child rows. Only a matched '['
-    (see _match_brackets) makes the latest child of the current context the
-    new context; the '+'/'-' cursor at that moment becomes the phase of
-    that child's fan.
+    Only a matched '[' (see _match_brackets) makes the latest child of the
+    current context the new context; the '+'/'-' cursor at that moment
+    becomes the phase of that child's fan.
     """
     matched = _match_brackets(text)
     parents, depths, phases, children = [-1], [0], [0.0], [[]]
@@ -346,9 +359,9 @@ def _walk(text: str, cfg: TurtleConfig, rng: np.random.Generator) -> tuple[list,
             phases.append(0.0)
             children.append([])
         elif ch == "+":
-            cursor += cfg.yaw_angle
+            cursor += yaw_angle
         elif ch == "-":
-            cursor -= cfg.yaw_angle
+            cursor -= yaw_angle
         elif ch == "[":
             fan = children[context[-1]]
             pushed.append(i in matched and bool(fan))
@@ -359,21 +372,30 @@ def _walk(text: str, cfg: TurtleConfig, rng: np.random.Generator) -> tuple[list,
         elif ch == "]":
             if pushed.pop():
                 context.pop()
+    return parents, depths, phases, children
 
-    # Children of one parent form an evenly spaced fan (360/k apart) offset
-    # by the parent's phase; stations spread over the upper fraction of the
-    # parent axis. Jitter adds bounded uniform noise to both, drawn as one
-    # (children, 2) block of (azimuth, station) rows: the same stream as two
-    # ``rng.uniform`` draws per child in turn. Each child leaves its parent
-    # axis at the branch pitch, turned to its azimuth.
-    n = len(parents)
+
+def _fans(children: list, phases: list, cfg: TurtleConfig, draws) -> tuple[list, list]:
+    """One tree's fan pass, from its string pass: per node its station on
+    the parent axis and its direction in the parent's frame, the parent axis
+    along +Z. With jitter, ``draws`` is the tree's (n - 1, 2) block of
+    uniforms; without, it is not read.
+
+    Children of one parent form an evenly spaced fan (360/k apart) offset
+    by the parent's phase; stations spread over the upper fraction of the
+    parent axis. Jitter adds bounded uniform noise to both, from one
+    (azimuth, station) row of the block per child in turn: the same stream
+    as two ``rng.uniform`` draws per child. Each child leaves its parent
+    axis at the branch pitch, turned to its azimuth.
+    """
+    n = len(phases)
     stations = [0.0] * n
     turns = [(0.0, 0.0, 1.0)] * n  # the trunk's is never read
     pitch = math.radians(cfg.branch_pitch)
     sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
     j = cfg.jitter_range
     if j > 0:
-        draws = iter(rng.random((n - 1, 2)).tolist())
+        draws = iter(draws.tolist())
     for parent, fan in enumerate(children):
         k = len(fan)
         gap = (_STATION_HI - _STATION_LO) / (k - 1) if k > 1 else 0.0
@@ -390,4 +412,4 @@ def _walk(text: str, cfg: TurtleConfig, rng: np.random.Generator) -> tuple[list,
             stations[row] = station
             a = math.radians(azimuth)
             turns[row] = (sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch)
-    return parents, depths, stations, turns
+    return stations, turns

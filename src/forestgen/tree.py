@@ -24,6 +24,7 @@ copied into its slots, so a tree's mesh is a contiguous view of the buffer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import lsystem as lsys
 from . import stl
 from . import transform as tf
-from .seeds import generators, stream_seed
+from .seeds import stream_seed, uniform_blocks
 
 STAGES = ("skeleton", "branches", "subbranches", "leaves")
 
@@ -48,6 +49,10 @@ _LEAF_STATION_LO = 0.30
 _LEAF_FRACTION = 0.25
 # skeleton export: segment width relative to the segment length
 _SEGMENT_WIDTH = 0.02
+
+# the largest float32: _place refuses a jittered scale that takes a template
+# beyond it
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # a trunk stands upright: its rotation, repeated once per tree
 _EYE = np.eye(3)[None]
@@ -158,15 +163,20 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     branch_count * subbranches_per_branch depth-2 nodes.
 
     A list of params gives the stack of their skeletons, tree after tree,
-    as ``lsystem.interpret_turtle`` stacks them; each tree draws from its
-    own generator, so ``Skeleton.trees`` gives each tree's skeleton alone.
+    as ``lsystem.interpret_turtle`` stacks them; each tree reads its own
+    block of its own skeleton stream, so ``Skeleton.trees`` gives each
+    tree's skeleton alone.
     """
     stack = [params] if isinstance(params, TreeParams) else params
-    skeleton = lsys.interpret_turtle(
-        [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack],
-        [turtle_config_for(p) for p in stack],
-        [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack],
-        generators([stream_seed(p.seed, _STREAM_SKELETON) for p in stack]))
+    texts = [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack]
+    configs = [turtle_config_for(p) for p in stack]
+    # a jittered tree reads one (azimuth, station) row per branch symbol
+    counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
+              for text, cfg in zip(texts, configs)]
+    uniforms = uniform_blocks([stream_seed(p.seed, _STREAM_SKELETON) for p in stack], counts, 2)
+    blocks = [uniforms[end - k:end] for end, k in zip(itertools.accumulate(counts), counts)]
+    skeleton = lsys.interpret_turtle(texts, configs,
+                                     [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack], blocks)
     # the derivation nests one group deep, so depth 2 is the only decayed one
     decayed = (skeleton.depths == 2).nonzero()[0]
     if len(decayed):
@@ -204,27 +214,32 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     scale; instances are concatenated in frame order.
 
     The frames come tree after tree, ``counts[i]`` of them from tree i. Each
-    tree draws its (counts[i], 3) block of uniforms from its own ``stream``
-    generator and jitters within its own ranges, as it would alone; a tree
-    with no frames seeds no generator. A placement scale that overflows is
-    an OverflowError.
+    tree reads its (counts[i], 3) block of uniforms from its own ``stream``
+    and jitters within its own ranges, as it would alone. A placement scale
+    that overflows, or whose jitter takes the template beyond the float32
+    range of binary STL, is an OverflowError.
     """
-    blocks = [(p.seed, k) for p, k in zip(params, counts.tolist()) if k]
-    rngs = generators([stream_seed(seed, stream) for seed, _ in blocks])
-    uniforms = np.concatenate([rng.random((k, 3)) for rng, (_, k) in zip(rngs, blocks)])
+    uniforms = uniform_blocks([stream_seed(p.seed, stream) for p in params], counts.tolist(), 3)
     jitter = params[0].jitter
-    if any(p.jitter != jitter for p in params):
+    if any(p.jitter is not jitter and p.jitter != jitter for p in params):
         # trees of a hand-edited manifest may each have their own ranges
         ranges = np.repeat([(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
                             for p in params], counts, axis=0)
         jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
     t = tf.random_attachment_transform((points, directions), jitter, uniforms)
+    template = lib.template(role)
+    radius = np.sqrt((template.vertices ** 2).sum(axis=-1).max())
     with np.errstate(over="ignore"):
-        scale = t.scale * (lengths / lib.extent(role))
-    if not np.isfinite(scale).all():
-        raise OverflowError(f"a {role} placement scale overflows: scale_range is too large")
+        size = lengths / lib.extent(role)
+        scale = t.scale * size
+        # the jitter takes a template vertex beyond float32 where the unjittered
+        # instance stays within it (a tree too large is the STL writer's error)
+        too_far = (scale * radius > _FLOAT32_MAX) & (size * radius <= _FLOAT32_MAX)
+    if not np.isfinite(scale).all() or too_far.any():
+        raise OverflowError(f"a {role} placement scale overflows or leaves the float32 range "
+                            f"of binary STL: scale_range is too large")
     t = tf.RigidTransform(t.rotation, t.translation, scale)
-    return tf.apply_to_mesh(t, lib.template(role))
+    return tf.apply_to_mesh(t, template)
 
 
 # The stage functions place one role over a stack of trees: ``skeleton``
@@ -299,7 +314,7 @@ def build_trees(params: list[TreeParams],
     """Build a stack of trees, such as every tree of a scene, together.
 
     Each tree's turtle walk and per-stage draws come from its own
-    generators, so each tree is the tree ``build_tree`` gives alone; the
+    streams, so each tree is the tree ``build_tree`` gives alone; the
     skeletons of a run of trees (see ``runs``) are placed as one
     stack, and each template role by one stacked transform over the run.
     Returns the scene mesh, every tree's triangles tree after tree, and one

@@ -12,9 +12,12 @@ STL writing, and the whole-scene binary writer is the reference for binary
 STL writing and merged export. The mesh queries at the end reduce over
 each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
 ``min``/``max``/``mean`` over an axis, as ``forestgen.stl`` did before its
-kernels went one coordinate at a time.
+kernels went one coordinate at a time. The manifest writer at the very end
+encodes a manifest dict entry by entry, as ``forestgen.forest`` did before it
+wrote tree lines from the scene's columns.
 """
 
+import json
 import math
 import struct
 
@@ -353,3 +356,19 @@ def mesh_stats(mesh: stl.TriangleMesh) -> stl.MeshStats:
     e2 = mesh.facets[:, 3, :] - mesh.facets[:, 1, :]
     area = 0.5 * float(np.linalg.norm(np.cross(e1, e2), axis=1).sum())
     return stl.MeshStats(len(mesh), bounds, area)
+
+
+# ---------------------------------------------------------------------------
+# manifest text
+
+def dumps_manifest(manifest: dict) -> str:
+    """The manifest as ``json.dumps(indent=2, sort_keys=True)`` writes it,
+    except that each ``"trees"`` entry is one line, indented four spaces, as
+    ``json`` writes it without ``indent``; the text ends in a newline."""
+    text = json.dumps({**manifest, "trees": []}, indent=2, sort_keys=True)
+    if manifest["trees"]:
+        encode = json.JSONEncoder(sort_keys=True).encode
+        entries = ",\n".join("    " + encode(entry) for entry in manifest["trees"])
+        # a newline, two spaces and a quote start a top-level key and nothing else
+        text = text.replace('\n  "trees": []', '\n  "trees": [\n' + entries + '\n  ]', 1)
+    return text + "\n"

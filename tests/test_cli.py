@@ -630,6 +630,11 @@ def _raster_file(tmp_path) -> Path:
      "seed must fit in 64 unsigned bits"),
     (["rewrite", "--grammar", "{tmp}/g.txt", "--iterations", "-1"], 2,
      "iterations must be non-negative"),
+    # a finite scale_range whose placed templates leave the float32 range of
+    # binary STL is a fault of the scene config, not of the mesh
+    (["forest", "--config", "{huge}", "--out", "{tmp}/o", "--mode", "merged"], 5, "scale_range"),
+    (["forest", "--config", "{huge}", "--out", "{tmp}/o", "--mode", "per-tree"], 5,
+     "scale_range"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -640,8 +645,11 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
     config["tree_params"]["branch_count"] = "many"
     mistyped = tmp_path / "mistyped.json"
     mistyped.write_text(json.dumps(config))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(replaced(json.loads(scene.read_text()),
+                                        ("tree_params", "jitter", "scale_range"), [0.85, 1e300])))
     names = {"tmp": tmp_path, "scene": scene, "raster": _raster_file(tmp_path),
-             "mistyped": mistyped}
+             "mistyped": mistyped, "huge": huge}
     code, out, err = run([a.format(**names) for a in argv], capsys)
     assert code == expected
     assert message in single_error_line(err)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from forestgen import forest as fo
 from forestgen import ipp
 from forestgen import stl
+from forestgen import transform as tf
 from forestgen import tree as tm
 
 import scalar_reference as ref
@@ -370,7 +371,7 @@ def test_regenerate_validates_each_distinct_jitter_once(tiny_library):
     assert len({id(j) for j in jitters}) == 2
     assert all(j is jitters[0] for i, j in enumerate(jitters) if i != 1)
     assert math.copysign(1.0, jitters[1].pitch_range) == -1.0
-    assert fo.dumps_manifest(fo.build_manifest(regen, "merged")) == fo.dumps_manifest(manifest)
+    assert ref.dumps_manifest(fo.build_manifest(regen, "merged")) == ref.dumps_manifest(manifest)
 
 
 def test_scene_over_the_triangle_budget_is_a_scene_config_error(tiny_library):
@@ -473,7 +474,7 @@ def _canonical(text: str) -> str:
 def assert_manifest_written(manifest: dict):
     """``dumps_manifest`` reads back as ``manifest``, with each tree entry
     on a line of its own."""
-    text = fo.dumps_manifest(manifest)
+    text = ref.dumps_manifest(manifest)
     assert _canonical(text) == _canonical(json.dumps(manifest))
     assert text.endswith("}\n")
     trees = manifest["trees"]
@@ -519,6 +520,85 @@ def test_dumps_manifest_is_json_dumps(data, twist):
 ])
 def test_dumps_manifest_is_json_dumps_on_odd_columns(trees):
     assert_manifest_written({"version": fo.MANIFEST_VERSION, "trees": trees})
+
+
+# ---------------------------------------------------------------------------
+# the manifest text written from scene columns against the dict writer
+
+_EDGE_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1]
+# shared by many trees, and written as json writes each field's own type
+_SCENE_JITTERS = [tm._DEFAULT_JITTER, tf.AngleJitterParams(),
+                  tf.AngleJitterParams(azimuth_range=5, pitch_range=0, scale_range=(1, 2)),
+                  tf.AngleJitterParams(azimuth_range=np.float64(2.5), pitch_range=-0.0,
+                                       scale_range=[np.float64(0.5), 1e16])]
+scene_positions = st.one_of(st.sampled_from(_SPECIAL_FLOATS + [math.nan, math.inf, -math.inf]),
+                            st.floats())
+scene_trees = st.lists(st.tuples(
+    st.integers(0, 10 ** 6), scene_positions, scene_positions,
+    st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2 ** 64 - 1),
+    st.sampled_from([1, 2, 16]) | st.integers(1, 40), st.integers(0, 4), st.integers(0, 5),
+    st.sampled_from([8.0, 10.0]) | st.floats(5e-324, 1e300),
+    st.sampled_from([0.5, 1.0]) | st.floats(5e-324, 1.0),
+    st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2 ** 64 - 1),
+    st.sampled_from(_SCENE_JITTERS), st.integers(0, 2 ** 25)), max_size=12)
+
+
+def column_scene(trees) -> fo.Scene:
+    """A scene holding only what its manifest reads: placements, params and
+    triangle counts, with no meshes built."""
+    config = make_config(intensity=ipp.RasterIntensity(-0.0, 5e-324, 1e16, np.array([[0.5, 1e-7]])),
+                         master_seed=2 ** 64 - 1)
+    placements = [
+        fo.Placement(index, x, y, seed, tm.TreeModel(
+            None, stl.empty_mesh("tree"),
+            tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=n,
+                          trunk_height=h, jitter=jitter, depth_scale_decay=d, seed=tree_seed),
+            {"leaves": triangles}))
+        for index, x, y, seed, b, s, n, h, d, tree_seed, jitter, triangles in trees]
+    return fo.Scene(placements, config, stl.empty_mesh("trees"))
+
+
+@given(trees=scene_trees)
+@settings(max_examples=150, deadline=None)
+def test_manifest_text_is_the_dict_writer(trees):
+    scene = column_scene(trees)
+    for mode in fo.EXPORT_MODES:
+        manifest = fo.build_manifest(scene, mode)
+        assert fo._manifest_text(scene, manifest) == ref.dumps_manifest(manifest)
+
+
+def test_manifest_text_of_the_empty_scene():
+    scene = column_scene([])
+    manifest = fo.build_manifest(scene, "merged")
+    assert fo._manifest_text(scene, manifest) == ref.dumps_manifest(manifest)
+    assert '"trees": []' in ref.dumps_manifest(manifest)
+
+
+edited_jitters = st.fixed_dictionaries({
+    "azimuth_range": st.sampled_from([0, 5, 10.0, -0.0]) | st.floats(0.0, 360.0),
+    "pitch_range": st.sampled_from([0, 10.0]) | st.floats(0.0, 360.0),
+    "scale_range": st.tuples(st.sampled_from([1, 0.85]), st.sampled_from([1, 2, 1.15])).map(list)})
+
+
+@given(edits=st.lists(st.tuples(
+    st.sampled_from([-0.0, 5e-324, 1e16, 12.5]), st.sampled_from([-0.0, 5e-324, 1e16, 3.0]),
+    st.sampled_from(_EDGE_SEEDS), st.sampled_from(_EDGE_SEEDS), edited_jitters | st.none()),
+    min_size=1, max_size=6), mode=st.sampled_from(fo.EXPORT_MODES))
+@settings(max_examples=40, deadline=None)
+def test_regenerated_manifest_text_is_the_dict_writer(edits, mode, tiny_library):
+    # a hand-edited manifest: positions, seeds and a jitter of its own per
+    # tree, int-valued or not; the regenerated scene writes it as the dict
+    # writer does
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), mode)
+    trees = manifest["trees"][:len(edits)]
+    for entry, (x, y, seed, tree_seed, jitter) in zip(trees, edits):
+        entry.update(x=x, y=y, seed=seed)
+        entry["params"].update(seed=tree_seed, branch_count=2, leaves_per_subbranch=1)
+        if jitter is not None:
+            entry["params"]["jitter"] = jitter
+    regen = fo.regenerate_scene({**manifest, "trees": trees}, tiny_library)
+    again = fo.build_manifest(regen, mode)
+    assert fo._manifest_text(regen, again) == ref.dumps_manifest(again)
 
 
 @pytest.mark.parametrize("mode", fo.EXPORT_MODES)

@@ -3,10 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestgen import lsystem as lsys
+from forestgen import seeds as sd
 
 import scalar_reference as ref
 
@@ -379,12 +380,22 @@ def test_turtle_matches_scalar_reference_on_any_string(text, jitter_range, pitch
     assert got == want
 
 
+# stacks above seeds._BATCH_MIN whose blocks are drawn by seeds.uniform_blocks:
+# every stream short, so the blocks come by jump-ahead, and one stream of 17
+# rows (34 values, past seeds._JUMP_VALUES), so they come from generators
+SHORT_STACK = [(text, 5.0 + i, 10.0 * (i % 4), 1.0 + i, 1000 + i) for i, text in
+               enumerate(["d", "d[dd]d", "d+[d-d[dd]]", "d[d[d"] * 5)]
+LONG_STACK = [("d" * 17, 7.5, 30.0, 2.0, 99)] + SHORT_STACK[1:]
+
+
 @given(trees=st.lists(st.tuples(
     st.text(alphabet="d[]+-()", max_size=30), st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
     st.floats(0.0, 180.0), st.floats(0.5, 20.0), st.integers(0, 2 ** 32 - 1)),
-    min_size=1, max_size=5))
+    min_size=1, max_size=5), drawn=st.booleans())
+@example(trees=SHORT_STACK, drawn=True)
+@example(trees=LONG_STACK, drawn=True)
 @settings(max_examples=80, deadline=None)
-def test_turtle_stack_matches_each_tree_alone(trees):
+def test_turtle_stack_matches_each_tree_alone(trees, drawn):
     texts = [text for text, *_ in trees]
     cfgs = [lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
                               jitter_range=jitter) for _, jitter, pitch, _, _ in trees]
@@ -394,11 +405,22 @@ def test_turtle_stack_matches_each_tree_alone(trees):
                              np.random.default_rng(seed))
              for text, cfg, spec, seed in zip(texts, cfgs, specs, seeds)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = rngs
+    if drawn:
+        # each jittered tree's (n - 1, 2) block, drawn before the walk; its
+        # generator is advanced past the block, as drawing from it would
+        counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
+                  for text, cfg in zip(texts, cfgs)]
+        uniforms = sd.uniform_blocks(seeds, counts, 2)
+        ends = np.cumsum(counts).tolist()
+        draws = [uniforms[end - k:end] for end, k in zip(ends, counts)]
+        for rng, k in zip(rngs, counts):
+            rng.random((k, 2))
     if any(isinstance(outcome, str) for outcome in alone):
         with pytest.raises(lsys.TurtleError):
-            lsys.interpret_turtle(texts, cfgs, specs, rngs)
+            lsys.interpret_turtle(texts, cfgs, specs, draws)
         return
-    stack = lsys.interpret_turtle(texts, cfgs, specs, rngs)
+    stack = lsys.interpret_turtle(texts, cfgs, specs, draws)
     # every parent row of the stack points into its own tree's rows
     starts = stack.at_depth(0)
     first_row = np.repeat(starts, np.diff(starts, append=len(stack)))
@@ -406,3 +428,12 @@ def test_turtle_stack_matches_each_tree_alone(trees):
     assert (stack.parents[stack.depths > 0] >= first_row[stack.depths > 0]).all()
     got = [_turtle_outcome(lambda _: sk, rng) for sk, rng in zip(stack.trees(), rngs)]
     assert got == alone
+
+
+def test_turtle_refuses_a_block_of_the_wrong_shape():
+    cfg = lsys.TurtleConfig(jitter_range=5.0)
+    with pytest.raises(ValueError, match=r"need a \(3, 2\) block of uniforms, got \(2, 2\)"):
+        lsys.interpret_turtle("d[dd]", cfg, (7.0, (0, 0, 0)), np.zeros((2, 2)))
+    # without jitter the block is not read
+    sk = lsys.interpret_turtle("d[dd]", UNIFORM_CFG, (7.0, (0, 0, 0)), np.zeros((0, 2)))
+    assert len(sk) == 4

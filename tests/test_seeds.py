@@ -1,8 +1,10 @@
-"""Batched generator seeding against numpy's own ``default_rng``.
+"""Batched generator seeding and draws against numpy's own ``default_rng``.
 
 ``seeds.generators`` reproduces numpy's SeedSequence and PCG64 seeding
-algorithms over a whole batch of seeds; these tests pin that on the
-installed numpy, on both sides of the batch threshold.
+algorithms over a whole batch of seeds, and ``seeds.uniform_blocks`` each
+seed's first block of uniforms, by PCG64 jump-ahead for short streams; these
+tests pin both on the installed numpy, on both sides of the batch threshold
+and of the jump's stream length.
 """
 
 from unittest import mock
@@ -58,6 +60,74 @@ def test_batched_generators_reuse_one_generator():
     assert all(rng is batch[0] for rng in batch)
     small = list(sd.generators(range(sd._BATCH_MIN - 1)))
     assert len({id(rng) for rng in small}) == len(small)
+
+
+def reference_blocks(seeds, counts, width):
+    """What ``uniform_blocks`` must return: each seed's block, one at a time."""
+    blocks = [np.random.default_rng(s).random((k, width)) for s, k in zip(seeds, counts)]
+    return np.concatenate([np.empty((0, width))] + blocks)
+
+
+def assert_uniform_blocks(seeds, counts, width):
+    """``uniform_blocks`` gives the reference bytes, by the path its rule
+    picks: the jump for at least _BATCH_MIN streams with rows, each seed in
+    [0, 2**64) and none longer than _JUMP_VALUES values."""
+    streams = [(s, k) for s, k in zip(seeds, counts) if k]
+    jumps = (len(streams) >= sd._BATCH_MIN and all(0 <= s < 2 ** 64 for s, _ in streams)
+             and max(k for _, k in streams) * width <= sd._JUMP_VALUES)
+    with mock.patch.object(sd, "_jump_ahead", wraps=sd._jump_ahead) as jump, \
+            mock.patch.object(sd, "generators", wraps=sd.generators) as gens:
+        got = sd.uniform_blocks(seeds, counts, width)
+    assert got.shape == (sum(counts), width)
+    assert got.tobytes() == reference_blocks(seeds, counts, width).tobytes()
+    assert jump.called == jumps
+    assert gens.called == (bool(streams) and not jumps)
+    return jumps
+
+
+# rows per seed, cycled: short streams, streams at the jump's longest, and
+# one stream just past it; each holds seeds with no rows
+COUNT_CYCLES = {
+    "short": [1, 0, 2, 3],
+    "at-the-bound": [sd._JUMP_VALUES // 3, 0, 1],
+    "one-past-the-bound": [sd._JUMP_VALUES // 2 + 1] + [1] * 30 + [0],
+}
+
+
+@pytest.mark.parametrize("cycle", sorted(COUNT_CYCLES))
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("copies", [1, 3, 200])
+def test_uniform_blocks_of_edge_seeds(copies, width, cycle):
+    seeds = EDGE_SEEDS * copies
+    counts = (COUNT_CYCLES[cycle] * len(seeds))[:len(seeds)]
+    jumps = assert_uniform_blocks(seeds, counts, width)
+    # below the batch threshold nothing jumps; 1200 seeds jump unless a
+    # stream is too long
+    if copies == 1:
+        assert not jumps
+    if copies == 200:
+        assert jumps == (cycle != "one-past-the-bound")
+
+
+@given(seeds=seed_lists, width=st.sampled_from([2, 3]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_uniform_blocks_are_default_rng_blocks(seeds, width, data):
+    longest = data.draw(st.sampled_from([1, sd._JUMP_VALUES // width, 40]))
+    counts = data.draw(st.lists(st.integers(0, longest), min_size=len(seeds),
+                                max_size=len(seeds)))
+    assert_uniform_blocks(seeds, counts, width)
+
+
+def test_uniform_blocks_of_no_rows():
+    assert sd.uniform_blocks([], [], 3).shape == (0, 3)
+    assert sd.uniform_blocks(EDGE_SEEDS * 5, [0] * 30, 2).shape == (0, 2)
+
+
+def test_uniform_blocks_outside_64_bits_fall_back_to_pcg64():
+    seeds = EDGE_SEEDS * 3 + [2 ** 64, 2 ** 100 + 7]
+    assert not assert_uniform_blocks(seeds, [2] * len(seeds), 3)
+    with pytest.raises(ValueError):
+        sd.uniform_blocks([-1] * 20, [1] * 20, 3)
 
 
 FIELDS = {

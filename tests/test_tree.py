@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestgen import stl, templates
@@ -288,8 +288,19 @@ def test_runs_close_once_they_hold_the_run_triangles(sizes, limit):
         assert held - sizes[run.stop - 1] < limit
 
 
+# stacks of 20 trees, above seeds._BATCH_MIN: in the first every stage's
+# streams are short, so their uniforms come by jump-ahead; in the second the
+# skeleton, sub-branch and leaf streams are long (48, 54 and 162 values, past
+# seeds._JUMP_VALUES), so those come from generators
+SHORT_BUILD = [(1 + i % 2, 1, 1 + i % 2, 2.0 + i, 0.5, 2 ** 64 - 1 - i, STACK_JITTERS[1 + i % 3])
+               for i in range(20)]
+LONG_BUILD = [(6, 3, 3, 2.0 + i, 0.5, i, STACK_JITTERS[1 + i % 3]) for i in range(20)]
+
+
 @given(trees=stack_trees, shared_jitter=st.booleans(),
        detail=st.sampled_from(["tiny", "normal"]), run=st.sampled_from([1, 400, 1 << 17]))
+@example(trees=SHORT_BUILD, shared_jitter=False, detail="tiny", run=1 << 17)
+@example(trees=LONG_BUILD, shared_jitter=True, detail="tiny", run=1 << 17)
 @settings(max_examples=60, deadline=None)
 def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail, run):
     lib = templates.default_library(detail)
@@ -325,6 +336,10 @@ def test_build_trees_of_no_trees(tiny_library):
     st.sampled_from([0.3, 0.5, 1.0]), st.one_of(st.just(0.0), st.floats(0.0, 360.0)),
     st.integers(0, 2 ** 64 - 1)),
     min_size=1, max_size=8))
+# 20 jittered trees of at most 4 rows each (8 values a stream), so the stack
+# jumps ahead; 20 of 60 rows each (120 values), so it draws from generators
+@example(trees=[(1 + i % 2, i % 2, 3.0 + i, 0.5, 12.0, 7 * i) for i in range(20)])
+@example(trees=[(12, 4, 3.0 + i, 0.5, 12.0 + i, 2 ** 63 + i) for i in range(20)])
 @settings(max_examples=40, deadline=None)
 def test_stacked_skeletons_match_each_tree_alone(trees, tiny_library):
     params = [tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=0,
