@@ -22,12 +22,13 @@ hash it computes each value's PCG64 state by jump-ahead (value j of a stream
 is one multiply-add of its seeded state by constants that depend on j
 alone; Brown 1994, O'Neill 2014), for every value of the batch in one
 float64 matrix product. Setting a generator's state costs about 5 us, and
-the jump about 0.05 us per value plus a fixed cost per longest-stream value
+the jump about 0.05 us per value of every stream padded to the longest
 (2-vCPU host, numpy 2.4): with 472 streams of 3 values the jump took
-0.2 ms against 4 ms for ``generators``, and it stopped winning between 24
-and 96 values per stream, lower for fewer streams. So the jump is taken for
-a batch of at least _BATCH_MIN streams whose longest is at most
-_JUMP_VALUES values, and any other batch draws from ``generators``.
+0.2 ms against 4 ms for ``generators``. It still won at 24 values per
+stream for 16 to 472 streams, and stopped winning by 48 for 16 streams and
+by 96 for 472. So the jump is taken for a batch of at least _BATCH_MIN
+streams whose longest is at most _JUMP_VALUES values, and any other batch
+draws from ``generators``.
 """
 
 from __future__ import annotations
