@@ -81,7 +81,7 @@ class SceneConfig:
 
     def __post_init__(self):
         self.min_spacing = float(self.min_spacing)
-        self.master_seed = int(self.master_seed)
+        self.master_seed = treemod.whole_number(self.master_seed, "master_seed")
         if not math.isfinite(self.min_spacing):
             raise SceneConfigError("min_spacing must be finite")
         if self.min_spacing < 0:
@@ -386,10 +386,10 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
             x, y = float(entry["x"]), float(entry["y"])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SceneConfigError(f"tree {entry['index']} position must be finite")
-            index = int(entry["index"])
+            index = treemod.whole_number(entry["index"], "tree index")
             if index in entries:
                 raise SceneConfigError(f"tree index {index} is repeated")
-            entries[index] = (index, x, y, int(entry["seed"]),
+            entries[index] = (index, x, y, treemod.whole_number(entry["seed"], "tree seed"),
                               treemod.params_from_dict(entry["params"], jitters))
         mesh, models = _build_trees([e[4] for e in entries.values()], lib)
         placements = [Placement(*e[:4], model) for e, model in zip(entries.values(), models)]

@@ -55,6 +55,8 @@ class Region:
                 raise ValueError(f"region bound {name} must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("region must have positive extent on both axes")
+        if not math.isfinite(self.area):
+            raise ValueError("region area must be finite")
 
     @property
     def area(self) -> float:

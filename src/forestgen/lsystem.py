@@ -18,7 +18,9 @@ the branch emitted just before the group. Every top-level branch symbol
 becomes a first-level branch on the trunk, which is what makes the flat
 production strings above yield single-level fans (6 branches for the rule
 shown). ``+``/``-`` turn an azimuth cursor that phases the fan of any nested
-group opened afterwards.
+group opened afterwards. ``interpret_turtle(texts, cfgs, trunk_specs,
+uniforms)`` interprets a stack of trees at once, reading every jittered fan
+from one pre-drawn (rows, 2) block of uniforms.
 """
 
 from __future__ import annotations
@@ -265,52 +267,42 @@ def _match_brackets(text: str) -> set[int]:
     return matched
 
 
-def interpret_turtle(s, cfg: TurtleConfig, trunk_spec,
-                     rng: np.random.Generator | np.ndarray) -> Skeleton:
-    """Interpret a derivation string as a branching skeleton.
+def interpret_turtle(texts, cfgs, trunk_specs, uniforms: np.ndarray) -> Skeleton:
+    """Interpret a stack of derivation strings, each with its TurtleConfig
+    and trunk spec (height, base point), as one branching skeleton.
 
-    ``trunk_spec`` is (height, base point). The result is deterministic in
-    (s, cfg, trunk_spec, seed). Fans jitter exactly when ``cfg.jitter_range
-    > 0``; they then read one (azimuth, station) pair of uniforms per child
-    in a fixed order (parents in row order, children in string order), an
-    (n - 1, 2) block for a tree of n nodes (the trunk and one node per
-    branch symbol), drawn as one ``rng.random((n - 1, 2))``. ``rng`` may
-    also be that block, already drawn, as for
-    ``transform.random_attachment_transform``; with no jitter it is not
-    read.
+    Fans of a tree jitter exactly when its ``jitter_range > 0``; they then
+    read one (azimuth, station) pair of uniforms per child in a fixed order
+    (parents in row order, children in string order), n - 1 rows for a tree
+    of n nodes (the trunk and one node per branch symbol). ``uniforms``
+    holds these rows for every jittered tree, tree after tree, as one (rows,
+    2) block: what ``seeds.uniform_blocks`` returns. Anything else is a
+    ValueError naming the shape needed.
 
-    A stack of trees passes a sequence on every argument, one string,
-    config, trunk spec and generator or block per tree, the way
-    ``transform.random_attachment_transform`` takes stacked frames; a single
-    tree is the stack of one. Each tree walks its own string (see _walk)
-    and reads its own draws, as it would alone. The generators may be any
-    iterable: each is taken when its tree is walked, and done with before
-    the next is taken, as ``seeds.generators`` requires. Every node of the
-    stack is then placed together, one depth at a time. The skeleton holds
-    the trees' rows tree after tree, each tree's trunk first, with parent
-    rows pointing into the stack; ``Skeleton.trees`` splits it per tree.
+    Each tree walks its own string (see _walk) and reads its own rows, as it
+    would alone. Every node of the stack is then placed together, one depth
+    at a time. The skeleton holds the trees' rows tree after tree, each
+    tree's trunk first, with parent rows pointing into the stack;
+    ``Skeleton.trees`` splits it per tree.
     """
-    if isinstance(s, str):
-        s, cfg, trunk_spec, rng = [s], [cfg], [trunk_spec], [rng]
+    rows = sum(count_branch_symbols(text) for text, cfg in zip(texts, cfgs)
+               if cfg.jitter_range > 0)
+    if np.shape(uniforms) != (rows, 2):
+        raise ValueError(f"need a ({rows}, 2) block of uniforms, got {np.shape(uniforms)}")
+    draws = iter(uniforms.tolist())
     parents, depths, lengths, stations, turns, bases, trunks = [], [], [], [], [], [], []
-    for text, tree_cfg, (height, base), draws in zip(s, cfg, trunk_spec, rng, strict=True):
+    for text, cfg, (height, base) in zip(texts, cfgs, trunk_specs, strict=True):
         height = float(height)
         if not 0.0 < height < math.inf:
             raise ValueError("trunk height must be positive and finite")
-        tree_parents, tree_depths, phases, children = _walk(text, tree_cfg.yaw_angle)
-        if tree_cfg.jitter_range > 0:
-            if isinstance(draws, np.random.Generator):
-                draws = draws.random((len(tree_parents) - 1, 2))
-            elif draws.shape != (len(tree_parents) - 1, 2):
-                raise ValueError(f"need a ({len(tree_parents) - 1}, 2) block of uniforms, "
-                                 f"got {draws.shape}")
-        tree_stations, tree_turns = _fans(children, phases, tree_cfg, draws)
+        tree_parents, tree_depths, phases, children = _walk(text, cfg.yaw_angle)
+        tree_stations, tree_turns = _fans(children, phases, cfg, draws)
         trunks.append(len(parents))
         parents += tree_parents
         depths += tree_depths
         stations += tree_stations
         turns += tree_turns
-        lengths += [height] + [tree_cfg.step_length] * (len(tree_parents) - 1)
+        lengths += [height] + [cfg.step_length] * (len(tree_parents) - 1)
         bases.append(base)
 
     # placed one depth at a time: every node of a depth, over all trees, is
@@ -378,15 +370,15 @@ def _walk(text: str, yaw_angle: float) -> tuple[list, list, list, list]:
 def _fans(children: list, phases: list, cfg: TurtleConfig, draws) -> tuple[list, list]:
     """One tree's fan pass, from its string pass: per node its station on
     the parent axis and its direction in the parent's frame, the parent axis
-    along +Z. With jitter, ``draws`` is the tree's (n - 1, 2) block of
-    uniforms; without, it is not read.
+    along +Z. With jitter, the tree's n - 1 (azimuth, station) rows are
+    taken from the iterator ``draws``; without, it is not read.
 
     Children of one parent form an evenly spaced fan (360/k apart) offset
     by the parent's phase; stations spread over the upper fraction of the
     parent axis. Jitter adds bounded uniform noise to both, from one
-    (azimuth, station) row of the block per child in turn: the same stream
-    as two ``rng.uniform`` draws per child. Each child leaves its parent
-    axis at the branch pitch, turned to its azimuth.
+    (azimuth, station) row per child in turn: the same stream as two
+    ``rng.uniform`` draws per child. Each child leaves its parent axis at
+    the branch pitch, turned to its azimuth.
     """
     n = len(phases)
     stations = [0.0] * n
@@ -394,8 +386,6 @@ def _fans(children: list, phases: list, cfg: TurtleConfig, draws) -> tuple[list,
     pitch = math.radians(cfg.branch_pitch)
     sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
     j = cfg.jitter_range
-    if j > 0:
-        draws = iter(draws.tolist())
     for parent, fan in enumerate(children):
         k = len(fan)
         gap = (_STATION_HI - _STATION_LO) / (k - 1) if k > 1 else 0.0

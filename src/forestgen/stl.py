@@ -289,8 +289,8 @@ def write_stl(mesh: TriangleMesh, fmt: str = "binary") -> bytes:
     """Serialize a mesh. Normals that are not unit length are recomputed.
     A non-finite value is an error, and so are a degenerate facet that
     cannot carry a unit normal and, in binary, a value beyond the range of
-    float32; a mesh with several of these faults raises the first of them
-    in that order."""
+    float32 and a facet of zero area in float32; a mesh with several of
+    these faults raises the first of them in that order."""
     if fmt not in ("binary", "ascii"):
         raise ValueError(f"unknown STL format '{fmt}'")
     if fmt == "binary":
@@ -336,7 +336,8 @@ def _write_binary(mesh: TriangleMesh) -> bytes:
     """Header, count and records in one buffer. One finiteness pass, over
     the float32 values, catches both a non-finite value and one that float32
     cannot hold (an error, not an infinity in the file); the float64 facets
-    are looked at again only to tell the two apart."""
+    are looked at again only to tell the two apart. A facet whose float32
+    vertices span no area is refused too."""
     facets = _with_writable_normals(mesh)
     n = facets.shape[0]
     buf = np.empty(HEADER_BYTES + 4 + FACET_BYTES * n, dtype=np.uint8)
@@ -347,8 +348,28 @@ def _write_binary(mesh: TriangleMesh) -> bytes:
     if not np.isfinite(records["vals"]).all():
         _refuse_if_not_finite(mesh.facets)
         raise StlError("mesh has values beyond the float32 range of binary STL")
+    if len(_zero_area_rows(records["vals"][:, 1:])):
+        raise StlError("facet has zero area in the float32 of binary STL; cannot write")
     records["attr"] = 0
     return buf.tobytes()
+
+
+def _zero_area_rows(vertices: np.ndarray) -> np.ndarray:
+    """Rows of the facets whose float32 vertices (k, 3, 3) have a zero cross
+    product. It is taken in float64, where products of float32 values cannot
+    underflow, one component at a time (x * y - z * w == 0 as x * y == z *
+    w), each on the rows whose components so far are all zero: after the
+    first, few rows are left."""
+    rows = None
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        v = vertices if rows is None else vertices[rows]
+        ai, aj, bi, bj = (np.subtract(v[:, k, c], v[:, 0, c], dtype=np.float64)
+                          for k in (1, 2) for c in (i, j))
+        zero = ai * bj == aj * bi
+        rows = zero.nonzero()[0] if rows is None else rows[zero]
+        if not len(rows):
+            break
+    return rows
 
 
 _ASCII_FACET = ("  facet normal %.9g %.9g %.9g\n    outer loop\n"

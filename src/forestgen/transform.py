@@ -1,4 +1,7 @@
-"""Rigid-plus-uniform-scale transforms and their randomized generation."""
+"""Rigid-plus-uniform-scale transforms and their randomized generation:
+``random_attachment_transform(frames, jitter, uniforms)`` maps (k, 3)
+attachment frames and a pre-drawn (k, 3) block of uniforms to a stack of k
+transforms."""
 
 from __future__ import annotations
 
@@ -214,34 +217,25 @@ def z_alignments(directions: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def random_attachment_transform(frame, jitter: AngleJitterParams,
-                                rng: np.random.Generator | np.ndarray) -> RigidTransform:
-    """Transform placing a +Z template at an attachment frame.
+def random_attachment_transform(frames, jitter: AngleJitterParams,
+                                uniforms: np.ndarray) -> RigidTransform:
+    """The stack of k transforms placing a +Z template at k attachment
+    frames, (points, unit directions), each (k, 3).
 
-    ``frame`` is (point, unit direction). The template axis lands on the
-    direction perturbed by azimuth ~ U(-azimuth_range, +azimuth_range) then
-    pitch ~ U(-pitch_range, +pitch_range); scale ~ U(*scale_range). Exactly
-    three uniforms are drawn (in that order) regardless of the ranges, so
-    the stream layout is stable.
-
-    A frame of k stacked points and directions, each (k, 3), draws its
-    uniforms as one (k, 3) block, which is the same stream as k single
-    frames in turn, and returns a stack of k transforms.
-
-    ``rng`` may also be that (k, 3) block of uniforms on [0, 1), already
-    drawn. A stack gathered from several generators, such as the trees of a
-    scene, passes their blocks stacked in frame order, together with a
-    jitter that holds one range per frame.
+    Each template axis lands on its direction perturbed by azimuth ~
+    U(-azimuth_range, +azimuth_range) then pitch ~ U(-pitch_range,
+    +pitch_range); scale ~ U(*scale_range). Each frame reads one row of
+    three uniforms (in that order) regardless of the ranges, so the stream
+    layout is stable: ``uniforms`` is the (k, 3) block on [0, 1), as
+    ``rng.random((k, 3))`` or ``seeds.uniform_blocks`` draws it, and a block
+    of any other shape is a ValueError. Frames of several streams, such as
+    the trees of a scene, pass their blocks stacked in frame order, with a
+    jitter holding one range per frame.
     """
-    points, directions = frame
-    points = np.asarray(points, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
-    stacked = directions.ndim == 2
-    directions = directions.reshape(-1, 3)
+    points, directions = frames
     k = len(directions)
-    uniforms = rng.random((k, 3)) if isinstance(rng, np.random.Generator) else rng
-    if uniforms.shape != (k, 3):
-        raise ValueError(f"need a ({k}, 3) block of uniforms, got {uniforms.shape}")
+    if np.shape(uniforms) != (k, 3):
+        raise ValueError(f"need a ({k}, 3) block of uniforms, got {np.shape(uniforms)}")
     a, p = jitter.azimuth_range, jitter.pitch_range
     lo, hi = jitter.scale_range
     # low + (high - low) * U[0, 1) is how rng.uniform maps its draws, so this
@@ -249,7 +243,5 @@ def random_attachment_transform(frame, jitter: AngleJitterParams,
     span = np.array((a + a, p + p, hi - lo)).T
     draws = np.array((-a, -p, lo)).T + span * uniforms
     turns = _rodrigues(_JITTER_K, _JITTER_K2, np.radians(draws[:, :2]))
-    rotation = z_alignments(directions) @ turns[:, 0] @ turns[:, 1]
-    if not stacked:
-        return RigidTransform(rotation[0], points, float(draws[0, 2]))
+    rotation = z_alignments(np.asarray(directions, dtype=np.float64)) @ turns[:, 0] @ turns[:, 1]
     return RigidTransform(rotation, points, draws[:, 2])

@@ -11,7 +11,10 @@ mesh is a prefix of it, cut at the stage's count in this exact ledger:
 
 Randomness is split into one substream per stage (skeleton, branches,
 sub-branches, leaves), so e.g. requesting leaves never perturbs the branch
-geometry of an otherwise identical build.
+geometry of an otherwise identical build. A stage draws every tree's block
+at once (``seeds.uniform_blocks``) and hands the stacked blocks to
+``lsystem.interpret_turtle(texts, cfgs, trunk_specs, uniforms)`` or
+``transform.random_attachment_transform(frames, jitter, uniforms)``.
 
 The ledger needs only the params and the template sizes, so ``build_trees``
 sizes the buffer of a whole stack of trees (a scene) before placing
@@ -24,7 +27,6 @@ copied into its slots, so a tree's mesh is a contiguous view of the buffer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +81,17 @@ _DEFAULT_JITTER = tf.AngleJitterParams(
     azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15))
 
 
+def whole_number(value, name: str) -> int:
+    """``int(value)``, refusing a number with a fractional part, which
+    ``int`` would truncate; a string is parsed by ``int`` as before."""
+    if type(value) is int:
+        return value
+    number = int(value)
+    if number != value and not isinstance(value, str):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return number
+
+
 @dataclass
 class TreeParams:
     branch_count: int = 8
@@ -90,12 +103,13 @@ class TreeParams:
     seed: int = 0
 
     def __post_init__(self):
-        self.branch_count = int(self.branch_count)
-        self.subbranches_per_branch = int(self.subbranches_per_branch)
-        self.leaves_per_subbranch = int(self.leaves_per_subbranch)
+        self.branch_count = whole_number(self.branch_count, "branch_count")
+        self.subbranches_per_branch = whole_number(self.subbranches_per_branch,
+                                                   "subbranches_per_branch")
+        self.leaves_per_subbranch = whole_number(self.leaves_per_subbranch, "leaves_per_subbranch")
         self.trunk_height = float(self.trunk_height)
         self.depth_scale_decay = float(self.depth_scale_decay)
-        self.seed = int(self.seed)
+        self.seed = whole_number(self.seed, "seed")
         if self.branch_count < 1:
             raise ValueError("branch_count must be at least 1")
         if self.subbranches_per_branch < 0 or self.leaves_per_subbranch < 0:
@@ -174,9 +188,8 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
               for text, cfg in zip(texts, configs)]
     uniforms = uniform_blocks([stream_seed(p.seed, _STREAM_SKELETON) for p in stack], counts, 2)
-    blocks = [uniforms[end - k:end] for end, k in zip(itertools.accumulate(counts), counts)]
     skeleton = lsys.interpret_turtle(texts, configs,
-                                     [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack], blocks)
+                                     [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack], uniforms)
     # the derivation nests one group deep, so depth 2 is the only decayed one
     decayed = (skeleton.depths == 2).nonzero()[0]
     if len(decayed):

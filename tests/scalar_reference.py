@@ -248,8 +248,10 @@ def write_ascii(facets: np.ndarray, name: str) -> bytes:
 def write_binary(facets: np.ndarray, name: str) -> bytes:
     """Binary STL of the whole mesh at once: refuse non-finite values,
     recompute each normal that is not unit length (refusing one that stays
-    zero), cast to float32 beside a zero attribute word, and join the
-    header, the count and the records."""
+    zero), cast to float32 (refusing a value beyond its range, then a facet
+    whose float32 vertices have a zero cross product, taken in float64)
+    beside a zero attribute word, and join the header, the count and the
+    records."""
     facets = np.asarray(facets, dtype=np.float64).reshape(-1, 4, 3)
     if not np.all(np.isfinite(facets)):
         raise stl.StlError("mesh contains non-finite values")
@@ -261,9 +263,17 @@ def write_binary(facets: np.ndarray, name: str) -> bytes:
                 raise stl.StlError("degenerate facet has no unit normal; cannot write")
             facets = facets.copy()
             facets[bad] = fixed
+    with np.errstate(over="ignore"):
+        values = facets.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise stl.StlError("mesh has values beyond the float32 range of binary STL")
+    vertices = values[:, 1:].astype(np.float64)
+    cross = np.cross(vertices[:, 1] - vertices[:, 0], vertices[:, 2] - vertices[:, 0])
+    if np.any(np.all(cross == 0.0, axis=1)):
+        raise stl.StlError("facet has zero area in the float32 of binary STL; cannot write")
     header = name.encode("latin-1", errors="replace")[:80].ljust(80, b"\0")
     records = np.zeros(len(facets), dtype=[("vals", "<f4", (4, 3)), ("attr", "<u2")])
-    records["vals"] = facets.astype("<f4")
+    records["vals"] = values
     return header + struct.pack("<I", len(facets)) + records.tobytes()
 
 
@@ -279,7 +289,8 @@ def write_merged(meshes: list[np.ndarray], positions, name: str) -> bytes:
 
 
 # faults that the binary writer refuses, and the one error each set of them
-# raises: non-finite before degenerate before beyond float32
+# raises: non-finite before degenerate before beyond float32 before a facet
+# of zero area in float32
 WRITER_FAULTS = {
     ("nan",): "mesh contains non-finite values",
     ("kept nan",): "mesh contains non-finite values",
@@ -290,6 +301,8 @@ WRITER_FAULTS = {
     ("kept nan", "beyond"): "non-finite",
     ("kept nan", "degenerate"): "non-finite",
     ("degenerate", "beyond"): "degenerate",
+    ("flat",): "zero area in the float32",
+    ("beyond", "flat"): "beyond the float32 range",
 }
 
 
@@ -306,6 +319,12 @@ def set_fault(facets: np.ndarray, fault: str, row: int) -> None:
     elif fault == "degenerate":  # a zero normal on a facet of no area
         f[0] = 0.0
         f[2:] = f[1]
+    elif fault == "flat":  # a unit normal on a facet of no area in float32 alone
+        f[0] = (0.0, 0.0, 1.0)
+        f[2:] = f[1]
+        f[1:, 0::2] = 1.0
+        f[2, 0] += 1e-12
+        f[3, 2] += 1e-12
     else:  # "beyond": every vertex's y past the largest float32
         f[1:, 1] = 1e39
 

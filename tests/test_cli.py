@@ -635,21 +635,48 @@ def _raster_file(tmp_path) -> Path:
     (["forest", "--config", "{huge}", "--out", "{tmp}/o", "--mode", "merged"], 5, "scale_range"),
     (["forest", "--config", "{huge}", "--out", "{tmp}/o", "--mode", "per-tree"], 5,
      "scale_range"),
+    # a region whose area overflows is refused where it is read
+    (["forest", "--config", "{overflow}", "--out", "{tmp}/o"], 5, "region area must be finite"),
+    (["ipp-sample", "--region", "0,1e300,0,1e300", "--intensity", "raster:{wide}",
+      "--out", "{tmp}/o.csv"], 2, "region area must be finite"),
+    (["ipp-sample", "--region=-1e308,1e308,0,1", "--intensity", "constant:1",
+      "--out", "{tmp}/o.csv"], 2, "region area must be finite"),
+    # a facet whose float32 vertices span no area cannot be written as binary STL
+    (["tree", "--branches", "2", "--height", "1e-320", "--out", "{tmp}/t.stl"], 3,
+     "zero area in the float32"),
+    (["forest", "--config", "{flat}", "--out", "{tmp}/o", "--mode", "merged"], 3,
+     "zero area in the float32"),
+    (["forest", "--config", "{flat}", "--out", "{tmp}/o", "--mode", "per-tree"], 3,
+     "zero area in the float32"),
+    # a seed with a fractional part is refused, not truncated
+    (["forest", "--config", "{fractional}", "--out", "{tmp}/o"], 5,
+     "master_seed must be a whole number"),
 ])
+# pytest records a warning that numpy raises in its own code instead of
+# printing it, so only this mark lets the one-line stderr check see it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
     (tmp_path / "latin.txt").write_bytes(b"\xff")
     (tmp_path / "g.txt").write_text("vars: g; axiom: g; rule: g -> gg")
     scene = scene_config_file(tmp_path)
-    config = json.loads(scene.read_text())
-    config["tree_params"]["branch_count"] = "many"
-    mistyped = tmp_path / "mistyped.json"
-    mistyped.write_text(json.dumps(config))
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps(replaced(json.loads(scene.read_text()),
-                                        ("tree_params", "jitter", "scale_range"), [0.85, 1e300])))
-    names = {"tmp": tmp_path, "scene": scene, "raster": _raster_file(tmp_path),
-             "mistyped": mistyped, "huge": huge}
+    names = {"tmp": tmp_path, "scene": scene, "raster": _raster_file(tmp_path)}
+    # scene configs that differ from the valid one at some key paths
+    for name, edits in [
+            ("mistyped", [(("tree_params", "branch_count"), "many")]),
+            ("huge", [(("tree_params", "jitter", "scale_range"), [0.85, 1e300])]),
+            ("overflow", [(("region", "x_max"), 1e308), (("region", "y_max"), 1e308),
+                          (("intensity", "rate"), 0)]),
+            ("flat", [(("tree_params", "trunk_height"), 1e-300)]),
+            ("fractional", [(("master_seed",), 1.5)])]:
+        config = json.loads(scene.read_text())
+        for keys, value in edits:
+            config = replaced(config, keys, value)
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(config))
+    names["wide"] = tmp_path / "wide.json"
+    names["wide"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1e300,
+                                         "values": [[1e300]]}))
     code, out, err = run([a.format(**names) for a in argv], capsys)
     assert code == expected
     assert message in single_error_line(err)

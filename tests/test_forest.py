@@ -350,6 +350,33 @@ def test_regenerate_rejects_repeated_tree_index(tiny_library, tmp_path):
         fo.regenerate_scene(path, tiny_library)
 
 
+@pytest.mark.parametrize("keys, value, field", [
+    (("trees", 1, "params", "branch_count"), 2.9, "branch_count"),
+    (("trees", 1, "params", "leaves_per_subbranch"), 1.5, "leaves_per_subbranch"),
+    (("trees", 1, "params", "seed"), 7.25, "seed"),
+    (("trees", 1, "seed"), 7.25, "tree seed"),
+    (("trees", 1, "index"), 1.5, "tree index"),
+    (("master_seed",), 404.5, "master_seed"),
+])
+def test_regenerate_refuses_a_fractional_seed_or_count(keys, value, field, tiny_library):
+    # int() would truncate it, and the regenerated scene would re-export another number
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "per-tree")
+    target = manifest
+    for key in keys[:-1]:
+        target = target[key]
+    whole = target[keys[-1]]
+    target[keys[-1]] = value
+    with pytest.raises(fo.SceneConfigError, match=f"{field} must be a whole number"):
+        fo.regenerate_scene(manifest, tiny_library)
+    # the same number written as an integral float regenerates the scene (a
+    # 64-bit tree seed has no float of its own)
+    if float(whole) == whole:
+        target[keys[-1]] = float(whole)
+        regen = fo.regenerate_scene(manifest, tiny_library)
+        assert np.array_equal(regen.mesh.facets, scene.mesh.facets)
+
+
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
 def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)

@@ -217,9 +217,15 @@ def test_count_rule2_token_count_is_nine():
 # ---------------------------------------------------------------------------
 # turtle interpretation
 
+def turtle(text, cfg, trunk_spec, rng):
+    """One tree through interpret_turtle, its block of uniforms drawn from
+    ``rng`` as one ``rng.random((n - 1, 2))`` when it jitters."""
+    rows = lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
+    return lsys.interpret_turtle([text], [cfg], [trunk_spec], rng.random((rows, 2)))
+
+
 def test_interpret_rule1_gives_six_depth1_fan():
-    sk = lsys.interpret_turtle(RULE1_DERIVATION, UNIFORM_CFG, (10.0, (0, 0, 0)),
-                               np.random.default_rng(0))
+    sk = turtle(RULE1_DERIVATION, UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
     ones = sk.at_depth(1)
     assert len(ones) == 6
     assert sk.at_depth(2).tolist() == []
@@ -228,8 +234,7 @@ def test_interpret_rule1_gives_six_depth1_fan():
 
 
 def test_interpret_single_symbol():
-    sk = lsys.interpret_turtle("d", UNIFORM_CFG, (10.0, (0, 0, 0)),
-                               np.random.default_rng(0))
+    sk = turtle("d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
     assert len(sk) == 2
     i = sk.at_depth(1)[0]
     assert azimuth_of(sk.directions[i]) == pytest.approx(0.0, abs=1e-9)
@@ -242,8 +247,8 @@ def test_interpret_single_symbol():
 def test_interpret_is_deterministic_per_seed():
     cfg = lsys.TurtleConfig(step_length=5.0, yaw_angle=45.0, branch_pitch=40.0,
                             jitter_range=10.0)
-    a = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
-    b = lsys.interpret_turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
+    a = turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
+    b = turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.directions, b.directions)
     for name in ("depths", "lengths", "parents"):
@@ -251,8 +256,7 @@ def test_interpret_is_deterministic_per_seed():
 
 
 def test_interpret_matched_groups_nest():
-    sk = lsys.interpret_turtle("d[dd]d[d[d]]", UNIFORM_CFG, (10.0, (0, 0, 0)),
-                               np.random.default_rng(0))
+    sk = turtle("d[dd]d[d[d]]", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
     assert len(sk.at_depth(1)) == 2
     assert len(sk.at_depth(2)) == 3
     assert len(sk.at_depth(3)) == 1
@@ -260,33 +264,30 @@ def test_interpret_matched_groups_nest():
 
 def test_interpret_unclosed_brackets_stay_flat():
     # sibling-separator chains must not nest
-    sk = lsys.interpret_turtle("d[d[d[d", UNIFORM_CFG, (10.0, (0, 0, 0)),
-                               np.random.default_rng(0))
+    sk = turtle("d[d[d[d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
     assert len(sk.at_depth(1)) == 4
     assert sk.at_depth(2).tolist() == []
 
 
 def test_interpret_bracket_underflow_raises():
     with pytest.raises(lsys.TurtleError, match="no matching"):
-        lsys.interpret_turtle("d]d", UNIFORM_CFG, (10.0, (0, 0, 0)),
-                              np.random.default_rng(0))
+        turtle("d]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
 
 
 def test_bracket_underflow_texts_are_pinned():
     with pytest.raises(lsys.GrammarError) as grammar:
         lsys.parse_lsystem("vars: g; axiom: g; rule: g -> g]g")
     assert str(grammar.value) == "line 1: successor of 'g' closes ']' at position 1 with no open '['"
-    with pytest.raises(lsys.TurtleError) as turtle:
-        lsys.interpret_turtle("]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
-    assert str(turtle.value) == "']' at position 0 has no matching '['"
+    with pytest.raises(lsys.TurtleError) as underflow:
+        turtle("]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    assert str(underflow.value) == "']' at position 0 has no matching '['"
 
 
 def test_skeleton_invariants():
     cfg = lsys.TurtleConfig(step_length=4.0, yaw_angle=30.0, branch_pitch=40.0,
                             jitter_range=10.0)
     trunk_len = 12.0
-    sk = lsys.interpret_turtle("d[ddd]d[ddd]d[ddd]", cfg, (trunk_len, (1.0, 2.0, 0.0)),
-                               np.random.default_rng(7))
+    sk = turtle("d[ddd]d[ddd]d[ddd]", cfg, (trunk_len, (1.0, 2.0, 0.0)), np.random.default_rng(7))
     assert len(sk.at_depth(0)) == 1
     for i in range(len(sk)):
         assert np.linalg.norm(sk.directions[i]) == pytest.approx(1.0, abs=1e-9)
@@ -302,8 +303,7 @@ def test_skeleton_invariants():
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
 def test_uniform_fan_azimuths_are_multiples_of_360_over_k(k):
-    sk = lsys.interpret_turtle("[".join(["d"] * k), UNIFORM_CFG, (10.0, (0, 0, 0)),
-                               np.random.default_rng(0))
+    sk = turtle("[".join(["d"] * k), UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
     ones = sk.at_depth(1)
     assert len(ones) == k
     azimuths = [azimuth_of(sk.directions[i]) for i in ones]
@@ -320,15 +320,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         lsys.TurtleConfig(jitter_range=-1.0)
     with pytest.raises(ValueError):
-        lsys.interpret_turtle("d", UNIFORM_CFG, (0.0, (0, 0, 0)), np.random.default_rng(0))
+        turtle("d", UNIFORM_CFG, (0.0, (0, 0, 0)), np.random.default_rng(0))
     for name in ("step_length", "yaw_angle", "jitter_range"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 lsys.TurtleConfig(**{name: bad})
     for height in (math.nan, math.inf):
         with pytest.raises(ValueError, match="trunk height"):
-            lsys.interpret_turtle("d", UNIFORM_CFG, (height, (0, 0, 0)),
-                                  np.random.default_rng(0))
+            turtle("d", UNIFORM_CFG, (height, (0, 0, 0)), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def test_config_validation():
 def test_skeleton_matches_scalar_reference(text, jitter_range, pitch):
     cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
                             jitter_range=jitter_range)
-    got = lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
+    got = turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
     want = ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), np.random.default_rng(5))
     assert len(got) == len(want)
     for name in ("depths", "lengths", "parents"):
@@ -372,7 +371,7 @@ def test_turtle_matches_scalar_reference_on_any_string(text, jitter_range, pitch
     cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=yaw, branch_pitch=pitch,
                             jitter_range=jitter_range)
     got = _turtle_outcome(
-        lambda rng: lsys.interpret_turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), rng),
+        lambda rng: turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), rng),
         np.random.default_rng(seed))
     want = _turtle_outcome(
         lambda rng: ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), rng),
@@ -391,11 +390,11 @@ LONG_STACK = [("d" * 17, 7.5, 30.0, 2.0, 99)] + SHORT_STACK[1:]
 @given(trees=st.lists(st.tuples(
     st.text(alphabet="d[]+-()", max_size=30), st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
     st.floats(0.0, 180.0), st.floats(0.5, 20.0), st.integers(0, 2 ** 32 - 1)),
-    min_size=1, max_size=5), drawn=st.booleans())
-@example(trees=SHORT_STACK, drawn=True)
-@example(trees=LONG_STACK, drawn=True)
+    min_size=1, max_size=5))
+@example(trees=SHORT_STACK)
+@example(trees=LONG_STACK)
 @settings(max_examples=80, deadline=None)
-def test_turtle_stack_matches_each_tree_alone(trees, drawn):
+def test_turtle_stack_matches_each_tree_alone(trees):
     texts = [text for text, *_ in trees]
     cfgs = [lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
                               jitter_range=jitter) for _, jitter, pitch, _, _ in trees]
@@ -404,23 +403,19 @@ def test_turtle_stack_matches_each_tree_alone(trees, drawn):
     alone = [_turtle_outcome(lambda rng: ref.interpret_turtle(text, cfg, *spec, rng),
                              np.random.default_rng(seed))
              for text, cfg, spec, seed in zip(texts, cfgs, specs, seeds)]
+    # each jittered tree's (n - 1, 2) block, stacked as uniform_blocks draws
+    # them; each generator is advanced past its block, as drawing from it would
+    counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
+              for text, cfg in zip(texts, cfgs)]
+    uniforms = sd.uniform_blocks(seeds, counts, 2)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = rngs
-    if drawn:
-        # each jittered tree's (n - 1, 2) block, drawn before the walk; its
-        # generator is advanced past the block, as drawing from it would
-        counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
-                  for text, cfg in zip(texts, cfgs)]
-        uniforms = sd.uniform_blocks(seeds, counts, 2)
-        ends = np.cumsum(counts).tolist()
-        draws = [uniforms[end - k:end] for end, k in zip(ends, counts)]
-        for rng, k in zip(rngs, counts):
-            rng.random((k, 2))
+    for rng, k in zip(rngs, counts):
+        rng.random((k, 2))
     if any(isinstance(outcome, str) for outcome in alone):
         with pytest.raises(lsys.TurtleError):
-            lsys.interpret_turtle(texts, cfgs, specs, draws)
+            lsys.interpret_turtle(texts, cfgs, specs, uniforms)
         return
-    stack = lsys.interpret_turtle(texts, cfgs, specs, draws)
+    stack = lsys.interpret_turtle(texts, cfgs, specs, uniforms)
     # every parent row of the stack points into its own tree's rows
     starts = stack.at_depth(0)
     first_row = np.repeat(starts, np.diff(starts, append=len(stack)))
@@ -431,9 +426,16 @@ def test_turtle_stack_matches_each_tree_alone(trees, drawn):
 
 
 def test_turtle_refuses_a_block_of_the_wrong_shape():
-    cfg = lsys.TurtleConfig(jitter_range=5.0)
+    jittered = lsys.TurtleConfig(jitter_range=5.0)
+    spec = (7.0, (0, 0, 0))
     with pytest.raises(ValueError, match=r"need a \(3, 2\) block of uniforms, got \(2, 2\)"):
-        lsys.interpret_turtle("d[dd]", cfg, (7.0, (0, 0, 0)), np.zeros((2, 2)))
-    # without jitter the block is not read
-    sk = lsys.interpret_turtle("d[dd]", UNIFORM_CFG, (7.0, (0, 0, 0)), np.zeros((0, 2)))
+        lsys.interpret_turtle(["d[dd]"], [jittered], [spec], np.zeros((2, 2)))
+    # a stack needs every jittered tree's rows, 3 + 2 here, and no others
+    texts, cfgs = ["d[dd]", "ddd", "dd"], [jittered, UNIFORM_CFG, jittered]
+    for block, shape in [(np.zeros((4, 2)), r"\(4, 2\)"), (np.zeros((6, 2)), r"\(6, 2\)"),
+                         (np.random.default_rng(0), r"\(\)")]:
+        with pytest.raises(ValueError, match=r"need a \(5, 2\) block of uniforms, got " + shape):
+            lsys.interpret_turtle(texts, cfgs, [spec] * 3, block)
+    # without jitter no row is read
+    sk = lsys.interpret_turtle(["d[dd]"], [UNIFORM_CFG], [spec], np.zeros((0, 2)))
     assert len(sk) == 4

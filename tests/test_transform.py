@@ -140,30 +140,28 @@ def test_align_z_to_lands_on_direction(seed):
 
 
 def test_attachment_zero_jitter_z_is_identity():
-    t = tf.random_attachment_transform(((0, 0, 0), (0, 0, 1)),
-                                       tf.AngleJitterParams(),
-                                       np.random.default_rng(0))
-    assert np.array_equal(t.rotation, np.eye(3))
-    assert np.array_equal(t.translation, [0, 0, 0])
-    assert t.scale == 1.0
+    t = tf.random_attachment_transform(([(0, 0, 0)], [(0, 0, 1)]), tf.AngleJitterParams(),
+                                       np.random.default_rng(0).random((1, 3)))
+    assert np.array_equal(t.rotation, [np.eye(3)])
+    assert np.array_equal(t.translation, [[0, 0, 0]])
+    assert t.scale.tolist() == [1.0]
 
 
 def test_attachment_zero_jitter_x_alignment():
-    t = tf.random_attachment_transform(((0, 0, 5), (1, 0, 0)),
-                                       tf.AngleJitterParams(),
-                                       np.random.default_rng(0))
-    assert np.allclose(t.rotation @ [0, 0, 1], [1, 0, 0], atol=1e-12)
-    assert np.array_equal(t.translation, [0, 0, 5])
+    t = tf.random_attachment_transform(([(0, 0, 5)], [(1, 0, 0)]), tf.AngleJitterParams(),
+                                       np.random.default_rng(0).random((1, 3)))
+    assert np.allclose(t.rotation[0] @ [0, 0, 1], [1, 0, 0], atol=1e-12)
+    assert np.array_equal(t.translation, [[0, 0, 5]])
 
 
 def test_attachment_reproducible_per_seed():
     jit = tf.AngleJitterParams(azimuth_range=30, pitch_range=15, scale_range=(0.5, 2.0))
-    frame = ((1, 2, 3), (0, 1, 0))
-    a = tf.random_attachment_transform(frame, jit, np.random.default_rng(99))
-    b = tf.random_attachment_transform(frame, jit, np.random.default_rng(99))
+    frames = ([(1, 2, 3)], [(0, 1, 0)])
+    a = tf.random_attachment_transform(frames, jit, np.random.default_rng(99).random((1, 3)))
+    b = tf.random_attachment_transform(frames, jit, np.random.default_rng(99).random((1, 3)))
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.translation, b.translation)
-    assert a.scale == b.scale
+    assert np.array_equal(a.scale, b.scale)
 
 
 def test_attachment_pitch_jitter_monte_carlo():
@@ -171,12 +169,10 @@ def test_attachment_pitch_jitter_monte_carlo():
     rng = np.random.default_rng(7)
     jit = tf.AngleJitterParams(pitch_range=10.0)
     direction = np.array([0.0, 0.0, 1.0])
-    devs = []
-    for _ in range(10_000):
-        t = tf.random_attachment_transform(((0, 0, 0), direction), jit, rng)
-        z = t.rotation @ [0, 0, 1]
-        devs.append(np.degrees(np.arccos(np.clip(np.dot(z, direction), -1, 1))))
-    devs = np.array(devs)
+    frames = (np.zeros((10_000, 3)), np.tile(direction, (10_000, 1)))
+    t = tf.random_attachment_transform(frames, jit, rng.random((10_000, 3)))
+    z = t.rotation @ [0, 0, 1]
+    devs = np.degrees(np.arccos(np.clip(z @ direction, -1, 1)))
     assert devs.max() <= 10.0 + 1e-9
     assert abs(devs.mean() - 5.0) <= 0.2
 
@@ -240,18 +236,21 @@ def random_frames(r, k):
 def test_stacked_attachment_matches_single_frames_and_scalar_reference(seed, k, jitter):
     points, directions = random_frames(np.random.default_rng(seed), k)
     rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
-    stacked = tf.random_attachment_transform((points, directions), jitter, rng_stack)
+    stacked = tf.random_attachment_transform((points, directions), jitter,
+                                             rng_stack.random((k, 3)))
     assert stacked.rotation.shape == (k, 3, 3)
     assert stacked.translation.shape == (k, 3)
     assert stacked.scale.shape == (k,)
     for i in range(k):
-        single = tf.random_attachment_transform((points[i], directions[i]), jitter, rng_single)
+        single = tf.random_attachment_transform((points[i:i + 1], directions[i:i + 1]), jitter,
+                                                rng_single.random((1, 3)))
         scalar = ref.random_attachment_transform((points[i], directions[i]), jitter, rng_ref)
-        assert isinstance(single.scale, float)
-        for t in (single, scalar):
-            assert same_bits(t.rotation, stacked.rotation[i])
-            assert same_bits(t.translation, stacked.translation[i])
-            assert t.scale == stacked.scale[i]
+        for rotation, translation, scale in [
+                (single.rotation[0], single.translation[0], single.scale[0]),
+                (scalar.rotation, scalar.translation, scalar.scale)]:
+            assert same_bits(rotation, stacked.rotation[i])
+            assert same_bits(translation, stacked.translation[i])
+            assert scale == stacked.scale[i]
     # the (k, 3) block consumed exactly the k scalar triples
     assert rng_stack.random() == rng_single.random() == rng_ref.random()
 
@@ -265,10 +264,11 @@ def test_stacked_placement_writes_same_stl_bytes_as_single_frames(seed, k, jitte
     points, directions = random_frames(np.random.default_rng(seed), k)
     rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
     stacked = tf.apply_to_mesh(
-        tf.random_attachment_transform((points, directions), jitter, rng_stack), template)
+        tf.random_attachment_transform((points, directions), jitter, rng_stack.random((k, 3))),
+        template)
     singles = stl.concat_meshes([
-        tf.apply_to_mesh(tf.random_attachment_transform((points[i], directions[i]), jitter,
-                                                        rng_single), template)
+        tf.apply_to_mesh(tf.random_attachment_transform(
+            (points[i:i + 1], directions[i:i + 1]), jitter, rng_single.random((1, 3))), template)
         for i in range(k)])
     scalar = stl.concat_meshes([
         ref.apply_to_mesh(ref.random_attachment_transform((points[i], directions[i]), jitter,
@@ -301,7 +301,7 @@ def test_drawn_blocks_with_per_frame_jitter_match_per_block_calls(seed, blocks):
     for i, (k, block_jitter) in enumerate(blocks):
         alone = tf.random_attachment_transform(
             (points[at:at + k], directions[at:at + k]), block_jitter,
-            np.random.default_rng(seed + 1 + i))
+            np.random.default_rng(seed + 1 + i).random((k, 3)))
         assert same_bits(alone.rotation, stacked.rotation[at:at + k])
         assert same_bits(alone.translation, stacked.translation[at:at + k])
         assert same_bits(alone.scale, stacked.scale[at:at + k])
@@ -310,8 +310,11 @@ def test_drawn_blocks_with_per_frame_jitter_match_per_block_calls(seed, blocks):
 
 def test_drawn_uniforms_must_match_the_stack():
     points, directions = random_frames(np.random.default_rng(1), 3)
-    with pytest.raises(ValueError, match=r"\(3, 3\) block of uniforms"):
-        tf.random_attachment_transform((points, directions), JITTERS[1], np.zeros((2, 3)))
+    # a block one row short, one row long, and a generator in its place
+    for block, shape in [(np.zeros((2, 3)), r"\(2, 3\)"), (np.zeros((4, 3)), r"\(4, 3\)"),
+                         (np.random.default_rng(1), r"\(\)")]:
+        with pytest.raises(ValueError, match=r"need a \(3, 3\) block of uniforms, got " + shape):
+            tf.random_attachment_transform((points, directions), JITTERS[1], block)
 
 
 def test_stacked_apply_concatenates_in_stack_order(tiny_library):
@@ -336,7 +339,7 @@ def test_stacked_apply_matches_per_instance_reference(seed, k, m, jitter):
     facets = r.uniform(-3.0, 3.0, size=(m, 4, 3))
     facets[r.random(m) < 0.3, 0] = 0.0
     mesh = stl.TriangleMesh(facets)
-    stack = tf.random_attachment_transform(random_frames(r, k), jitter, r)
+    stack = tf.random_attachment_transform(random_frames(r, k), jitter, r.random((k, 3)))
     scalar = [ref.apply_to_mesh(tf.RigidTransform(stack.rotation[i], stack.translation[i],
                                                   stack.scale[i]), mesh).facets
               for i in range(k)]
