@@ -64,6 +64,11 @@ class ParameterJitter:
             lo, hi = self.branch_count
             if not (1 <= lo <= hi < math.inf):
                 raise SceneConfigError("branch_count jitter must satisfy 1 <= min <= max < inf")
+            # a fractional bound would be truncated by the draw
+            self.branch_count = (treemod.whole_number(lo, "branch_count jitter min"),
+                                 treemod.whole_number(hi, "branch_count jitter max"))
+            if self.branch_count[1] >= 2 ** 63:
+                raise SceneConfigError("branch_count jitter max must be below 2**63")
         if self.trunk_height is not None:
             lo, hi = self.trunk_height
             if not (0 < lo <= hi < math.inf):
@@ -211,10 +216,10 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     manifest = build_manifest(scene, mode)
     if mode == "per-tree":
         for p in scene.placements:
-            mesh = stl.TriangleMesh(p.tree.full_mesh().facets, f"tree_{p.index}")
+            mesh = stl.TriangleMesh(p.tree.mesh.facets, f"tree_{p.index}")
             (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
-        write_merged(out / MERGED_NAME, [p.tree.full_mesh() for p in scene.placements],
+        write_merged(out / MERGED_NAME, [p.tree.mesh for p in scene.placements],
                      [(p.x, p.y) for p in scene.placements], "forest")
     (out / MANIFEST_NAME).write_text(_manifest_text(scene, manifest))
     return manifest
@@ -225,19 +230,23 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     mesh moved by its (x, y) of ``positions`` on the ground plane; returns
     the triangle count.
 
-    The file is the header of the whole count, then one chunk of
-    _EXPORT_TRIANGLES triangles at a time (the last may be shorter), cut
-    across meshes: each chunk is copied out of the meshes it covers, each
-    piece shifted by its own mesh's offset, encoded and written, then
-    dropped, so no copy of every mesh is ever held. The bytes are those of
-    shifting the concatenation of every mesh and writing it with
-    ``stl.write_stl``; each chunk is checked as ``stl.write_stl`` checks a
-    mesh, so the first chunk that cannot be written gives the error. The
-    file is written beside ``path`` and moved onto it once complete, so a
-    write that fails leaves any previous file alone.
+    The file is the header of the whole count, then chunk k: triangles
+    [k, k + 1) * _EXPORT_TRIANGLES of the meshes taken in order (the last
+    chunk may be shorter). Each chunk is copied out of the meshes that hold
+    its rows, found by their cumulative ends, shifted by each row's own
+    mesh's offset, encoded and written, then dropped, so no copy of every
+    mesh is ever held. The bytes are those of shifting the concatenation of
+    every mesh and writing it with ``stl.write_stl``; each chunk is checked
+    as ``stl.write_stl`` checks a mesh, so the first chunk that cannot be
+    written gives the error. The file is written beside ``path`` and moved
+    onto it once complete, so a write that fails leaves any previous file
+    alone.
     """
     path = Path(path)
-    sizes = [len(m) for m in meshes]
+    sizes = np.array([len(m) for m in meshes], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(sizes.sum())
     # added to each mesh's (k, 12) rows: -0.0 leaves a normal's bits alone,
     # and +0.0 turns a vertex's -0.0 z into +0.0, as adding (x, y, 0.0) does
     shifts = np.zeros((len(meshes), 12))
@@ -248,42 +257,25 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     part = path.with_name(path.name + ".part")
     try:
         with open(part, "wb") as f:
-            f.write(stl.binary_header(name, sum(sizes)))
-            for pieces in _chunks(sizes):
-                chunk = stl.concat_meshes([meshes[i] if b - a == sizes[i] else
-                                           stl.TriangleMesh(meshes[i].facets[a:b])
-                                           for i, a, b in pieces], name)
+            f.write(stl.binary_header(name, total))
+            for a in range(0, total, _EXPORT_TRIANGLES):
+                b = min(a + _EXPORT_TRIANGLES, total)
+                # meshes i..j hold rows a..b-1, the first and the last perhaps
+                # only in part; an empty mesh holds none
+                i, j = np.searchsorted(ends, (a, b - 1), side="right").tolist()
+                pieces = list(meshes[i:j + 1])
+                pieces[-1] = stl.TriangleMesh(pieces[-1].facets[:b - starts[j]])
+                pieces[0] = stl.TriangleMesh(pieces[0].facets[a - starts[i]:])
+                chunk = stl.concat_meshes(pieces, name)
                 rows = chunk.facets.reshape(-1, 12)  # a view of the chunk's fresh copy
-                at = 0
-                for i, a, b in pieces:
-                    rows[at:at + b - a] += shifts[i]
-                    at += b - a
+                rows += np.repeat(shifts[i:j + 1], np.minimum(ends[i:j + 1], b)
+                                  - np.maximum(starts[i:j + 1], a), axis=0)
                 f.write(memoryview(stl.write_stl(chunk, "binary"))[stl.HEADER_BYTES + 4:])
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
-    return sum(sizes)
-
-
-def _chunks(sizes: list[int]):
-    """Cut meshes of ``sizes[i]`` triangles, taken in order, into chunks of
-    _EXPORT_TRIANGLES triangles, the last possibly shorter; yields each
-    chunk as its pieces ``(i, a, b)``, rows a:b of mesh i. A chunk may end
-    inside a mesh or hold many; an empty mesh is in no chunk."""
-    pieces, room = [], _EXPORT_TRIANGLES
-    for i, k in enumerate(sizes):
-        a = 0
-        while a < k:
-            b = min(k, a + room)
-            pieces.append((i, a, b))
-            room -= b - a
-            a = b
-            if not room:
-                yield pieces
-                pieces, room = [], _EXPORT_TRIANGLES
-    if pieces:
-        yield pieces
+    return total
 
 
 def _manifest_text(scene: Scene, manifest: dict) -> str:

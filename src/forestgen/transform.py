@@ -72,6 +72,11 @@ class AngleJitterParams:
     scale_range: tuple = (1.0, 1.0)
 
     def __post_init__(self):
+        # a scalar is kept as a float and a per-frame range as float64, so a
+        # scene writes and reads back the same numbers
+        for name in ("azimuth_range", "pitch_range"):
+            object.__setattr__(self, name, _floats(getattr(self, name)))
+        object.__setattr__(self, "scale_range", tuple(map(_floats, self.scale_range)))
         for name in ("azimuth_range", "pitch_range", "scale_range"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -85,6 +90,11 @@ class AngleJitterParams:
         lo, hi = self.scale_range
         if not np.all((0 < np.asarray(lo)) & (np.asarray(lo) <= hi)):
             raise ValueError("scale_range must satisfy 0 < min <= max")
+
+
+def _floats(value):
+    """A scalar as a float, anything else as a float64 array."""
+    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=np.float64)
 
 
 def identity() -> RigidTransform:

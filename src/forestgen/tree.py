@@ -83,11 +83,12 @@ _DEFAULT_JITTER = tf.AngleJitterParams(
 
 def whole_number(value, name: str) -> int:
     """``int(value)``, refusing a number with a fractional part, which
-    ``int`` would truncate; a string is parsed by ``int`` as before."""
+    ``int`` would truncate, and a boolean, which is no count; a string is
+    parsed by ``int`` as before."""
     if type(value) is int:
         return value
     number = int(value)
-    if number != value and not isinstance(value, str):
+    if isinstance(value, (bool, np.bool_)) or (number != value and not isinstance(value, str)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return number
 

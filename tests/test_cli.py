@@ -651,10 +651,19 @@ def _raster_file(tmp_path) -> Path:
     # a seed with a fractional part is refused, not truncated
     (["forest", "--config", "{fractional}", "--out", "{tmp}/o"], 5,
      "master_seed must be a whole number"),
+    # jitter bounds on the branch count are whole numbers that the draw can hold
+    (["forest", "--config", "{jitter_fractional}", "--out", "{tmp}/o"], 5,
+     "branch_count jitter min must be a whole number"),
+    (["forest", "--config", "{jitter_huge}", "--out", "{tmp}/o"], 5,
+     "branch_count jitter max must be below 2**63"),
+    # a JSON boolean is not a count or a seed
+    (["forest", "--config", "{bool_count}", "--out", "{tmp}/o"], 5,
+     "branch_count must be a whole number, got True"),
+    (["forest", "--config", "{bool_seed}", "--out", "{tmp}/o"], 5,
+     "master_seed must be a whole number, got True"),
+    (["forest", "--config", "{bool_jitter}", "--out", "{tmp}/o"], 5,
+     "branch_count jitter min must be a whole number, got True"),
 ])
-# pytest records a warning that numpy raises in its own code instead of
-# printing it, so only this mark lets the one-line stderr check see it
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
     (tmp_path / "latin.txt").write_bytes(b"\xff")
@@ -668,7 +677,12 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
             ("overflow", [(("region", "x_max"), 1e308), (("region", "y_max"), 1e308),
                           (("intensity", "rate"), 0)]),
             ("flat", [(("tree_params", "trunk_height"), 1e-300)]),
-            ("fractional", [(("master_seed",), 1.5)])]:
+            ("fractional", [(("master_seed",), 1.5)]),
+            ("jitter_fractional", [(("parameter_jitter",), {"branch_count": [1.5, 3.2]})]),
+            ("jitter_huge", [(("parameter_jitter",), {"branch_count": [1, 1e30]})]),
+            ("bool_count", [(("tree_params", "branch_count"), True)]),
+            ("bool_seed", [(("master_seed",), True)]),
+            ("bool_jitter", [(("parameter_jitter",), {"branch_count": [True, 2]})])]:
         config = json.loads(scene.read_text())
         for keys, value in edits:
             config = replaced(config, keys, value)

@@ -152,7 +152,7 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
     # a chunk of one triangle; chunks that end mid-way through trees; one chunk
     limit = {"one triangle": 1, "mid-list": sizes[0] + sizes[1] // 2, "one run": 1 << 40}[run]
     monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
-    count = len(list(fo._chunks(sizes)))
+    count = math.ceil(sum(sizes) / limit)
     if run == "mid-list":
         assert 1 < count < len(sizes)
     else:
@@ -184,7 +184,8 @@ def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     assert (tmp_path / "e.stl").read_bytes() == ref.write_merged([], [], "empty")
 
 
-@pytest.mark.parametrize("chunk", ["one triangle", "half the first tree", "above the scene"])
+@pytest.mark.parametrize("chunk", ["one triangle", "under a third of the first tree",
+                                   "half the first tree", "the first tree", "above the scene"])
 @pytest.mark.parametrize("empty", ["first", "middle", "last", "all"])
 def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library, tmp_path,
                                                       monkeypatch):
@@ -197,19 +198,15 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
     positions = [(1.5 * i - 4.0, 0.25 - i) for i in range(len(meshes))]
     sizes = [len(m) for m in meshes]
     first = next((k for k in sizes if k), 2)
-    limit = {"one triangle": 1, "half the first tree": first // 2,
+    # a chunk wholly inside the first tree; chunks that end inside trees; a
+    # chunk that ends exactly at the end of the first tree
+    limit = {"one triangle": 1, "under a third of the first tree": max(1, (first - 1) // 3),
+             "half the first tree": first // 2, "the first tree": first,
              "above the scene": sum(sizes) + 7}[chunk]
     monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
     assert fo.write_merged(tmp_path / "m.stl", meshes, positions, "cut") == sum(sizes)
     assert (tmp_path / "m.stl").read_bytes() == ref.write_merged(
         [m.facets for m in meshes], positions, "cut")
-
-
-def test_chunks_cover_every_triangle_once(monkeypatch):
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 4)
-    chunks = list(fo._chunks([0, 3, 0, 6, 1, 0]))
-    assert chunks == [[(1, 0, 3), (3, 0, 1)], [(3, 1, 5)], [(3, 5, 6), (4, 0, 1)]]
-    assert list(fo._chunks([0, 0])) == []
 
 
 def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, monkeypatch):
@@ -232,7 +229,7 @@ def test_fault_in_the_last_chunk_leaves_the_previous_files(fault, tiny_library, 
     before = read_dir(tmp_path)
     total = len(scene.mesh)
     monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", total // 3)
-    assert len(list(fo._chunks([total]))) > 1
+    assert math.ceil(total / (total // 3)) > 1
     # the last facet of the last tree is the last triangle of the file
     ref.set_fault(scene.placements[-1].tree.mesh.facets, fault, -1)
     with pytest.raises(stl.StlError, match=ref.WRITER_FAULTS[(fault,)]):
@@ -290,6 +287,15 @@ def test_scene_stats_single_tree_sentinel(tiny_library):
     assert fo.scene_stats(scene).nearest_neighbor_min_distance == math.inf
 
 
+def test_integral_float_jitter_bounds_draw_as_integers(tiny_library):
+    def counts(bounds):
+        config = make_config(parameter_jitter=fo.ParameterJitter(branch_count=bounds))
+        scene = fo.compose_forest(config, tiny_library)
+        return [p.tree.params.branch_count for p in scene.placements]
+    assert counts((2.0, 3.0)) == counts((2, 3))
+    assert fo.ParameterJitter(branch_count=(np.float64(2.0), 3.0)).branch_count == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # manifest closure
 
@@ -299,6 +305,22 @@ def test_regenerate_from_manifest_bitwise(tiny_library, tmp_path):
     fo.export_scene(scene, tmp_path / "orig", "per-tree")
     regen = fo.regenerate_scene(tmp_path / "orig" / fo.MANIFEST_NAME, tiny_library)
     fo.export_scene(regen, tmp_path / "regen", "per-tree")
+    assert read_dir(tmp_path / "orig") == read_dir(tmp_path / "regen")
+
+
+@pytest.mark.parametrize("jitter", [
+    tf.AngleJitterParams(10, 10, (1, 2)),
+    tf.AngleJitterParams(np.float32(7.3), 10.0, (np.float32(0.9), 1.1)),
+], ids=["ints", "float32"])
+def test_python_api_jitter_numbers_round_trip(jitter, tiny_library, tmp_path):
+    # the scene writes its jitter as floats, as its regeneration does
+    params = tm.TreeParams(branch_count=4, subbranches_per_branch=1, leaves_per_subbranch=2,
+                           trunk_height=6.0, jitter=jitter)
+    scene = fo.compose_forest(make_config(tree_params_template=params), tiny_library)
+    assert len(scene) > 1
+    fo.export_scene(scene, tmp_path / "orig", "merged")
+    regen = fo.regenerate_scene(tmp_path / "orig" / fo.MANIFEST_NAME, tiny_library)
+    fo.export_scene(regen, tmp_path / "regen", "merged")
     assert read_dir(tmp_path / "orig") == read_dir(tmp_path / "regen")
 
 
@@ -357,6 +379,10 @@ def test_regenerate_rejects_repeated_tree_index(tiny_library, tmp_path):
     (("trees", 1, "seed"), 7.25, "tree seed"),
     (("trees", 1, "index"), 1.5, "tree index"),
     (("master_seed",), 404.5, "master_seed"),
+    # a JSON boolean is no count or seed either
+    (("trees", 1, "seed"), True, "tree seed"),
+    (("trees", 1, "params", "branch_count"), True, "branch_count"),
+    (("master_seed",), True, "master_seed"),
 ])
 def test_regenerate_refuses_a_fractional_seed_or_count(keys, value, field, tiny_library):
     # int() would truncate it, and the regenerated scene would re-export another number

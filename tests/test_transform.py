@@ -199,6 +199,17 @@ def test_jitter_params_validation():
         tf.AngleJitterParams(ok, ok, (np.array([0.5, 2.0]), np.array([1.0, 1.5])))
 
 
+def test_jitter_params_hold_floats():
+    jitter = tf.AngleJitterParams(10, np.float32(2.5), (1, np.int64(2)))
+    assert [type(v) for v in (jitter.azimuth_range, jitter.pitch_range, *jitter.scale_range)] \
+        == [float] * 4
+    assert jitter == tf.AngleJitterParams(10.0, 2.5, (1.0, 2.0))
+    per_frame = tf.AngleJitterParams(np.array([1, 2]), [3, 4],
+                                     (np.ones(2, np.float32), [2, 2]))
+    for value in (per_frame.azimuth_range, per_frame.pitch_range, *per_frame.scale_range):
+        assert value.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # stacks of transforms: one batched call per placement stage
 
