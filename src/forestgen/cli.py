@@ -71,7 +71,10 @@ def _load_library(path: str | None) -> stl.MeshLibrary:
 
 
 def _print_mesh_summary(mesh: stl.TriangleMesh):
-    stats = stl.mesh_stats(mesh)
+    _print_stats(stl.mesh_stats(mesh))
+
+
+def _print_stats(stats: stl.MeshStats):
     _emit("triangles", stats.triangle_count)
     if stats.bounds is None:
         _emit("bounds", "empty")
@@ -193,17 +196,15 @@ def _cmd_ipp_sample(args) -> int:
 def _cmd_stl_info(args) -> int:
     path = Path(args.file)
     try:
-        data = path.read_bytes()
+        name, fmt, stats = stl.file_stats(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
-    try:
-        mesh, fmt = stl.read_stl(data, return_format=True)
     except stl.StlParseError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
     _emit("file", path)
     _emit("format", fmt)
-    _emit("name", mesh.name)
-    _print_mesh_summary(mesh)
+    _emit("name", name)
+    _print_stats(stats)
     return EXIT_OK
 
 

@@ -42,11 +42,6 @@ EXPORT_MODES = ("per-tree", "merged")
 # substream of a tree's own seed used for parameter jitter draws
 _STREAM_PARAM_JITTER = 4
 
-# merged export encodes and writes this many triangles at a time, about
-# 390 KB of float64 facets and 200 KB of records, so a chunk's passes stay
-# near the cache
-_EXPORT_TRIANGLES = 1 << 12
-
 
 class SceneConfigError(Exception):
     """Invalid scene configuration or manifest."""
@@ -71,6 +66,8 @@ class ParameterJitter:
                 raise SceneConfigError("branch_count jitter max must be below 2**63")
         if self.trunk_height is not None:
             lo, hi = self.trunk_height
+            self.trunk_height = lo, hi = (treemod.real_number(lo, "trunk_height jitter min"),
+                                          treemod.real_number(hi, "trunk_height jitter max"))
             if not (0 < lo <= hi < math.inf):
                 raise SceneConfigError("trunk_height jitter must satisfy 0 < min <= max < inf")
 
@@ -85,7 +82,7 @@ class SceneConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        self.min_spacing = float(self.min_spacing)
+        self.min_spacing = treemod.real_number(self.min_spacing, "min_spacing")
         self.master_seed = treemod.whole_number(self.master_seed, "master_seed")
         if not math.isfinite(self.min_spacing):
             raise SceneConfigError("min_spacing must be finite")
@@ -231,7 +228,7 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     the triangle count.
 
     The file is the header of the whole count, then chunk k: triangles
-    [k, k + 1) * _EXPORT_TRIANGLES of the meshes taken in order (the last
+    [k, k + 1) * stl.CHUNK_TRIANGLES of the meshes taken in order (the last
     chunk may be shorter). Each chunk is copied out of the meshes that hold
     its rows, found by their cumulative ends, shifted by each row's own
     mesh's offset, encoded and written, then dropped, so no copy of every
@@ -258,8 +255,8 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
     try:
         with open(part, "wb") as f:
             f.write(stl.binary_header(name, total))
-            for a in range(0, total, _EXPORT_TRIANGLES):
-                b = min(a + _EXPORT_TRIANGLES, total)
+            for a in range(0, total, stl.CHUNK_TRIANGLES):
+                b = min(a + stl.CHUNK_TRIANGLES, total)
                 # meshes i..j hold rows a..b-1, the first and the last perhaps
                 # only in part; an empty mesh holds none
                 i, j = np.searchsorted(ends, (a, b - 1), side="right").tolist()
@@ -375,7 +372,8 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
         entries, jitters = {}, {}  # by index: each tree exports to tree_<index>.stl
         for entry in data["trees"]:
-            x, y = float(entry["x"]), float(entry["y"])
+            x = treemod.real_number(entry["x"], "tree x")
+            y = treemod.real_number(entry["y"], "tree y")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SceneConfigError(f"tree {entry['index']} position must be finite")
             index = treemod.whole_number(entry["index"], "tree index")

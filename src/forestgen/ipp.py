@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeds import generators, stream_seed
+from .tree import real_number
 
 # switch point between inversion and exponential-gap counting
 _INVERSION_MAX_MEAN = 30.0
@@ -50,7 +51,7 @@ class Region:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, real_number(getattr(self, name), f"region bound {name}"))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"region bound {name} must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -75,7 +76,7 @@ class ConstantIntensity:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", real_number(self.rate, "intensity"))
         if not math.isfinite(self.rate):
             raise IntensityError("intensity must be finite")
         if self.rate < 0:
@@ -108,7 +109,7 @@ class RasterIntensity:
 
     def __post_init__(self):
         for name in ("x_min", "y_min", "cell_size"):
-            setattr(self, name, float(getattr(self, name)))
+            setattr(self, name, real_number(getattr(self, name), f"raster {name}"))
             if not math.isfinite(getattr(self, name)):
                 raise IntensityError(f"raster {name} must be finite")
         self.values = np.asarray(self.values, dtype=np.float64)

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +34,15 @@ FACET_BYTES = 50
 
 _FACET_DTYPE = np.dtype([("vals", "<f4", (4, 3)), ("attr", "<u2")])
 assert _FACET_DTYPE.itemsize == FACET_BYTES
+
+# merged export writes, file_stats reads and mesh_stats folds this many
+# triangles at a time: about 390 KB of float64 facets and 200 KB of records,
+# so a piece's passes stay near the cache
+CHUNK_TRIANGLES = 1 << 12
+
+# what read_stl tries as ASCII: ``solid`` after any leading whitespace, the
+# bytes that ``bytes.lstrip`` strips
+_SOLID = re.compile(rb"\s*solid")
 
 
 class StlError(Exception):
@@ -90,7 +102,8 @@ def concat_meshes(meshes, name: str = "mesh") -> TriangleMesh:
 # reading
 
 def read_stl(data: bytes, return_format: bool = False):
-    """Parse STL bytes, auto-detecting ASCII vs binary.
+    """Parse STL bytes (or any bytes-like buffer), auto-detecting ASCII vs
+    binary.
 
     ASCII is assumed only when the payload starts with ``solid`` AND the
     facet grammar parses; otherwise the binary layout is tried (some binary
@@ -99,9 +112,9 @@ def read_stl(data: bytes, return_format: bool = False):
     if len(data) == 0:
         raise StlParseError("empty input")
     ascii_error = None
-    if data.lstrip()[:5] == b"solid":
+    if _SOLID.match(data):
         try:
-            mesh = _read_ascii(data)
+            mesh = _read_ascii(bytes(data))
             return (mesh, "ascii") if return_format else mesh
         except StlParseError as exc:
             ascii_error = exc
@@ -114,24 +127,34 @@ def read_stl(data: bytes, return_format: bool = False):
         raise
 
 
-def _read_binary(data: bytes) -> TriangleMesh:
-    if len(data) < HEADER_BYTES + 4:
+def _binary_count(head, size: int) -> int:
+    """The facet count that ``head``, the first bytes of a binary STL of
+    ``size`` bytes, declares; an error if the file is too short for it."""
+    if size < HEADER_BYTES + 4:
         raise StlParseError(
-            f"binary STL needs at least {HEADER_BYTES + 4} header bytes, got {len(data)}"
+            f"binary STL needs at least {HEADER_BYTES + 4} header bytes, got {size}"
         )
-    count = struct.unpack_from("<I", data, HEADER_BYTES)[0]
+    count = struct.unpack_from("<I", head, HEADER_BYTES)[0]
     expected = HEADER_BYTES + 4 + FACET_BYTES * count
-    if len(data) < expected:
+    if size < expected:
         raise StlParseError(
             f"truncated binary STL: {count} declared facets require "
-            f"{expected} bytes, got {len(data)}"
+            f"{expected} bytes, got {size}"
         )
-    name = data[:HEADER_BYTES].split(b"\0", 1)[0].decode("latin-1")
+    return count
+
+
+def _binary_name(head) -> str:
+    return bytes(head[:HEADER_BYTES]).split(b"\0", 1)[0].decode("latin-1")
+
+
+def _read_binary(data: bytes) -> TriangleMesh:
+    count = _binary_count(data, len(data))
     raw = np.frombuffer(data, dtype=_FACET_DTYPE, count=count, offset=HEADER_BYTES + 4)
     facets = raw["vals"].astype(np.float64)
     if not np.all(np.isfinite(facets)):
         raise StlParseError("binary STL contains non-finite values")
-    return TriangleMesh(_sanitize_normals(facets), name)
+    return TriangleMesh(_sanitize_normals(facets), _binary_name(data))
 
 
 def _sanitize_normals(facets: np.ndarray) -> np.ndarray:
@@ -443,30 +466,95 @@ class MeshStats:
     total_area: float
 
 
-def mesh_stats(mesh: TriangleMesh) -> MeshStats:
-    """Facet count, vertex bounds and total area.
+class _StatsFold:
+    """Facet count, vertex bounds and total area of a mesh of ``n`` facets
+    given piece by piece, in facet order.
 
-    Each bound is one min or max over the (n, 3) vertex coordinates of one
-    axis. The value of a min or max does not depend on the order it is taken
-    in, but the sign of a zero bound does: a bound equal to 0 has the sign
-    of the last zero of its axis, in facet-then-vertex order, which is the
-    sign ``min(axis=0)`` and ``max(axis=0)`` over the (3n, 3) vertex rows
-    give, since they keep the last of equal values.
+    Each bound is one min or max over the (k, 3) vertex coordinates of one
+    axis in each piece, then over the pieces. The value of a min or max does
+    not depend on the order it is taken in, but the sign of a zero bound
+    does: a bound equal to 0 has the sign of the last zero of its axis, in
+    facet-then-vertex order, which is the sign ``min(axis=0)`` and
+    ``max(axis=0)`` over the (3n, 3) vertex rows give, since they keep the
+    last of equal values. When a bound is 0, every piece holding a zero of
+    its axis has that piece's bound 0 too, so the last zero is the last one
+    taken from such a piece. The area is half the sum of one column of the
+    n cross-product norms, summed once at the end, as over the whole mesh.
     """
-    if len(mesh) == 0:
-        return MeshStats(0, None, 0.0)
-    lo, hi = np.empty(3), np.empty(3)
-    for k in range(3):
-        coord = mesh.facets[:, 1:, k]
-        lo[k], hi[k] = coord.min(), coord.max()
-        if lo[k] == 0.0 or hi[k] == 0.0:
-            last_zero = coord[coord == 0.0][-1]
-            if lo[k] == 0.0:
-                lo[k] = last_zero
-            if hi[k] == 0.0:
-                hi[k] = last_zero
-    area = 0.5 * float(_norms(_edges_and_cross(mesh.facets)[2]).sum())
-    return MeshStats(len(mesh), (lo, hi), area)
+
+    def __init__(self, n: int):
+        self.count = 0
+        self.norms = np.empty(n)
+        self.lo, self.hi = np.full(3, np.inf), np.full(3, -np.inf)
+        self.last_zero = np.zeros(3)
+
+    def add(self, facets: np.ndarray):
+        lo, hi = np.empty(3), np.empty(3)
+        for k in range(3):
+            coord = facets[:, 1:, k]
+            lo[k], hi[k] = coord.min(), coord.max()
+            if lo[k] == 0.0 or hi[k] == 0.0:
+                self.last_zero[k] = coord[coord == 0.0][-1]
+        np.minimum(self.lo, lo, out=self.lo)
+        np.maximum(self.hi, hi, out=self.hi)
+        end = self.count + facets.shape[0]
+        self.norms[self.count:end] = _norms(_edges_and_cross(facets)[2])
+        self.count = end
+
+    def stats(self) -> MeshStats:
+        if self.count == 0:
+            return MeshStats(0, None, 0.0)
+        lo = np.where(self.lo == 0.0, self.last_zero, self.lo)
+        hi = np.where(self.hi == 0.0, self.last_zero, self.hi)
+        return MeshStats(self.count, (lo, hi), 0.5 * float(self.norms.sum()))
+
+
+def mesh_stats(mesh: TriangleMesh) -> MeshStats:
+    """Facet count, vertex bounds and total area, folded over the mesh
+    CHUNK_TRIANGLES facets at a time (see ``_StatsFold``)."""
+    fold = _StatsFold(len(mesh))
+    for a in range(0, len(mesh), CHUNK_TRIANGLES):
+        fold.add(mesh.facets[a:a + CHUNK_TRIANGLES])
+    return fold.stats()
+
+
+def file_stats(path) -> tuple[str, str, MeshStats]:
+    """The name, format ("binary" or "ascii") and ``mesh_stats`` of the STL
+    file at ``path``, or the error of ``read_stl`` on its bytes.
+
+    A regular file that ``read_stl`` reads as binary, one whose first
+    HEADER_BYTES + 4 bytes show it does not start with ``solid`` after
+    whitespace, is read CHUNK_TRIANGLES records at a time: each piece is
+    decoded by ``read_stl`` and folded in, so memory holds one piece and
+    8 B per triangle. Any other file (ASCII, one that starts with
+    ``solid``, one shorter than a header, a pipe) is read whole.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        st = os.fstat(fh.fileno())
+        head = fh.read(HEADER_BYTES + 4) if stat.S_ISREG(st.st_mode) else b""
+        # "solid" after the whitespace, or too few bytes after it to tell
+        if len(head) < HEADER_BYTES + 4 or b"solid".startswith(head.lstrip()[:5]):
+            if head:
+                fh.seek(0)
+            mesh, fmt = read_stl(fh.readall(), return_format=True)
+            return mesh.name, fmt, mesh_stats(mesh)
+        count = _binary_count(head, st.st_size)
+        fold = _StatsFold(count)
+        # each piece is a binary STL of its own, under a header of zeros
+        piece = bytearray(HEADER_BYTES + 4 + FACET_BYTES * min(count, CHUNK_TRIANGLES))
+        view = memoryview(piece)
+        for a in range(0, count, CHUNK_TRIANGLES):
+            m = min(count - a, CHUNK_TRIANGLES)
+            struct.pack_into("<I", piece, HEADER_BYTES, m)
+            end = HEADER_BYTES + 4 + FACET_BYTES * m
+            filled = HEADER_BYTES + 4
+            while filled < end:
+                got = fh.readinto(view[filled:end])
+                if not got:  # the file shrank while it was read
+                    _binary_count(head, FACET_BYTES * a + filled)
+                filled += got
+            fold.add(read_stl(view[:end]).facets)
+        return _binary_name(head), "binary", fold.stats()
 
 
 # ---------------------------------------------------------------------------

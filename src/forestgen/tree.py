@@ -64,7 +64,7 @@ _EYE = np.eye(3)[None]
 # near the cache. Scenes below the count are one run. On a 2-vCPU host a
 # 505-tree, 3.3 M-triangle scene took 1.0 s and peaked at 355 MB this way,
 # against 1.3-1.5 s and 613 MB as one run. Merged export cuts its own,
-# smaller chunks (forest._EXPORT_TRIANGLES).
+# smaller chunks (stl.CHUNK_TRIANGLES).
 _RUN_TRIANGLES = 1 << 17
 
 # build_trees refuses a tree or scene whose stage ledger exceeds this many
@@ -93,6 +93,16 @@ def whole_number(value, name: str) -> int:
     return number
 
 
+def real_number(value, name: str) -> float:
+    """``float(value)``, refusing a boolean, which is no measure; a string
+    is parsed by ``float`` as before."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class TreeParams:
     branch_count: int = 8
@@ -108,8 +118,8 @@ class TreeParams:
         self.subbranches_per_branch = whole_number(self.subbranches_per_branch,
                                                    "subbranches_per_branch")
         self.leaves_per_subbranch = whole_number(self.leaves_per_subbranch, "leaves_per_subbranch")
-        self.trunk_height = float(self.trunk_height)
-        self.depth_scale_decay = float(self.depth_scale_decay)
+        self.trunk_height = real_number(self.trunk_height, "trunk_height")
+        self.depth_scale_decay = real_number(self.depth_scale_decay, "depth_scale_decay")
         self.seed = whole_number(self.seed, "seed")
         if self.branch_count < 1:
             raise ValueError("branch_count must be at least 1")
@@ -443,8 +453,10 @@ def params_from_dict(data: dict, jitters: dict | None = None) -> TreeParams:
     """
     jitter = data.get("jitter", {})
     scale_range = jitter.get("scale_range", (1.0, 1.0))
-    ranges = (float(jitter.get("azimuth_range", 0.0)), float(jitter.get("pitch_range", 0.0)),
-              float(scale_range[0]), float(scale_range[1]))
+    ranges = (real_number(jitter.get("azimuth_range", 0.0), "azimuth_range"),
+              real_number(jitter.get("pitch_range", 0.0), "pitch_range"),
+              real_number(scale_range[0], "scale_range min"),
+              real_number(scale_range[1], "scale_range max"))
     jitters = {} if jitters is None else jitters
     # keyed by the bits, so that -0.0 and 0.0 stay apart
     key = tuple(map(float.hex, ranges))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 from forestgen import cli, stl
 from forestgen import forest as fo
+
+import scalar_reference as ref
 
 RULE1_GRAMMAR = "vars: g\nconsts: d\naxiom: g\nrule: g -> d(d)+d)[d(d)+d)\n"
 
@@ -188,6 +191,171 @@ def test_stl_info_ascii(tmp_path, capsys):
     assert pairs["area"] == "2"
 
 
+def stl_records(facets, header: bytes | None = None) -> bytes:
+    """A binary STL of ``facets`` (any float32 values, zero-area facets
+    included) under ``header``, 80 bytes, or else one of NULs."""
+    records = np.zeros(len(facets), dtype=[("vals", "<f4", (4, 3)), ("attr", "<u2")])
+    records["vals"] = facets
+    header = bytes(stl.HEADER_BYTES) if header is None else header
+    return header + struct.pack("<I", len(facets)) + records.tobytes()
+
+
+def whole_file_info(path: Path, shown=None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``stl-info path`` as it read every
+    file before it read binary files in pieces: the whole file by
+    ``read_stl``, the stats by ``scalar_reference.mesh_stats``. ``shown`` is
+    the path that the output names, ``path`` by default."""
+    shown = path if shown is None else shown
+    try:
+        mesh, fmt = stl.read_stl(path.read_bytes(), return_format=True)
+    except stl.StlParseError as exc:
+        return 3, "", f"error: {shown}: {exc}\n"
+    stats = ref.mesh_stats(mesh)
+    lines = [f"file={shown}", f"format={fmt}", f"name={mesh.name}",
+             f"triangles={stats.triangle_count}"]
+    if stats.bounds is None:
+        lines.append("bounds=empty")
+    else:
+        lines += [f"bounds_{side}=" + ",".join(f"{v:.9g}" for v in bound)
+                  for side, bound in zip(("min", "max"), stats.bounds)]
+    lines.append(f"area={stats.total_area:.9g}")
+    return 0, "\n".join(lines) + "\n", ""
+
+
+def signed_zero_facets(first: float) -> np.ndarray:
+    """23 facets whose x coordinates are 0 or 1, y 0 or -1 and z 0 or 2, so
+    that the x min, the y max and both z bounds are 0. Facets 0-9 hold zeros
+    of sign ``first``, facets 10-17 zeros of the other sign, and facets
+    18-22 none, so the last zero of every axis lies in facets 10-17."""
+    facets = np.zeros((23, 4, 3))
+    facets[:, 2:] = np.random.default_rng(7).choice([0.0, 1.0], size=(23, 2, 3)) * [1, -1, 2]
+    facets[18:, 1:] = [1.0, -1.0, 2.0]
+    zeros = facets == 0.0
+    zeros[:, 0] = False
+    facets[:10][zeros[:10]] = first
+    facets[10:18][zeros[10:18]] = -first
+    return facets
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_stl_info_keeps_the_sign_of_the_last_zero_across_pieces(chunk, first, monkeypatch,
+                                                                tmp_path, capsys):
+    path = tmp_path / "zeros.stl"
+    path.write_bytes(stl_records(signed_zero_facets(first)))
+    expected = whole_file_info(path)
+    last = "0" if np.signbit(first) else "-0"
+    assert kv(expected[1])["bounds_min"] == f"{last},-1,{last}"
+    assert kv(expected[1])["bounds_max"] == f"1,{last},2"
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", chunk)
+    assert run(["stl-info", str(path)], capsys) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+@pytest.mark.parametrize("fault", ["nan", "inf", "cut", "cut-at-piece", "trailing-bytes"])
+def test_stl_info_faults_in_the_last_piece_match_the_whole_file_read(chunk, fault, monkeypatch,
+                                                                     tmp_path, capsys):
+    facets = np.random.default_rng(3).uniform(-5, 5, size=(21, 4, 3))
+    if fault in ("nan", "inf"):
+        facets[20, 3, 1] = float(fault)
+    data = stl_records(facets)
+    if fault == "cut":
+        data = data[:-10]
+    if fault == "cut-at-piece":  # ends after facet 14, where pieces of 1 and 7 end
+        data = data[:-stl.FACET_BYTES * 7]
+    if fault == "trailing-bytes":  # bytes past the declared records are not read
+        data += b"solid"
+    path = tmp_path / "fault.stl"
+    path.write_bytes(data)
+    expected = whole_file_info(path)
+    assert expected[0] == (0 if fault == "trailing-bytes" else 3)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", chunk)
+    assert run(["stl-info", str(path)], capsys) == expected
+
+
+EDGE_FACETS = np.random.default_rng(5).uniform(-5, 5, size=(9, 4, 3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("data", [
+    # binary records under a header that starts with "solid", after whitespace or not
+    stl_records(EDGE_FACETS, b"solid binary".ljust(80, b"\0")),
+    stl_records(EDGE_FACETS, b" \n\t solid".ljust(80, b" ")),
+    # a header of spaces: "solid" may follow it
+    stl_records(EDGE_FACETS, b" " * 80),
+    bytes(83),
+    b"  so",
+    b"",
+], ids=["solid-header", "spaced-solid-header", "space-header", "83-bytes", "short", "empty"])
+def test_stl_info_of_format_edges_matches_the_whole_file_read(chunk, data, monkeypatch,
+                                                              tmp_path, capsys):
+    path = tmp_path / "edge.stl"
+    path.write_bytes(data)
+    expected = whole_file_info(path)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", chunk)
+    assert run(["stl-info", str(path)], capsys) == expected
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_stl_info_of_a_file_that_shrinks_while_read_is_truncated(chunk, monkeypatch, tmp_path,
+                                                                  capsys):
+    data = stl_records(EDGE_FACETS)
+    path = tmp_path / "shrunk.stl"
+    path.write_bytes(data[:-60])
+    expected = whole_file_info(path)
+    assert expected[0] == 3
+    fstat = os.fstat
+
+    def stale_fstat(fd):  # the size the file had before it shrank
+        st = fstat(fd)
+        return os.stat_result(st[:6] + (len(data),) + st[7:10])
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", chunk)
+    assert run(["stl-info", str(path)], capsys) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("data", [stl_records(EDGE_FACETS), stl_records(EDGE_FACETS)[:-1]],
+                         ids=["whole", "truncated"])
+def test_stl_info_reads_a_pipe_whole(data, tmp_path):
+    path = tmp_path / "piped.stl"
+    path.write_bytes(data)
+    result = run_bounded(["stl-info", "/dev/stdin"], stdin=data)
+    expected = whole_file_info(path, shown="/dev/stdin")
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc and RLIMIT_AS")
+def test_stl_info_reads_a_large_binary_file_in_bounded_memory(tmp_path):
+    """2**20 records, 52 MB, under an address space 64 MB above that of a
+    child that has imported the CLI. Read whole, as a pipe is and as every
+    file was before, the file takes 52 MB as bytes and 101 MB as float64
+    facets, so the same limit stops it."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import re, forestgen.cli\n"
+         "print(re.search(r'VmPeak:\\s*(\\d+)', open('/proc/self/status').read())[1])"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    limit = int(probe.stdout) * 1024 + (64 << 20)
+    n, block = 1 << 20, 1 << 12
+    facets = np.zeros((block, 4, 3))
+    facets[:, 2, 0] = facets[:, 3, 1] = 1.0  # unit right triangles, area 0.5
+    path = tmp_path / "big.stl"
+    with open(path, "wb") as f:
+        f.write(stl.binary_header("big", n))
+        for k in range(n // block):
+            facets[:, 1:, 2] = k
+            f.write(stl_records(facets)[stl.HEADER_BYTES + 4:])
+    result = run_bounded(["stl-info", path], address_space=limit)
+    assert result.returncode == 0, result.stderr
+    assert kv(result.stdout) == {"file": str(path), "format": "binary", "name": "big",
+                                 "triangles": str(n), "bounds_min": "0,0,0",
+                                 "bounds_max": f"1,1,{n // block - 1}", "area": str(n // 2)}
+    whole = run_bounded(["stl-info", "/dev/stdin"], address_space=limit,
+                        stdin=path.read_bytes())
+    assert whole.returncode != 0 and "MemoryError" in whole.stderr
+
+
 # ---------------------------------------------------------------------------
 # ipp-sample
 
@@ -337,14 +505,28 @@ def test_forest_invalid_config_exit_5(tmp_path, lib_dir, capsys):
     assert err.startswith("error:")
 
 
-def run_bounded(argv, timeout=60.0) -> subprocess.CompletedProcess:
-    """The CLI in a child process, killed (failing the test) if it outlives
-    ``timeout`` seconds."""
+def child_env() -> dict:
+    """The environment of a child process that imports forestgen from here."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "forestgen.cli", *map(str, argv)],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_bounded(argv, timeout=60.0, address_space=None,
+                stdin=None) -> subprocess.CompletedProcess:
+    """The CLI in a child process, killed (failing the test) if it outlives
+    ``timeout`` seconds. ``stdin``, bytes, is fed to it through a pipe;
+    ``address_space`` limits its virtual memory to that many bytes
+    (RLIMIT_AS, set in the child alone)."""
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    result = subprocess.run([sys.executable, "-m", "forestgen.cli", *map(str, argv)],
+                            input=stdin, capture_output=True, timeout=timeout, env=child_env(),
+                            preexec_fn=None if address_space is None else limit)
+    return subprocess.CompletedProcess(result.args, result.returncode,
+                                       result.stdout.decode(), result.stderr.decode())
 
 
 @pytest.mark.parametrize("field", [{"rate": float("inf")}, {"rate": float("nan")},
@@ -591,6 +773,37 @@ def _raster_file(tmp_path) -> Path:
     return path
 
 
+# a JSON boolean in a float field of a scene config: (name of the edited
+# config, key path, value, message)
+BOOL_FLOATS = [
+    ("bool_height", ("tree_params", "trunk_height"), True,
+     "trunk_height must be a number, got True"),
+    ("bool_decay", ("tree_params", "depth_scale_decay"), True,
+     "depth_scale_decay must be a number, got True"),
+    ("bool_spacing", ("min_spacing",), True, "min_spacing must be a number, got True"),
+    ("bool_height_min", ("parameter_jitter",), {"trunk_height": [True, 2]},
+     "trunk_height jitter min must be a number, got True"),
+    ("bool_height_max", ("parameter_jitter",), {"trunk_height": [1, True]},
+     "trunk_height jitter max must be a number, got True"),
+    ("bool_azimuth", ("tree_params", "jitter", "azimuth_range"), True,
+     "azimuth_range must be a number, got True"),
+    ("bool_pitch", ("tree_params", "jitter", "pitch_range"), False,
+     "pitch_range must be a number, got False"),
+    ("bool_scale_min", ("tree_params", "jitter", "scale_range"), [True, 1.15],
+     "scale_range min must be a number, got True"),
+    ("bool_scale_max", ("tree_params", "jitter", "scale_range"), [0.85, True],
+     "scale_range max must be a number, got True"),
+    ("bool_region", ("region", "x_min"), False,
+     "region bound x_min must be a number, got False"),
+    ("bool_rate", ("intensity", "rate"), False, "intensity must be a number, got False"),
+    ("bool_cell", ("intensity",), {"form": "raster", "cell_size": True, "values": [[0.0]]},
+     "raster cell_size must be a number, got True"),
+    ("bool_origin", ("intensity",), {"form": "raster", "x_min": False, "cell_size": 100.0,
+                                     "values": [[0.0]]},
+     "raster x_min must be a number, got False"),
+]
+
+
 @pytest.mark.parametrize("argv, expected, message", [
     (["tree", "--branches", "0", "--out", "{tmp}/t.stl"], 2,
      "branch_count must be at least 1"),
@@ -663,6 +876,9 @@ def _raster_file(tmp_path) -> Path:
      "master_seed must be a whole number, got True"),
     (["forest", "--config", "{bool_jitter}", "--out", "{tmp}/o"], 5,
      "branch_count jitter min must be a whole number, got True"),
+    # nor a measure
+    *[(["forest", "--config", "{%s}" % name, "--out", "{tmp}/o"], 5, message)
+      for name, _, _, message in BOOL_FLOATS],
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -682,7 +898,8 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
             ("jitter_huge", [(("parameter_jitter",), {"branch_count": [1, 1e30]})]),
             ("bool_count", [(("tree_params", "branch_count"), True)]),
             ("bool_seed", [(("master_seed",), True)]),
-            ("bool_jitter", [(("parameter_jitter",), {"branch_count": [True, 2]})])]:
+            ("bool_jitter", [(("parameter_jitter",), {"branch_count": [True, 2]})]),
+            *[(name, [(keys, value)]) for name, keys, value, _ in BOOL_FLOATS]]:
         config = json.loads(scene.read_text())
         for keys, value in edits:
             config = replaced(config, keys, value)

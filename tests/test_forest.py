@@ -151,7 +151,7 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
     assert len(sizes) > 3
     # a chunk of one triangle; chunks that end mid-way through trees; one chunk
     limit = {"one triangle": 1, "mid-list": sizes[0] + sizes[1] // 2, "one run": 1 << 40}[run]
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", limit)
     count = math.ceil(sum(sizes) / limit)
     if run == "mid-list":
         assert 1 < count < len(sizes)
@@ -173,7 +173,7 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
 
 def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 1)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
     meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
     positions = [(p.x, p.y) for p in scene.placements]
     count = fo.write_merged(tmp_path / "b.stl", meshes, positions, "stage")
@@ -203,7 +203,7 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
     limit = {"one triangle": 1, "under a third of the first tree": max(1, (first - 1) // 3),
              "half the first tree": first // 2, "the first tree": first,
              "above the scene": sum(sizes) + 7}[chunk]
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", limit)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", limit)
     assert fo.write_merged(tmp_path / "m.stl", meshes, positions, "cut") == sum(sizes)
     assert (tmp_path / "m.stl").read_bytes() == ref.write_merged(
         [m.facets for m in meshes], positions, "cut")
@@ -214,7 +214,7 @@ def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, 
     fo.export_scene(scene, tmp_path, "merged")
     before = read_dir(tmp_path)
     # every triangle is a chunk of its own, so the chunks before the last are written
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", 1)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
     scene.placements[-1].tree.mesh.facets[:] = np.nan
     with pytest.raises(stl.StlError, match="non-finite"):
         fo.export_scene(scene, tmp_path, "merged")
@@ -228,7 +228,7 @@ def test_fault_in_the_last_chunk_leaves_the_previous_files(fault, tiny_library, 
     fo.export_scene(scene, tmp_path, "merged")
     before = read_dir(tmp_path)
     total = len(scene.mesh)
-    monkeypatch.setattr(fo, "_EXPORT_TRIANGLES", total // 3)
+    monkeypatch.setattr(stl, "CHUNK_TRIANGLES", total // 3)
     assert math.ceil(total / (total // 3)) > 1
     # the last facet of the last tree is the last triangle of the file
     ref.set_fault(scene.placements[-1].tree.mesh.facets, fault, -1)
@@ -253,10 +253,10 @@ def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path):
                          tree_params_template=tm.TreeParams(
                              branch_count=12, subbranches_per_branch=3, leaves_per_subbranch=4))
     scene = fo.compose_forest(config, tiny_library)
-    chunk_bytes = fo._EXPORT_TRIANGLES * scene.mesh.facets[0].nbytes
+    chunk_bytes = stl.CHUNK_TRIANGLES * scene.mesh.facets[0].nbytes
     # the scene, and a build run, are many chunks
-    assert len(scene.mesh) > 4 * fo._EXPORT_TRIANGLES
-    assert tm._RUN_TRIANGLES >= 8 * fo._EXPORT_TRIANGLES
+    assert len(scene.mesh) > 4 * stl.CHUNK_TRIANGLES
+    assert tm._RUN_TRIANGLES >= 8 * stl.CHUNK_TRIANGLES
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -401,6 +401,28 @@ def test_regenerate_refuses_a_fractional_seed_or_count(keys, value, field, tiny_
         target[keys[-1]] = float(whole)
         regen = fo.regenerate_scene(manifest, tiny_library)
         assert np.array_equal(regen.mesh.facets, scene.mesh.facets)
+
+
+@pytest.mark.parametrize("keys, field", [
+    (("trees", 1, "x"), "tree x"),
+    (("trees", 1, "y"), "tree y"),
+    (("trees", 1, "params", "trunk_height"), "trunk_height"),
+    (("trees", 1, "params", "depth_scale_decay"), "depth_scale_decay"),
+    (("trees", 1, "params", "jitter", "azimuth_range"), "azimuth_range"),
+    (("trees", 1, "params", "jitter", "scale_range", 1), "scale_range max"),
+    (("min_spacing",), "min_spacing"),
+    (("region", "y_max"), "region bound y_max"),
+    (("intensity", "rate"), "intensity"),
+])
+def test_regenerate_refuses_a_boolean_measure(keys, field, tiny_library):
+    # float() would read true as 1.0 and the manifest would name another scene
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    target = manifest
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = True
+    with pytest.raises(fo.SceneConfigError, match=f"{field} must be a number, got True"):
+        fo.regenerate_scene(manifest, tiny_library)
 
 
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])

@@ -552,6 +552,27 @@ def test_mesh_stats_signed_zero_bounds_match_reference_on_large_meshes(seed, n, 
     assert_stats_match_reference(facets)
 
 
+@given(facets=facet_arrays(elements=st.one_of(_TIES, _NON_FINITE, coord)),
+       chunk=st.sampled_from([1, 2, 3, 7, 16]))
+@settings(max_examples=200, deadline=None)
+def test_mesh_stats_matches_reference_at_every_chunk_size(facets, chunk):
+    # each piece's zeros, NaNs and infinities fold into the whole mesh's bounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stl, "CHUNK_TRIANGLES", chunk)
+        assert_stats_match_reference(facets)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), chunk=st.sampled_from([1, 2, 7, 64]),
+       palette=st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1.0), (0.0, -0.0, -1.0)]))
+@settings(max_examples=60, deadline=None)
+def test_mesh_stats_signed_zero_bounds_match_reference_at_every_chunk_size(seed, n, chunk,
+                                                                           palette):
+    facets = np.random.default_rng(seed).choice(palette, size=(n, 4, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stl, "CHUNK_TRIANGLES", chunk)
+        assert_stats_match_reference(facets)
+
+
 @pytest.mark.parametrize("facets", [
     np.zeros((0, 4, 3)),
     np.array([[[0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float),
