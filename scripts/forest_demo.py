@@ -29,8 +29,8 @@ def two_tree_scene(lib, out: Path):
     print(f"scene A: {len(scene)} trees")
     for stage in ("branches", "subbranches"):
         path = out / f"two_trees_{stage}.stl"
-        count = fo.write_merged(path, [p.tree.stage_mesh(stage) for p in scene.placements],
-                                [(p.x, p.y) for p in scene.placements], f"two_trees_{stage}")
+        meshes = [scene.tree(i).stage_mesh(stage) for i in range(len(scene))]
+        count = fo.write_merged(path, meshes, scene.xy, f"two_trees_{stage}")
         print(f"  {path}  triangles={count}")
     fo.export_scene(scene, out / "two_trees", "per-tree")
 

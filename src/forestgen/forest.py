@@ -8,9 +8,12 @@ together by ``tree.build_trees``: each tree still walks its own turtle, and
 each stage reads each tree's block of uniforms from that tree's own stream,
 all trees' blocks drawn at once (``seeds.uniform_blocks``), so the random
 streams are those of a tree built alone, and only the arithmetic of each
-template role is stacked across trees. The scene keeps every tree's
-triangles in one buffer, tree after tree, and each tree's mesh is a view of
-it.
+template role is stacked across trees. A scene is columns, one row per
+tree: its index, location, params and row ends in the one buffer that holds
+every tree's triangles, tree after tree. ``compose_forest`` makes the
+columns from a config and ``regenerate_scene`` from a manifest; both build
+them with ``_scene``. A tree's ``TreeModel`` is made only on demand
+(``Scene.tree``).
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export
@@ -93,24 +96,35 @@ class SceneConfig:
 
 
 @dataclass
-class Placement:
-    index: int
-    x: float
-    y: float
-    seed: int
-    tree: treemod.TreeModel
-
-
-@dataclass
 class Scene:
-    placements: list[Placement]
+    """The placed trees as columns, one row per tree in placement order:
+    ``index`` (Python ints, as a manifest index may exceed int64), ``xy``
+    ((n, 2) float64 locations), ``params`` (one TreeParams per tree, whose
+    seed is the tree's seed), ``mesh`` (every tree in its local frame, tree
+    after tree) and ``ends`` ((n, 4) row ends in ``mesh`` of each tree's
+    trunk, branches, sub-branches and leaves, as ``tree.build_trees``
+    gives them)."""
+
     config: SceneConfig
-    # every tree in its local frame, in placement order; each placement's
-    # tree mesh is a view of it
+    index: list[int]
+    xy: np.ndarray
+    params: list[treemod.TreeParams]
     mesh: stl.TriangleMesh
+    ends: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.placements)
+        return len(self.index)
+
+    def triangles(self) -> list[int]:
+        """Each tree's triangle count."""
+        return np.diff(self.ends[:, 3], prepend=0).tolist()
+
+    def tree(self, i: int) -> treemod.TreeModel:
+        """Tree ``i`` as a TreeModel: its mesh is a view of ``mesh``, and its
+        skeleton is built again from its params."""
+        i = range(len(self))[i]
+        start = int(self.ends[i - 1, 3]) if i else 0
+        return treemod.tree_model(self.params[i], self.mesh.facets, start, self.ends[i])
 
 
 @dataclass
@@ -148,29 +162,29 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
     pattern = ipp.sample_ipp_thinning(config.intensity, config.region, location_seed)
     pattern = ipp.min_distance_filter(pattern, config.min_spacing)
     seeds = [tree_seed_for(config.master_seed, i) for i in range(len(pattern))]
-    mesh, models = _build_trees(_tree_params(config, seeds), lib)
-    placements = [Placement(i, x, y, seed, model) for i, ((x, y), seed, model)
-                  in enumerate(zip(pattern.points.tolist(), seeds, models))]
-    return Scene(placements, config, mesh)
+    return _scene(config, list(range(len(seeds))), pattern.points, _tree_params(config, seeds),
+                  lib)
 
 
-def _build_trees(params: list[treemod.TreeParams], lib: stl.MeshLibrary):
-    """``tree.build_trees``; a scene too large to build, or whose placement
-    scales overflow, is a fault of its config or manifest, so a
-    SceneConfigError with the build's message."""
+def _scene(config: SceneConfig, index: list[int], xy, params: list[treemod.TreeParams],
+           lib: stl.MeshLibrary) -> Scene:
+    """The scene of these columns, its trees built by ``tree.build_trees``.
+    A scene too large to build, or whose placement scales overflow, is a
+    fault of its config or manifest, so a SceneConfigError with the build's
+    message."""
     try:
-        return treemod.build_trees(params, lib)
+        mesh, ends = treemod.build_trees(params, lib)
     except (treemod.TriangleBudgetError, OverflowError) as exc:
         raise SceneConfigError(str(exc)) from exc
+    return Scene(config, index, np.asarray(xy, dtype=np.float64).reshape(-1, 2), params, mesh,
+                 ends)
 
 
 def scene_stats(scene: Scene) -> SceneStats:
     """Exact aggregates over placed trees; the nearest-neighbor distance is
     ``ipp.nearest_pair_distance`` of the tree locations (+inf for fewer than
     two trees)."""
-    triangles = sum(p.tree.stage_counts["leaves"] for p in scene.placements)
-    nn = ipp.nearest_pair_distance([(p.x, p.y) for p in scene.placements])
-    return SceneStats(len(scene), triangles, nn)
+    return SceneStats(len(scene), len(scene.mesh), ipp.nearest_pair_distance(scene.xy))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +192,16 @@ def scene_stats(scene: Scene) -> SceneStats:
 
 def build_manifest(scene: Scene, mode: str) -> dict:
     trees = []
-    for p in scene.placements:
+    for index, (x, y), params, triangles in zip(scene.index, scene.xy.tolist(), scene.params,
+                                                scene.triangles()):
         trees.append({
-            "index": p.index,
-            "x": p.x,
-            "y": p.y,
-            "seed": p.seed,
-            "params": treemod.params_to_dict(p.tree.params),
-            "file": f"tree_{p.index}.stl" if mode == "per-tree" else None,
-            "triangles": p.tree.stage_counts["leaves"],
+            "index": index,
+            "x": x,
+            "y": y,
+            "seed": params.seed,
+            "params": treemod.params_to_dict(params),
+            "file": f"tree_{index}.stl" if mode == "per-tree" else None,
+            "triangles": triangles,
         })
     return {
         "version": MANIFEST_VERSION,
@@ -211,13 +226,15 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     out = Path(output_directory)
     out.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(scene, mode)
+    ends = scene.ends[:, 3].tolist()
+    trees = [scene.mesh.facets[a:b] for a, b in zip([0, *ends], ends)]
     if mode == "per-tree":
-        for p in scene.placements:
-            mesh = stl.TriangleMesh(p.tree.mesh.facets, f"tree_{p.index}")
-            (out / f"tree_{p.index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
+        for index, facets in zip(scene.index, trees):
+            mesh = stl.TriangleMesh(facets, f"tree_{index}")
+            (out / f"tree_{index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
-        write_merged(out / MERGED_NAME, [p.tree.mesh for p in scene.placements],
-                     [(p.x, p.y) for p in scene.placements], "forest")
+        write_merged(out / MERGED_NAME, [stl.TriangleMesh(facets) for facets in trees], scene.xy,
+                     "forest")
     (out / MANIFEST_NAME).write_text(_manifest_text(scene, manifest))
     return manifest
 
@@ -281,7 +298,7 @@ def _manifest_text(scene: Scene, manifest: dict) -> str:
     ``"trees"`` entry is one line, indented four spaces, as ``json`` writes
     it without ``indent`` (see _tree_lines); the text ends in a newline."""
     text = json.dumps({**manifest, "trees": []}, indent=2, sort_keys=True)
-    if scene.placements:
+    if len(scene):
         # a newline, two spaces and a quote start a top-level key and nothing else
         text = text.replace('\n  "trees": []', '\n  "trees": [\n'
                             + _tree_lines(scene, manifest["mode"]) + '\n  ]', 1)
@@ -302,10 +319,8 @@ def _tree_lines(scene: Scene, mode: str) -> str:
     around its seed, so a jitter field of any type is written as json
     writes it."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    placements = scene.placements
-    params = [p.tree.params for p in placements]
     blocks, heads, tails = {}, [], []
-    for tp in params:
+    for tp in scene.params:
         key = (id(tp.jitter), tp.branch_count, tp.subbranches_per_branch,
                tp.leaves_per_subbranch, tp.trunk_height, tp.depth_scale_decay)
         if key not in blocks:
@@ -314,13 +329,11 @@ def _tree_lines(scene: Scene, mode: str) -> str:
         head, tail = blocks[key]
         heads.append(head)
         tails.append(tail)
-    indices = [p.index for p in placements]
-    files = ([f'"tree_{i}.stl"' for i in indices] if mode == "per-tree"
-             else ["null"] * len(indices))
-    rows = zip(files, indices, heads, [tp.seed for tp in params], tails,
-               [p.seed for p in placements],
-               [p.tree.stage_counts["leaves"] for p in placements],
-               _json_floats([p.x for p in placements]), _json_floats([p.y for p in placements]))
+    files = ([f'"tree_{i}.stl"' for i in scene.index] if mode == "per-tree"
+             else ["null"] * len(scene))
+    seeds = [tp.seed for tp in scene.params]
+    rows = zip(files, scene.index, heads, seeds, tails, seeds, scene.triangles(),
+               _json_floats(scene.xy[:, 0].tolist()), _json_floats(scene.xy[:, 1].tolist()))
     return ",\n".join([_TREE_LINE % row for row in rows])
 
 
@@ -363,27 +376,32 @@ def _scene_config(data: dict, defaults: dict, **fields) -> SceneConfig:
 def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
     """Rebuild the exact scene recorded in a manifest (dict or path).
 
-    Trees are rebuilt from their recorded params and seeds, not re-sampled,
-    so the result re-exports bit-identically given the same library.
+    Trees are rebuilt from their recorded params, not re-sampled, so the
+    result re-exports bit-identically given the same library. A tree whose
+    ``seed`` is not its params' seed is a SceneConfigError.
     """
     def parse(data: dict) -> Scene:
         if data.get("version") not in (1, MANIFEST_VERSION):  # 1 differs only in layout
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
-        entries, jitters = {}, {}  # by index: each tree exports to tree_<index>.stl
+        xy, params, jitters = {}, [], {}  # by index: each tree exports to tree_<index>.stl
         for entry in data["trees"]:
             x = treemod.real_number(entry["x"], "tree x")
             y = treemod.real_number(entry["y"], "tree y")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SceneConfigError(f"tree {entry['index']} position must be finite")
             index = treemod.whole_number(entry["index"], "tree index")
-            if index in entries:
+            if index in xy:
                 raise SceneConfigError(f"tree index {index} is repeated")
-            entries[index] = (index, x, y, treemod.whole_number(entry["seed"], "tree seed"),
-                              treemod.params_from_dict(entry["params"], jitters))
-        mesh, models = _build_trees([e[4] for e in entries.values()], lib)
-        placements = [Placement(*e[:4], model) for e, model in zip(entries.values(), models)]
-        return Scene(placements, config, mesh)
+            seed = treemod.whole_number(entry["seed"], "tree seed")
+            xy[index] = (x, y)
+            params.append(treemod.params_from_dict(entry["params"], jitters))
+            # the tree is built from its params' seed: a seed of its own
+            # would be written back beside a tree it did not build
+            if params[-1].seed != seed:
+                raise SceneConfigError(f"tree {index} seed {seed} differs from its params "
+                                       f"seed {params[-1].seed}")
+        return _scene(config, list(xy), list(xy.values()), params, lib)
 
     return _parse(manifest, "manifest", parse)
 

@@ -112,7 +112,13 @@ class RasterIntensity:
             setattr(self, name, real_number(getattr(self, name), f"raster {name}"))
             if not math.isfinite(getattr(self, name)):
                 raise IntensityError(f"raster {name} must be finite")
-        self.values = np.asarray(self.values, dtype=np.float64)
+        # a JSON boolean is no intensity: refused before float64 reads it as 1.0 or 0.0
+        values = (self.values if isinstance(self.values, np.ndarray)
+                  else np.asarray(self.values, dtype=object))
+        if values.dtype in (bool, object) and {bool, np.bool_} & set(map(type, values.flat)):
+            boolean = next(v for v in values.flat if type(v) in (bool, np.bool_))
+            raise IntensityError(f"raster value must be a number, got {bool(boolean)}")
+        self.values = np.asarray(values, dtype=np.float64)
         if self.cell_size <= 0:
             raise IntensityError("cell_size must be positive")
         if self.values.ndim != 2 or self.values.size == 0:
@@ -399,7 +405,7 @@ def intensity_from_dict(data: dict):
         return ConstantIntensity(data["rate"])
     if form == "raster":
         raster = RasterIntensity(data.get("x_min", 0.0), data.get("y_min", 0.0),
-                                 data["cell_size"], np.asarray(data["values"], dtype=np.float64))
+                                 data["cell_size"], data["values"])
         # declared bounds, when present, must agree with origin + grid * cell
         for key, actual in (("x_max", raster.x_max), ("y_max", raster.y_max)):
             declared = data.get(key)

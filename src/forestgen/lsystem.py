@@ -117,19 +117,6 @@ class Skeleton:
         """Rows of the nodes at ``depth``, ascending."""
         return (self.depths == depth).nonzero()[0]
 
-    def trees(self) -> list[Skeleton]:
-        """The skeleton of each tree of a stack (see interpret_turtle), tree
-        after tree: views of these arrays, each tree starting at its trunk,
-        with parent rows local to the tree."""
-        starts = self.at_depth(0)
-        if len(starts) == 1:
-            return [self]
-        sizes = np.diff(starts, append=len(self))
-        parents = self.parents - np.repeat(starts, sizes) * (self.parents >= 0)
-        return [Skeleton(self.points[a:b], self.directions[a:b], self.depths[a:b],
-                         self.lengths[a:b], parents[a:b])
-                for a, b in zip(starts.tolist(), (starts + sizes).tolist())]
-
 
 # ---------------------------------------------------------------------------
 # grammar parsing
@@ -282,8 +269,7 @@ def interpret_turtle(texts, cfgs, trunk_specs, uniforms: np.ndarray) -> Skeleton
     Each tree walks its own string (see _walk) and reads its own rows, as it
     would alone. Every node of the stack is then placed together, one depth
     at a time. The skeleton holds the trees' rows tree after tree, each
-    tree's trunk first, with parent rows pointing into the stack;
-    ``Skeleton.trees`` splits it per tree.
+    tree's trunk first, with parent rows pointing into the stack.
     """
     rows = sum(count_branch_symbols(text) for text, cfg in zip(texts, cfgs)
                if cfg.jitter_range > 0)

@@ -22,7 +22,7 @@ anything: each tree's block is the sum of its ledger, blocks follow each
 other tree after tree, and within a block the trunk, branch, sub-branch and
 leaf instances follow each other. The skeletons of the trees are placed as
 one stack, and each template role is placed for every tree at once and
-copied into its slots, so a tree's mesh is a contiguous view of the buffer.
+copied into its slots, so a tree's rows are contiguous in the buffer.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
 
     A list of params gives the stack of their skeletons, tree after tree,
     as ``lsystem.interpret_turtle`` stacks them; each tree reads its own
-    block of its own skeleton stream, so ``Skeleton.trees`` gives each
-    tree's skeleton alone.
+    block of its own skeleton stream, so each tree's rows are those of its
+    skeleton alone, with parent rows into the stack.
     """
     stack = [params] if isinstance(params, TreeParams) else params
     texts = [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack]
@@ -334,15 +334,16 @@ def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: list[int], size
 
 
 def build_trees(params: list[TreeParams],
-                lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, list[TreeModel]]:
+                lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, np.ndarray]:
     """Build a stack of trees, such as every tree of a scene, together.
 
     Each tree's turtle walk and per-stage draws come from its own
     streams, so each tree is the tree ``build_tree`` gives alone; the
     skeletons of a run of trees (see ``runs``) are placed as one
     stack, and each template role by one stacked transform over the run.
-    Returns the scene mesh, every tree's triangles tree after tree, and one
-    TreeModel per params whose mesh and skeleton are views of the stacks.
+    Returns the stack mesh, every tree's triangles tree after tree, and the
+    (n, 4) ends of each tree's trunk, branch, sub-branch and leaf rows in
+    it (``tree_model`` makes one tree's TreeModel from them).
     A stack whose ledger totals more than MAX_TRIANGLES is a
     TriangleBudgetError, raised before anything is allocated; a jittered
     scale too large to place is an OverflowError.
@@ -357,10 +358,9 @@ def build_trees(params: list[TreeParams],
     sizes = _instance_counts(params) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
     facets = np.empty((int(ends[-1, -1]) if len(params) else 0, 4, 3))
-    models = []
     for run in runs(sizes.sum(axis=1).tolist()):
-        models += _build_run(params[run], lib, facets, ends[run], sizes[run])
-    return stl.TriangleMesh(facets, "trees"), models
+        _build_run(params[run], lib, facets, ends[run], sizes[run])
+    return stl.TriangleMesh(facets, "trees"), ends
 
 
 def runs(triangles: list[int]):
@@ -377,7 +377,7 @@ def runs(triangles: list[int]):
 
 
 def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarray,
-               ends: np.ndarray, sizes: np.ndarray) -> list[TreeModel]:
+               ends: np.ndarray, sizes: np.ndarray):
     """Build a run of trees into their blocks of ``facets``, which end at
     ``ends`` and hold ``sizes`` rows per role."""
     stack = build_skeleton(params)
@@ -390,20 +390,26 @@ def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarra
     del trunks, branches
     _scatter(facets, attach_subbranches(stack, lib, params), starts[2], rows[2])
     _scatter(facets, attach_leaves(stack, lib, params), starts[3], rows[3])
-    models = []
-    for sk, p, start, (_, branch_end, sub_end, end) in zip(
-            stack.trees(), params, starts[0], ends.tolist()):
-        stage_counts = {"branches": branch_end - start, "subbranches": sub_end - start,
-                        "leaves": end - start}
-        models.append(TreeModel(sk, stl.TriangleMesh(facets[start:end], "tree"), p, stage_counts))
-    return models
+
+
+def tree_model(params: TreeParams, facets: np.ndarray, start: int, ends) -> TreeModel:
+    """One tree of a stack that ``build_trees`` built: its mesh is the view
+    of ``facets`` from row ``start`` to its leaf end, and ``ends`` are its
+    trunk, branch, sub-branch and leaf row ends. Its skeleton is built again
+    from ``params``, from the same stream, so it is the skeleton the stack
+    placed, bit for bit."""
+    _, branches, subbranches, leaves = (int(end) - start for end in ends)
+    mesh = stl.TriangleMesh(facets[start:start + leaves], "tree")
+    return TreeModel(build_skeleton(params), mesh, params,
+                     {"branches": branches, "subbranches": subbranches, "leaves": leaves})
 
 
 def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
     """Run the full stage pipeline for one tree (the one-tree case of
     ``build_trees``); per-stage meshes stay retrievable from the result via
     TreeModel.stage_mesh."""
-    return build_trees([params], lib)[1][0]
+    mesh, ends = build_trees([params], lib)
+    return tree_model(params, mesh.facets, 0, ends[0])
 
 
 def skeleton_to_mesh(skeleton: lsys.Skeleton) -> stl.TriangleMesh:

@@ -171,6 +171,20 @@ def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
                          np.array(lengths), np.array(parents))
 
 
+def split_skeleton(stack: lsys.Skeleton) -> list[lsys.Skeleton]:
+    """The skeleton of each tree of a stack that ``lsystem.interpret_turtle``
+    placed, tree after tree: each tree's rows run from its trunk row to the
+    next tree's, and its parent rows are made local to it."""
+    starts = stack.at_depth(0).tolist()
+    trees = []
+    for a, b in zip(starts, starts[1:] + [len(stack)]):
+        parents = stack.parents[a:b].copy()
+        parents[parents >= 0] -= a
+        trees.append(lsys.Skeleton(stack.points[a:b], stack.directions[a:b], stack.depths[a:b],
+                                   stack.lengths[a:b], parents))
+    return trees
+
+
 def skeleton_to_mesh(skeleton: lsys.Skeleton, width_fraction: float = 0.02) -> stl.TriangleMesh:
     """Two triangles per skeleton node, one node aligned at a time."""
     rows = []

@@ -801,6 +801,9 @@ BOOL_FLOATS = [
     ("bool_origin", ("intensity",), {"form": "raster", "x_min": False, "cell_size": 100.0,
                                      "values": [[0.0]]},
      "raster x_min must be a number, got False"),
+    ("bool_value", ("intensity",), {"form": "raster", "cell_size": 100.0,
+                                    "values": [[0.5, True]]},
+     "raster value must be a number, got True"),
 ]
 
 
@@ -879,6 +882,9 @@ BOOL_FLOATS = [
     # nor a measure
     *[(["forest", "--config", "{%s}" % name, "--out", "{tmp}/o"], 5, message)
       for name, _, _, message in BOOL_FLOATS],
+    # a JSON boolean is no intensity in a raster file either
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{bool_raster}",
+      "--out", "{tmp}/o.csv"], 5, "raster value must be a number, got True"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -905,6 +911,9 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
             config = replaced(config, keys, value)
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps(config))
+    names["bool_raster"] = tmp_path / "bool_raster.json"
+    names["bool_raster"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 10.0,
+                                                "values": [[True]]}))
     names["wide"] = tmp_path / "wide.json"
     names["wide"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1e300,
                                          "values": [[1e300]]}))

@@ -51,25 +51,27 @@ def test_compose_deterministic(tiny_library):
     a = fo.compose_forest(config, tiny_library)
     b = fo.compose_forest(config, tiny_library)
     assert len(a) == len(b)
-    for pa, pb in zip(a.placements, b.placements):
-        assert (pa.x, pa.y, pa.seed) == (pb.x, pb.y, pb.seed)
-        assert np.array_equal(pa.tree.full_mesh().facets, pb.tree.full_mesh().facets)
+    assert a.index == b.index
+    assert a.xy.tobytes() == b.xy.tobytes()
+    assert a.params == b.params
+    assert np.array_equal(a.ends, b.ends)
+    assert np.array_equal(a.mesh.facets, b.mesh.facets)
 
 
 def test_tree_seeds_are_substreams(tiny_library):
     config = make_config()
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) > 1
-    for p in scene.placements:
-        assert p.seed == fo.tree_seed_for(config.master_seed, p.index)
-        assert p.tree.params.seed == p.seed
-    assert len({p.seed for p in scene.placements}) == len(scene)
+    assert scene.index == list(range(len(scene)))
+    seeds = [p.seed for p in scene.params]
+    assert seeds == [fo.tree_seed_for(config.master_seed, i) for i in scene.index]
+    assert len(set(seeds)) == len(scene)
 
 
 def test_locations_respect_spacing_and_region(tiny_library):
     config = make_config(min_spacing=3.0)
     scene = fo.compose_forest(config, tiny_library)
-    pts = np.array([[p.x, p.y] for p in scene.placements])
+    pts = scene.xy
     assert np.all(config.region.contains(pts))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -83,14 +85,73 @@ def test_parameter_jitter_ranges(tiny_library):
     )
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) > 3
-    counts = {p.tree.params.branch_count for p in scene.placements}
+    counts = {p.branch_count for p in scene.params}
     assert counts <= set(range(4, 10))
-    for p in scene.placements:
-        assert 5.0 <= p.tree.params.trunk_height <= 12.0
+    for p in scene.params:
+        assert 5.0 <= p.trunk_height <= 12.0
     # recorded params regenerate identical trees
-    p0 = scene.placements[0]
-    rebuilt = tm.build_tree(tm.params_from_dict(tm.params_to_dict(p0.tree.params)), tiny_library)
-    assert np.array_equal(rebuilt.full_mesh().facets, p0.tree.full_mesh().facets)
+    rebuilt = tm.build_tree(tm.params_from_dict(tm.params_to_dict(scene.params[0])), tiny_library)
+    assert np.array_equal(rebuilt.full_mesh().facets, scene.tree(0).full_mesh().facets)
+
+
+JITTERED = dict(parameter_jitter=fo.ParameterJitter(branch_count=(2, 7), trunk_height=(4.0, 11.0)))
+
+
+def test_scene_builds_make_no_tree_model(tiny_library, tmp_path, monkeypatch):
+    # a scene is columns: only Scene.tree makes a TreeModel
+    made = []
+    init = tm.TreeModel.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(tm.TreeModel, "__init__", counted)
+    scene = fo.compose_forest(make_config(intensity=ipp.ConstantIntensity(80.0 / 3600.0)),
+                              tiny_library)
+    assert len(scene) >= 50
+    fo.scene_stats(scene)
+    for mode in fo.EXPORT_MODES:
+        fo.export_scene(scene, tmp_path / mode, mode)
+        regen = fo.regenerate_scene(tmp_path / mode / fo.MANIFEST_NAME, tiny_library)
+        fo.scene_stats(regen)
+        fo.export_scene(regen, tmp_path / "regen", mode)
+    assert made == []
+    scene.tree(0)
+    assert len(made) == 1
+
+
+def test_compose_and_regenerate_give_the_same_columns(tiny_library, tmp_path):
+    scene = fo.compose_forest(make_config(**JITTERED), tiny_library)
+    assert len(scene) > 3 and len({p.branch_count for p in scene.params}) > 1
+    scene.xy[0] = -0.0, 0.0
+    scene.xy[1] = 0.0, -0.0
+    fo.export_scene(scene, tmp_path, "merged")
+    regen = fo.regenerate_scene(tmp_path / fo.MANIFEST_NAME, tiny_library)
+    assert regen.index == scene.index and {type(i) for i in regen.index} == {int}
+    assert regen.xy.dtype == scene.xy.dtype == np.float64
+    assert regen.xy.tobytes() == scene.xy.tobytes()
+    assert regen.params == scene.params
+    assert regen.ends.dtype == scene.ends.dtype and regen.ends.shape == (len(scene), 4)
+    assert regen.ends.tobytes() == scene.ends.tobytes()
+    assert regen.mesh.facets.tobytes() == scene.mesh.facets.tobytes()
+
+
+def test_scene_tree_is_the_tree_built_alone(tiny_library):
+    scene = fo.compose_forest(make_config(**JITTERED), tiny_library)
+    assert len(scene) > 3
+    for i, params in enumerate(scene.params):
+        tree, alone = scene.tree(i), tm.build_tree(params, tiny_library)
+        assert tree.params is params
+        assert tree.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
+        assert tree.stage_counts == alone.stage_counts
+        for name in ("points", "directions", "depths", "lengths", "parents"):
+            assert getattr(tree.skeleton, name).tobytes() == getattr(alone.skeleton, name).tobytes()
+    assert scene.tree(-1).mesh.facets.tobytes() == scene.tree(len(scene) - 1).mesh.facets.tobytes()
+    with pytest.raises(IndexError):
+        scene.tree(len(scene))
+    # its mesh is a view of the scene's
+    scene.tree(1).mesh.facets[0, 1, 0] = 1234.5
+    assert scene.mesh.facets[scene.ends[0, 3], 1, 0] == 1234.5
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +188,10 @@ def test_merged_vertices_are_per_tree_plus_offset(tiny_library, tmp_path):
     fo.export_scene(scene, tmp_path / "mer", "merged")
     merged = stl.read_stl((tmp_path / "mer" / fo.MERGED_NAME).read_bytes())
     cursor = 0
-    for p in scene.placements:
-        local = stl.read_stl((tmp_path / "per" / f"tree_{p.index}.stl").read_bytes())
+    for index, (x, y) in zip(scene.index, scene.xy):
+        local = stl.read_stl((tmp_path / "per" / f"tree_{index}.stl").read_bytes())
         chunk = merged.facets[cursor: cursor + len(local)]
-        offset = np.array([p.x, p.y, 0.0])
+        offset = np.array([x, y, 0.0])
         # agreement up to float32 quantization of the baked translation
         span = np.abs(chunk[:, 1:, :]).max() + 1.0
         assert np.allclose(chunk[:, 1:, :], local.facets[:, 1:, :] + offset,
@@ -140,14 +201,14 @@ def test_merged_vertices_are_per_tree_plus_offset(tiny_library, tmp_path):
 
 
 def merged_reference(scene: fo.Scene) -> bytes:
-    return ref.write_merged([p.tree.mesh.facets for p in scene.placements],
-                            [(p.x, p.y) for p in scene.placements], "forest")
+    return ref.write_merged([scene.tree(i).mesh.facets for i in range(len(scene))],
+                            scene.xy.tolist(), "forest")
 
 
 @pytest.mark.parametrize("run", ["one triangle", "mid-list", "one run"])
 def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
-    sizes = [len(p.tree.mesh) for p in scene.placements]
+    sizes = scene.triangles()
     assert len(sizes) > 3
     # a chunk of one triangle; chunks that end mid-way through trees; one chunk
     limit = {"one triangle": 1, "mid-list": sizes[0] + sizes[1] // 2, "one run": 1 << 40}[run]
@@ -160,13 +221,13 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
     # signed zeros in the offsets, the vertices and the kept normals, and a
     # tree whose normals are off unit length, so they are recomputed after
     # the shift
-    scene.placements[0].x, scene.placements[0].y = -0.0, 0.0
-    scene.placements[1].x, scene.placements[1].y = 0.0, -0.0
-    facets = scene.placements[2].tree.mesh.facets
+    scene.xy[0] = -0.0, 0.0
+    scene.xy[1] = 0.0, -0.0
+    facets = scene.tree(2).mesh.facets
     for zeros in (facets[:, 1:, 2], facets[:, 0, :]):
         zeros[zeros == 0.0] = -0.0
         assert np.signbit(zeros[zeros == 0.0]).any()
-    scene.placements[3].tree.mesh.facets[:, 0, :] *= 2.0
+    scene.tree(3).mesh.facets[:, 0, :] *= 2.0
     fo.export_scene(scene, tmp_path, "merged")
     assert (tmp_path / fo.MERGED_NAME).read_bytes() == merged_reference(scene)
 
@@ -174,8 +235,8 @@ def test_merged_export_is_the_whole_scene_writer(run, tiny_library, tmp_path, mo
 def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
-    meshes = [p.tree.stage_mesh("branches") for p in scene.placements]
-    positions = [(p.x, p.y) for p in scene.placements]
+    meshes = [scene.tree(i).stage_mesh("branches") for i in range(len(scene))]
+    positions = scene.xy.tolist()
     count = fo.write_merged(tmp_path / "b.stl", meshes, positions, "stage")
     assert count == sum(len(m) for m in meshes)
     assert (tmp_path / "b.stl").read_bytes() == ref.write_merged(
@@ -191,7 +252,7 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
                                                       monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
     assert len(scene) > 3
-    trees = [p.tree.stage_mesh("branches") for p in scene.placements]
+    trees = [scene.tree(i).stage_mesh("branches") for i in range(len(scene))]
     hole = stl.empty_mesh()
     meshes = {"first": [hole, *trees], "middle": [trees[0], hole, trees[1], hole, *trees[2:]],
               "last": [*trees, hole], "all": [hole] * 3}[empty]
@@ -215,7 +276,7 @@ def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, 
     before = read_dir(tmp_path)
     # every triangle is a chunk of its own, so the chunks before the last are written
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
-    scene.placements[-1].tree.mesh.facets[:] = np.nan
+    scene.tree(-1).mesh.facets[:] = np.nan
     with pytest.raises(stl.StlError, match="non-finite"):
         fo.export_scene(scene, tmp_path, "merged")
     assert read_dir(tmp_path) == before
@@ -231,7 +292,7 @@ def test_fault_in_the_last_chunk_leaves_the_previous_files(fault, tiny_library, 
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", total // 3)
     assert math.ceil(total / (total // 3)) > 1
     # the last facet of the last tree is the last triangle of the file
-    ref.set_fault(scene.placements[-1].tree.mesh.facets, fault, -1)
+    ref.set_fault(scene.tree(-1).mesh.facets, fault, -1)
     with pytest.raises(stl.StlError, match=ref.WRITER_FAULTS[(fault,)]):
         fo.export_scene(scene, tmp_path, "merged")
     assert read_dir(tmp_path) == before
@@ -242,7 +303,7 @@ def test_merged_export_error_order_is_pinned(faults, message, tiny_library, tmp_
     scene = fo.compose_forest(make_config(), tiny_library)
     # every fault in one facet, so in one chunk however the scene is cut
     for fault in faults:
-        ref.set_fault(scene.placements[1].tree.mesh.facets, fault, 3)
+        ref.set_fault(scene.tree(1).mesh.facets, fault, 3)
     with pytest.raises(stl.StlError, match=message):
         fo.export_scene(scene, tmp_path, "merged")
     assert not list(tmp_path.iterdir())
@@ -291,7 +352,7 @@ def test_integral_float_jitter_bounds_draw_as_integers(tiny_library):
     def counts(bounds):
         config = make_config(parameter_jitter=fo.ParameterJitter(branch_count=bounds))
         scene = fo.compose_forest(config, tiny_library)
-        return [p.tree.params.branch_count for p in scene.placements]
+        return [p.branch_count for p in scene.params]
     assert counts((2.0, 3.0)) == counts((2, 3))
     assert fo.ParameterJitter(branch_count=(np.float64(2.0), 3.0)).branch_count == (2, 3)
 
@@ -329,8 +390,9 @@ def test_export_leaves_stored_mesh_name(mode, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)
     assert len(scene) > 1
     fo.export_scene(scene, tmp_path, mode)
-    assert {p.tree.mesh.name for p in scene.placements} == {"tree"}
-    assert {p.tree.full_mesh().name for p in scene.placements} == {"tree"}
+    assert scene.mesh.name == "trees"
+    trees = [scene.tree(i) for i in range(len(scene))]
+    assert {t.mesh.name for t in trees} == {t.full_mesh().name for t in trees} == {"tree"}
 
 
 @pytest.mark.parametrize("where", ["top-level", "intensity", "params"])
@@ -425,6 +487,24 @@ def test_regenerate_refuses_a_boolean_measure(keys, field, tiny_library):
         fo.regenerate_scene(manifest, tiny_library)
 
 
+def test_regenerate_refuses_a_boolean_raster_value(tiny_library):
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    manifest["intensity"] = {"form": "raster", "cell_size": 60.0, "values": [[0.5, True]]}
+    with pytest.raises(fo.SceneConfigError, match="^raster value must be a number, got True$"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
+def test_regenerate_refuses_a_tree_seed_unlike_its_params_seed(tiny_library):
+    # the tree is built from its params' seed, and re-export would write the
+    # other seed back beside it
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    seed = manifest["trees"][1]["params"]["seed"]
+    manifest["trees"][1]["seed"] = seed ^ 1
+    with pytest.raises(fo.SceneConfigError,
+                       match=f"^tree 1 seed {seed ^ 1} differs from its params seed {seed}$"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
 def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)
@@ -442,7 +522,7 @@ def test_regenerate_validates_each_distinct_jitter_once(tiny_library):
     manifest["trees"][1]["params"]["jitter"]["pitch_range"] = -0.0
     manifest = json.loads(json.dumps(manifest))
     regen = fo.regenerate_scene(manifest, tiny_library)
-    jitters = [p.tree.params.jitter for p in regen.placements]
+    jitters = [p.jitter for p in regen.params]
     assert len({id(j) for j in jitters}) == 2
     assert all(j is jitters[0] for i, j in enumerate(jitters) if i != 1)
     assert math.copysign(1.0, jitters[1].pitch_range) == -1.0
@@ -614,23 +694,21 @@ scene_trees = st.lists(st.tuples(
     st.sampled_from([1, 2, 16]) | st.integers(1, 40), st.integers(0, 4), st.integers(0, 5),
     st.sampled_from([8.0, 10.0]) | st.floats(5e-324, 1e300),
     st.sampled_from([0.5, 1.0]) | st.floats(5e-324, 1.0),
-    st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2 ** 64 - 1),
     st.sampled_from(_SCENE_JITTERS), st.integers(0, 2 ** 25)), max_size=12)
 
 
 def column_scene(trees) -> fo.Scene:
-    """A scene holding only what its manifest reads: placements, params and
-    triangle counts, with no meshes built."""
+    """A scene holding only what its manifest reads: indices, locations,
+    params (each tree's seed among them) and leaf row ends, with no meshes
+    built."""
     config = make_config(intensity=ipp.RasterIntensity(-0.0, 5e-324, 1e16, np.array([[0.5, 1e-7]])),
                          master_seed=2 ** 64 - 1)
-    placements = [
-        fo.Placement(index, x, y, seed, tm.TreeModel(
-            None, stl.empty_mesh("tree"),
-            tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=n,
-                          trunk_height=h, jitter=jitter, depth_scale_decay=d, seed=tree_seed),
-            {"leaves": triangles}))
-        for index, x, y, seed, b, s, n, h, d, tree_seed, jitter, triangles in trees]
-    return fo.Scene(placements, config, stl.empty_mesh("trees"))
+    params = [tm.TreeParams(branch_count=b, subbranches_per_branch=s, leaves_per_subbranch=n,
+                            trunk_height=h, jitter=jitter, depth_scale_decay=d, seed=seed)
+              for _, _, _, seed, b, s, n, h, d, jitter, _ in trees]
+    ends = np.repeat(np.cumsum([0, *[t[-1] for t in trees]])[1:, None], 4, axis=1)
+    return fo.Scene(config, [t[0] for t in trees], np.array([t[1:3] for t in trees]).reshape(-1, 2),
+                    params, stl.empty_mesh("trees"), ends)
 
 
 @given(trees=scene_trees)
@@ -657,18 +735,18 @@ edited_jitters = st.fixed_dictionaries({
 
 @given(edits=st.lists(st.tuples(
     st.sampled_from([-0.0, 5e-324, 1e16, 12.5]), st.sampled_from([-0.0, 5e-324, 1e16, 3.0]),
-    st.sampled_from(_EDGE_SEEDS), st.sampled_from(_EDGE_SEEDS), edited_jitters | st.none()),
+    st.sampled_from(_EDGE_SEEDS), edited_jitters | st.none()),
     min_size=1, max_size=6), mode=st.sampled_from(fo.EXPORT_MODES))
 @settings(max_examples=40, deadline=None)
 def test_regenerated_manifest_text_is_the_dict_writer(edits, mode, tiny_library):
-    # a hand-edited manifest: positions, seeds and a jitter of its own per
-    # tree, int-valued or not; the regenerated scene writes it as the dict
-    # writer does
+    # a hand-edited manifest: positions, seeds (a tree's and its params',
+    # which must agree) and a jitter of its own per tree, int-valued or not;
+    # the regenerated scene writes it as the dict writer does
     manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), mode)
     trees = manifest["trees"][:len(edits)]
-    for entry, (x, y, seed, tree_seed, jitter) in zip(trees, edits):
+    for entry, (x, y, seed, jitter) in zip(trees, edits):
         entry.update(x=x, y=y, seed=seed)
-        entry["params"].update(seed=tree_seed, branch_count=2, leaves_per_subbranch=1)
+        entry["params"].update(seed=seed, branch_count=2, leaves_per_subbranch=1)
         if jitter is not None:
             entry["params"]["jitter"] = jitter
     regen = fo.regenerate_scene({**manifest, "trees": trees}, tiny_library)

@@ -93,6 +93,15 @@ def test_integrate_requires_coverage():
         field.integrate(ipp.Region(0, 20, 0, 10))
 
 
+@pytest.mark.parametrize("values", [[[True]], [[0.5, False], [1.0, 2.0]], [[1, np.True_]],
+                                    np.array([[False, True]])])
+def test_raster_refuses_a_boolean_value(values):
+    # float64 would read a JSON true as 1.0
+    first = next(v for row in values for v in row if isinstance(v, (bool, np.bool_)))
+    with pytest.raises(ipp.IntensityError, match=f"^raster value must be a number, got {first}$"):
+        ipp.RasterIntensity(0, 0, 1.0, values)
+
+
 def test_raster_rejects_negative_cell():
     with pytest.raises(ipp.IntensityError, match=r"\(i=1, j=0\)"):
         ipp.RasterIntensity(0, 0, 1.0, np.array([[1.0, -2.0]]))

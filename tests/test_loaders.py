@@ -111,7 +111,8 @@ def test_manifest_of_any_shape(data, value, manifest, tiny_library, workdir):
         scene = fo.regenerate_scene(path, tiny_library)
     except fo.SceneConfigError:
         return
-    assert all(isinstance(p.tree, tm.TreeModel) for p in scene.placements)
+    assert len(scene.xy) == len(scene.params) == len(scene.ends) == len(scene)
+    assert all(isinstance(scene.tree(i), tm.TreeModel) for i in range(len(scene)))
 
 
 @given(data=st.data(), value=JSON_VALUES)

@@ -18,6 +18,7 @@ ARGS = {
     "forest_demo.py": ["--detail", "tiny"],
     "ipp_counts.py": ["--reps", "20"],
     "make_templates.py": ["--detail", "tiny"],
+    "src_lines.py": [],
 }
 
 

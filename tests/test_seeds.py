@@ -20,6 +20,8 @@ from forestgen import seeds as sd
 from forestgen import tree as tm
 from forestgen import transform as tf
 
+import scalar_reference as ref
+
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1]
 
 seed_lists = st.lists(st.integers(0, 2 ** 64 - 1) | st.sampled_from(EDGE_SEEDS),
@@ -162,11 +164,12 @@ def test_stacked_build_of_a_batch_matches_trees_built_alone():
                             jitter=jitter, seed=sd.stream_seed(99, i))
               for i in range(20)]
     with mock.patch.object(tm, "_RUN_TRIANGLES", 1 << 40):
-        _, models = tm.build_trees(params, lib)
-    for p, model in zip(params, models):
+        mesh, ends = tm.build_trees(params, lib)
+    stack = ref.split_skeleton(tm.build_skeleton(params))
+    for p, a, b, skeleton in zip(params, [0, *ends[:, 3].tolist()], ends[:, 3].tolist(), stack):
         alone = tm.build_tree(p, lib)
-        assert model.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
-        assert model.skeleton.points.tobytes() == alone.skeleton.points.tobytes()
+        assert mesh.facets[a:b].tobytes() == alone.mesh.facets.tobytes()
+        assert skeleton.points.tobytes() == alone.skeleton.points.tobytes()
 
 
 def test_parameter_jitter_of_a_batch_is_each_tree_stream(tiny_library):
@@ -178,7 +181,8 @@ def test_parameter_jitter_of_a_batch_is_each_tree_stream(tiny_library):
         master_seed=3)
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) >= sd._BATCH_MIN
-    for p in scene.placements:
+    for index, p in zip(scene.index, scene.params):
+        assert p.seed == fo.tree_seed_for(config.master_seed, index)
         rng = np.random.default_rng(sd.stream_seed(p.seed, fo._STREAM_PARAM_JITTER))
-        assert p.tree.params.branch_count == int(rng.integers(1, 10))
-        assert p.tree.params.trunk_height == float(rng.uniform(2.0, 15.0))
+        assert p.branch_count == int(rng.integers(1, 10))
+        assert p.trunk_height == float(rng.uniform(2.0, 15.0))

@@ -310,15 +310,17 @@ def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail, r
               for b, s, n, h, d, seed, jitter in trees]
     # runs of one tree, of a few trees, and one run for the whole stack
     with mock.patch.object(tm, "_RUN_TRIANGLES", run):
-        mesh, models = tm.build_trees(params, lib)
+        mesh, ends = tm.build_trees(params, lib)
+    assert ends.shape == (len(params), 4)
     at = 0
-    for p, model in zip(params, models):
+    for p, tree_ends in zip(params, ends):
+        model = tm.tree_model(p, mesh.facets, at, tree_ends)
         alone = tm.build_tree(p, lib)
         assert model.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
         assert model.stage_counts == alone.stage_counts
         assert model.leaf_centroids.tobytes() == alone.leaf_centroids.tobytes()
-        for name in ("points", "directions", "depths", "lengths", "parents"):
-            assert getattr(model.skeleton, name).tobytes() == getattr(alone.skeleton, name).tobytes()
+        # the trunk's rows end before the branches' rows
+        assert tree_ends[0] - at == len(lib.trunk)
         # each tree is the next contiguous block of the one scene mesh
         assert model.mesh.facets.base is mesh.facets
         assert model.mesh.facets.tobytes() == mesh.facets[at:at + len(model.mesh)].tobytes()
@@ -327,8 +329,8 @@ def test_stacked_build_matches_trees_built_alone(trees, shared_jitter, detail, r
 
 
 def test_build_trees_of_no_trees(tiny_library):
-    mesh, models = tm.build_trees([], tiny_library)
-    assert len(mesh) == 0 and models == []
+    mesh, ends = tm.build_trees([], tiny_library)
+    assert len(mesh) == 0 and ends.shape == (0, 4)
 
 
 @given(trees=st.lists(st.tuples(
@@ -346,17 +348,17 @@ def test_stacked_skeletons_match_each_tree_alone(trees, tiny_library):
                             trunk_height=h, depth_scale_decay=d, seed=seed,
                             jitter=tf.AngleJitterParams(azimuth_range=jitter))
               for b, s, h, d, jitter, seed in trees]
-    _, models = tm.build_trees(params, tiny_library)
-    for p, model in zip(params, models):
+    # the stack a build places, split by its trunk rows
+    for p, skeleton in zip(params, ref.split_skeleton(tm.build_skeleton(params)), strict=True):
         text = tm.synthesize_derivation(p.branch_count, p.subbranches_per_branch)
         want = ref.interpret_turtle(text, tm.turtle_config_for(p), p.trunk_height, (0, 0, 0),
                                     np.random.default_rng(stream_seed(p.seed, 0)))
         want.lengths[want.depths == 2] *= p.depth_scale_decay
         alone = tm.build_skeleton(p)
         for name in ("points", "directions", "depths", "lengths", "parents"):
-            got = getattr(model.skeleton, name).tobytes()
+            got = getattr(skeleton, name).tobytes()
             assert got == getattr(alone, name).tobytes() == getattr(want, name).tobytes(), name
         # parent rows are the tree's own: the trunk's is -1, every other row's an earlier row
-        parents = model.skeleton.parents
+        parents = skeleton.parents
         assert parents[0] == -1 and (0 <= parents[1:]).all()
         assert (parents[1:] < np.arange(1, len(parents))).all()
