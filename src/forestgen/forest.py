@@ -59,7 +59,7 @@ class ParameterJitter:
 
     def __post_init__(self):
         if self.branch_count is not None:
-            lo, hi = self.branch_count
+            lo, hi = treemod.number_pair(self.branch_count, "branch_count jitter")
             if not (1 <= lo <= hi < math.inf):
                 raise SceneConfigError("branch_count jitter must satisfy 1 <= min <= max < inf")
             # a fractional bound would be truncated by the draw
@@ -68,7 +68,7 @@ class ParameterJitter:
             if self.branch_count[1] >= 2 ** 63:
                 raise SceneConfigError("branch_count jitter max must be below 2**63")
         if self.trunk_height is not None:
-            lo, hi = self.trunk_height
+            lo, hi = treemod.number_pair(self.trunk_height, "trunk_height jitter")
             self.trunk_height = lo, hi = (treemod.real_number(lo, "trunk_height jitter min"),
                                           treemod.real_number(hi, "trunk_height jitter max"))
             if not (0 < lo <= hi < math.inf):
@@ -121,7 +121,7 @@ class Scene:
 
     def tree(self, i: int) -> treemod.TreeModel:
         """Tree ``i`` as a TreeModel: its mesh is a view of ``mesh``, and its
-        skeleton is built again from its params."""
+        skeleton is built again from its params when it is first read."""
         i = range(len(self))[i]
         start = int(self.ends[i - 1, 3]) if i else 0
         return treemod.tree_model(self.params[i], self.mesh.facets, start, self.ends[i])
@@ -378,13 +378,15 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
 
     Trees are rebuilt from their recorded params, not re-sampled, so the
     result re-exports bit-identically given the same library. A tree whose
-    ``seed`` is not its params' seed is a SceneConfigError.
+    ``seed`` is not its params' seed, or whose rebuilt triangles are not its
+    recorded ``triangles`` (as with another template library), is a
+    SceneConfigError.
     """
     def parse(data: dict) -> Scene:
         if data.get("version") not in (1, MANIFEST_VERSION):  # 1 differs only in layout
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
-        xy, params, jitters = {}, [], {}  # by index: each tree exports to tree_<index>.stl
+        xy, params, jitters, triangles = {}, [], {}, []  # xy by index: tree_<index>.stl
         for entry in data["trees"]:
             x = treemod.real_number(entry["x"], "tree x")
             y = treemod.real_number(entry["y"], "tree y")
@@ -394,6 +396,7 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
             if index in xy:
                 raise SceneConfigError(f"tree index {index} is repeated")
             seed = treemod.whole_number(entry["seed"], "tree seed")
+            triangles.append(treemod.whole_number(entry["triangles"], "tree triangles"))
             xy[index] = (x, y)
             params.append(treemod.params_from_dict(entry["params"], jitters))
             # the tree is built from its params' seed: a seed of its own
@@ -401,7 +404,12 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
             if params[-1].seed != seed:
                 raise SceneConfigError(f"tree {index} seed {seed} differs from its params "
                                        f"seed {params[-1].seed}")
-        return _scene(config, list(xy), list(xy.values()), params, lib)
+        scene = _scene(config, list(xy), list(xy.values()), params, lib)
+        for index, recorded, built in zip(scene.index, triangles, scene.triangles()):
+            if built != recorded:
+                raise SceneConfigError(f"tree {index} builds {built} triangles where the "
+                                       f"manifest records {recorded}: another template library?")
+        return scene
 
     return _parse(manifest, "manifest", parse)
 
@@ -410,13 +418,9 @@ def load_scene_config(source) -> tuple[SceneConfig, str | None]:
     """Parse a scene config JSON (dict or path); returns the config plus the
     optional template library path named in the file."""
     def parse(data: dict) -> tuple[SceneConfig, str | None]:
-        jitter = None
-        if data.get("parameter_jitter"):
-            pj = data["parameter_jitter"]
-            jitter = ParameterJitter(
-                branch_count=tuple(pj["branch_count"]) if pj.get("branch_count") else None,
-                trunk_height=tuple(pj["trunk_height"]) if pj.get("trunk_height") else None,
-            )
+        pj = data.get("parameter_jitter")
+        jitter = None if pj is None else ParameterJitter(pj.get("branch_count"),
+                                                         pj.get("trunk_height"))
         config = _scene_config(data, {"min_spacing": 0.0, "master_seed": 0},
                                tree_params_template=treemod.params_from_dict(data["tree_params"]),
                                parameter_jitter=jitter)

@@ -370,10 +370,8 @@ def replication_seeds(master_seed: int, count: int) -> list[int]:
 
 
 def pattern_to_csv(pattern: PointPattern) -> str:
-    lines = ["x,y"]
-    for x, y in pattern.points:
-        lines.append(f"{x:.9g},{y:.9g}")
-    return "\n".join(lines) + "\n"
+    """Header plus one x,y row per point, each number at 9 significant digits."""
+    return "x,y\n" + ("%.9g,%.9g\n" * len(pattern)) % tuple(pattern.points.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +406,12 @@ def intensity_from_dict(data: dict):
                                  data["cell_size"], data["values"])
         # declared bounds, when present, must agree with origin + grid * cell
         for key, actual in (("x_max", raster.x_max), ("y_max", raster.y_max)):
-            declared = data.get(key)
-            if declared is not None and abs(float(declared) - actual) > 1e-6 * raster.cell_size:
+            if data.get(key) is None:
+                continue
+            declared = real_number(data[key], f"raster {key}")
+            if not math.isfinite(declared):
+                raise IntensityError(f"raster {key} must be finite")
+            if abs(declared - actual) > 1e-6 * raster.cell_size:
                 raise IntensityError(
                     f"declared {key}={declared} does not match grid extent {actual}")
         return raster

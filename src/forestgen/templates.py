@@ -24,60 +24,41 @@ def tapered_tube(base_radius: float, tip_radius: float, height: float,
     ``bend_degrees`` in the x-z plane. Both caps are triangle fans around a
     center vertex; the base center sits exactly at the origin.
 
-    Triangle count: 2 * segments * rings + 2 * segments.
+    Each band is a quad per segment, split into two triangles; the bands
+    come ring by ring, then the base and tip fans interleave segment by
+    segment. Triangle count: 2 * segments * rings + 2 * segments.
     """
     if segments < 3 or rings < 1:
         raise ValueError("need at least 3 segments and 1 ring")
-    step = height / rings
-    spine = [np.zeros(3)]
-    dirs = []
-    for j in range(rings):
-        theta = math.radians(bend_degrees) * (j + 0.5) / rings
-        d = np.array([math.sin(theta), 0.0, math.cos(theta)])
-        dirs.append(d)
-        spine.append(spine[-1] + step * d)
-
-    circles = []
-    for j in range(rings + 1):
-        frac = j / rings
-        radius = base_radius + (tip_radius - base_radius) * frac
-        d = dirs[min(j, rings - 1)] if j > 0 else np.array([0.0, 0.0, 1.0])
-        u = np.array([d[2], 0.0, -d[0]])  # in-plane perpendicular to the spine
-        v = np.array([0.0, 1.0, 0.0])
-        angles = 2.0 * np.pi * np.arange(segments) / segments
-        ring = spine[j] + radius * (np.outer(np.cos(angles), u) + np.outer(np.sin(angles), v))
-        circles.append(ring)
-
-    rows = []
-    zero = np.zeros(3)
-
-    def quad(a, b, c, d):
-        rows.append([zero, a, b, c])
-        rows.append([zero, a, c, d])
-
-    for j in range(rings):
-        lo, hi = circles[j], circles[j + 1]
-        for k in range(segments):
-            k2 = (k + 1) % segments
-            quad(lo[k], lo[k2], hi[k2], hi[k])
-    base_center, tip_center = spine[0], spine[-1]
-    for k in range(segments):
-        k2 = (k + 1) % segments
-        rows.append([zero, base_center, circles[0][k2], circles[0][k]])
-        rows.append([zero, tip_center, circles[-1][k], circles[-1][k2]])
-
-    return recompute_normals(TriangleMesh(np.array(rows), name))
+    # band j leans by its mid-band angle; math's sin and cos, not numpy's
+    # (which may round differently), fix the bend's bits
+    thetas = [math.radians(bend_degrees) * (j + 0.5) / rings for j in range(rings)]
+    dirs = np.array([[math.sin(t), 0.0, math.cos(t)] for t in thetas])
+    spine = np.cumsum(np.vstack([np.zeros(3), height / rings * dirs]), axis=0)
+    # ring j faces along band j, but the base ring faces +Z and the tip ring the last band
+    d = np.vstack([[0.0, 0.0, 1.0], dirs[1:], dirs[-1:]])
+    u = np.stack([d[:, 2], np.zeros(rings + 1), -d[:, 0]], axis=1)
+    radii = base_radius + (tip_radius - base_radius) * (np.arange(rings + 1) / rings)
+    angles = 2.0 * np.pi * np.arange(segments) / segments
+    # (rings + 1, segments, 3) ring points, then the base and tip centers
+    points = spine[:, None] + radii[:, None, None] * (
+        np.cos(angles)[:, None] * u[:, None] + np.sin(angles)[:, None] * [0.0, 1.0, 0.0])
+    vertices = np.vstack([points.reshape(-1, 3), spine[[0, -1]]])
+    at = np.arange((rings + 1) * segments).reshape(rings + 1, segments)
+    on = np.roll(at, -1, axis=1)  # the next point round each ring
+    base, tip = np.full(segments, at.size), np.full(segments, at.size + 1)
+    bands = np.stack([at[:-1], on[:-1], on[1:], at[:-1], on[1:], at[1:]], axis=-1)
+    caps = np.stack([base, on[0], at[0], tip, at[-1], on[-1]], axis=-1)
+    corners = vertices[np.vstack([bands.reshape(-1, 6), caps]).reshape(-1, 3)]
+    facets = np.concatenate([np.zeros((len(corners), 1, 3)), corners], axis=1)
+    return recompute_normals(TriangleMesh(facets, name))
 
 
 def leaf_triangle(width: float = 0.5, length: float = 1.0) -> TriangleMesh:
     """Single-triangle leaf: base tip at the origin, blade along +Z."""
-    rows = [[
-        np.zeros(3),
-        np.zeros(3),
-        np.array([width / 2.0, 0.0, length]),
-        np.array([-width / 2.0, 0.0, length]),
-    ]]
-    return recompute_normals(TriangleMesh(np.array(rows), "leaf"))
+    facets = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [width / 2.0, 0.0, length],
+                        [-width / 2.0, 0.0, length]]])
+    return recompute_normals(TriangleMesh(facets, "leaf"))
 
 
 def default_library(detail: str = "normal") -> MeshLibrary:

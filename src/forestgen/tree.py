@@ -27,6 +27,7 @@ copied into its slots, so a tree's rows are contiguous in the buffer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +104,15 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def number_pair(value, name: str) -> tuple:
+    """The two values of a (min, max) range, given as a list or tuple of
+    exactly two; a string, a lone number or a third value is refused, not
+    read character by character or cut short."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair [min, max], got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class TreeParams:
     branch_count: int = 8
@@ -137,10 +147,16 @@ class TreeParams:
 
 @dataclass
 class TreeModel:
-    skeleton: lsys.Skeleton
     mesh: stl.TriangleMesh            # trunk, branches, sub-branches, leaves
     params: TreeParams
     stage_counts: dict = field(default_factory=dict)  # triangle count after each stage
+
+    @functools.cached_property
+    def skeleton(self) -> lsys.Skeleton:
+        """The tree's skeleton, built from ``params`` when first read: from
+        the same stream, so it is the skeleton its mesh was placed on, bit for
+        bit."""
+        return build_skeleton(self.params)
 
     @property
     def leaf_centroids(self) -> np.ndarray:
@@ -395,12 +411,11 @@ def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarra
 def tree_model(params: TreeParams, facets: np.ndarray, start: int, ends) -> TreeModel:
     """One tree of a stack that ``build_trees`` built: its mesh is the view
     of ``facets`` from row ``start`` to its leaf end, and ``ends`` are its
-    trunk, branch, sub-branch and leaf row ends. Its skeleton is built again
-    from ``params``, from the same stream, so it is the skeleton the stack
-    placed, bit for bit."""
+    trunk, branch, sub-branch and leaf row ends. Its skeleton is built only
+    if it is read (``TreeModel.skeleton``)."""
     _, branches, subbranches, leaves = (int(end) - start for end in ends)
     mesh = stl.TriangleMesh(facets[start:start + leaves], "tree")
-    return TreeModel(build_skeleton(params), mesh, params,
+    return TreeModel(mesh, params,
                      {"branches": branches, "subbranches": subbranches, "leaves": leaves})
 
 
@@ -428,10 +443,8 @@ def skeleton_to_mesh(skeleton: lsys.Skeleton) -> stl.TriangleMesh:
 
 def centroids_to_csv(centroids: np.ndarray) -> str:
     """Leaf centroid table: header plus one x,y,z row per leaf triangle."""
-    lines = ["x,y,z"]
-    for x, y, z in np.asarray(centroids, dtype=np.float64).reshape(-1, 3):
-        lines.append(f"{x:.9g},{y:.9g},{z:.9g}")
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    return "x,y,z\n" + ("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def params_to_dict(params: TreeParams) -> dict:
@@ -458,11 +471,10 @@ def params_from_dict(data: dict, jitters: dict | None = None) -> TreeParams:
     validated once.
     """
     jitter = data.get("jitter", {})
-    scale_range = jitter.get("scale_range", (1.0, 1.0))
+    lo, hi = number_pair(jitter.get("scale_range", (1.0, 1.0)), "scale_range")
     ranges = (real_number(jitter.get("azimuth_range", 0.0), "azimuth_range"),
               real_number(jitter.get("pitch_range", 0.0), "pitch_range"),
-              real_number(scale_range[0], "scale_range min"),
-              real_number(scale_range[1], "scale_range max"))
+              real_number(lo, "scale_range min"), real_number(hi, "scale_range max"))
     jitters = {} if jitters is None else jitters
     # keyed by the bits, so that -0.0 and 0.0 stay apart
     key = tuple(map(float.hex, ranges))

@@ -14,7 +14,10 @@ each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
 ``min``/``max``/``mean`` over an axis, as ``forestgen.stl`` did before its
 kernels went one coordinate at a time. The manifest writer at the very end
 encodes a manifest dict entry by entry, as ``forestgen.forest`` did before it
-wrote tree lines from the scene's columns.
+wrote tree lines from the scene's columns. Last, the template tube is built
+one ring and one quad at a time, and the CSV tables one f-string row at a
+time, as ``forestgen.templates`` and the CSV writers did before they became
+array expressions and one ``%``-format.
 """
 
 import json
@@ -405,3 +408,69 @@ def dumps_manifest(manifest: dict) -> str:
         # a newline, two spaces and a quote start a top-level key and nothing else
         text = text.replace('\n  "trees": []', '\n  "trees": [\n' + entries + '\n  ]', 1)
     return text + "\n"
+
+
+# ---------------------------------------------------------------------------
+# template tubes and CSV tables
+
+def tapered_tube(base_radius: float, tip_radius: float, height: float,
+                 segments: int, rings: int, bend_degrees: float = 0.0,
+                 name: str = "tube") -> stl.TriangleMesh:
+    """The tube of ``forestgen.templates.tapered_tube``, built one ring and
+    one quad at a time."""
+    step = height / rings
+    spine = [np.zeros(3)]
+    dirs = []
+    for j in range(rings):
+        theta = math.radians(bend_degrees) * (j + 0.5) / rings
+        d = np.array([math.sin(theta), 0.0, math.cos(theta)])
+        dirs.append(d)
+        spine.append(spine[-1] + step * d)
+
+    circles = []
+    for j in range(rings + 1):
+        frac = j / rings
+        radius = base_radius + (tip_radius - base_radius) * frac
+        d = dirs[min(j, rings - 1)] if j > 0 else np.array([0.0, 0.0, 1.0])
+        u = np.array([d[2], 0.0, -d[0]])  # in-plane perpendicular to the spine
+        v = np.array([0.0, 1.0, 0.0])
+        angles = 2.0 * np.pi * np.arange(segments) / segments
+        ring = spine[j] + radius * (np.outer(np.cos(angles), u) + np.outer(np.sin(angles), v))
+        circles.append(ring)
+
+    rows = []
+    zero = np.zeros(3)
+
+    def quad(a, b, c, d):
+        rows.append([zero, a, b, c])
+        rows.append([zero, a, c, d])
+
+    for j in range(rings):
+        lo, hi = circles[j], circles[j + 1]
+        for k in range(segments):
+            k2 = (k + 1) % segments
+            quad(lo[k], lo[k2], hi[k2], hi[k])
+    base_center, tip_center = spine[0], spine[-1]
+    for k in range(segments):
+        k2 = (k + 1) % segments
+        rows.append([zero, base_center, circles[0][k2], circles[0][k]])
+        rows.append([zero, tip_center, circles[-1][k], circles[-1][k2]])
+
+    return stl.recompute_normals(stl.TriangleMesh(np.array(rows), name))
+
+
+def pattern_to_csv(points) -> str:
+    """``forestgen.ipp.pattern_to_csv`` of a pattern of these (n, 2) points,
+    one f-string row at a time."""
+    lines = ["x,y"]
+    for x, y in np.asarray(points, dtype=np.float64).reshape(-1, 2):
+        lines.append(f"{x:.9g},{y:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def centroids_to_csv(centroids) -> str:
+    """``forestgen.tree.centroids_to_csv``, one f-string row at a time."""
+    lines = ["x,y,z"]
+    for x, y, z in np.asarray(centroids, dtype=np.float64).reshape(-1, 3):
+        lines.append(f"{x:.9g},{y:.9g},{z:.9g}")
+    return "\n".join(lines) + "\n"

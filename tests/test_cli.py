@@ -885,6 +885,26 @@ BOOL_FLOATS = [
     # a JSON boolean is no intensity in a raster file either
     (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{bool_raster}",
       "--out", "{tmp}/o.csv"], 5, "raster value must be a number, got True"),
+    # a range is a pair, not a string read character by character, a longer
+    # list cut short, or a falsy value taken for no jitter
+    (["forest", "--config", "{pair_text}", "--out", "{tmp}/o"], 5,
+     "scale_range must be a pair [min, max], got '12'"),
+    (["forest", "--config", "{pair_long}", "--out", "{tmp}/o"], 5,
+     "scale_range must be a pair [min, max], got [0.9, 1.1, 7]"),
+    (["forest", "--config", "{pair_height_text}", "--out", "{tmp}/o"], 5,
+     "trunk_height jitter must be a pair [min, max], got '69'"),
+    (["forest", "--config", "{pair_count_zero}", "--out", "{tmp}/o"], 5,
+     "branch_count jitter must be a pair [min, max], got 0"),
+    (["forest", "--config", "{pair_height_false}", "--out", "{tmp}/o"], 5,
+     "trunk_height jitter must be a pair [min, max], got False"),
+    # a raster's declared upper bounds are finite numbers
+    (["forest", "--config", "{nan_bound}", "--out", "{tmp}/o"], 5, "raster x_max must be finite"),
+    (["forest", "--config", "{bool_bound}", "--out", "{tmp}/o"], 5,
+     "raster y_max must be a number, got True"),
+    (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{nan_bound_raster}",
+      "--out", "{tmp}/o.csv"], 5, "raster y_max must be finite"),
+    (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{bool_bound_raster}",
+      "--out", "{tmp}/o.csv"], 5, "raster x_max must be a number, got True"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -905,6 +925,16 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
             ("bool_count", [(("tree_params", "branch_count"), True)]),
             ("bool_seed", [(("master_seed",), True)]),
             ("bool_jitter", [(("parameter_jitter",), {"branch_count": [True, 2]})]),
+            ("pair_text", [(("tree_params", "jitter", "scale_range"), "12")]),
+            ("pair_long", [(("tree_params", "jitter", "scale_range"), [0.9, 1.1, 7])]),
+            ("pair_height_text", [(("parameter_jitter",), {"trunk_height": "69"})]),
+            ("pair_count_zero", [(("parameter_jitter",),
+                                  {"branch_count": 0, "trunk_height": False})]),
+            ("pair_height_false", [(("parameter_jitter",), {"trunk_height": False})]),
+            ("nan_bound", [(("intensity",), {"form": "raster", "cell_size": 100.0,
+                                             "values": [[0.0]], "x_max": NAN})]),
+            ("bool_bound", [(("intensity",), {"form": "raster", "cell_size": 100.0,
+                                              "values": [[0.0]], "y_max": True})]),
             *[(name, [(keys, value)]) for name, keys, value, _ in BOOL_FLOATS]]:
         config = json.loads(scene.read_text())
         for keys, value in edits:
@@ -914,6 +944,11 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
     names["bool_raster"] = tmp_path / "bool_raster.json"
     names["bool_raster"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 10.0,
                                                 "values": [[True]]}))
+    for name, bound in [("nan_bound_raster", {"y_max": NAN}),
+                        ("bool_bound_raster", {"x_max": True})]:
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1.0,
+                                           "values": [[1.0]], **bound}))
     names["wide"] = tmp_path / "wide.json"
     names["wide"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1e300,
                                          "values": [[1e300]]}))

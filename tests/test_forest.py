@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from forestgen import forest as fo
 from forestgen import ipp
+from forestgen import lsystem
 from forestgen import stl
 from forestgen import transform as tf
 from forestgen import tree as tm
+from forestgen.templates import default_library
 
 import scalar_reference as ref
 
@@ -152,6 +155,17 @@ def test_scene_tree_is_the_tree_built_alone(tiny_library):
     # its mesh is a view of the scene's
     scene.tree(1).mesh.facets[0, 1, 0] = 1234.5
     assert scene.mesh.facets[scene.ends[0, 3], 1, 0] == 1234.5
+
+
+def test_scene_tree_builds_its_skeleton_only_when_read(tiny_library):
+    scene = fo.compose_forest(make_config(), tiny_library)
+    with mock.patch.object(lsystem, "interpret_turtle", wraps=lsystem.interpret_turtle) as walk:
+        tree = scene.tree(0)
+        tree.stage_mesh("branches")
+        tree.leaf_centroids
+        assert walk.call_count == 0
+        tree.stage_mesh("skeleton")
+        assert walk.call_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +519,34 @@ def test_regenerate_refuses_a_tree_seed_unlike_its_params_seed(tiny_library):
         fo.regenerate_scene(manifest, tiny_library)
 
 
+def test_regenerate_refuses_a_tree_whose_triangles_differ(tiny_library):
+    # the triangles a tree rebuilds are checked against the recorded count
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    built = manifest["trees"][1]["triangles"]
+    manifest["trees"][1]["triangles"] = built + 5
+    with pytest.raises(fo.SceneConfigError, match=f"^tree 1 builds {built} triangles where "
+                                                  f"the manifest records {built + 5}: "):
+        fo.regenerate_scene(manifest, tiny_library)
+    manifest["trees"][1]["triangles"] = True
+    with pytest.raises(fo.SceneConfigError, match="tree triangles must be a whole number"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
+def test_regenerate_refuses_a_manifest_of_another_library(tiny_library):
+    normal = fo.build_manifest(fo.compose_forest(make_config(), default_library("normal")),
+                               "merged")
+    with pytest.raises(fo.SceneConfigError, match="^tree 0 builds .* another template library"):
+        fo.regenerate_scene(normal, tiny_library)
+
+
+def test_regenerate_reports_an_overflow_before_the_triangles(tiny_library):
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "merged")
+    manifest["trees"][0]["params"]["jitter"]["scale_range"] = [0.85, 1e300]
+    manifest["trees"][0]["triangles"] += 1
+    with pytest.raises(fo.SceneConfigError, match="scale_range is too large"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
 def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)
@@ -740,8 +782,9 @@ edited_jitters = st.fixed_dictionaries({
 @settings(max_examples=40, deadline=None)
 def test_regenerated_manifest_text_is_the_dict_writer(edits, mode, tiny_library):
     # a hand-edited manifest: positions, seeds (a tree's and its params',
-    # which must agree) and a jitter of its own per tree, int-valued or not;
-    # the regenerated scene writes it as the dict writer does
+    # which must agree), a jitter of its own per tree, int-valued or not, and
+    # counts whose triangles are recorded anew; the regenerated scene writes
+    # it as the dict writer does
     manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), mode)
     trees = manifest["trees"][:len(edits)]
     for entry, (x, y, seed, jitter) in zip(trees, edits):
@@ -749,6 +792,8 @@ def test_regenerated_manifest_text_is_the_dict_writer(edits, mode, tiny_library)
         entry["params"].update(seed=seed, branch_count=2, leaves_per_subbranch=1)
         if jitter is not None:
             entry["params"]["jitter"] = jitter
+        built = tm.build_tree(tm.params_from_dict(entry["params"]), tiny_library)
+        entry["triangles"] = built.stage_counts["leaves"]
     regen = fo.regenerate_scene({**manifest, "trees": trees}, tiny_library)
     again = fo.build_manifest(regen, mode)
     assert fo._manifest_text(regen, again) == ref.dumps_manifest(again)

@@ -219,7 +219,7 @@ def test_forest_export_digest(case, mode, libs, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == FOREST_STDOUT_GOLDEN[(case, mode)]
 
 
-def _manifest_tree(index, x, y, seed, branches, subs, leaves, height, decay, jitter):
+def _manifest_tree(index, x, y, seed, branches, subs, leaves, height, decay, jitter, triangles):
     azimuth, pitch, scale = jitter
     params = {"branch_count": branches, "subbranches_per_branch": subs,
               "leaves_per_subbranch": leaves, "trunk_height": height,
@@ -227,13 +227,14 @@ def _manifest_tree(index, x, y, seed, branches, subs, leaves, height, decay, jit
               "jitter": {"azimuth_range": azimuth, "pitch_range": pitch,
                          "scale_range": list(scale)}}
     return {"index": index, "x": x, "y": y, "seed": seed, "params": params,
-            "file": None, "triangles": 0}
+            "file": None, "triangles": triangles}
 
 
 # A hand-edited manifest: every tree has its own jitter ranges and counts, so
 # a scene built in one stack must keep each tree's ranges and ledger apart.
 # Tree 1 has leaves but no sub-branches (its leaves hang on the branches),
 # tree 2 is a bare one-branch trunk and tree 5 has sub-branches but no leaves.
+# Each tree's triangles are those the tiny library builds, as regeneration checks.
 MIXED_MANIFEST = {
     "version": 1,
     "master_seed": 9,
@@ -242,12 +243,12 @@ MIXED_MANIFEST = {
     "min_spacing": 0.0,
     "mode": "merged",
     "trees": [
-        _manifest_tree(0, 4.5, 7.25, 101, 6, 2, 3, 8.0, 0.5, (10.0, 10.0, (0.85, 1.15))),
-        _manifest_tree(1, 20.0, 3.0, 202, 3, 0, 4, 6.5, 0.7, (30.0, 5.0, (0.5, 2.0))),
-        _manifest_tree(2, 33.125, 41.0, 303, 1, 0, 0, 4.0, 1.0, (0.0, 0.0, (1.0, 1.0))),
-        _manifest_tree(3, 12.0, 30.5, 404, 9, 1, 2, 11.0, 0.6, (0.0, 20.0, (1.0, 1.0))),
-        _manifest_tree(4, 45.0, 15.0, 505, 2, 3, 1, 9.5, 0.4, (360.0, 0.5, (0.9, 1.1))),
-        _manifest_tree(5, 27.5, 25.0, 606, 5, 2, 0, 7.0, 0.5, (45.0, 0.0, (0.75, 1.25))),
+        _manifest_tree(0, 4.5, 7.25, 101, 6, 2, 3, 8.0, 0.5, (10.0, 10.0, (0.85, 1.15)), 444),
+        _manifest_tree(1, 20.0, 3.0, 202, 3, 0, 4, 6.5, 0.7, (30.0, 5.0, (0.5, 2.0)), 138),
+        _manifest_tree(2, 33.125, 41.0, 303, 1, 0, 0, 4.0, 1.0, (0.0, 0.0, (1.0, 1.0)), 66),
+        _manifest_tree(3, 12.0, 30.5, 404, 9, 1, 2, 11.0, 0.6, (0.0, 20.0, (1.0, 1.0)), 468),
+        _manifest_tree(4, 45.0, 15.0, 505, 2, 3, 1, 9.5, 0.4, (360.0, 0.5, (0.9, 1.1)), 198),
+        _manifest_tree(5, 27.5, 25.0, 606, 5, 2, 0, 7.0, 0.5, (45.0, 0.0, (0.75, 1.25)), 346),
     ],
 }
 

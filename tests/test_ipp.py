@@ -409,3 +409,16 @@ def test_pattern_csv():
     assert ipp.pattern_to_csv(pattern) == "x,y\n1.5,2.25\n"
     empty = ipp.PointPattern(np.zeros((0, 2)), seed=0)
     assert ipp.pattern_to_csv(empty) == "x,y\n"
+
+
+CSV_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 123456789.5,
+             1.7976931348623157e308]
+
+
+@given(points=st.lists(st.tuples(*[st.sampled_from(CSV_EDGES) | st.floats()] * 2), max_size=40))
+@example(points=[])
+@example(points=[(-0.0, 5e-324), (1e16, 1e22)])
+@settings(max_examples=100, deadline=None)
+def test_pattern_csv_matches_scalar_reference(points):
+    pattern = ipp.PointPattern(np.array(points, dtype=np.float64).reshape(-1, 2), seed=0)
+    assert ipp.pattern_to_csv(pattern) == ref.pattern_to_csv(pattern.points)

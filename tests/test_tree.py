@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forestgen import stl, templates
+from forestgen import lsystem, stl, templates
 from forestgen import transform as tf
 from forestgen import tree as tm
 from forestgen.seeds import generators, stream_seed
@@ -217,6 +217,18 @@ def test_stage_skeleton_mesh(tiny_library):
     assert len(wire) == 2 * (1 + 6 + 18)
 
 
+def test_build_tree_walks_its_turtle_once(tiny_library):
+    # the stacked build walks the turtle; the model's skeleton is built again
+    # only when it is read, and then kept
+    with mock.patch.object(lsystem, "interpret_turtle", wraps=lsystem.interpret_turtle) as walk:
+        model = tm.build_tree(make_params(), tiny_library)
+        model.stage_mesh("leaves")
+        assert walk.call_count == 1
+        model.stage_mesh("skeleton")
+        assert model.skeleton is model.skeleton
+        assert walk.call_count == 2
+
+
 @pytest.mark.parametrize("branches, subs, seed", [(1, 0, 0), (6, 3, 17), (16, 2, 5),
                                                   (9, 4, 2 ** 63)])
 @pytest.mark.parametrize("jitter", [tf.AngleJitterParams(), tm._DEFAULT_JITTER])
@@ -255,6 +267,20 @@ def test_centroids_csv_format():
     assert lines[0] == "x,y,z"
     assert lines[1] == "1,2,3"
     assert lines[2] == "0.5,0.25,-1"
+
+
+CSV_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1, 123456789.5,
+             1.7976931348623157e308]
+
+
+@given(rows=st.lists(st.tuples(*[st.sampled_from(CSV_EDGES) | st.floats()] * 3), max_size=40))
+@example(rows=[])
+@example(rows=[(-0.0, 5e-324, 1e16), (1e22, -0.0, 0.1)])
+@settings(max_examples=100, deadline=None)
+def test_centroids_csv_matches_scalar_reference(rows):
+    centroids = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    assert tm.centroids_to_csv(centroids) == ref.centroids_to_csv(centroids)
+    assert tm.centroids_to_csv(rows) == ref.centroids_to_csv(centroids)
 
 
 # ---------------------------------------------------------------------------
