@@ -70,10 +70,6 @@ def _load_library(path: str | None) -> stl.MeshLibrary:
     return stl.load_library(path)
 
 
-def _print_mesh_summary(mesh: stl.TriangleMesh):
-    _print_stats(stl.mesh_stats(mesh))
-
-
 def _print_stats(stats: stl.MeshStats):
     _emit("triangles", stats.triangle_count)
     if stats.bounds is None:
@@ -104,7 +100,7 @@ def _cmd_tree(args) -> int:
     _write(out, stl.write_stl(mesh, args.format))
     _emit("seed", seed)
     _emit("stage", args.stage)
-    _print_mesh_summary(mesh)
+    _print_stats(stl.mesh_stats(mesh))
     _emit("out", out)
     if args.stage == "leaves":
         csv_path = out.parent / "leaves.csv"
@@ -123,7 +119,7 @@ def _cmd_forest(args) -> int:
     lib = _load_library(args.lib or lib_path)
     scene = forestmod.compose_forest(config, lib)
     try:
-        manifest = forestmod.export_scene(scene, args.out, args.mode)
+        forestmod.export_scene(scene, args.out, args.mode)
     except OSError as exc:
         raise CliError(f"cannot write scene: {exc}", EXIT_WRITE) from exc
     stats = forestmod.scene_stats(scene)

@@ -220,6 +220,10 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     per-tree mode: one ``tree_<i>.stl`` per placement, in local frames.
     merged mode: a single ``forest.stl`` with every tree translated to its
     (x, y) location on the ground plane z = 0.
+
+    A scene that cannot be written as binary STL raises, in either mode,
+    before any previous file is replaced. Export deletes nothing: the files
+    of a previous export that this one does not write stay.
     """
     if mode not in EXPORT_MODES:
         raise ValueError(f"unknown export mode '{mode}', expected one of {EXPORT_MODES}")
@@ -229,6 +233,10 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     ends = scene.ends[:, 3].tolist()
     trees = [scene.mesh.facets[a:b] for a, b in zip([0, *ends], ends)]
     if mode == "per-tree":
+        # every writer check is per facet, so a pass over the scene fails
+        # exactly when some tree's write would, before any file is touched
+        for a in range(0, len(scene.mesh), stl.CHUNK_TRIANGLES):
+            stl.write_stl(stl.TriangleMesh(scene.mesh.facets[a:a + stl.CHUNK_TRIANGLES]), "binary")
         for index, facets in zip(scene.index, trees):
             mesh = stl.TriangleMesh(facets, f"tree_{index}")
             (out / f"tree_{index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
@@ -352,7 +360,7 @@ def _parse(source, what: str, parse):
     if not isinstance(source, dict):
         try:
             source = json.loads(Path(source).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SceneConfigError(f"cannot read {what}: {exc}") from exc
     try:
         return parse(source)

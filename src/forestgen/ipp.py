@@ -63,11 +63,6 @@ class Region:
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        return ((pts[:, 0] >= self.x_min) & (pts[:, 0] <= self.x_max)
-                & (pts[:, 1] >= self.y_min) & (pts[:, 1] <= self.y_max))
-
 
 @dataclass(frozen=True)
 class ConstantIntensity:
@@ -112,17 +107,18 @@ class RasterIntensity:
             setattr(self, name, real_number(getattr(self, name), f"raster {name}"))
             if not math.isfinite(getattr(self, name)):
                 raise IntensityError(f"raster {name} must be finite")
-        # a JSON boolean is no intensity: refused before float64 reads it as 1.0 or 0.0
         values = (self.values if isinstance(self.values, np.ndarray)
                   else np.asarray(self.values, dtype=object))
+        # the shape first: .flat walks at most 32 dimensions
+        if values.ndim != 2 or values.size == 0:
+            raise IntensityError("raster values must form a non-empty 2D grid")
+        # a JSON boolean is no intensity: refused before float64 reads it as 1.0 or 0.0
         if values.dtype in (bool, object) and {bool, np.bool_} & set(map(type, values.flat)):
             boolean = next(v for v in values.flat if type(v) in (bool, np.bool_))
             raise IntensityError(f"raster value must be a number, got {bool(boolean)}")
         self.values = np.asarray(values, dtype=np.float64)
         if self.cell_size <= 0:
             raise IntensityError("cell_size must be positive")
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise IntensityError("raster values must form a non-empty 2D grid")
         if not np.all(np.isfinite(self.values)):
             raise IntensityError("raster contains non-finite intensities")
         negative = np.argwhere(self.values < 0)
@@ -421,7 +417,7 @@ def intensity_from_dict(data: dict):
 def load_intensity(path) -> RasterIntensity | ConstantIntensity:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise IntensityError(f"cannot read intensity file {path}: {exc}") from exc
     try:
         if "form" not in data:

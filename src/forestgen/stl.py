@@ -603,7 +603,7 @@ def load_library(manifest_path) -> MeshLibrary:
     path = Path(manifest_path)
     try:
         spec = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise LibraryError(f"cannot read library manifest {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise LibraryError(f"library manifest {path} must be a JSON object")
@@ -645,7 +645,7 @@ def _canonicalize(mesh: TriangleMesh, origin: np.ndarray, axis: np.ndarray) -> T
     if np.allclose(origin, 0.0) and np.allclose(axis, [0.0, 0.0, 1.0]):
         return mesh
     # rotation taking the declared axis onto +Z, then shift base to origin
-    rot = tf.align_z_to(axis).rotation.T
+    rot = tf.z_alignments(axis[None])[0].T
     t = tf.RigidTransform(rot, -rot @ origin, 1.0)
     return tf.apply_to_mesh(t, mesh)
 

@@ -97,25 +97,11 @@ def _floats(value):
     return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=np.float64)
 
 
-def identity() -> RigidTransform:
-    return RigidTransform(np.eye(3), np.zeros(3), 1.0)
-
-
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform equal to applying b first, then a."""
     rotation = a.rotation @ b.rotation
     translation = a.scale * (a.rotation @ b.translation) + a.translation
     return RigidTransform(rotation, translation, a.scale * b.scale)
-
-
-def inverse(t: RigidTransform) -> RigidTransform:
-    rot = t.rotation.T
-    return RigidTransform(rot, -(rot @ t.translation) / t.scale, 1.0 / t.scale)
-
-
-def apply_point(t: RigidTransform, p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    return t.scale * (t.rotation @ p) + t.translation
 
 
 def apply_to_mesh(t: RigidTransform, mesh: TriangleMesh) -> TriangleMesh:
@@ -181,31 +167,19 @@ def _axis_rotations(axes: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return _rodrigues(k, k @ k, theta)
 
 
-def rotation_about_axis(axis, degrees: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a (non-zero) axis."""
-    axes = np.asarray(axis, dtype=np.float64).reshape(1, 3)
-    return _axis_rotations(axes, np.radians([degrees]))[0]
-
-
 # cross-product matrices of the jitter axes: azimuth about +Z, pitch about +Y
 _JITTER_K = _skew(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
 _JITTER_K2 = _JITTER_K @ _JITTER_K
-_FLIP_X = rotation_about_axis([1.0, 0.0, 0.0], 180.0)
-
-
-def align_z_to(direction) -> RigidTransform:
-    """Minimal rotation taking +Z onto ``direction`` (unit vector).
-
-    Rotates about the mutual perpendicular; the antipodal case (-Z) uses a
-    180 degree turn about +X.
-    """
-    rotation = z_alignments(np.asarray(direction, dtype=np.float64).reshape(1, 3))
-    return RigidTransform(rotation[0], np.zeros(3), 1.0)
+_FLIP_X = _axis_rotations(np.array([[1.0, 0.0, 0.0]]), np.radians([180.0]))[0]
 
 
 def z_alignments(directions: np.ndarray) -> np.ndarray:
-    """Rotations of :func:`align_z_to` for a (k, 3) stack of directions, as
-    a (k, 3, 3) stack."""
+    """The minimal rotation taking +Z onto each of a (k, 3) stack of
+    non-zero directions, as a (k, 3, 3) stack.
+
+    Each rotates about the mutual perpendicular; the antipodal case (-Z)
+    uses a 180 degree turn about +X.
+    """
     d = normalize_rows(directions)
     c = d[:, 2]
     poles = np.abs(c) >= 1.0 - 1e-15

@@ -43,6 +43,11 @@ def rotation_about_axis(axis, degrees: float) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
 
 
+def apply_point(t: tf.RigidTransform, p) -> np.ndarray:
+    """A single transform applied to one point."""
+    return t.scale * (t.rotation @ np.asarray(p, dtype=np.float64)) + t.translation
+
+
 def align_z_to(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=np.float64)
     d = d / np.linalg.norm(d)

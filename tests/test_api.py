@@ -1,15 +1,37 @@
-"""The package's public names, the functions the benchmark wraps by name, and
-the scalar reference's independence from private forestgen code."""
+"""The package's public names, as README lists them, the functions the
+benchmark wraps by name, and the scalar reference's independence from
+private forestgen code."""
 
 import ast
 import importlib
+import inspect
 import json
+import re
 from pathlib import Path
 
 import forestgen
 from forestgen import cli, forest, stl, templates
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def _readme_api() -> list[str]:
+    """The names that the bullets of README's "Python API" section list."""
+    section = ROOT.joinpath("README.md").read_text().split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    items = "\n".join(line for line in section.splitlines() if line.startswith(("- ", "  ")))
+    return re.findall(r"`(\w+)`", items)
+
+
+def test_public_api_is_the_readme_list():
+    names = _readme_api()
+    assert len(names) == len(set(names)) == 34
+    assert sorted(forestgen.__all__) == sorted(names)
+    # the package binds no other public name than its submodules
+    exported = [name for name, value in vars(forestgen).items()
+                if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(exported) == sorted(names)
 
 
 def _span_targets() -> tuple:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forestgen import cli, stl
+from forestgen import cli, stl, templates
 from forestgen import forest as fo
 
 import scalar_reference as ref
@@ -631,6 +631,28 @@ def test_binary_stl_beyond_float32_exit_3(subcommand, tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_failed_per_tree_export_leaves_a_directory_its_manifest_rebuilds(tmp_path, capsys):
+    # once this rewrote tree_0.stl to tree_2.stl of 23 before the tree it
+    # could not write, and the old scene.json no longer rebuilt them
+    config = {"master_seed": 1, "region": {"x_min": 0, "x_max": 20, "y_min": 0, "y_max": 20},
+              "intensity": {"form": "constant", "rate": 0.05},
+              "tree_params": {"branch_count": 2, "trunk_height": 10}}
+    path, out = tmp_path / "scene_config.json", tmp_path / "scene"
+    path.write_text(json.dumps(config))
+    code, _, err = run(["forest", "--config", str(path), "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(before) == 24
+    path.write_text(json.dumps(dict(config, parameter_jitter={"trunk_height": [1.0, 3e38]})))
+    code, _, err = run(["forest", "--config", str(path), "--out", str(out)], capsys)
+    assert code == 3
+    assert "beyond the float32 range" in single_error_line(err)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    scene = fo.regenerate_scene(out / fo.MANIFEST_NAME, templates.default_library("normal"))
+    fo.export_scene(scene, tmp_path / "rebuilt", "per-tree")
+    assert {f.name: f.read_bytes() for f in (tmp_path / "rebuilt").iterdir()} == before
+
+
 # ---------------------------------------------------------------------------
 # one error line, with the documented code
 
@@ -905,6 +927,16 @@ BOOL_FLOATS = [
       "--out", "{tmp}/o.csv"], 5, "raster y_max must be finite"),
     (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{bool_bound_raster}",
       "--out", "{tmp}/o.csv"], 5, "raster x_max must be a number, got True"),
+    # a document nested too deeply for the JSON reader, on each JSON surface
+    (["forest", "--config", "{deep}", "--out", "{tmp}/o"], 5,
+     "cannot read scene config: maximum recursion depth exceeded"),
+    (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{deep}",
+      "--out", "{tmp}/o.csv"], 5, "maximum recursion depth exceeded"),
+    (["tree", "--branches", "2", "--lib", "{deep}", "--out", "{tmp}/t.stl"], 3,
+     "cannot read library manifest"),
+    # a raster grid nested deeper than numpy can walk by .flat
+    (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{deep_grid}",
+      "--out", "{tmp}/o.csv"], 5, "raster values must form a non-empty 2D grid"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -949,6 +981,11 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1.0,
                                            "values": [[1.0]], **bound}))
+    names["deep"] = tmp_path / "deep.json"
+    names["deep"].write_text("[" * 200_000)
+    names["deep_grid"] = tmp_path / "deep_grid.json"
+    names["deep_grid"].write_text('{"x_min": 0, "y_min": 0, "cell_size": 1.0, "values": '
+                                  + "[" * 40 + "1.0" + "]" * 40 + "}")
     names["wide"] = tmp_path / "wide.json"
     names["wide"].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1e300,
                                          "values": [[1e300]]}))

@@ -75,7 +75,9 @@ def test_locations_respect_spacing_and_region(tiny_library):
     config = make_config(min_spacing=3.0)
     scene = fo.compose_forest(config, tiny_library)
     pts = scene.xy
-    assert np.all(config.region.contains(pts))
+    r = config.region
+    assert np.all((r.x_min <= pts[:, 0]) & (pts[:, 0] <= r.x_max)
+                  & (r.y_min <= pts[:, 1]) & (pts[:, 1] <= r.y_max))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert np.linalg.norm(pts[i] - pts[j]) >= 3.0
@@ -284,32 +286,39 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
         [m.facets for m in meshes], positions, "cut")
 
 
+# The failure contract holds in both modes: each test below runs over
+# fo.EXPORT_MODES, exporting each mode into its own directory.
+
 def test_failed_merged_export_leaves_the_previous_files(tiny_library, tmp_path, monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
-    fo.export_scene(scene, tmp_path, "merged")
-    before = read_dir(tmp_path)
+    for mode in fo.EXPORT_MODES:
+        fo.export_scene(scene, tmp_path / mode, mode)
+    before = read_dir(tmp_path / "merged"), read_dir(tmp_path / "per-tree")
     # every triangle is a chunk of its own, so the chunks before the last are written
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
     scene.tree(-1).mesh.facets[:] = np.nan
-    with pytest.raises(stl.StlError, match="non-finite"):
-        fo.export_scene(scene, tmp_path, "merged")
-    assert read_dir(tmp_path) == before
+    for mode in fo.EXPORT_MODES:
+        with pytest.raises(stl.StlError, match="non-finite"):
+            fo.export_scene(scene, tmp_path / mode, mode)
+    assert (read_dir(tmp_path / "merged"), read_dir(tmp_path / "per-tree")) == before
 
 
 @pytest.mark.parametrize("fault", ["nan", "beyond"])
 def test_fault_in_the_last_chunk_leaves_the_previous_files(fault, tiny_library, tmp_path,
                                                            monkeypatch):
     scene = fo.compose_forest(make_config(), tiny_library)
-    fo.export_scene(scene, tmp_path, "merged")
-    before = read_dir(tmp_path)
+    for mode in fo.EXPORT_MODES:
+        fo.export_scene(scene, tmp_path / mode, mode)
+    before = read_dir(tmp_path / "merged"), read_dir(tmp_path / "per-tree")
     total = len(scene.mesh)
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", total // 3)
     assert math.ceil(total / (total // 3)) > 1
     # the last facet of the last tree is the last triangle of the file
     ref.set_fault(scene.tree(-1).mesh.facets, fault, -1)
-    with pytest.raises(stl.StlError, match=ref.WRITER_FAULTS[(fault,)]):
-        fo.export_scene(scene, tmp_path, "merged")
-    assert read_dir(tmp_path) == before
+    for mode in fo.EXPORT_MODES:
+        with pytest.raises(stl.StlError, match=ref.WRITER_FAULTS[(fault,)]):
+            fo.export_scene(scene, tmp_path / mode, mode)
+    assert (read_dir(tmp_path / "merged"), read_dir(tmp_path / "per-tree")) == before
 
 
 @pytest.mark.parametrize("faults, message", list(ref.WRITER_FAULTS.items()))
@@ -318,9 +327,33 @@ def test_merged_export_error_order_is_pinned(faults, message, tiny_library, tmp_
     # every fault in one facet, so in one chunk however the scene is cut
     for fault in faults:
         ref.set_fault(scene.tree(1).mesh.facets, fault, 3)
-    with pytest.raises(stl.StlError, match=message):
-        fo.export_scene(scene, tmp_path, "merged")
-    assert not list(tmp_path.iterdir())
+    for mode in fo.EXPORT_MODES:
+        with pytest.raises(stl.StlError, match=message):
+            fo.export_scene(scene, tmp_path / mode, mode)
+        # the directory is made, and nothing is written into it
+        assert not list((tmp_path / mode).iterdir())
+
+
+def test_export_deletes_no_file(tiny_library, tmp_path):
+    # a smaller re-export leaves the tree files beyond its count, and a
+    # change of mode leaves the other mode's files
+    large = fo.compose_forest(make_config(), tiny_library)
+    small = fo.compose_forest(make_config(master_seed=7, intensity=ipp.ConstantIntensity(
+        3.0 / 3600.0)), tiny_library)
+    assert 0 < len(small) < len(large)
+    fo.export_scene(large, tmp_path, "per-tree")
+    stale = read_dir(tmp_path)
+    fo.export_scene(small, tmp_path, "per-tree")
+    files = read_dir(tmp_path)
+    assert sorted(files) == sorted(stale)
+    for i in range(len(small), len(large)):
+        assert files[f"tree_{i}.stl"] == stale[f"tree_{i}.stl"]
+    fo.export_scene(small, tmp_path, "merged")
+    merged = read_dir(tmp_path)
+    assert sorted(merged) == sorted([*stale, fo.MERGED_NAME])
+    assert {k: v for k, v in merged.items() if k.startswith("tree_")} == \
+        {k: v for k, v in files.items() if k.startswith("tree_")}
+    assert json.loads(merged[fo.MANIFEST_NAME])["mode"] == "merged"
 
 
 def test_merged_export_holds_one_run_at_a_time(tiny_library, tmp_path):
@@ -587,6 +620,15 @@ def test_regenerate_rejects_a_manifest_that_is_not_utf8(tiny_library, tmp_path):
     path = tmp_path / fo.MANIFEST_NAME
     path.write_bytes(b"\xff")
     with pytest.raises(fo.SceneConfigError, match="cannot read manifest"):
+        fo.regenerate_scene(path, tiny_library)
+
+
+@pytest.mark.parametrize("document", ["[" * 200_000, '{"a": ' * 100_000],
+                         ids=["arrays", "objects"])
+def test_regenerate_rejects_a_manifest_nested_too_deeply(document, tiny_library, tmp_path):
+    path = tmp_path / fo.MANIFEST_NAME
+    path.write_text(document)
+    with pytest.raises(fo.SceneConfigError, match="cannot read manifest: maximum recursion"):
         fo.regenerate_scene(path, tiny_library)
 
 

@@ -495,7 +495,7 @@ def test_total_area_invariant_under_rigid_transform():
     rng = np.random.default_rng(11)
     mesh = random_mesh(rng, 20)
     before = stl.mesh_stats(mesh).total_area
-    t = tf.RigidTransform(tf.rotation_about_axis([1, 2, 3], 77.0), np.array([5.0, -2.0, 9.0]), 1.0)
+    t = tf.RigidTransform(ref.rotation_about_axis([1, 2, 3], 77.0), np.array([5.0, -2.0, 9.0]), 1.0)
     after = stl.mesh_stats(tf.apply_to_mesh(t, mesh)).total_area
     assert after == pytest.approx(before, rel=1e-6)
 
@@ -636,7 +636,7 @@ def test_library_manifest_missing_role(tmp_path):
 def test_library_non_canonical_frame_normalized(tiny_library, tmp_path):
     # declare the branch template as lying along +X with a shifted base
     shifted = tf.apply_to_mesh(
-        tf.RigidTransform(tf.align_z_to([1, 0, 0]).rotation, np.array([2.0, 0.0, 0.0]), 1.0),
+        tf.RigidTransform(ref.align_z_to([1, 0, 0]), np.array([2.0, 0.0, 0.0]), 1.0),
         tiny_library.branch)
     (tmp_path / "branch.stl").write_bytes(stl.write_stl(shifted, "binary"))
     for role in ("trunk", "sub_branch", "leaf"):
