@@ -10,8 +10,10 @@ Usage: python scripts/forest_demo.py [--out DIR]
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from forestgen import forest as fo
-from forestgen import ipp, templates
+from forestgen import ipp, stl, templates
 from forestgen import tree as tm
 
 
@@ -30,7 +32,9 @@ def two_tree_scene(lib, out: Path):
     for stage in ("branches", "subbranches"):
         path = out / f"two_trees_{stage}.stl"
         meshes = [scene.tree(i).stage_mesh(stage) for i in range(len(scene))]
-        count = fo.write_merged(path, meshes, scene.xy, f"two_trees_{stage}")
+        count = fo.write_merged(path, stl.concat_meshes(meshes).facets,
+                                np.cumsum([len(m) for m in meshes]), scene.xy,
+                                f"two_trees_{stage}")
         print(f"  {path}  triangles={count}")
     fo.export_scene(scene, out / "two_trees", "per-tree")
 

@@ -230,48 +230,48 @@ def export_scene(scene: Scene, output_directory, mode: str = "per-tree") -> dict
     out = Path(output_directory)
     out.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(scene, mode)
-    ends = scene.ends[:, 3].tolist()
-    trees = [scene.mesh.facets[a:b] for a, b in zip([0, *ends], ends)]
+    facets, ends = scene.mesh.facets, scene.ends[:, 3].tolist()
     if mode == "per-tree":
         # every writer check is per facet, so a pass over the scene fails
         # exactly when some tree's write would, before any file is touched
-        for a in range(0, len(scene.mesh), stl.CHUNK_TRIANGLES):
-            stl.write_stl(stl.TriangleMesh(scene.mesh.facets[a:a + stl.CHUNK_TRIANGLES]), "binary")
-        for index, facets in zip(scene.index, trees):
-            mesh = stl.TriangleMesh(facets, f"tree_{index}")
+        for a in range(0, len(facets), stl.CHUNK_TRIANGLES):
+            stl.write_stl(stl.TriangleMesh(facets[a:a + stl.CHUNK_TRIANGLES]), "binary")
+        for index, a, b in zip(scene.index, [0, *ends], ends):
+            mesh = stl.TriangleMesh(facets[a:b], f"tree_{index}")
             (out / f"tree_{index}.stl").write_bytes(stl.write_stl(mesh, "binary"))
     else:
-        write_merged(out / MERGED_NAME, [stl.TriangleMesh(facets) for facets in trees], scene.xy,
-                     "forest")
+        write_merged(out / MERGED_NAME, facets, ends, scene.xy, "forest")
     (out / MANIFEST_NAME).write_text(_manifest_text(scene, manifest))
     return manifest
 
 
-def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> int:
-    """Write ``meshes`` as one binary STL named ``name`` at ``path``, each
-    mesh moved by its (x, y) of ``positions`` on the ground plane; returns
-    the triangle count.
+def write_merged(path, facets: np.ndarray, ends, positions, name: str) -> int:
+    """Write meshes held one after another in ``facets`` as one binary STL
+    named ``name`` at ``path``, each mesh moved by its (x, y) of
+    ``positions`` on the ground plane; returns the triangle count. ``ends``
+    are the meshes' cumulative row ends in ``facets`` (``scene.ends[:, 3]``
+    for a scene), so mesh i is rows ``ends[i - 1]`` to ``ends[i]``, and the
+    last end is the triangle count.
 
-    The file is the header of the whole count, then chunk k: triangles
-    [k, k + 1) * stl.CHUNK_TRIANGLES of the meshes taken in order (the last
-    chunk may be shorter). Each chunk is copied out of the meshes that hold
-    its rows, found by their cumulative ends, shifted by each row's own
-    mesh's offset, encoded and written, then dropped, so no copy of every
-    mesh is ever held. The bytes are those of shifting the concatenation of
-    every mesh and writing it with ``stl.write_stl``; each chunk is checked
-    as ``stl.write_stl`` checks a mesh, so the first chunk that cannot be
+    The file is the header of the whole count, then chunk k: rows
+    [k, k + 1) * stl.CHUNK_TRIANGLES of ``facets`` (the last chunk may be
+    shorter). Each chunk is copied out of ``facets``, shifted by each row's
+    own mesh's offset (the meshes that hold its rows are found by their
+    ends), encoded and written, then dropped, so no shifted copy of every
+    mesh is ever held. The bytes are those of shifting every mesh and
+    writing them with ``stl.write_stl``; each chunk is checked as
+    ``stl.write_stl`` checks a mesh, so the first chunk that cannot be
     written gives the error. The file is written beside ``path`` and moved
     onto it once complete, so a write that fails leaves any previous file
     alone.
     """
     path = Path(path)
-    sizes = np.array([len(m) for m in meshes], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    total = int(sizes.sum())
+    ends = np.asarray(ends, dtype=np.int64)
+    bounds = np.concatenate(([0], ends))  # mesh i is rows bounds[i]:bounds[i + 1]
+    total = int(bounds[-1])
     # added to each mesh's (k, 12) rows: -0.0 leaves a normal's bits alone,
     # and +0.0 turns a vertex's -0.0 z into +0.0, as adding (x, y, 0.0) does
-    shifts = np.zeros((len(meshes), 12))
+    shifts = np.zeros((len(ends), 12))
     shifts[:, :3] = -0.0
     xy = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     shifts[:, 3::3] = xy[:, :1]
@@ -285,13 +285,9 @@ def write_merged(path, meshes: list[stl.TriangleMesh], positions, name: str) -> 
                 # meshes i..j hold rows a..b-1, the first and the last perhaps
                 # only in part; an empty mesh holds none
                 i, j = np.searchsorted(ends, (a, b - 1), side="right").tolist()
-                pieces = list(meshes[i:j + 1])
-                pieces[-1] = stl.TriangleMesh(pieces[-1].facets[:b - starts[j]])
-                pieces[0] = stl.TriangleMesh(pieces[0].facets[a - starts[i]:])
-                chunk = stl.concat_meshes(pieces, name)
+                chunk = stl.concat_meshes([stl.TriangleMesh(facets[a:b])], name)
                 rows = chunk.facets.reshape(-1, 12)  # a view of the chunk's fresh copy
-                rows += np.repeat(shifts[i:j + 1], np.minimum(ends[i:j + 1], b)
-                                  - np.maximum(starts[i:j + 1], a), axis=0)
+                rows += np.repeat(shifts[i:j + 1], np.diff(bounds[i:j + 2].clip(a, b)), axis=0)
                 f.write(memoryview(stl.write_stl(chunk, "binary"))[stl.HEADER_BYTES + 4:])
         os.replace(part, path)
     except BaseException:

@@ -253,11 +253,12 @@ def test_write_merged_of_stage_meshes(tiny_library, tmp_path, monkeypatch):
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", 1)
     meshes = [scene.tree(i).stage_mesh("branches") for i in range(len(scene))]
     positions = scene.xy.tolist()
-    count = fo.write_merged(tmp_path / "b.stl", meshes, positions, "stage")
+    count = fo.write_merged(tmp_path / "b.stl", stl.concat_meshes(meshes).facets,
+                            np.cumsum([len(m) for m in meshes]), positions, "stage")
     assert count == sum(len(m) for m in meshes)
     assert (tmp_path / "b.stl").read_bytes() == ref.write_merged(
         [m.facets for m in meshes], positions, "stage")
-    assert fo.write_merged(tmp_path / "e.stl", [], [], "empty") == 0
+    assert fo.write_merged(tmp_path / "e.stl", stl.empty_mesh().facets, [], [], "empty") == 0
     assert (tmp_path / "e.stl").read_bytes() == ref.write_merged([], [], "empty")
 
 
@@ -281,7 +282,8 @@ def test_write_merged_cuts_chunks_across_empty_meshes(chunk, empty, tiny_library
              "half the first tree": first // 2, "the first tree": first,
              "above the scene": sum(sizes) + 7}[chunk]
     monkeypatch.setattr(stl, "CHUNK_TRIANGLES", limit)
-    assert fo.write_merged(tmp_path / "m.stl", meshes, positions, "cut") == sum(sizes)
+    assert fo.write_merged(tmp_path / "m.stl", stl.concat_meshes(meshes).facets,
+                           np.cumsum(sizes), positions, "cut") == sum(sizes)
     assert (tmp_path / "m.stl").read_bytes() == ref.write_merged(
         [m.facets for m in meshes], positions, "cut")
 
