@@ -24,6 +24,7 @@ its tree lines are written from the scene's columns, one format per tree.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import os
@@ -360,6 +361,8 @@ def _parse(source, what: str, parse):
             raise SceneConfigError(f"cannot read {what}: {exc}") from exc
     try:
         return parse(source)
+    except KeyError as exc:
+        raise SceneConfigError(f"malformed {what}: missing key {exc}") from exc
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SceneConfigError(f"malformed {what}: {exc}") from exc
     except ipp.IntensityError as exc:
@@ -418,10 +421,53 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
     return _parse(manifest, "manifest", parse)
 
 
+# the (required, optional) keys of each object of a scene config, by key
+# path; an intensity's keys are those of its form
+_CONFIG_KEYS = {
+    "": ("region intensity tree_params", "parameter_jitter min_spacing master_seed library"),
+    "region": ("x_min x_max y_min y_max", ""),
+    "intensity.constant": ("form rate", ""),
+    "intensity.raster": ("form cell_size values", "x_min y_min x_max y_max"),
+    "tree_params": ("branch_count trunk_height",
+                    "subbranches_per_branch leaves_per_subbranch depth_scale_decay jitter seed"),
+    "tree_params.jitter": ("", "azimuth_range pitch_range scale_range"),
+    "parameter_jitter": ("", "branch_count trunk_height"),
+}
+
+
+def _check_keys(data: dict):
+    """Refuse a scene config with a key that ``_CONFIG_KEYS`` does not know
+    for its object, naming its path and the closest known key, or without a
+    key its object needs. Objects are checked from the top down, each
+    object's unknown keys first; an object of a wrong type, or an intensity
+    of an unknown form, is left to the parse."""
+    objects = [("", data)]
+    for path, value in objects:  # grows as it is walked
+        if not isinstance(value, dict):
+            continue
+        keys = _CONFIG_KEYS.get(path) or _CONFIG_KEYS.get(f"{path}.{value.get('form')}")
+        if keys is None:
+            continue
+        required, optional = (names.split() for names in keys)
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in required and key not in optional:
+                close = difflib.get_close_matches(str(key), required + optional, 1)
+                hint = f" (did you mean {close[0]}?)" if close else ""
+                raise SceneConfigError(f"unknown key {prefix}{key} in scene config{hint}")
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise SceneConfigError(f"malformed scene config: missing key {prefix}{missing[0]}")
+        objects += [(prefix + key, child) for key, child in value.items()]
+
+
 def load_scene_config(source) -> tuple[SceneConfig, str | None]:
     """Parse a scene config JSON (dict or path); returns the config plus the
-    optional template library path named in the file."""
+    optional template library path named in the file. A key the config
+    does not know, or one it needs and lacks, is a SceneConfigError naming
+    its path (``_check_keys``)."""
     def parse(data: dict) -> tuple[SceneConfig, str | None]:
+        _check_keys(data)
         pj = data.get("parameter_jitter")
         jitter = None if pj is None else ParameterJitter(pj.get("branch_count"),
                                                          pj.get("trunk_height"))

@@ -423,5 +423,7 @@ def load_intensity(path) -> RasterIntensity | ConstantIntensity:
         if "form" not in data:
             data = dict(data, form="raster")
         return intensity_from_dict(data)
+    except KeyError as exc:
+        raise IntensityError(f"malformed intensity file {path}: missing key {exc}") from exc
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise IntensityError(f"malformed intensity file {path}: {exc}") from exc

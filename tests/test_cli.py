@@ -829,6 +829,20 @@ BOOL_FLOATS = [
 ]
 
 
+# the other mistyped keys of a scene config that once ran to exit 0 with
+# their values dropped: (name of the edited config, key path, message)
+TYPOS = [
+    ("parameter_jitter", ("paramter_jitter",),
+     "unknown key paramter_jitter in scene config (did you mean parameter_jitter?)"),
+    ("library", ("libary",), "unknown key libary in scene config (did you mean library?)"),
+    ("azimuth", ("tree_params", "jitter", "azimuth_rnge"),
+     "unknown key tree_params.jitter.azimuth_rnge in scene config "
+     "(did you mean azimuth_range?)"),
+    ("rate", ("intensity", "rat"), "unknown key intensity.rat in scene config (did you mean rate?)"),
+    ("region", ("region", "z_max"), "unknown key region.z_max in scene config (did you mean"),
+]
+
+
 @pytest.mark.parametrize("argv, expected, message", [
     (["tree", "--branches", "0", "--out", "{tmp}/t.stl"], 2,
      "branch_count must be at least 1"),
@@ -937,6 +951,19 @@ BOOL_FLOATS = [
     # a raster grid nested deeper than numpy can walk by .flat
     (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{deep_grid}",
       "--out", "{tmp}/o.csv"], 5, "raster values must form a non-empty 2D grid"),
+    # a mistyped key is refused, not dropped with the value it was meant to set
+    (["forest", "--config", "{typo_spacing}", "--out", "{tmp}/o"], 5,
+     "unknown key min_spaceing in scene config (did you mean min_spacing?)"),
+    (["forest", "--config", "{typo_subbranches}", "--out", "{tmp}/o"], 5,
+     "unknown key tree_params.subbranches_per_brnch in scene config "
+     "(did you mean subbranches_per_branch?)"),
+    *[(["forest", "--config", "{typo_%s}" % name, "--out", "{tmp}/o"], 5, message)
+      for name, _, message in TYPOS],
+    # a missing key is named as one
+    (["forest", "--config", "{no_height}", "--out", "{tmp}/o"], 5,
+     "malformed scene config: missing key tree_params.trunk_height"),
+    (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{no_cell_raster}",
+      "--out", "{tmp}/o.csv"], 5, "missing key 'cell_size'"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -967,6 +994,10 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
                                              "values": [[0.0]], "x_max": NAN})]),
             ("bool_bound", [(("intensity",), {"form": "raster", "cell_size": 100.0,
                                               "values": [[0.0]], "y_max": True})]),
+            ("typo_spacing", [(("min_spaceing",), 5)]),
+            ("typo_subbranches", [(("tree_params", "subbranches_per_brnch"), 3)]),
+            ("no_height", [(("tree_params",), {"branch_count": 2})]),
+            *[("typo_" + name, [(keys, 1)]) for name, keys, _ in TYPOS],
             *[(name, [(keys, value)]) for name, keys, value, _ in BOOL_FLOATS]]:
         config = json.loads(scene.read_text())
         for keys, value in edits:
@@ -981,6 +1012,8 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps({"x_min": 0, "y_min": 0, "cell_size": 1.0,
                                            "values": [[1.0]], **bound}))
+    names["no_cell_raster"] = tmp_path / "no_cell_raster.json"
+    names["no_cell_raster"].write_text(json.dumps({"x_min": 0, "y_min": 0, "values": [[1.0]]}))
     names["deep"] = tmp_path / "deep.json"
     names["deep"].write_text("[" * 200_000)
     names["deep_grid"] = tmp_path / "deep_grid.json"

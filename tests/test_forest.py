@@ -664,6 +664,57 @@ def test_load_scene_config_rejects_garbage(tmp_path):
         fo.load_scene_config(path)
 
 
+FULL_CONFIG = {
+    "master_seed": 7,
+    "region": {"x_min": 0, "x_max": 10, "y_min": 0, "y_max": 10},
+    "intensity": {"form": "raster", "x_min": 0, "y_min": 0, "x_max": 10, "y_max": 10,
+                  "cell_size": 10.0, "values": [[0.05]]},
+    "tree_params": {"branch_count": 3, "subbranches_per_branch": 1, "leaves_per_subbranch": 1,
+                    "trunk_height": 6.0, "depth_scale_decay": 0.5, "seed": 1,
+                    "jitter": {"azimuth_range": 5, "pitch_range": 5, "scale_range": [0.9, 1.1]}},
+    "parameter_jitter": {"branch_count": [1, 4], "trunk_height": [2, 8]},
+    "min_spacing": 1.0,
+    "library": "templates/library.json",
+}
+
+
+@pytest.mark.parametrize("path, typo, meant", [
+    ("", "master_sed", "master_seed"), ("region", "y_mx", "y_max"),
+    ("intensity", "cell_sise", "cell_size"), ("tree_params", "trunk_heigth", "trunk_height"),
+    ("tree_params.jitter", "pitch", "pitch_range"),
+    ("parameter_jitter", "branch_counts", "branch_count")])
+def test_scene_config_refuses_an_unknown_key_in_every_object(path, typo, meant):
+    config = json.loads(json.dumps(FULL_CONFIG))
+    fo.load_scene_config(config)  # every key of every object is known
+    target = config
+    for key in filter(None, path.split(".")):
+        target = target[key]
+    target[typo] = target.get(meant, 1)
+    name = f"{path}.{typo}" if path else typo
+    with pytest.raises(fo.SceneConfigError) as info:
+        fo.load_scene_config(config)
+    assert str(info.value) == f"unknown key {name} in scene config (did you mean {meant}?)"
+
+
+@pytest.mark.parametrize("path, key", [("", "region"), ("", "intensity"), ("", "tree_params"),
+                                       ("region", "y_max"), ("intensity", "rate"),
+                                       ("tree_params", "branch_count")])
+def test_scene_config_names_a_missing_key_by_its_path(path, key):
+    config = json.loads(json.dumps(FULL_CONFIG))
+    config["intensity"] = {"form": "constant", "rate": 0.05}
+    (config[path] if path else config).pop(key)
+    name = f"{path}.{key}" if path else key
+    with pytest.raises(fo.SceneConfigError, match=f"^malformed scene config: missing key {name}$"):
+        fo.load_scene_config(config)
+
+
+def test_manifest_names_a_missing_key(tiny_library):
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    del manifest["trees"][0]["x"]
+    with pytest.raises(fo.SceneConfigError, match="^malformed manifest: missing key 'x'$"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
 # ---------------------------------------------------------------------------
 # the manifest writer against json
 

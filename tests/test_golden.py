@@ -9,11 +9,16 @@ float64 arithmetic with the numpy/BLAS build the suite runs on.
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forestgen
 from forestgen import cli, forest, stl, templates
 
 
@@ -321,3 +326,56 @@ def test_stl_info_digest(case, libs, tmp_path, capsys):
     run_cli(["stl-info", path])
     stdout = capsys.readouterr().out.replace(str(path), "<file>")
     assert hashlib.sha256(stdout.encode()).hexdigest() == STL_INFO_GOLDEN[case]
+
+
+# OpenBLAS kernels, each with the CPU flag it needs
+BLAS_KERNELS = {"avx512f": "SkylakeX", "avx2": "Haswell", "avx": "Sandybridge", "sse3": "Prescott"}
+
+
+def cpu_kernels() -> list[str]:
+    """The kernels of BLAS_KERNELS that this CPU supports, by the flags of
+    /proc/cpuinfo; none off x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return []
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return []
+    flags = {flag for line in lines if line.startswith("flags") for flag in line.split()}
+    return [kernel for flag, kernel in BLAS_KERNELS.items() if flag in flags]
+
+
+def blas_env(kernel: str) -> dict:
+    """The environment of a child that runs with ``kernel`` forced and
+    imports this checkout's forestgen."""
+    src = str(Path(forestgen.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2", PYTHONPATH=path)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: STL bytes depend on the BLAS kernel; "
+                                        "fine-4x2x3-ascii moves under Haswell and Sandybridge")
+def test_every_blas_kernel_reproduces_the_digests():
+    """The other cases of this file, run in a child process per OpenBLAS
+    kernel the CPU supports, each pass. A kernel that OpenBLAS does not
+    report as forced (``Core: <kernel>`` under ``OPENBLAS_VERBOSE=2``) is
+    left out, since the child would run another."""
+    forced = []
+    for kernel in cpu_kernels():
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=blas_env(kernel),
+                               capture_output=True, text=True, timeout=60)
+        if f"Core: {kernel}" in probe.stderr.splitlines():
+            forced.append(kernel)
+    if len(forced) < 2:
+        pytest.skip(f"needs two OpenBLAS kernels that can be forced on x86-64, got {forced}")
+    failed = {}
+    for kernel in forced:
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+             "-k", "not test_every_blas_kernel_reproduces_the_digests"],
+            cwd=Path(__file__).resolve().parents[1], env=blas_env(kernel),
+            capture_output=True, text=True, timeout=600)
+        if child.returncode:
+            failed[kernel] = [line for line in child.stdout.splitlines()
+                              if line.startswith("FAILED")] or child.stdout[-2000:]
+    assert not failed, f"digests that move with the BLAS kernel: {failed}"
