@@ -426,8 +426,7 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
 _CONFIG_KEYS = {
     "": ("region intensity tree_params", "parameter_jitter min_spacing master_seed library"),
     "region": ("x_min x_max y_min y_max", ""),
-    "intensity.constant": ("form rate", ""),
-    "intensity.raster": ("form cell_size values", "x_min y_min x_max y_max"),
+    **{f"intensity.{form}": keys for form, keys in ipp.INTENSITY_KEYS.items()},
     "tree_params": ("branch_count trunk_height",
                     "subbranches_per_branch leaves_per_subbranch depth_scale_decay jitter seed"),
     "tree_params.jitter": ("", "azimuth_range pitch_range scale_range"),

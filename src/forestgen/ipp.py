@@ -12,6 +12,7 @@ pattern). Independent substreams come from :mod:`forestgen.seeds`.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import sys
@@ -20,12 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import generators, stream_seed
+from .seeds import generators, stream_seed, uniform_blocks
 from .tree import real_number
 
 # switch point between inversion and exponential-gap counting
 _INVERSION_MAX_MEAN = 30.0
-# most exponential gaps drawn at once, which bounds a count's memory
+# most exponential gaps drawn at once, which bounds a count's memory; also
+# the most points sample_replications thins in one block, each rep counting
+# its envelope plus one as check_replication_budget does, which bounds the
+# block's memory even for millions of reps of an empty field
 _GAP_BLOCK_MAX = 65536
 
 # sample_homogeneous refuses a pattern whose expected point count (rate times
@@ -34,6 +38,14 @@ _GAP_BLOCK_MAX = 65536
 # envelope of any scene here (a few thousand points), and a small host holds
 # the points and the thinning's per-point arrays.
 MAX_ENVELOPE_POINTS = 1 << 22
+
+
+# the (required, optional) keys of an intensity object, by its form: a scene
+# config's intensity, or an intensity file, where form is optional
+INTENSITY_KEYS = {
+    "constant": ("form rate", ""),
+    "raster": ("form cell_size values", "x_min y_min x_max y_max"),
+}
 
 
 class IntensityError(Exception):
@@ -194,30 +206,38 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
     if mean == 0:
         return 0
     if mean < _INVERSION_MAX_MEAN:
-        u = rng.uniform()
+        u = rng.random()
         k = 0
         p = math.exp(-mean)
         cdf = p
-        while u > cdf:
+        # the float sum of the pmf can stop short of the largest u; once the
+        # term underflows to 0, cdf can no longer grow past u
+        while u > cdf and p:
             k += 1
             p *= mean / k
             cdf += p
         return k
     # k counts the gaps whose running sum stays <= mean. Gaps are drawn in
-    # blocks of about twice the count still expected (so one block usually
-    # suffices), and cumsum adds them one at a time in draw order, the running
-    # total carried into the first, as one draw per gap would; the block
+    # blocks of about twice the count still expected, so one usually holds
+    # the crossing; cumsum adds them one at a time in draw order, the running
+    # total carried into the first, as one draw per gap would. The block
     # holding the crossing is drawn again up to the crossing, so the
-    # generator ends where one draw per gap would leave it.
+    # generator ends where one draw per gap would leave it. Above a mean of
+    # 512 the first block stops four standard deviations short of the mean:
+    # it seldom crosses, so only the short block after it is drawn again.
+    # Below that the extra block costs more than the draws it saves.
     total = 0.0
     k = 0
     while True:
+        remaining = mean - total
+        short = k == 0 and mean > 512
+        size = remaining - 4 * math.sqrt(remaining) if short else 2 * remaining + 64
         state = rng.bit_generator.state
-        gaps = rng.standard_exponential(min(_GAP_BLOCK_MAX, int(2 * (mean - total)) + 64))
+        gaps = rng.standard_exponential(min(_GAP_BLOCK_MAX, int(size)))
         gaps[0] += total
         sums = np.cumsum(gaps)
-        crossing = int(np.searchsorted(sums, mean, side="right"))
-        if crossing < len(gaps):
+        if sums[-1] > mean:
+            crossing = int(np.searchsorted(sums, mean, side="right"))
             rng.bit_generator.state = state
             rng.standard_exponential(crossing + 1)
             return k + crossing
@@ -241,8 +261,12 @@ def sample_homogeneous(region: Region, rate: float, seed: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     n = poisson_count(mean, rng)
-    pts = rng.uniform(low=[region.x_min, region.y_min],
-                      high=[region.x_max, region.y_max], size=(n, 2))
+    # lo + (hi - lo) * u per column: the doubles rng.uniform(low, high) gives
+    pts = rng.random((n, 2))
+    for column, lo, hi in ((pts[:, 0], region.x_min, region.x_max),
+                           (pts[:, 1], region.y_min, region.y_max)):
+        column *= hi - lo
+        column += lo
     return PointPattern(pts, seed)
 
 
@@ -259,15 +283,37 @@ def sample_ipp_thinning(field, region: Region, seed: int) -> PointPattern:
 
 def sample_replications(field, region: Region, seeds):
     """Yield ``sample_ipp_thinning(field, region, seed)`` for each seed in
-    turn. The supremum is taken once, and every rep's two generators are
-    seeded in one batch."""
+    turn. The supremum is taken once and the envelope generators are seeded
+    in one batch. Reps are thinned a block at a time: a block closes once
+    its envelopes, plus one per rep, reach _GAP_BLOCK_MAX points, and its
+    patterns are yielded in rep order before the next block is drawn."""
     seeds = list(seeds)
-    rngs = generators([s for seed in seeds for s in (seed, stream_seed(seed, 1))])
+    rngs = generators(seeds)
     lam_max = field.max_rate(region)
-    for seed in seeds:
-        envelope = sample_homogeneous(region, lam_max, seed, next(rngs))
-        keep = next(rngs).uniform(size=len(envelope)) * lam_max < field.rate_at(envelope.points)
-        yield PointPattern(envelope.points[keep], seed)
+    block, envelopes, size = [], [], 0
+    for i, seed in enumerate(seeds):
+        envelopes.append(sample_homogeneous(region, lam_max, seed, next(rngs)).points)
+        block.append(seed)
+        size += len(envelopes[-1]) + 1
+        if size >= _GAP_BLOCK_MAX or i == len(seeds) - 1:
+            yield from _thin(field, lam_max, block, envelopes)
+            block, envelopes, size = [], [], 0
+
+
+def _thin(field, lam_max: float, seeds: list[int], envelopes: list[np.ndarray]):
+    """Yield each rep's thinned pattern: point j of a rep's envelope is kept
+    when uniform j of its acceptance stream (substream 1 of its seed) times
+    lam_max is below the rate there. One ``rate_at`` and one comparison
+    serve the whole block."""
+    counts = [len(points) for points in envelopes]
+    points = np.concatenate(envelopes)
+    u = uniform_blocks([stream_seed(seed, 1) for seed in seeds], counts, 1)[:, 0]
+    keep = u * lam_max < field.rate_at(points)
+    # each rep's kept points end where its envelope ends, counted in keep
+    ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(counts)].tolist()
+    kept = points[keep]
+    for seed, start, end in zip(seeds, [0] + ends, ends):
+        yield PointPattern(kept[start:end], seed)
 
 
 def _finite_points(points) -> np.ndarray:
@@ -422,6 +468,14 @@ def load_intensity(path) -> RasterIntensity | ConstantIntensity:
     try:
         if "form" not in data:
             data = dict(data, form="raster")
+        # an unknown key is refused before a missing one is looked for; an
+        # unknown form is left to intensity_from_dict
+        known = " ".join(INTENSITY_KEYS.get(str(data["form"]), ())).split()
+        unknown = [key for key in data if known and key not in known]
+        if unknown:
+            close = difflib.get_close_matches(unknown[0], known, 1)
+            hint = f" (did you mean {close[0]}?)" if close else ""
+            raise IntensityError(f"malformed intensity file {path}: unknown key {unknown[0]}{hint}")
         return intensity_from_dict(data)
     except KeyError as exc:
         raise IntensityError(f"malformed intensity file {path}: missing key {exc}") from exc

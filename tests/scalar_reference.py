@@ -7,7 +7,8 @@ forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
 references for the grid code and the block-drawn counts in
-``forestgen.ipp``, the per-facet text loop is the reference for ASCII
+``forestgen.ipp``, with the one-rep-at-a-time thinning sampler that its
+block sampler replaced, the per-facet text loop is the reference for ASCII
 STL writing, and the whole-scene binary writer is the reference for binary
 STL writing and merged export. The mesh queries at the end reduce over
 each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
@@ -29,6 +30,7 @@ import numpy as np
 from forestgen import lsystem as lsys
 from forestgen import stl
 from forestgen import transform as tf
+from forestgen.seeds import stream_seed
 
 
 def rotation_about_axis(axis, degrees: float) -> np.ndarray:
@@ -240,6 +242,45 @@ def poisson_count_by_gaps(mean: float, rng: np.random.Generator) -> int:
         total += rng.standard_exponential()
         k += 1
     return k
+
+
+def poisson_count_by_inversion(mean: float, u: float) -> int | None:
+    """The first k whose float pmf sum reaches u, term by term; None where
+    the sum stops below u, once a term underflows to 0."""
+    k = 0
+    p = math.exp(-mean)
+    cdf = p
+    while u > cdf:
+        if p == 0:
+            return None
+        k += 1
+        p *= mean / k
+        cdf += p
+    return k
+
+
+def sample_homogeneous(region, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """A Poisson(rate * area) count, by inversion of ``rng.uniform()`` below
+    a mean of 30 and one gap per draw above, then that many points from one
+    broadcasting ``rng.uniform(low, high, size=(n, 2))``."""
+    mean = rate * region.area
+    n = (poisson_count_by_inversion(mean, rng.uniform()) if mean < 30
+         else poisson_count_by_gaps(mean, rng))
+    return rng.uniform(low=[region.x_min, region.y_min], high=[region.x_max, region.y_max],
+                       size=(n, 2))
+
+
+def sample_replications(field, region, seeds) -> list[np.ndarray]:
+    """Each rep's thinned points, one rep at a time: the envelope from
+    ``default_rng(seed)``, and one ``uniform(size=n)`` acceptance draw per
+    envelope point from ``default_rng(stream_seed(seed, 1))``."""
+    lam_max = field.max_rate(region)
+    patterns = []
+    for seed in seeds:
+        points = sample_homogeneous(region, lam_max, np.random.default_rng(seed))
+        u = np.random.default_rng(stream_seed(seed, 1)).uniform(size=len(points))
+        patterns.append(points[u * lam_max < field.rate_at(points)])
+    return patterns
 
 
 # ---------------------------------------------------------------------------

@@ -964,6 +964,12 @@ TYPOS = [
      "malformed scene config: missing key tree_params.trunk_height"),
     (["ipp-sample", "--region", "0,1,0,1", "--intensity", "raster:{no_cell_raster}",
       "--out", "{tmp}/o.csv"], 5, "missing key 'cell_size'"),
+    # a raster file's mistyped key is refused too, and before a missing one
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{typo_raster}",
+      "--out", "{tmp}/o.csv"], 5,
+     "typo_raster.json: unknown key x_mn (did you mean x_min?)"),
+    (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{typo_cell_raster}",
+      "--out", "{tmp}/o.csv"], 5, "unknown key cel_size (did you mean cell_size?)"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -1014,6 +1020,10 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
                                            "values": [[1.0]], **bound}))
     names["no_cell_raster"] = tmp_path / "no_cell_raster.json"
     names["no_cell_raster"].write_text(json.dumps({"x_min": 0, "y_min": 0, "values": [[1.0]]}))
+    for name, raster in [("typo_raster", {"x_mn": 3.0, "cell_size": 10.0, "values": [[0.05]]}),
+                         ("typo_cell_raster", {"cel_size": 10.0, "values": [[0.05]]})]:
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(raster))
     names["deep"] = tmp_path / "deep.json"
     names["deep"].write_text("[" * 200_000)
     names["deep_grid"] = tmp_path / "deep_grid.json"

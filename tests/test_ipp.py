@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -201,8 +205,110 @@ def test_poisson_count_matches_one_draw_per_gap(seed, mean):
     assert fast.uniform() == slow.uniform()
 
 
+class FixedUniform:
+    """A generator stub whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@given(mean=st.floats(0.0, 30.0, exclude_max=True), u=st.floats(0.0, 1.0, exclude_max=True))
+@example(mean=3.0, u=0.0)
+@example(mean=29.999, u=1 - 2 ** -53)
+@settings(max_examples=300, deadline=None)
+def test_poisson_inversion_matches_term_by_term_sum(mean, u):
+    # where the pmf sum reaches u, the same k; where it stops short, any end
+    expected = ref.poisson_count_by_inversion(mean, u)
+    k = ipp.poisson_count(mean, FixedUniform(u))
+    assert k == expected if expected is not None else k >= 0
+
+
+def test_poisson_inversion_ends_where_its_pmf_sum_stops():
+    # the float pmf sum of this mean stops at 1 - 2**-52, below the largest
+    # uniform, 1 - 2**-53: the count ends once the terms underflow to 0
+    # instead of spinning. In a child process, killed (failing the test)
+    # after the timeout; the stub answers random() and uniform() alike.
+    code = ("import math\n"
+            "from forestgen import ipp\n"
+            "class Top:\n"
+            "    def random(self):\n"
+            "        return math.nextafter(1.0, 0.0)\n"
+            "    uniform = random\n"
+            "print(ipp.poisson_count(0.027988599619987335, Top()))\n")
+    src = str(Path(ipp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=20, env=env)
+    assert result.returncode == 0, result.stderr
+    assert ref.poisson_count_by_inversion(0.027988599619987335, 1 - 2 ** -53) is None
+    assert int(result.stdout) > 0
+
+
 # ---------------------------------------------------------------------------
 # thinning
+
+BOUNDS = [-0.0, 0.0, -37.5, -1000.125, 3.0]
+
+
+@st.composite
+def regions(draw):
+    """A region with negative or -0.0 bounds among its corners."""
+    x_min, y_min = draw(st.sampled_from(BOUNDS)), draw(st.sampled_from(BOUNDS))
+    width, height = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+    return ipp.Region(x_min, x_min + width, y_min, y_min + height)
+
+
+@st.composite
+def thinning_cases(draw):
+    """A constant or raster field over a region, expecting 0 to 45 envelope
+    points per rep (zero-mass fields included, and means on both sides of
+    the inversion switch at 30), rep seeds, and a block bound from one rep
+    per block to all of them."""
+    region = draw(regions())
+    rate = draw(st.sampled_from([0.0, 1.0, 5.0, 20.0, 45.0])) / region.area
+    if draw(st.booleans()):
+        field = ipp.ConstantIntensity(rate)
+    else:
+        cell = draw(st.floats(10.0, 50.0))
+        nx = math.ceil((region.x_max - region.x_min) / cell) + 1
+        ny = math.ceil((region.y_max - region.y_min) / cell) + 1
+        values = draw(st.lists(st.sampled_from([0.0, rate / 3, rate]),
+                               min_size=nx * ny, max_size=nx * ny))
+        field = ipp.RasterIntensity(region.x_min - cell / 2, region.y_min - cell / 2, cell,
+                                    np.reshape(values, (ny, nx)))
+    reps = draw(st.sampled_from([1, 15, 16, 17]) | st.integers(1, 40))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=reps, max_size=reps))
+    return field, region, seeds, draw(st.sampled_from([1, 20, 100, ipp._GAP_BLOCK_MAX]))
+
+
+@given(case=thinning_cases())
+@settings(max_examples=150, deadline=None)
+def test_replications_match_one_rep_at_a_time(case):
+    # the block sampler against the per-rep sampler it replaced; a small
+    # block bound closes blocks inside the envelopes of a few reps
+    field, region, seeds, block = case
+    with mock.patch.object(ipp, "_GAP_BLOCK_MAX", block):
+        patterns = list(ipp.sample_replications(field, region, seeds))
+    expected = ref.sample_replications(field, region, seeds)
+    assert [p.seed for p in patterns] == seeds
+    for pattern, points in zip(patterns, expected, strict=True):
+        assert pattern.points.shape == points.shape
+        assert np.array_equal(pattern.points.view(np.int64), points.view(np.int64))
+
+
+@given(region=regions(), mean=st.sampled_from([0.0, 1.0, 17.0, 45.0, 600.0]),
+       seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sample_homogeneous_matches_broadcasting_uniform(region, mean, seed):
+    points = ipp.sample_homogeneous(region, mean / region.area, seed).points
+    expected = ref.sample_homogeneous(region, mean / region.area, np.random.default_rng(seed))
+    assert points.shape == expected.shape
+    assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+
 
 def test_thinning_constant_field_equals_homogeneous():
     field = ipp.ConstantIntensity(0.015)
