@@ -6,9 +6,9 @@ Placement math, the reference for ``forestgen.transform``,
 forestgen did before placement was batched: scalar ``rng.uniform`` draws,
 ``math`` trigonometry, ``np.cross`` and ``np.linalg.norm`` on single vectors,
 and one mesh copy per instance. The point-pattern loops at the end are the
-references for the grid code and the block-drawn counts in
-``forestgen.ipp``, with the one-rep-at-a-time thinning sampler that its
-block sampler replaced, the per-facet text loop is the reference for ASCII
+references for the grid code, the block-drawn counts and the block
+thinning of ``forestgen.ipp`` (thinning one rep at a time, as it once
+did), the per-facet text loop is the reference for ASCII
 STL writing, and the whole-scene binary writer is the reference for binary
 STL writing and merged export. The mesh queries at the end reduce over
 each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
