@@ -24,7 +24,6 @@ its tree lines are written from the scene's columns, one format per tree.
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 import os
@@ -447,14 +446,12 @@ def _check_keys(data: dict):
         keys = _CONFIG_KEYS.get(path) or _CONFIG_KEYS.get(f"{path}.{value.get('form')}")
         if keys is None:
             continue
-        required, optional = (names.split() for names in keys)
         prefix = f"{path}." if path else ""
-        for key in value:
-            if key not in required and key not in optional:
-                close = difflib.get_close_matches(str(key), required + optional, 1)
-                hint = f" (did you mean {close[0]}?)" if close else ""
-                raise SceneConfigError(f"unknown key {prefix}{key} in scene config{hint}")
-        missing = [key for key in required if key not in value]
+        unknown = ipp.unknown_key(value, keys)
+        if unknown:
+            key, hint = unknown
+            raise SceneConfigError(f"unknown key {prefix}{key} in scene config{hint}")
+        missing = [key for key in keys[0].split() if key not in value]
         if missing:
             raise SceneConfigError(f"malformed scene config: missing key {prefix}{missing[0]}")
         objects += [(prefix + key, child) for key, child in value.items()]

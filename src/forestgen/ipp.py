@@ -48,6 +48,19 @@ INTENSITY_KEYS = {
 }
 
 
+def unknown_key(obj: dict, keys: tuple[str, str]) -> tuple[str, str] | None:
+    """The first key of ``obj`` that ``keys``, a (required, optional) pair
+    of space-separated names, does not name, and a hint: " (did you mean
+    K?)" for the closest known key K, or "" if none is close. None if every
+    key is known."""
+    known = " ".join(keys).split()
+    for key in obj:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, 1)
+            return key, f" (did you mean {close[0]}?)" if close else ""
+    return None
+
+
 class IntensityError(Exception):
     """Invalid intensity field, or one that does not cover the region."""
 
@@ -218,20 +231,17 @@ def poisson_count(mean: float, rng: np.random.Generator) -> int:
             cdf += p
         return k
     # k counts the gaps whose running sum stays <= mean. Gaps are drawn in
-    # blocks of about twice the count still expected, so one usually holds
-    # the crossing; cumsum adds them one at a time in draw order, the running
-    # total carried into the first, as one draw per gap would. The block
-    # holding the crossing is drawn again up to the crossing, so the
-    # generator ends where one draw per gap would leave it. Above a mean of
-    # 512 the first block stops four standard deviations short of the mean:
-    # it seldom crosses, so only the short block after it is drawn again.
-    # Below that the extra block costs more than the draws it saves.
+    # blocks of the count still expected plus four standard deviations and
+    # 64, so one almost always holds the crossing; cumsum adds them one at a
+    # time in draw order, the running total carried into the first, as one
+    # draw per gap would. The block holding the crossing is drawn again up
+    # to the crossing, so the generator ends where one draw per gap would
+    # leave it.
     total = 0.0
     k = 0
     while True:
         remaining = mean - total
-        short = k == 0 and mean > 512
-        size = remaining - 4 * math.sqrt(remaining) if short else 2 * remaining + 64
+        size = remaining + 4 * math.sqrt(remaining) + 64
         state = rng.bit_generator.state
         gaps = rng.standard_exponential(min(_GAP_BLOCK_MAX, int(size)))
         gaps[0] += total
@@ -470,12 +480,11 @@ def load_intensity(path) -> RasterIntensity | ConstantIntensity:
             data = dict(data, form="raster")
         # an unknown key is refused before a missing one is looked for; an
         # unknown form is left to intensity_from_dict
-        known = " ".join(INTENSITY_KEYS.get(str(data["form"]), ())).split()
-        unknown = [key for key in data if known and key not in known]
+        keys = INTENSITY_KEYS.get(str(data["form"]))
+        unknown = keys and unknown_key(data, keys)
         if unknown:
-            close = difflib.get_close_matches(unknown[0], known, 1)
-            hint = f" (did you mean {close[0]}?)" if close else ""
-            raise IntensityError(f"malformed intensity file {path}: unknown key {unknown[0]}{hint}")
+            key, hint = unknown
+            raise IntensityError(f"malformed intensity file {path}: unknown key {key}{hint}")
         return intensity_from_dict(data)
     except KeyError as exc:
         raise IntensityError(f"malformed intensity file {path}: missing key {exc}") from exc

@@ -21,14 +21,16 @@ batch. When every stream is short it skips the generators: from the same
 hash it computes each value's PCG64 state by jump-ahead (value j of a stream
 is one multiply-add of its seeded state by constants that depend on j
 alone; Brown 1994, O'Neill 2014), for every value of the batch in one
-float64 matrix product. Setting a generator's state costs about 5 us, and
-the jump about 0.05 us per value of every stream padded to the longest
-(2-vCPU host, numpy 2.4): with 472 streams of 3 values the jump took
-0.2 ms against 4 ms for ``generators``. It still won at 24 values per
-stream for 16 to 472 streams, and stopped winning by 48 for 16 streams and
-by 96 for 472. So the jump is taken for a batch of at least _BATCH_MIN
-streams whose longest is at most _JUMP_VALUES values, and any other batch
-draws from ``generators``.
+float64 matrix product. The product runs in ``np.einsum``'s own loop, not
+in BLAS: OpenBLAS threads a product of 500 streams of 32 values, which then
+took 5 to 18 ms against 0.3 ms for einsum. The jump costs about 0.06 us per
+value of every stream padded to the longest (2-vCPU host, numpy 2.4): with
+472 streams of 3 values it took 0.25 ms against 1.4 ms for ``generators``,
+and with 32 values 1.1 ms against 1.7 ms; by 48 values it lost. For 16
+streams the two cost about the same, 0.14 to 0.19 ms, from 3 to 48 values.
+So the jump is taken for a batch of at least _BATCH_MIN streams whose
+longest is at most _JUMP_VALUES values, and any other batch draws from
+``generators``.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ def _jump_ahead(words: np.ndarray, counts: list[int], width: int) -> np.ndarray:
     s_hi, s_lo, q_hi, q_lo = words.T
     limbs = np.stack([s_lo, s_hi, q_lo << 1 | 1, q_hi << 1 | q_lo >> 63], axis=1)
     limbs = limbs.astype("<u8").view("<u2").T.astype(np.float64)  # (16, streams)
-    sums = (_jump_matrix(longest) @ limbs).astype(np.uint64).reshape(longest, 4, -1)
+    # not BLAS, which threads it (see the module docstring)
+    sums = np.einsum("ij,jk->ik", _jump_matrix(longest), limbs)
+    sums = sums.astype(np.uint64).reshape(longest, 4, -1)
     carry = sums[:, 0]
     low = carry & _MASK32
     carry = (carry >> 32) + sums[:, 1]
