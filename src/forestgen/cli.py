@@ -94,7 +94,10 @@ def _cmd_tree(args) -> int:
         seed=seed,
     )
     lib = _load_library(args.lib)
-    model = treemod.build_tree(params, lib)
+    try:
+        model = treemod.build_tree(params, lib)
+    except OverflowError as exc:  # a --height too large or too small to place
+        raise CliError(str(exc)) from exc
     mesh = model.stage_mesh(args.stage)
     out = Path(args.out)
     _write(out, stl.write_stl(mesh, args.format))

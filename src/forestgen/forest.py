@@ -169,9 +169,9 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
 def _scene(config: SceneConfig, index: list[int], xy, params: list[treemod.TreeParams],
            lib: stl.MeshLibrary) -> Scene:
     """The scene of these columns, its trees built by ``tree.build_trees``.
-    A scene too large to build, or whose placement scales overflow, is a
-    fault of its config or manifest, so a SceneConfigError with the build's
-    message."""
+    A scene too large to build, or whose lengths or placement scales
+    overflow or underflow, is a fault of its config or manifest, so a
+    SceneConfigError with the build's message."""
     try:
         mesh, ends = treemod.build_trees(params, lib)
     except (treemod.TriangleBudgetError, OverflowError) as exc:
@@ -427,7 +427,7 @@ _CONFIG_KEYS = {
     "region": ("x_min x_max y_min y_max", ""),
     **{f"intensity.{form}": keys for form, keys in ipp.INTENSITY_KEYS.items()},
     "tree_params": ("branch_count trunk_height",
-                    "subbranches_per_branch leaves_per_subbranch depth_scale_decay jitter seed"),
+                    "subbranches_per_branch leaves_per_subbranch depth_scale_decay jitter"),
     "tree_params.jitter": ("", "azimuth_range pitch_range scale_range"),
     "parameter_jitter": ("", "branch_count trunk_height"),
 }
@@ -447,7 +447,7 @@ def _check_keys(data: dict):
         if keys is None:
             continue
         prefix = f"{path}." if path else ""
-        unknown = ipp.unknown_key(value, keys)
+        unknown = stl.unknown_key(value, keys)
         if unknown:
             key, hint = unknown
             raise SceneConfigError(f"unknown key {prefix}{key} in scene config{hint}")

@@ -12,7 +12,6 @@ pattern). Independent substreams come from :mod:`forestgen.seeds`.
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 import sys
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeds import generators, stream_seed, uniform_blocks
+from .stl import unknown_key
 from .tree import real_number
 
 # switch point between inversion and exponential-gap counting
@@ -46,19 +46,6 @@ INTENSITY_KEYS = {
     "constant": ("form rate", ""),
     "raster": ("form cell_size values", "x_min y_min x_max y_max"),
 }
-
-
-def unknown_key(obj: dict, keys: tuple[str, str]) -> tuple[str, str] | None:
-    """The first key of ``obj`` that ``keys``, a (required, optional) pair
-    of space-separated names, does not name, and a hint: " (did you mean
-    K?)" for the closest known key K, or "" if none is close. None if every
-    key is known."""
-    known = " ".join(keys).split()
-    for key in obj:
-        if key not in known:
-            close = difflib.get_close_matches(str(key), known, 1)
-            return key, f" (did you mean {close[0]}?)" if close else ""
-    return None
 
 
 class IntensityError(Exception):

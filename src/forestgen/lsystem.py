@@ -294,9 +294,8 @@ def interpret_turtle(texts, cfgs, trunk_specs, uniforms: np.ndarray) -> Skeleton
     # placed one depth at a time: every node of a depth, over all trees, is
     # computed in one stack from its parents, which are all placed before it
     parents = np.array(parents, dtype=np.int64)
-    if len(trunks) > 1:
-        # a tree's parent rows count from its trunk's row in the stack
-        parents += np.repeat(trunks, np.diff(trunks, append=len(parents))) * (parents >= 0)
+    # a tree's parent rows count from its trunk's row in the stack
+    parents += np.repeat(trunks, np.diff(trunks, append=len(parents))) * (parents >= 0)
     skeleton = Skeleton(np.empty((len(parents), 3)), np.empty((len(parents), 3)),
                         np.array(depths, dtype=np.int64), np.array(lengths, dtype=np.float64),
                         parents)

@@ -16,6 +16,7 @@ result is the same bit for bit.
 
 from __future__ import annotations
 
+import difflib
 import itertools
 import json
 import os
@@ -562,6 +563,23 @@ def file_stats(path) -> tuple[str, str, MeshStats]:
 
 LIBRARY_ROLES = ("trunk", "branch", "sub_branch", "leaf")
 
+# the (required, optional) keys of a library manifest, and of each role in it
+_LIBRARY_KEYS = (" ".join(LIBRARY_ROLES), "")
+_ROLE_KEYS = ("file", "origin axis")
+
+
+def unknown_key(obj: dict, keys: tuple[str, str]) -> tuple[str, str] | None:
+    """The first key of ``obj`` that ``keys``, a (required, optional) pair
+    of space-separated names, does not name, and a hint: " (did you mean
+    K?)" for the closest known key K, or "" if none is close. None if every
+    key is known."""
+    known = " ".join(keys).split()
+    for key in obj:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, 1)
+            return key, f" (did you mean {close[0]}?)" if close else ""
+    return None
+
 
 @dataclass
 class MeshLibrary:
@@ -599,6 +617,8 @@ def load_library(manifest_path) -> MeshLibrary:
     ``{"file": <stl path>, "origin": [x,y,z], "axis": [x,y,z]}``; origin and
     axis declare the template's local frame and default to the canonical
     one (origin zero, axis +Z). Non-canonical frames are normalized on load.
+    A key the manifest does not know, at its top level or in a role, is a
+    LibraryError naming its path and the closest known key.
     """
     path = Path(manifest_path)
     try:
@@ -607,6 +627,9 @@ def load_library(manifest_path) -> MeshLibrary:
         raise LibraryError(f"cannot read library manifest {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise LibraryError(f"library manifest {path} must be a JSON object")
+    unknown = unknown_key(spec, _LIBRARY_KEYS)
+    if unknown:
+        raise LibraryError(f"unknown key {unknown[0]} in library manifest{unknown[1]}")
     meshes = {}
     for role in LIBRARY_ROLES:
         if role not in spec:
@@ -614,6 +637,9 @@ def load_library(manifest_path) -> MeshLibrary:
         entry = spec[role]
         if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
             raise LibraryError(f"library role '{role}' must be an object with a \"file\" path")
+        unknown = unknown_key(entry, _ROLE_KEYS)
+        if unknown:
+            raise LibraryError(f"unknown key {role}.{unknown[0]} in library manifest{unknown[1]}")
         stl_path = path.parent / entry["file"]
         try:
             mesh = read_stl(stl_path.read_bytes())

@@ -1,7 +1,7 @@
 """Rigid-plus-uniform-scale transforms and their randomized generation:
-``random_attachment_transform(frames, jitter, uniforms)`` maps (k, 3)
-attachment frames and a pre-drawn (k, 3) block of uniforms to a stack of k
-transforms."""
+``random_attachment_transform(frames, ranges, uniforms)`` maps (k, 3)
+attachment frames, their jitter ranges and a pre-drawn (k, 3) block of
+uniforms to a stack of k transforms."""
 
 from __future__ import annotations
 
@@ -60,41 +60,29 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class AngleJitterParams:
-    """Bounded uniform jitter for attachment transforms (degrees, scale).
+    """Bounded uniform jitter for attachment transforms (degrees, scale)."""
 
-    The jitter of a stack of k frames may instead carry one value per frame
-    on every field: (k,) ranges and a pair of (k,) scale bounds. The checks
-    apply to every element.
-    """
-
-    azimuth_range: float | np.ndarray = 0.0
-    pitch_range: float | np.ndarray = 0.0
+    azimuth_range: float = 0.0
+    pitch_range: float = 0.0
     scale_range: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        # a scalar is kept as a float and a per-frame range as float64, so a
-        # scene writes and reads back the same numbers
+        # kept as floats, so a scene writes and reads back the same numbers
         for name in ("azimuth_range", "pitch_range"):
-            object.__setattr__(self, name, _floats(getattr(self, name)))
-        object.__setattr__(self, "scale_range", tuple(map(_floats, self.scale_range)))
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "scale_range", tuple(map(float, self.scale_range)))
         for name in ("azimuth_range", "pitch_range", "scale_range"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         for name in ("azimuth_range", "pitch_range"):
-            degrees = np.asarray(getattr(self, name))
-            if (degrees < 0).any():
+            if getattr(self, name) < 0:
                 raise ValueError("jitter ranges must be non-negative")
             # a wider range only repeats turns, and a huge one overflows
-            if (degrees > 360.0).any():
+            if getattr(self, name) > 360.0:
                 raise ValueError(f"{name} must be at most 360 degrees")
         lo, hi = self.scale_range
-        if not np.all((0 < np.asarray(lo)) & (np.asarray(lo) <= hi)):
+        if not 0 < lo <= hi:
             raise ValueError("scale_range must satisfy 0 < min <= max")
-
-
-def _floats(value):
-    """A scalar as a float, anything else as a float64 array."""
-    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=np.float64)
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -201,27 +189,27 @@ def z_alignments(directions: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def random_attachment_transform(frames, jitter: AngleJitterParams,
-                                uniforms: np.ndarray) -> RigidTransform:
+def random_attachment_transform(frames, ranges, uniforms: np.ndarray) -> RigidTransform:
     """The stack of k transforms placing a +Z template at k attachment
     frames, (points, unit directions), each (k, 3).
 
-    Each template axis lands on its direction perturbed by azimuth ~
-    U(-azimuth_range, +azimuth_range) then pitch ~ U(-pitch_range,
-    +pitch_range); scale ~ U(*scale_range). Each frame reads one row of
-    three uniforms (in that order) regardless of the ranges, so the stream
-    layout is stable: ``uniforms`` is the (k, 3) block on [0, 1), as
-    ``rng.random((k, 3))`` or ``seeds.uniform_blocks`` draws it, and a block
-    of any other shape is a ValueError. Frames of several streams, such as
-    the trees of a scene, pass their blocks stacked in frame order, with a
-    jitter holding one range per frame.
+    ``ranges`` holds (azimuth_range, pitch_range, scale min, scale max) as
+    one (4,) row for every frame, or as a (k, 4) stack of one row per frame:
+    anything that broadcasts to (k, 4). Each template axis lands on its
+    direction perturbed by azimuth ~ U(-azimuth_range, +azimuth_range) then
+    pitch ~ U(-pitch_range, +pitch_range); scale ~ U(scale min, scale max).
+    Each frame reads one row of three uniforms (in that order) regardless of
+    the ranges, so the stream layout is stable: ``uniforms`` is the (k, 3)
+    block on [0, 1), as ``rng.random((k, 3))`` or ``seeds.uniform_blocks``
+    draws it, and a block of any other shape is a ValueError. Frames of
+    several streams, such as the trees of a scene, pass their blocks stacked
+    in frame order, with one row of ranges per frame.
     """
     points, directions = frames
     k = len(directions)
     if np.shape(uniforms) != (k, 3):
         raise ValueError(f"need a ({k}, 3) block of uniforms, got {np.shape(uniforms)}")
-    a, p = jitter.azimuth_range, jitter.pitch_range
-    lo, hi = jitter.scale_range
+    a, p, lo, hi = np.asarray(ranges, dtype=np.float64).T
     # low + (high - low) * U[0, 1) is how rng.uniform maps its draws, so this
     # gives its doubles without its per-call argument broadcasting
     span = np.array((a + a, p + p, hi - lo)).T

@@ -14,7 +14,8 @@ sub-branches, leaves), so e.g. requesting leaves never perturbs the branch
 geometry of an otherwise identical build. A stage draws every tree's block
 at once (``seeds.uniform_blocks``) and hands the stacked blocks to
 ``lsystem.interpret_turtle(texts, cfgs, trunk_specs, uniforms)`` or
-``transform.random_attachment_transform(frames, jitter, uniforms)``.
+``transform.random_attachment_transform(frames, ranges, uniforms)``, with
+one row of jitter ranges per frame, those of the frame's tree.
 
 The ledger needs only the params and the template sizes, so ``build_trees``
 sizes the buffer of a whole stack of trees (a scene) before placing
@@ -191,8 +192,14 @@ def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> str
 
 
 def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
+    """The turtle of a tree; a branch length that underflows to 0 is an
+    OverflowError, as a placement scale that does (see ``_scales``)."""
+    step_length = params.trunk_height * params.depth_scale_decay
+    if step_length == 0.0:
+        raise OverflowError(f"trunk_height {params.trunk_height!r} times depth_scale_decay "
+                            f"{params.depth_scale_decay!r} underflows to 0, the length of a branch")
     return lsys.TurtleConfig(
-        step_length=params.trunk_height * params.depth_scale_decay,
+        step_length=step_length,
         yaw_angle=360.0 / params.branch_count,
         branch_pitch=40.0,
         jitter_range=params.jitter.azimuth_range,
@@ -219,10 +226,9 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
                                      [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack], uniforms)
     # the derivation nests one group deep, so depth 2 is the only decayed one
     decayed = (skeleton.depths == 2).nonzero()[0]
-    if len(decayed):
-        tree_of = np.cumsum(skeleton.depths == 0) - 1
-        decay = np.array([p.depth_scale_decay for p in stack])
-        skeleton.lengths[decayed] *= decay[tree_of[decayed]]
+    tree_of = np.cumsum(skeleton.depths == 0) - 1
+    decay = np.array([p.depth_scale_decay for p in stack])
+    skeleton.lengths[decayed] *= decay[tree_of[decayed]]
     return skeleton
 
 
@@ -246,40 +252,43 @@ def _instance_counts(params: list[TreeParams]) -> np.ndarray:
     return np.array([_instances(p) for p in params], dtype=np.int64).reshape(-1, 4)
 
 
-def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
-           lengths: np.ndarray, params: list[TreeParams], counts: np.ndarray,
-           stream: int) -> stl.TriangleMesh:
-    """One instance of a template role per frame, all from one stacked
-    transform, each scaled to length / template extent on top of its jittered
-    scale; instances are concatenated in frame order.
-
-    The frames come tree after tree, ``counts[i]`` of them from tree i. Each
-    tree reads its (counts[i], 3) block of uniforms from its own ``stream``
-    and jitters within its own ranges, as it would alone. A placement scale
-    that overflows, or whose jitter takes the template beyond the float32
-    range of binary STL, is an OverflowError.
-    """
-    uniforms = uniform_blocks([stream_seed(p.seed, stream) for p in params], counts.tolist(), 3)
-    jitter = params[0].jitter
-    if any(p.jitter is not jitter and p.jitter != jitter for p in params):
-        # trees of a hand-edited manifest may each have their own ranges
-        ranges = np.repeat([(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
-                            for p in params], counts, axis=0)
-        jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
-    t = tf.random_attachment_transform((points, directions), jitter, uniforms)
-    template = lib.template(role)
-    radius = np.sqrt((template.vertices ** 2).sum(axis=-1).max())
+def _scales(lib: stl.MeshLibrary, role: str, lengths: np.ndarray, jitter=1.0) -> np.ndarray:
+    """The scale of each instance of a template role: its length / template
+    extent, times its jittered scale. A scale that overflows or underflows
+    to 0, or whose jitter takes the template beyond the float32 range of
+    binary STL, is an OverflowError."""
+    radius = np.sqrt((lib.template(role).vertices ** 2).sum(axis=-1).max())
     with np.errstate(over="ignore"):
         size = lengths / lib.extent(role)
-        scale = t.scale * size
+        scale = jitter * size
         # the jitter takes a template vertex beyond float32 where the unjittered
         # instance stays within it (a tree too large is the STL writer's error)
         too_far = (scale * radius > _FLOAT32_MAX) & (size * radius <= _FLOAT32_MAX)
     if not np.isfinite(scale).all() or too_far.any():
         raise OverflowError(f"a {role} placement scale overflows or leaves the float32 range "
-                            f"of binary STL: scale_range is too large")
-    t = tf.RigidTransform(t.rotation, t.translation, scale)
-    return tf.apply_to_mesh(t, template)
+                            f"of binary STL: trunk_height or scale_range is too large")
+    if not (scale > 0.0).all():
+        raise OverflowError(f"a {role} placement scale underflows to 0: trunk_height is too small")
+    return scale
+
+
+def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
+           lengths: np.ndarray, params: list[TreeParams], counts: np.ndarray,
+           stream: int) -> stl.TriangleMesh:
+    """One instance of a template role per frame, all from one stacked
+    transform, each scaled by ``_scales``; instances are concatenated in
+    frame order.
+
+    The frames come tree after tree, ``counts[i]`` of them from tree i. Each
+    tree reads its (counts[i], 3) block of uniforms from its own ``stream``
+    and jitters within its own ranges, as it would alone.
+    """
+    uniforms = uniform_blocks([stream_seed(p.seed, stream) for p in params], counts.tolist(), 3)
+    ranges = np.repeat([(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
+                        for p in params], counts, axis=0)
+    t = tf.random_attachment_transform((points, directions), ranges, uniforms)
+    t = tf.RigidTransform(t.rotation, t.translation, _scales(lib, role, lengths, t.scale))
+    return tf.apply_to_mesh(t, lib.template(role))
 
 
 # The stage functions place one role over a stack of trees: ``skeleton``
@@ -293,7 +302,7 @@ def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     node."""
     points, _, lengths = _frames(skeleton, skeleton.at_depth(0))
     trunk_t = tf.RigidTransform(np.repeat(_EYE, len(points), axis=0), points,
-                                lengths / lib.extent("trunk"))
+                                _scales(lib, "trunk", lengths))
     trunks = tf.apply_to_mesh(trunk_t, lib.trunk)
     branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), params,
                       _instance_counts(params)[:, 1], _STREAM_BRANCHES)
@@ -361,8 +370,9 @@ def build_trees(params: list[TreeParams],
     (n, 4) ends of each tree's trunk, branch, sub-branch and leaf rows in
     it (``tree_model`` makes one tree's TreeModel from them).
     A stack whose ledger totals more than MAX_TRIANGLES is a
-    TriangleBudgetError, raised before anything is allocated; a jittered
-    scale too large to place is an OverflowError.
+    TriangleBudgetError, raised before anything is allocated; a placement
+    scale too large or too small to place, or a branch length that
+    underflows to 0, is an OverflowError.
     """
     template_sizes = [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     # the ledger in Python integers, before any array can overflow or allocate

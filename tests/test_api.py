@@ -1,6 +1,6 @@
-"""The package's public names, as README lists them, the functions the
-benchmark wraps by name, and the scalar reference's independence from
-private forestgen code."""
+"""The package's public names and a scene config's keys, as README lists
+them, the functions the benchmark wraps by name, and the scalar reference's
+independence from private forestgen code."""
 
 import ast
 import importlib
@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import forestgen
-from forestgen import cli, forest, stl, templates
+from forestgen import cli, forest, ipp, stl, templates
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -32,6 +32,29 @@ def test_public_api_is_the_readme_list():
     exported = [name for name, value in vars(forestgen).items()
                 if not name.startswith("_") and not inspect.ismodule(value)]
     assert sorted(exported) == sorted(names)
+
+
+def test_readme_scene_config_keys_are_the_key_tables():
+    readme = ROOT.joinpath("README.md").read_text()
+    # the scene config example shows every object of a config, and every key
+    example = readme.split("A scene config names the region", 1)[1]
+    example = json.loads(example.split("```json\n", 1)[1].split("```", 1)[0])
+    objects, paths = [("", example)], set()
+    for path, value in objects:
+        if path == "intensity":
+            path += "." + value["form"]
+        paths.add(path)
+        assert set(value) == set(" ".join(forest._CONFIG_KEYS[path]).split()), path
+        prefix = f"{path}." if path else ""
+        objects += [(prefix + key, child) for key, child in value.items()
+                    if isinstance(child, dict)]
+    # a raster intensity's keys are the sentence that names them
+    sentence = re.search(r"a raster `intensity` holds\s(.*?),\sand\smay\shold\s(.*?)\.\s",
+                         readme, re.DOTALL)
+    required, optional = ipp.INTENSITY_KEYS["raster"]
+    for named, keys in zip(sentence.groups(), (required, optional)):
+        assert set(re.findall(r"`(\w+)`", named)) == set(keys.split())
+    assert paths | {"intensity.raster"} == set(forest._CONFIG_KEYS)
 
 
 def _span_targets() -> tuple:

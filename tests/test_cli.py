@@ -970,6 +970,26 @@ TYPOS = [
      "typo_raster.json: unknown key x_mn (did you mean x_min?)"),
     (["ipp-sample", "--region", "0,10,0,10", "--intensity", "raster:{typo_cell_raster}",
       "--out", "{tmp}/o.csv"], 5, "unknown key cel_size (did you mean cell_size?)"),
+    # a length that underflows is refused as one that overflows is: a branch
+    # length that rounds to 0, or a placement scale that does
+    (["forest", "--config", "{tiny_height}", "--out", "{tmp}/o"], 5,
+     "trunk_height 5e-324 times depth_scale_decay 0.5 underflows to 0, the length of a branch"),
+    (["forest", "--config", "{tiny_height_jitter}", "--out", "{tmp}/o"], 5,
+     "trunk_height 5e-324 times depth_scale_decay 0.5 underflows to 0"),
+    (["forest", "--config", "{tiny_height_undecayed}", "--out", "{tmp}/o"], 5,
+     "placement scale underflows to 0: trunk_height is too small"),
+    (["tree", "--branches", "3", "--height", "6.6e38", "--seed", "1", "--out", "{tmp}/t.stl"], 2,
+     "trunk_height or scale_range is too large"),
+    # each tree's seed comes from master_seed, so a template seed would be ignored
+    (["forest", "--config", "{tree_seed}", "--out", "{tmp}/o"], 5,
+     "unknown key tree_params.seed in scene config"),
+    # a library manifest's mistyped key is refused, at its top level first
+    (["tree", "--branches", "2", "--lib", "{lib_extra}", "--out", "{tmp}/t.stl"], 3,
+     "unknown key extra_role in library manifest"),
+    (["tree", "--branches", "2", "--lib", "{lib_origin}", "--out", "{tmp}/t.stl"], 3,
+     "unknown key trunk.orign in library manifest (did you mean origin?)"),
+    (["forest", "--config", "{scene}", "--lib", "{lib_axis}", "--out", "{tmp}/o"], 3,
+     "unknown key leaf.axsi in library manifest (did you mean axis?)"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")
@@ -1003,6 +1023,11 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
             ("typo_spacing", [(("min_spaceing",), 5)]),
             ("typo_subbranches", [(("tree_params", "subbranches_per_brnch"), 3)]),
             ("no_height", [(("tree_params",), {"branch_count": 2})]),
+            ("tiny_height", [(("tree_params", "trunk_height"), 5e-324)]),
+            ("tiny_height_undecayed", [(("tree_params", "trunk_height"), 5e-324),
+                                       (("tree_params", "depth_scale_decay"), 1.0)]),
+            ("tiny_height_jitter", [(("parameter_jitter",), {"trunk_height": [5e-324, 5e-324]})]),
+            ("tree_seed", [(("tree_params", "seed"), 7)]),
             *[("typo_" + name, [(keys, 1)]) for name, keys, _ in TYPOS],
             *[(name, [(keys, value)]) for name, keys, value, _ in BOOL_FLOATS]]:
         config = json.loads(scene.read_text())
@@ -1024,6 +1049,18 @@ def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys)
                          ("typo_cell_raster", {"cel_size": 10.0, "values": [[0.05]]})]:
         names[name] = tmp_path / f"{name}.json"
         names[name].write_text(json.dumps(raster))
+    # library manifests beside valid templates, each with mistyped keys
+    library = stl.save_library(templates.default_library("tiny"), tmp_path / "lib")
+    for name, edits in [
+            ("lib_extra", [(("trunk", "orign"), [0, 0, 0]), (("trunk", "axsi"), [0, 0, 1]),
+                           (("extra_role",), {})]),
+            ("lib_origin", [(("trunk", "orign"), [0, 0, 0]), (("trunk", "axsi"), [0, 0, 1])]),
+            ("lib_axis", [(("leaf", "axsi"), [0, 0, 1])])]:
+        manifest = json.loads(library.read_text())
+        for keys, value in edits:
+            manifest = replaced(manifest, keys, value)
+        names[name] = library.parent / f"{name}.json"
+        names[name].write_text(json.dumps(manifest))
     names["deep"] = tmp_path / "deep.json"
     names["deep"].write_text("[" * 200_000)
     names["deep_grid"] = tmp_path / "deep_grid.json"

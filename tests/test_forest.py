@@ -582,6 +582,28 @@ def test_regenerate_reports_an_overflow_before_the_triangles(tiny_library):
         fo.regenerate_scene(manifest, tiny_library)
 
 
+def test_regenerate_refuses_a_length_that_underflows(tiny_library):
+    # the scene config's messages, not the turtle's or the transform's
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "merged")
+    params = manifest["trees"][1]["params"]
+    params["trunk_height"] = 5e-324
+    with pytest.raises(fo.SceneConfigError, match="^trunk_height 5e-324 times "
+                                                  "depth_scale_decay 0.5 underflows to 0"):
+        fo.regenerate_scene(manifest, tiny_library)
+    params["depth_scale_decay"] = 1.0
+    with pytest.raises(fo.SceneConfigError, match="underflows to 0: trunk_height is too small$"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
+def test_compose_refuses_a_trunk_scale_that_underflows(tiny_library):
+    # a trunk template taller than 1 takes a subnormal trunk_height to 0
+    trunk = tf.apply_to_mesh(tf.RigidTransform(np.eye(3), np.zeros(3), 10.0), tiny_library.trunk)
+    lib = stl.MeshLibrary(trunk, tiny_library.branch, tiny_library.sub_branch, tiny_library.leaf)
+    params = tm.TreeParams(branch_count=2, trunk_height=5e-324, depth_scale_decay=1.0)
+    with pytest.raises(fo.SceneConfigError, match="^a trunk placement scale underflows to 0"):
+        fo.compose_forest(make_config(tree_params_template=params), lib)
+
+
 @pytest.mark.parametrize("field", ["azimuth_range", "pitch_range"])
 def test_regenerate_rejects_jitter_range_above_360(field, tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(), tiny_library)
@@ -670,7 +692,7 @@ FULL_CONFIG = {
     "intensity": {"form": "raster", "x_min": 0, "y_min": 0, "x_max": 10, "y_max": 10,
                   "cell_size": 10.0, "values": [[0.05]]},
     "tree_params": {"branch_count": 3, "subbranches_per_branch": 1, "leaves_per_subbranch": 1,
-                    "trunk_height": 6.0, "depth_scale_decay": 0.5, "seed": 1,
+                    "trunk_height": 6.0, "depth_scale_decay": 0.5,
                     "jitter": {"azimuth_range": 5, "pitch_range": 5, "scale_range": [0.9, 1.1]}},
     "parameter_jitter": {"branch_count": [1, 4], "trunk_height": [2, 8]},
     "min_spacing": 1.0,

@@ -56,7 +56,7 @@ SCENE_CONFIG = {
     "region": {"x_min": 0, "x_max": 10, "y_min": 0, "y_max": 10},
     "intensity": {"form": "constant", "rate": 0.05},
     "tree_params": {"branch_count": 3, "subbranches_per_branch": 1, "leaves_per_subbranch": 1,
-                    "trunk_height": 6.0, "depth_scale_decay": 0.5, "seed": 1,
+                    "trunk_height": 6.0, "depth_scale_decay": 0.5,
                     "jitter": {"azimuth_range": 5, "pitch_range": 5, "scale_range": [0.9, 1.1]}},
     "parameter_jitter": {"branch_count": [1, 4], "trunk_height": [2, 8]},
     "min_spacing": 1.0,

@@ -135,7 +135,7 @@ def test_align_z_to_lands_on_direction(seed):
 
 
 def test_attachment_zero_jitter_z_is_identity():
-    t = tf.random_attachment_transform(([(0, 0, 0)], [(0, 0, 1)]), tf.AngleJitterParams(),
+    t = tf.random_attachment_transform(([(0, 0, 0)], [(0, 0, 1)]), (0.0, 0.0, 1.0, 1.0),
                                        np.random.default_rng(0).random((1, 3)))
     assert np.array_equal(t.rotation, [np.eye(3)])
     assert np.array_equal(t.translation, [[0, 0, 0]])
@@ -143,14 +143,14 @@ def test_attachment_zero_jitter_z_is_identity():
 
 
 def test_attachment_zero_jitter_x_alignment():
-    t = tf.random_attachment_transform(([(0, 0, 5)], [(1, 0, 0)]), tf.AngleJitterParams(),
+    t = tf.random_attachment_transform(([(0, 0, 5)], [(1, 0, 0)]), (0.0, 0.0, 1.0, 1.0),
                                        np.random.default_rng(0).random((1, 3)))
     assert np.allclose(t.rotation[0] @ [0, 0, 1], [1, 0, 0], atol=1e-12)
     assert np.array_equal(t.translation, [[0, 0, 5]])
 
 
 def test_attachment_reproducible_per_seed():
-    jit = tf.AngleJitterParams(azimuth_range=30, pitch_range=15, scale_range=(0.5, 2.0))
+    jit = (30.0, 15.0, 0.5, 2.0)
     frames = ([(1, 2, 3)], [(0, 1, 0)])
     a = tf.random_attachment_transform(frames, jit, np.random.default_rng(99).random((1, 3)))
     b = tf.random_attachment_transform(frames, jit, np.random.default_rng(99).random((1, 3)))
@@ -162,7 +162,7 @@ def test_attachment_reproducible_per_seed():
 def test_attachment_pitch_jitter_monte_carlo():
     # pitch ~ U(-10, 10) so |deviation| from the target direction has mean 5
     rng = np.random.default_rng(7)
-    jit = tf.AngleJitterParams(pitch_range=10.0)
+    jit = (0.0, 10.0, 1.0, 1.0)
     direction = np.array([0.0, 0.0, 1.0])
     frames = (np.zeros((10_000, 3)), np.tile(direction, (10_000, 1)))
     t = tf.random_attachment_transform(frames, jit, rng.random((10_000, 3)))
@@ -183,15 +183,6 @@ def test_jitter_params_validation():
         with pytest.raises(ValueError, match=f"{field} must be at most 360 degrees"):
             tf.AngleJitterParams(**{field: 360.5})
         tf.AngleJitterParams(**{field: 360.0})
-    # one range per frame of a stack: every element is checked
-    ok = np.array([0.0, 10.0])
-    tf.AngleJitterParams(ok, ok, (np.array([0.5, 1.0]), np.array([1.0, 2.0])))
-    with pytest.raises(ValueError, match="pitch_range must be at most 360"):
-        tf.AngleJitterParams(ok, np.array([10.0, 400.0]))
-    with pytest.raises(ValueError, match="non-negative"):
-        tf.AngleJitterParams(np.array([1.0, -1.0]))
-    with pytest.raises(ValueError, match="scale_range"):
-        tf.AngleJitterParams(ok, ok, (np.array([0.5, 2.0]), np.array([1.0, 1.5])))
 
 
 def test_jitter_params_hold_floats():
@@ -199,10 +190,14 @@ def test_jitter_params_hold_floats():
     assert [type(v) for v in (jitter.azimuth_range, jitter.pitch_range, *jitter.scale_range)] \
         == [float] * 4
     assert jitter == tf.AngleJitterParams(10.0, 2.5, (1.0, 2.0))
-    per_frame = tf.AngleJitterParams(np.array([1, 2]), [3, 4],
-                                     (np.ones(2, np.float32), [2, 2]))
-    for value in (per_frame.azimuth_range, per_frame.pitch_range, *per_frame.scale_range):
-        assert value.dtype == np.float64
+
+
+def test_jitter_params_refuse_per_frame_arrays():
+    # per-frame ranges are rows of the placement's ranges, not a jitter
+    ok = np.array([0.0, 10.0])
+    for fields in [(ok,), (1.0, ok), (1.0, 1.0, (np.array([0.5, 1.0]), np.array([1.0, 2.0])))]:
+        with pytest.raises(TypeError):
+            tf.AngleJitterParams(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +208,11 @@ JITTERS = [
     tf.AngleJitterParams(azimuth_range=10.0, pitch_range=10.0, scale_range=(0.85, 1.15)),
     tf.AngleJitterParams(azimuth_range=30.0, pitch_range=5.0, scale_range=(0.5, 2.0)),
 ]
+
+
+def ranges(jitter: tf.AngleJitterParams) -> tuple:
+    """The (4,) row of ranges that ``random_attachment_transform`` reads."""
+    return (jitter.azimuth_range, jitter.pitch_range, *jitter.scale_range)
 
 
 def same_bits(a, b) -> bool:
@@ -242,14 +242,14 @@ def random_frames(r, k):
 def test_stacked_attachment_matches_single_frames_and_scalar_reference(seed, k, jitter):
     points, directions = random_frames(np.random.default_rng(seed), k)
     rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
-    stacked = tf.random_attachment_transform((points, directions), jitter,
+    stacked = tf.random_attachment_transform((points, directions), ranges(jitter),
                                              rng_stack.random((k, 3)))
     assert stacked.rotation.shape == (k, 3, 3)
     assert stacked.translation.shape == (k, 3)
     assert stacked.scale.shape == (k,)
     for i in range(k):
-        single = tf.random_attachment_transform((points[i:i + 1], directions[i:i + 1]), jitter,
-                                                rng_single.random((1, 3)))
+        single = tf.random_attachment_transform((points[i:i + 1], directions[i:i + 1]),
+                                                ranges(jitter), rng_single.random((1, 3)))
         scalar = ref.random_attachment_transform((points[i], directions[i]), jitter, rng_ref)
         for rotation, translation, scale in [
                 (single.rotation[0], single.translation[0], single.scale[0]),
@@ -270,11 +270,13 @@ def test_stacked_placement_writes_same_stl_bytes_as_single_frames(seed, k, jitte
     points, directions = random_frames(np.random.default_rng(seed), k)
     rng_stack, rng_single, rng_ref = (np.random.default_rng(seed + 1) for _ in range(3))
     stacked = tf.apply_to_mesh(
-        tf.random_attachment_transform((points, directions), jitter, rng_stack.random((k, 3))),
+        tf.random_attachment_transform((points, directions), ranges(jitter),
+                                       rng_stack.random((k, 3))),
         template)
     singles = stl.concat_meshes([
         tf.apply_to_mesh(tf.random_attachment_transform(
-            (points[i:i + 1], directions[i:i + 1]), jitter, rng_single.random((1, 3))), template)
+            (points[i:i + 1], directions[i:i + 1]), ranges(jitter), rng_single.random((1, 3))),
+            template)
         for i in range(k)])
     scalar = stl.concat_meshes([
         ref.apply_to_mesh(ref.random_attachment_transform((points[i], directions[i]), jitter,
@@ -299,14 +301,12 @@ def test_drawn_blocks_with_per_frame_jitter_match_per_block_calls(seed, blocks):
     points, directions = random_frames(np.random.default_rng(seed), sum(sizes))
     rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(blocks))]
     uniforms = np.concatenate([g.random((k, 3)) for g, (k, _) in zip(rngs, blocks)])
-    ranges = np.repeat([(j.azimuth_range, j.pitch_range, *j.scale_range) for _, j in blocks],
-                       sizes, axis=0)
-    jitter = tf.AngleJitterParams(ranges[:, 0], ranges[:, 1], (ranges[:, 2], ranges[:, 3]))
-    stacked = tf.random_attachment_transform((points, directions), jitter, uniforms)
+    rows = np.repeat([ranges(j) for _, j in blocks], sizes, axis=0)
+    stacked = tf.random_attachment_transform((points, directions), rows, uniforms)
     at = 0
     for i, (k, block_jitter) in enumerate(blocks):
         alone = tf.random_attachment_transform(
-            (points[at:at + k], directions[at:at + k]), block_jitter,
+            (points[at:at + k], directions[at:at + k]), ranges(block_jitter),
             np.random.default_rng(seed + 1 + i).random((k, 3)))
         assert same_bits(alone.rotation, stacked.rotation[at:at + k])
         assert same_bits(alone.translation, stacked.translation[at:at + k])
@@ -320,7 +320,7 @@ def test_drawn_uniforms_must_match_the_stack():
     for block, shape in [(np.zeros((2, 3)), r"\(2, 3\)"), (np.zeros((4, 3)), r"\(4, 3\)"),
                          (np.random.default_rng(1), r"\(\)")]:
         with pytest.raises(ValueError, match=r"need a \(3, 3\) block of uniforms, got " + shape):
-            tf.random_attachment_transform((points, directions), JITTERS[1], block)
+            tf.random_attachment_transform((points, directions), ranges(JITTERS[1]), block)
 
 
 def test_stacked_apply_concatenates_in_stack_order(tiny_library):
@@ -345,7 +345,7 @@ def test_stacked_apply_matches_per_instance_reference(seed, k, m, jitter):
     facets = r.uniform(-3.0, 3.0, size=(m, 4, 3))
     facets[r.random(m) < 0.3, 0] = 0.0
     mesh = stl.TriangleMesh(facets)
-    stack = tf.random_attachment_transform(random_frames(r, k), jitter, r.random((k, 3)))
+    stack = tf.random_attachment_transform(random_frames(r, k), ranges(jitter), r.random((k, 3)))
     scalar = [ref.apply_to_mesh(tf.RigidTransform(stack.rotation[i], stack.translation[i],
                                                   stack.scale[i]), mesh).facets
               for i in range(k)]
