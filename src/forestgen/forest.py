@@ -4,11 +4,11 @@ Locations come from the thinning sampler followed by the hard-core spacing
 filter. Every tree is an independent rebuild: tree i is seeded with
 substream i + 1 of the master seed (substream 0 drives location sampling),
 so scenes are reproducible end to end. All trees of a scene are built
-together by ``tree.build_trees``: each tree still walks its own turtle, and
-each stage reads each tree's block of uniforms from that tree's own stream,
-all trees' blocks drawn at once (``seeds.uniform_blocks``), so the random
-streams are those of a tree built alone, and only the arithmetic of each
-template role is stacked across trees. A scene is columns, one row per
+together by ``tree.build_trees``: each stage reads each tree's block of
+uniforms from that tree's own stream, all trees' blocks drawn at once
+(``seeds.uniform_blocks``), so the random streams are those of a tree built
+alone, and only the arithmetic of each template role is stacked across
+trees. A scene is columns, one row per
 tree: its index, location, params and row ends in the one buffer that holds
 every tree's triangles, tree after tree. ``compose_forest`` makes the
 columns from a config and ``regenerate_scene`` from a manifest; both build
@@ -391,6 +391,7 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
     def parse(data: dict) -> Scene:
         if data.get("version") not in (1, MANIFEST_VERSION):  # 1 differs only in layout
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
+        _check_keys(data, _MANIFEST_KEYS, "manifest")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
         xy, params, jitters, triangles = {}, [], {}, []  # xy by index: tree_<index>.stl
         for entry in data["trees"]:
@@ -432,29 +433,48 @@ _CONFIG_KEYS = {
     "parameter_jitter": ("", "branch_count trunk_height"),
 }
 
+# the keys of each object of a manifest, as _CONFIG_KEYS; "trees[]" is each
+# tree entry. A key a tree entry or its params lack is named by the parse.
+_MANIFEST_KEYS = {
+    "": ("", "version master_seed region intensity min_spacing mode trees"),
+    **{row: keys for row, keys in _CONFIG_KEYS.items() if row.startswith(("region", "intensity"))},
+    "trees[]": ("", "index x y seed params file triangles"),
+    "trees[].params": ("", " ".join(_CONFIG_KEYS["tree_params"]) + " seed"),
+    "trees[].params.jitter": _CONFIG_KEYS["tree_params.jitter"],
+}
 
-def _check_keys(data: dict):
-    """Refuse a scene config with a key that ``_CONFIG_KEYS`` does not know
-    for its object, naming its path and the closest known key, or without a
-    key its object needs. Objects are checked from the top down, each
-    object's unknown keys first; an object of a wrong type, or an intensity
-    of an unknown form, is left to the parse."""
-    objects = [("", data)]
-    for path, value in objects:  # grows as it is walked
+
+def _check_keys(data: dict, tables: dict, what: str):
+    """Refuse a document, the ``what``, with a key that ``tables`` does not
+    know for its object, naming its path and the closest known key, or
+    without a key its object needs. ``tables`` holds each object's
+    (required, optional) keys by key path; an entry of a list at path P is
+    checked by the row P[], and named by its index (``trees[3].x``).
+    Objects are checked from the top down, each object's unknown keys
+    first; an object of a wrong type, or an intensity of an unknown form,
+    is left to the parse."""
+    known = {row: set(" ".join(keys).split()) for row, keys in tables.items()}
+    objects = [("", "", data)]  # (path, its row of tables, object)
+    for path, row, value in objects:  # grows as it is walked
         if not isinstance(value, dict):
             continue
-        keys = _CONFIG_KEYS.get(path) or _CONFIG_KEYS.get(f"{path}.{value.get('form')}")
-        if keys is None:
+        form = row if row in tables else f"{row}.{value.get('form')}"
+        if form not in tables:
             continue
-        prefix = f"{path}." if path else ""
-        unknown = stl.unknown_key(value, keys)
-        if unknown:
-            key, hint = unknown
-            raise SceneConfigError(f"unknown key {prefix}{key} in scene config{hint}")
+        keys = tables[form]
+        prefix, at = (f"{path}.", f"{row}.") if path else ("", "")
+        if not value.keys() <= known[form]:
+            key, hint = stl.unknown_key(value, keys)
+            raise SceneConfigError(f"unknown key {prefix}{key} in {what}{hint}")
         missing = [key for key in keys[0].split() if key not in value]
         if missing:
-            raise SceneConfigError(f"malformed scene config: missing key {prefix}{missing[0]}")
-        objects += [(prefix + key, child) for key, child in value.items()]
+            raise SceneConfigError(f"malformed {what}: missing key {prefix}{missing[0]}")
+        for key, child in value.items():
+            if isinstance(child, dict):
+                objects.append((prefix + key, at + key, child))
+            elif isinstance(child, list) and f"{at}{key}[]" in tables:
+                objects += [(f"{prefix}{key}[{i}]", f"{at}{key}[]", entry)
+                            for i, entry in enumerate(child)]
 
 
 def load_scene_config(source) -> tuple[SceneConfig, str | None]:
@@ -463,7 +483,7 @@ def load_scene_config(source) -> tuple[SceneConfig, str | None]:
     does not know, or one it needs and lacks, is a SceneConfigError naming
     its path (``_check_keys``)."""
     def parse(data: dict) -> tuple[SceneConfig, str | None]:
-        _check_keys(data)
+        _check_keys(data, _CONFIG_KEYS, "scene config")
         pj = data.get("parameter_jitter")
         jitter = None if pj is None else ParameterJitter(pj.get("branch_count"),
                                                          pj.get("trunk_height"))

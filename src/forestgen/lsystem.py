@@ -1,5 +1,5 @@
 """Deterministic (D0L) L-systems: grammar parsing, parallel rewriting, and
-turtle interpretation of derivation strings into branching skeletons.
+the branching skeletons of trees, in closed form by tree shape.
 
 Grammar text is line oriented (``;`` also separates declarations, so a whole
 grammar fits on one line)::
@@ -10,17 +10,16 @@ grammar fits on one line)::
     axiom: g
     rule: g -> d(d)+d)[d(d)+d)
 
-Turtle semantics. Parentheses are decorative and ignored. A ``]`` must close
-an earlier ``[``; a ``[`` with no matching ``]`` is implicitly closed at the
-end of the string and acts as a plain sibling separator. Only an explicitly
-closed ``[...]`` group nests: the branch symbols inside it become children of
-the branch emitted just before the group. Every top-level branch symbol
-becomes a first-level branch on the trunk, which is what makes the flat
-production strings above yield single-level fans (6 branches for the rule
-shown). ``+``/``-`` turn an azimuth cursor that phases the fan of any nested
-group opened afterwards. ``interpret_turtle(texts, cfgs, trunk_specs,
-uniforms)`` interprets a stack of trees at once, reading every jittered fan
-from one pre-drawn (rows, 2) block of uniforms.
+Skeletons. A tree of b branches with s sub-branches each is the turtle
+reading (Prusinkiewicz & Lindenmayer, "The Algorithmic Beauty of Plants",
+1990, section 1.5-1.6) of the bracketed string ``d[dd..d][d[dd..d]...``:
+b branches on the trunk, each holding a bracketed group of s sub-branches.
+``interpret_turtle(shapes, heights, lengths, jitters, uniforms)`` writes
+that reading in closed form, by shape, for a stack of trees at once,
+reading every jittered fan from one pre-drawn (rows, 2) block of uniforms.
+No grammar reaches a tree: ``forestgen rewrite`` prints its derivation, and
+nothing is built from it. Grammar successors may still leave a '[' open;
+a ']' that closes none is a GrammarError.
 """
 
 from __future__ import annotations
@@ -44,6 +43,8 @@ MAX_DERIVATION_SYMBOLS = 1 << 20
 # child attachments span this fraction of the parent axis, lowest to highest
 _STATION_LO = 0.30
 _STATION_HI = 0.95
+# every child leaves its parent axis at this pitch, 40 degrees
+_PITCH = math.radians(40.0)
 
 
 class LSystemError(Exception):
@@ -59,7 +60,7 @@ class GrammarError(LSystemError):
 
 
 class TurtleError(LSystemError):
-    """Raised when a derivation cannot be interpreted: the ']' at
+    """Raised when a bracketed string cannot be read: the ']' at
     ``position`` closes no '['."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -76,25 +77,6 @@ class LSystem:
     alphabet: frozenset[str]
     axiom: str
     rules: dict[str, str]
-
-
-@dataclass
-class TurtleConfig:
-    step_length: float = 1.0
-    yaw_angle: float = 60.0       # degrees turned by '+' / '-'
-    branch_pitch: float = 40.0    # tilt of a child off its parent axis
-    jitter_range: float = 0.0     # degrees; fans jitter exactly when > 0
-
-    def __post_init__(self):
-        for name in ("step_length", "yaw_angle", "jitter_range"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.branch_pitch <= 180.0:
-            raise ValueError("branch_pitch must be within [0, 180] degrees")
-        if self.jitter_range < 0.0:
-            raise ValueError("jitter_range must be non-negative")
-        if self.step_length <= 0.0:
-            raise ValueError("step_length must be positive")
 
 
 @dataclass
@@ -236,155 +218,83 @@ def count_branch_symbols(s: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# turtle interpretation
+# brackets and skeletons
 
-def _match_brackets(text: str) -> set[int]:
-    """Indices of '[' that have a matching ']'. Unmatched '[' are legal
+def _match_brackets(text: str):
+    """Check that every ']' closes an earlier '['. Unmatched '[' are legal
     (implicitly closed at end of string); an unmatched ']' is a TurtleError
     with its position, which parse_lsystem re-raises as a GrammarError."""
-    stack: list[int] = []
-    matched: set[int] = set()
+    depth = 0
     for i, ch in enumerate(text):
-        if ch == "[":
-            stack.append(i)
-        elif ch == "]":
-            if not stack:
-                raise TurtleError(f"']' at position {i} has no matching '['", i)
-            matched.add(stack.pop())
-    return matched
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            raise TurtleError(f"']' at position {i} has no matching '['", i)
 
 
-def interpret_turtle(texts, cfgs, trunk_specs, uniforms: np.ndarray) -> Skeleton:
-    """Interpret a stack of derivation strings, each with its TurtleConfig
-    and trunk spec (height, base point), as one branching skeleton.
+def interpret_turtle(shapes, heights, lengths, jitters, uniforms: np.ndarray) -> Skeleton:
+    """The skeletons of a stack of trees, tree i of shape ``shapes[i]`` =
+    (b, s): b branches of s sub-branches each, a trunk ``heights[i]`` long
+    standing at the origin, and branches and sub-branches ``lengths[i]``
+    long, as the turtle reads the tree's string.
 
-    Fans of a tree jitter exactly when its ``jitter_range > 0``; they then
-    read one (azimuth, station) pair of uniforms per child in a fixed order
-    (parents in row order, children in string order), n - 1 rows for a tree
-    of n nodes (the trunk and one node per branch symbol). ``uniforms``
-    holds these rows for every jittered tree, tree after tree, as one (rows,
-    2) block: what ``seeds.uniform_blocks`` returns. Anything else is a
-    ValueError naming the shape needed.
-
-    Each tree walks its own string (see _walk) and reads its own rows, as it
-    would alone. Every node of the stack is then placed together, one depth
-    at a time. The skeleton holds the trees' rows tree after tree, each
-    tree's trunk first, with parent rows pointing into the stack.
+    A tree's row 0 is its trunk, branch i is row 1 + i(s + 1) and its
+    sub-branch j row 2 + i(s + 1) + j, with parent rows into the stack. The
+    children of one parent form a fan 360/k degrees apart, stations spread
+    over the parent axis, each child leaving it at the branch pitch. A
+    tree's fans jitter exactly when its ``jitters[i] > 0``; branch i then
+    reads its (azimuth, station) pair of uniforms from row i of the tree's
+    block and sub-branch j of branch i from row b + i*s + j: parents in row
+    order, children in string order. ``uniforms`` holds the b(s + 1) rows of
+    every jittered tree, tree after tree, as one (rows, 2) block: what
+    ``seeds.uniform_blocks`` returns. Anything else is a ValueError naming
+    the shape needed. Every node of the stack is placed together, one depth
+    at a time.
     """
-    rows = sum(count_branch_symbols(text) for text, cfg in zip(texts, cfgs)
-               if cfg.jitter_range > 0)
-    if np.shape(uniforms) != (rows, 2):
-        raise ValueError(f"need a ({rows}, 2) block of uniforms, got {np.shape(uniforms)}")
-    draws = iter(uniforms.tolist())
-    parents, depths, lengths, stations, turns, bases, trunks = [], [], [], [], [], [], []
-    for text, cfg, (height, base) in zip(texts, cfgs, trunk_specs, strict=True):
-        height = float(height)
-        if not 0.0 < height < math.inf:
-            raise ValueError("trunk height must be positive and finite")
-        tree_parents, tree_depths, phases, children = _walk(text, cfg.yaw_angle)
-        tree_stations, tree_turns = _fans(children, phases, cfg, draws)
-        trunks.append(len(parents))
-        parents += tree_parents
-        depths += tree_depths
-        stations += tree_stations
-        turns += tree_turns
-        lengths += [height] + [cfg.step_length] * (len(tree_parents) - 1)
-        bases.append(base)
-
+    b, s = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+    jitters = np.asarray(jitters, dtype=np.float64)
+    drawn = np.where(jitters > 0, b * (s + 1), 0)
+    if np.shape(uniforms) != (int(drawn.sum()), 2):
+        raise ValueError(f"need a ({drawn.sum()}, 2) block of uniforms, got {np.shape(uniforms)}")
+    size = 1 + b * (s + 1)
+    trunks = np.cumsum(size) - size
+    tree = np.repeat(np.arange(len(size)), size)
+    b, s, first = b[tree], s[tree], trunks[tree]
+    # a trunk row reads i = -1; row 1 + i(s + 1) + j is branch i for j = 0,
+    # and its sub-branch j - 1 otherwise
+    i, j = np.divmod(np.arange(len(tree)) - first - 1, s + 1)
+    trunk, sub = i < 0, (j > 0) & (i >= 0)
+    parents = np.where(trunk, -1, first + sub * (1 + i * (s + 1)))
+    fan = np.where(sub, j - 1, i)            # the child's place in its parent's fan
+    k = np.where(sub, s, b)                  # the size of that fan
+    gap = (_STATION_HI - _STATION_LO) / np.maximum(k - 1, 1)
+    stations = np.where(k > 1, _STATION_LO + fan * gap, _STATION_HI)
+    azimuths = fan * (360.0 / k)
+    # the rows of jittered trees, each reading its pair from the tree's block;
+    # rng.uniform(low, high) is low + (high - low) * U[0, 1)
+    jit = (jitters[tree] > 0) & ~trunk
+    draw = (np.cumsum(drawn) - drawn)[tree] + np.where(sub, b + i * s + j - 1, i)
+    u_turn, u_shift = uniforms[draw[jit]].T
+    w = jitters[tree][jit]
+    azimuths[jit] += -w + (w + w) * u_turn
+    wiggle = (-1.0 + 2.0 * u_shift) * 0.25 * gap[jit]  # a lone child's gap is the whole span
+    stations[jit] = np.minimum(np.maximum(stations[jit] + wiggle, _STATION_LO), _STATION_HI)
+    a = list(map(math.radians, azimuths.tolist()))
+    turns = np.column_stack([math.sin(_PITCH) * np.array(list(map(math.cos, a))),
+                             math.sin(_PITCH) * np.array(list(map(math.sin, a))),
+                             np.full(len(a), math.cos(_PITCH))])
+    lengths = np.where(trunk, np.asarray(heights, dtype=np.float64)[tree],
+                       np.asarray(lengths, dtype=np.float64)[tree])
+    skeleton = Skeleton(np.zeros((len(tree), 3)), np.empty((len(tree), 3)),
+                        np.where(trunk, 0, 1 + sub), lengths, parents)
+    points, directions = skeleton.points, skeleton.directions
+    directions[trunks] = (0.0, 0.0, 1.0)
     # placed one depth at a time: every node of a depth, over all trees, is
     # computed in one stack from its parents, which are all placed before it
-    parents = np.array(parents, dtype=np.int64)
-    # a tree's parent rows count from its trunk's row in the stack
-    parents += np.repeat(trunks, np.diff(trunks, append=len(parents))) * (parents >= 0)
-    skeleton = Skeleton(np.empty((len(parents), 3)), np.empty((len(parents), 3)),
-                        np.array(depths, dtype=np.int64), np.array(lengths, dtype=np.float64),
-                        parents)
-    points, directions = skeleton.points, skeleton.directions
-    points[trunks] = np.array(bases, dtype=np.float64).reshape(-1, 3)
-    directions[trunks] = (0.0, 0.0, 1.0)
-    station_of, turn_of = np.array(stations), np.array(turns)
-    for depth in range(1, max(depths, default=0) + 1):
+    for depth in range(1, int(skeleton.depths.max(initial=0)) + 1):
         rows = skeleton.at_depth(depth)
         up = parents[rows]
-        reach = station_of[rows] * skeleton.lengths[up]
+        reach = stations[rows] * skeleton.lengths[up]
         points[rows] = points[up] + reach[:, None] * directions[up]
-        turned = np.matmul(tf.z_alignments(directions[up]), turn_of[rows][:, :, None])
+        turned = np.matmul(tf.z_alignments(directions[up]), turns[rows][:, :, None])
         directions[rows] = tf.normalize_rows(turned[:, :, 0])
     return skeleton
-
-
-def _walk(text: str, yaw_angle: float) -> tuple[list, list, list, list]:
-    """One tree's string pass: per node (row 0 is the trunk) its parent row
-    in the tree (-1 for the trunk), its depth, the phase of the nested group
-    it opens and its child rows. It draws nothing.
-
-    Only a matched '[' (see _match_brackets) makes the latest child of the
-    current context the new context; the '+'/'-' cursor at that moment
-    becomes the phase of that child's fan.
-    """
-    matched = _match_brackets(text)
-    parents, depths, phases, children = [-1], [0], [0.0], [[]]
-    context = [0]                # rows whose children are being emitted
-    pushed: list[bool] = []      # per '[': True when it pushed a context
-    cursor = 0.0
-    for i, ch in enumerate(text):
-        if ch == BRANCH_SYMBOL:
-            parent = context[-1]
-            children[parent].append(len(parents))
-            parents.append(parent)
-            depths.append(depths[parent] + 1)
-            phases.append(0.0)
-            children.append([])
-        elif ch == "+":
-            cursor += yaw_angle
-        elif ch == "-":
-            cursor -= yaw_angle
-        elif ch == "[":
-            fan = children[context[-1]]
-            pushed.append(i in matched and bool(fan))
-            if pushed[-1]:
-                if not children[fan[-1]]:
-                    phases[fan[-1]] = cursor
-                context.append(fan[-1])
-        elif ch == "]":
-            if pushed.pop():
-                context.pop()
-    return parents, depths, phases, children
-
-
-def _fans(children: list, phases: list, cfg: TurtleConfig, draws) -> tuple[list, list]:
-    """One tree's fan pass, from its string pass: per node its station on
-    the parent axis and its direction in the parent's frame, the parent axis
-    along +Z. With jitter, the tree's n - 1 (azimuth, station) rows are
-    taken from the iterator ``draws``; without, it is not read.
-
-    Children of one parent form an evenly spaced fan (360/k apart) offset
-    by the parent's phase; stations spread over the upper fraction of the
-    parent axis. Jitter adds bounded uniform noise to both, from one
-    (azimuth, station) row per child in turn: the same stream as two
-    ``rng.uniform`` draws per child. Each child leaves its parent axis at
-    the branch pitch, turned to its azimuth.
-    """
-    n = len(phases)
-    stations = [0.0] * n
-    turns = [(0.0, 0.0, 1.0)] * n  # the trunk's is never read
-    pitch = math.radians(cfg.branch_pitch)
-    sin_pitch, cos_pitch = math.sin(pitch), math.cos(pitch)
-    j = cfg.jitter_range
-    for parent, fan in enumerate(children):
-        k = len(fan)
-        gap = (_STATION_HI - _STATION_LO) / (k - 1) if k > 1 else 0.0
-        for i, row in enumerate(fan):
-            azimuth = phases[parent] + i * (360.0 / k)
-            station = _STATION_LO + i * gap if k > 1 else _STATION_HI
-            if j > 0:
-                # rng.uniform(low, high) is low + (high - low) * U[0, 1)
-                u_turn, u_shift = next(draws)
-                azimuth += -j + (j + j) * u_turn
-                span = gap if k > 1 else (_STATION_HI - _STATION_LO)
-                wiggle = (-1.0 + 2.0 * u_shift) * 0.25 * span
-                station = min(max(station + wiggle, _STATION_LO), _STATION_HI)
-            stations[row] = station
-            a = math.radians(azimuth)
-            turns[row] = (sin_pitch * math.cos(a), sin_pitch * math.sin(a), cos_pitch)
-    return stations, turns

@@ -1,9 +1,10 @@
 """Staged tree assembly: skeleton, trunk+branches, +sub-branches, +leaves.
 
-A tree is assembled by instancing template meshes onto a skeleton produced
-by turtle interpretation of a synthesized derivation string. A tree is one
-mesh, trunk first, then branches, sub-branches and leaves, so every stage
-mesh is a prefix of it, cut at the stage's count in this exact ledger:
+A tree is assembled by instancing template meshes onto a skeleton: the
+turtle reading of the tree's bracketed string, in closed form by its shape
+(``lsystem.interpret_turtle``). A tree is one mesh, trunk first, then
+branches, sub-branches and leaves, so every stage mesh is a prefix of it,
+cut at the stage's count in this exact ledger:
 
     branches     = trunk_tris + branch_count * branch_tris
     subbranches  = branches + branch_count * subs_per_branch * sub_tris
@@ -13,7 +14,7 @@ Randomness is split into one substream per stage (skeleton, branches,
 sub-branches, leaves), so e.g. requesting leaves never perturbs the branch
 geometry of an otherwise identical build. A stage draws every tree's block
 at once (``seeds.uniform_blocks``) and hands the stacked blocks to
-``lsystem.interpret_turtle(texts, cfgs, trunk_specs, uniforms)`` or
+``lsystem.interpret_turtle(shapes, heights, lengths, jitters, uniforms)`` or
 ``transform.random_attachment_transform(frames, ranges, uniforms)``, with
 one row of jitter ranges per frame, those of the frame's tree.
 
@@ -181,34 +182,12 @@ class TreeModel:
         return stl.TriangleMesh(self.mesh.facets, self.mesh.name)
 
 
-def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> str:
-    """Derivation equivalent to the printed production patterns for an
-    arbitrary branch count: first-level branches separated by unclosed '['
-    (sibling separators), each followed by an explicit [d...d] child group
-    when sub-branches are requested."""
-    group = "[" + lsys.BRANCH_SYMBOL * subbranches_per_branch + "]" if subbranches_per_branch else ""
-    chunk = lsys.BRANCH_SYMBOL + group
-    return "[".join([chunk] * branch_count)
-
-
-def turtle_config_for(params: TreeParams) -> lsys.TurtleConfig:
-    """The turtle of a tree; a branch length that underflows to 0 is an
-    OverflowError, as a placement scale that does (see ``_scales``)."""
-    step_length = params.trunk_height * params.depth_scale_decay
-    if step_length == 0.0:
-        raise OverflowError(f"trunk_height {params.trunk_height!r} times depth_scale_decay "
-                            f"{params.depth_scale_decay!r} underflows to 0, the length of a branch")
-    return lsys.TurtleConfig(
-        step_length=step_length,
-        yaw_angle=360.0 / params.branch_count,
-        branch_pitch=40.0,
-        jitter_range=params.jitter.azimuth_range,
-    )
-
-
 def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     """Skeleton with exactly branch_count depth-1 nodes and
-    branch_count * subbranches_per_branch depth-2 nodes.
+    branch_count * subbranches_per_branch depth-2 nodes, sub-branch lengths
+    decayed once more than branch lengths. A branch length that underflows
+    to 0 is an OverflowError, as a placement scale that does (see
+    ``_scales``).
 
     A list of params gives the stack of their skeletons, tree after tree,
     as ``lsystem.interpret_turtle`` stacks them; each tree reads its own
@@ -216,19 +195,21 @@ def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
     skeleton alone, with parent rows into the stack.
     """
     stack = [params] if isinstance(params, TreeParams) else params
-    texts = [synthesize_derivation(p.branch_count, p.subbranches_per_branch) for p in stack]
-    configs = [turtle_config_for(p) for p in stack]
-    # a jittered tree reads one (azimuth, station) row per branch symbol
-    counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
-              for text, cfg in zip(texts, configs)]
+    shapes = [(p.branch_count, p.subbranches_per_branch) for p in stack]
+    lengths = [p.trunk_height * p.depth_scale_decay for p in stack]
+    for p, length in zip(stack, lengths):
+        if length == 0.0:
+            raise OverflowError(f"trunk_height {p.trunk_height!r} times depth_scale_decay "
+                                f"{p.depth_scale_decay!r} underflows to 0, the length of a branch")
+    jitters = [p.jitter.azimuth_range for p in stack]
+    # a jittered tree reads one (azimuth, station) row per branch and sub-branch
+    counts = [b * (s + 1) if jitter > 0 else 0 for (b, s), jitter in zip(shapes, jitters)]
     uniforms = uniform_blocks([stream_seed(p.seed, _STREAM_SKELETON) for p in stack], counts, 2)
-    skeleton = lsys.interpret_turtle(texts, configs,
-                                     [(p.trunk_height, (0.0, 0.0, 0.0)) for p in stack], uniforms)
-    # the derivation nests one group deep, so depth 2 is the only decayed one
-    decayed = (skeleton.depths == 2).nonzero()[0]
-    tree_of = np.cumsum(skeleton.depths == 0) - 1
-    decay = np.array([p.depth_scale_decay for p in stack])
-    skeleton.lengths[decayed] *= decay[tree_of[decayed]]
+    skeleton = lsys.interpret_turtle(shapes, [p.trunk_height for p in stack], lengths, jitters,
+                                     uniforms)
+    # sub-branches, at depth 2, decay once more; x * 1.0 is x, bit for bit
+    decay = np.repeat([p.depth_scale_decay for p in stack], [1 + b + b * s for b, s in shapes])
+    skeleton.lengths *= np.where(skeleton.depths == 2, decay, 1.0)
     return skeleton
 
 
@@ -362,10 +343,10 @@ def build_trees(params: list[TreeParams],
                 lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, np.ndarray]:
     """Build a stack of trees, such as every tree of a scene, together.
 
-    Each tree's turtle walk and per-stage draws come from its own
-    streams, so each tree is the tree ``build_tree`` gives alone; the
-    skeletons of a run of trees (see ``runs``) are placed as one
-    stack, and each template role by one stacked transform over the run.
+    Each tree's per-stage draws come from its own streams, so each tree
+    is the tree ``build_tree`` gives alone; the skeletons of a run of trees
+    (see ``runs``) are placed as one stack, and each template role by one
+    stacked transform over the run.
     Returns the stack mesh, every tree's triangles tree after tree, and the
     (n, 4) ends of each tree's trunk, branch, sub-branch and leaf rows in
     it (``tree_model`` makes one tree's TreeModel from them).

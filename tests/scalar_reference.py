@@ -24,6 +24,7 @@ array expressions and one ``%``-format.
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +91,27 @@ def apply_to_mesh(t: tf.RigidTransform, mesh: stl.TriangleMesh) -> stl.TriangleM
     return stl.TriangleMesh(facets, mesh.name)
 
 
+@dataclass
+class TurtleConfig:
+    """The turtle of one string: the length of every branch node, the degrees
+    turned by '+' and '-', a child's tilt off its parent axis, and the
+    azimuth jitter (fans jitter exactly when it is > 0)."""
+
+    step_length: float = 1.0
+    yaw_angle: float = 60.0
+    branch_pitch: float = 40.0
+    jitter_range: float = 0.0
+
+
+def synthesize_derivation(branch_count: int, subbranches_per_branch: int) -> str:
+    """The bracketed string of a tree of ``branch_count`` branches with
+    ``subbranches_per_branch`` sub-branches each: first-level branches
+    separated by unclosed '[' (sibling separators), each followed by an
+    explicit [d...d] child group when sub-branches are requested."""
+    group = "[" + "d" * subbranches_per_branch + "]" if subbranches_per_branch else ""
+    return "[".join(["d" + group] * branch_count)
+
+
 class Node:
     """One branch symbol of the string, linked to its parent and children."""
 
@@ -145,7 +167,7 @@ def emit_nodes(text: str, yaw_angle: float) -> tuple[Node, list[Node]]:
     return root, nodes
 
 
-def interpret_turtle(text: str, cfg: lsys.TurtleConfig, height: float, base,
+def interpret_turtle(text: str, cfg: TurtleConfig, height: float, base,
                      rng: np.random.Generator) -> lsys.Skeleton:
     """Turtle interpretation with two scalar draws per child and one node
     placed at a time; the nodes are packed into arrays at the end."""

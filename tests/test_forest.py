@@ -730,10 +730,37 @@ def test_scene_config_names_a_missing_key_by_its_path(path, key):
         fo.load_scene_config(config)
 
 
+@pytest.mark.parametrize("path, typo, meant", [
+    ("", "min_spaceing", "min_spacing"), ("region", "x_mn", "x_min"),
+    ("intensity", "rat", "rate"), ("trees[0]", "trianlges", "triangles"),
+    ("trees[1].params", "depth_scale_dcay", "depth_scale_decay"),
+    ("trees[0].params.jitter", "azimuth_rang", "azimuth_range"),
+    ("trees[0]", "colour", None)])
+def test_manifest_refuses_an_unknown_key_in_every_object(path, typo, meant, tiny_library):
+    # a mistyped key was dropped with its value: an azimuth_rang of 10
+    # rebuilt its tree with no azimuth jitter, and other bytes
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
+    fo.regenerate_scene(manifest, tiny_library)  # every key of every object is known
+    target = manifest
+    for part in filter(None, path.replace("[", ".").replace("]", "").split(".")):
+        target = target[int(part) if part.isdigit() else part]
+    target[typo] = target.pop(meant) if meant else "brown"
+    name = f"{path}.{typo}" if path else typo
+    hint = f" (did you mean {meant}?)" if meant else ""
+    with pytest.raises(fo.SceneConfigError) as info:
+        fo.regenerate_scene(manifest, tiny_library)
+    assert str(info.value) == f"unknown key {name} in manifest{hint}"
+
+
 def test_manifest_names_a_missing_key(tiny_library):
     manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
     del manifest["trees"][0]["x"]
     with pytest.raises(fo.SceneConfigError, match="^malformed manifest: missing key 'x'$"):
+        fo.regenerate_scene(manifest, tiny_library)
+    # the objects a manifest shares with a scene config name the key's path
+    del manifest["region"]["x_min"]
+    with pytest.raises(fo.SceneConfigError,
+                       match="^malformed manifest: missing key region.x_min$"):
         fo.regenerate_scene(manifest, tiny_library)
 
 

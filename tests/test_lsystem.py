@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from forestgen import lsystem as lsys
 from forestgen import seeds as sd
+from forestgen import transform as tf
 
 import scalar_reference as ref
 
 RULE1 = "vars: g; consts: d; axiom: g; rule: g -> d(d)+d)[d(d)+d)"
 RULE1_DERIVATION = "d(d)+d)[d(d)+d)"
 RULE2_DERIVATION = "d(d)+d)[d(d)+d)[d(d)+d)"
-
-UNIFORM_CFG = lsys.TurtleConfig(step_length=5.0, yaw_angle=60.0, branch_pitch=40.0,
-                                jitter_range=0.0)
-
 
 def rewrite_length_oracle(rules: dict, text: str, n: int) -> int:
     """Naive recursive expansion length, independent of rewrite()."""
@@ -215,17 +212,55 @@ def test_count_rule2_token_count_is_nine():
 
 
 # ---------------------------------------------------------------------------
-# turtle interpretation
+# bracket underflow, found when a grammar is parsed
 
-def turtle(text, cfg, trunk_spec, rng):
-    """One tree through interpret_turtle, its block of uniforms drawn from
-    ``rng`` as one ``rng.random((n - 1, 2))`` when it jitters."""
-    rows = lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
-    return lsys.interpret_turtle([text], [cfg], [trunk_spec], rng.random((rows, 2)))
+def test_interpret_bracket_underflow_raises():
+    for succ, position in [("g]g", 1), ("]d", 0), ("d[d]]d", 4), ("[[d]]]", 5)]:
+        with pytest.raises(lsys.GrammarError) as grammar:
+            lsys.parse_lsystem(f"vars: g; consts: d; axiom: g; rule: g -> {succ}")
+        assert f"closes ']' at position {position} with no open '['" in str(grammar.value)
+        assert grammar.value.line == 1 and grammar.value.__cause__ is None
+    # an unclosed '[' is a sibling separator, not an error
+    assert lsys.parse_lsystem("vars: g; consts: d; axiom: g; rule: g -> d[d[[d").rules
+
+
+def test_bracket_underflow_texts_are_pinned():
+    with pytest.raises(lsys.GrammarError) as grammar:
+        lsys.parse_lsystem("vars: g; axiom: g; rule: g -> g]g")
+    assert str(grammar.value) == ("line 1: successor of 'g' closes ']' at position 1 "
+                                  "with no open '['")
+    with pytest.raises(lsys.GrammarError) as underflow:
+        lsys.parse_lsystem("vars: g; consts: d\naxiom: g\nrule: g -> ]d")
+    assert str(underflow.value) == ("line 3: successor of 'g' closes ']' at position 0 "
+                                    "with no open '['")
+
+
+# ---------------------------------------------------------------------------
+# the closed-form skeleton
+
+def turtle(b, s, jitter, rng, height=10.0, length=5.0):
+    """One tree of b branches with s sub-branches each through
+    interpret_turtle, its block of uniforms drawn from ``rng`` as one
+    ``rng.random((b * (s + 1), 2))`` when it jitters."""
+    rows = b * (s + 1) if jitter > 0 else 0
+    return lsys.interpret_turtle([(b, s)], [height], [length], [jitter], rng.random((rows, 2)))
+
+
+def read_string(text, jitter, rng, height=10.0, length=5.0):
+    """One string through the one-string turtle of the tests."""
+    cfg = ref.TurtleConfig(step_length=length, jitter_range=jitter)
+    return ref.interpret_turtle(text, cfg, height, (0, 0, 0), rng)
+
+
+def assert_same_skeleton(got, want):
+    for name in ("points", "directions", "depths", "lengths", "parents"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_interpret_rule1_gives_six_depth1_fan():
-    sk = turtle(RULE1_DERIVATION, UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    # rule 1's derivation reads as six branches and no group: shape (6, 0)
+    sk = turtle(6, 0, 0.0, np.random.default_rng(0))
+    assert_same_skeleton(sk, read_string(RULE1_DERIVATION, 0.0, np.random.default_rng(0)))
     ones = sk.at_depth(1)
     assert len(ones) == 6
     assert sk.at_depth(2).tolist() == []
@@ -234,7 +269,7 @@ def test_interpret_rule1_gives_six_depth1_fan():
 
 
 def test_interpret_single_symbol():
-    sk = turtle("d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    sk = turtle(1, 0, 0.0, np.random.default_rng(0))
     assert len(sk) == 2
     i = sk.at_depth(1)[0]
     assert azimuth_of(sk.directions[i]) == pytest.approx(0.0, abs=1e-9)
@@ -245,49 +280,38 @@ def test_interpret_single_symbol():
 
 
 def test_interpret_is_deterministic_per_seed():
-    cfg = lsys.TurtleConfig(step_length=5.0, yaw_angle=45.0, branch_pitch=40.0,
-                            jitter_range=10.0)
-    a = turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
-    b = turtle("d[dd]d[dd]", cfg, (10.0, (0, 0, 0)), np.random.default_rng(33))
-    assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.directions, b.directions)
-    for name in ("depths", "lengths", "parents"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    a = turtle(2, 2, 10.0, np.random.default_rng(33))
+    b = turtle(2, 2, 10.0, np.random.default_rng(33))
+    assert_same_skeleton(a, b)
 
 
 def test_interpret_matched_groups_nest():
-    sk = turtle("d[dd]d[d[d]]", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    # each branch's closed group of sub-branches nests under it
+    sk = turtle(2, 2, 0.0, np.random.default_rng(0))
+    assert_same_skeleton(sk, read_string("d[dd][d[dd]", 0.0, np.random.default_rng(0)))
     assert len(sk.at_depth(1)) == 2
-    assert len(sk.at_depth(2)) == 3
-    assert len(sk.at_depth(3)) == 1
+    assert sk.parents[sk.at_depth(2)].tolist() == [1, 1, 4, 4]
 
 
 def test_interpret_unclosed_brackets_stay_flat():
     # sibling-separator chains must not nest
-    sk = turtle("d[d[d[d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
+    sk = turtle(4, 0, 0.0, np.random.default_rng(0))
+    assert_same_skeleton(sk, read_string("d[d[d[d", 0.0, np.random.default_rng(0)))
     assert len(sk.at_depth(1)) == 4
     assert sk.at_depth(2).tolist() == []
 
 
-def test_interpret_bracket_underflow_raises():
-    with pytest.raises(lsys.TurtleError, match="no matching"):
-        turtle("d]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
-
-
-def test_bracket_underflow_texts_are_pinned():
-    with pytest.raises(lsys.GrammarError) as grammar:
-        lsys.parse_lsystem("vars: g; axiom: g; rule: g -> g]g")
-    assert str(grammar.value) == "line 1: successor of 'g' closes ']' at position 1 with no open '['"
-    with pytest.raises(lsys.TurtleError) as underflow:
-        turtle("]d", UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
-    assert str(underflow.value) == "']' at position 0 has no matching '['"
+def test_interpret_rows_follow_the_shape():
+    # branch i is row 1 + i(s + 1), its sub-branch j row 2 + i(s + 1) + j
+    sk = turtle(3, 2, 10.0, np.random.default_rng(0), height=7.0, length=2.0)
+    assert sk.depths.tolist() == [0, 1, 2, 2, 1, 2, 2, 1, 2, 2]
+    assert sk.parents.tolist() == [-1, 0, 1, 1, 0, 4, 4, 0, 7, 7]
+    assert sk.lengths.tolist() == [7.0] + [2.0] * 9
 
 
 def test_skeleton_invariants():
-    cfg = lsys.TurtleConfig(step_length=4.0, yaw_angle=30.0, branch_pitch=40.0,
-                            jitter_range=10.0)
     trunk_len = 12.0
-    sk = turtle("d[ddd]d[ddd]d[ddd]", cfg, (trunk_len, (1.0, 2.0, 0.0)), np.random.default_rng(7))
+    sk = turtle(3, 3, 10.0, np.random.default_rng(7), height=trunk_len, length=4.0)
     assert len(sk.at_depth(0)) == 1
     for i in range(len(sk)):
         assert np.linalg.norm(sk.directions[i]) == pytest.approx(1.0, abs=1e-9)
@@ -303,140 +327,83 @@ def test_skeleton_invariants():
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
 def test_uniform_fan_azimuths_are_multiples_of_360_over_k(k):
-    sk = turtle("[".join(["d"] * k), UNIFORM_CFG, (10.0, (0, 0, 0)), np.random.default_rng(0))
-    ones = sk.at_depth(1)
-    assert len(ones) == k
-    azimuths = [azimuth_of(sk.directions[i]) for i in ones]
-    unit = 360.0 / k
-    for i in range(k):
-        for j in range(i + 1, k):
-            ratio = (azimuths[i] - azimuths[j]) / unit
-            assert abs(ratio - round(ratio)) < 1e-9
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        lsys.TurtleConfig(branch_pitch=200.0)
-    with pytest.raises(ValueError):
-        lsys.TurtleConfig(jitter_range=-1.0)
-    with pytest.raises(ValueError):
-        turtle("d", UNIFORM_CFG, (0.0, (0, 0, 0)), np.random.default_rng(0))
-    for name in ("step_length", "yaw_angle", "jitter_range"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                lsys.TurtleConfig(**{name: bad})
-    for height in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="trunk height"):
-            turtle("d", UNIFORM_CFG, (height, (0, 0, 0)), np.random.default_rng(0))
+    for b, s, depth in [(k, 0, 1), (1, k, 2)]:
+        sk = turtle(b, s, 0.0, np.random.default_rng(0))
+        fan = sk.at_depth(depth)
+        assert len(fan) == k
+        # each direction in its parent's frame, the parent axis along +Z
+        frames = tf.z_alignments(sk.directions[sk.parents[fan]])
+        azimuths = [azimuth_of(q.T @ sk.directions[i]) for q, i in zip(frames, fan)]
+        unit = 360.0 / k
+        for i in range(k):
+            for j in range(i + 1, k):
+                ratio = (azimuths[i] - azimuths[j]) / unit
+                assert abs(ratio - round(ratio)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# batched turtle geometry against one-node-at-a-time interpretation
+# a stack of closed forms against the one-string turtle, tree by tree
 
-@pytest.mark.parametrize("text", ["d", "d[ddd][d[ddd]", "d[dd]d[d[d]]", "d[d[d[d]]]d[d]",
-                                  RULE1_DERIVATION, "d+[d-d[dd]]+d[d[dd][d]]"])
-# ids name the fan each range gives: evenly spaced, or jittered about even spacing
-@pytest.mark.parametrize("jitter_range", [0.0, 12.0], ids=["uniform-spacing", "jittered-uniform"])
-@pytest.mark.parametrize("pitch", [35.0, 0.0, 180.0])
-def test_skeleton_matches_scalar_reference(text, jitter_range, pitch):
-    cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
-                            jitter_range=jitter_range)
-    got = turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), np.random.default_rng(5))
-    want = ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), np.random.default_rng(5))
-    assert len(got) == len(want)
-    for name in ("depths", "lengths", "parents"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    for name in ("points", "directions"):
-        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))
-
-
-def _turtle_outcome(interpret, rng):
-    """Skeleton arrays (floats as their bits) and the generator's end state,
-    or the TurtleError message."""
-    try:
-        sk = interpret(rng)
-    except lsys.TurtleError as exc:
-        return str(exc)
+def _turtle_outcome(sk, rng):
+    """Skeleton arrays (floats as their bits) and the generator's end state."""
     return ([sk.points.view(np.int64).tolist(), sk.directions.view(np.int64).tolist(),
              sk.depths.tolist(), sk.lengths.view(np.int64).tolist(), sk.parents.tolist()],
             rng.bit_generator.state)
 
 
-@given(text=st.text(alphabet="d[]+-()", max_size=40),
-       jitter_range=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
-       pitch=st.floats(0.0, 180.0), yaw=st.floats(-180.0, 180.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_turtle_matches_scalar_reference_on_any_string(text, jitter_range, pitch, yaw, seed):
-    cfg = lsys.TurtleConfig(step_length=2.5, yaw_angle=yaw, branch_pitch=pitch,
-                            jitter_range=jitter_range)
-    got = _turtle_outcome(
-        lambda rng: turtle(text, cfg, (7.0, (1.0, 2.0, 0.0)), rng),
-        np.random.default_rng(seed))
-    want = _turtle_outcome(
-        lambda rng: ref.interpret_turtle(text, cfg, 7.0, (1.0, 2.0, 0.0), rng),
-        np.random.default_rng(seed))
-    assert got == want
-
-
 # stacks above seeds._BATCH_MIN whose blocks are drawn by seeds.uniform_blocks:
 # every stream short, so the blocks come by jump-ahead, and one stream of 17
 # rows (34 values, past seeds._JUMP_VALUES), so they come from generators
-SHORT_STACK = [(text, 5.0 + i, 10.0 * (i % 4), 1.0 + i, 1000 + i) for i, text in
-               enumerate(["d", "d[dd]d", "d+[d-d[dd]]", "d[d[d"] * 5)]
-LONG_STACK = [("d" * 17, 7.5, 30.0, 2.0, 99)] + SHORT_STACK[1:]
+SHORT_STACK = [(shape, 10.0 * (i % 4), 5.0 + i, 1.0 + i, 1000 + i) for i, shape in
+               enumerate([(1, 0), (2, 1), (1, 2), (3, 0)] * 5)]
+LONG_STACK = [((17, 0), 30.0, 7.5, 2.0, 99)] + SHORT_STACK[1:]
 
 
 @given(trees=st.lists(st.tuples(
-    st.text(alphabet="d[]+-()", max_size=30), st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
-    st.floats(0.0, 180.0), st.floats(0.5, 20.0), st.integers(0, 2 ** 32 - 1)),
-    min_size=1, max_size=5))
+    st.tuples(st.integers(1, 19), st.integers(0, 4)),
+    st.one_of(st.just(0.0), st.sampled_from([10.0, 359.0]), st.floats(0.5, 360.0)),
+    st.floats(0.5, 20.0), st.floats(0.1, 30.0), st.integers(0, 2 ** 32 - 1)),
+    min_size=1, max_size=6))
 @example(trees=SHORT_STACK)
 @example(trees=LONG_STACK)
 @settings(max_examples=80, deadline=None)
 def test_turtle_stack_matches_each_tree_alone(trees):
-    texts = [text for text, *_ in trees]
-    cfgs = [lsys.TurtleConfig(step_length=2.5, yaw_angle=45.0, branch_pitch=pitch,
-                              jitter_range=jitter) for _, jitter, pitch, _, _ in trees]
-    specs = [(height, (float(i), 2.0 * i, -1.0)) for i, (*_, height, _) in enumerate(trees)]
+    shapes = [shape for shape, *_ in trees]
+    jitters = [jitter for _, jitter, *_ in trees]
+    heights = [height for *_, height, _, _ in trees]
+    lengths = [length for *_, length, _ in trees]
     seeds = [seed for *_, seed in trees]
-    alone = [_turtle_outcome(lambda rng: ref.interpret_turtle(text, cfg, *spec, rng),
-                             np.random.default_rng(seed))
-             for text, cfg, spec, seed in zip(texts, cfgs, specs, seeds)]
-    # each jittered tree's (n - 1, 2) block, stacked as uniform_blocks draws
+    alone = []
+    for (b, s), jitter, height, length, seed in trees:
+        rng = np.random.default_rng(seed)
+        sk = read_string(ref.synthesize_derivation(b, s), jitter, rng, height, length)
+        alone.append(_turtle_outcome(sk, rng))
+    # each jittered tree's (b(s + 1), 2) block, stacked as uniform_blocks draws
     # them; each generator is advanced past its block, as drawing from it would
-    counts = [lsys.count_branch_symbols(text) if cfg.jitter_range > 0 else 0
-              for text, cfg in zip(texts, cfgs)]
+    counts = [b * (s + 1) if jitter > 0 else 0 for (b, s), jitter in zip(shapes, jitters)]
     uniforms = sd.uniform_blocks(seeds, counts, 2)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for rng, k in zip(rngs, counts):
         rng.random((k, 2))
-    if any(isinstance(outcome, str) for outcome in alone):
-        with pytest.raises(lsys.TurtleError):
-            lsys.interpret_turtle(texts, cfgs, specs, uniforms)
-        return
-    stack = lsys.interpret_turtle(texts, cfgs, specs, uniforms)
+    stack = lsys.interpret_turtle(shapes, heights, lengths, jitters, uniforms)
     # every parent row of the stack points into its own tree's rows
     starts = stack.at_depth(0)
     first_row = np.repeat(starts, np.diff(starts, append=len(stack)))
     assert ((stack.parents == -1) == (stack.depths == 0)).all()
     assert (stack.parents[stack.depths > 0] >= first_row[stack.depths > 0]).all()
-    trees = ref.split_skeleton(stack)
-    got = [_turtle_outcome(lambda _: sk, rng) for sk, rng in zip(trees, rngs)]
+    got = [_turtle_outcome(sk, rng) for sk, rng in zip(ref.split_skeleton(stack), rngs)]
     assert got == alone
 
 
 def test_turtle_refuses_a_block_of_the_wrong_shape():
-    jittered = lsys.TurtleConfig(jitter_range=5.0)
-    spec = (7.0, (0, 0, 0))
     with pytest.raises(ValueError, match=r"need a \(3, 2\) block of uniforms, got \(2, 2\)"):
-        lsys.interpret_turtle(["d[dd]"], [jittered], [spec], np.zeros((2, 2)))
+        lsys.interpret_turtle([(1, 2)], [7.0], [1.0], [5.0], np.zeros((2, 2)))
     # a stack needs every jittered tree's rows, 3 + 2 here, and no others
-    texts, cfgs = ["d[dd]", "ddd", "dd"], [jittered, UNIFORM_CFG, jittered]
+    shapes, jitters = [(1, 2), (3, 0), (2, 0)], [5.0, 0.0, 5.0]
     for block, shape in [(np.zeros((4, 2)), r"\(4, 2\)"), (np.zeros((6, 2)), r"\(6, 2\)"),
-                         (np.random.default_rng(0), r"\(\)")]:
+                         (np.zeros((5, 3)), r"\(5, 3\)"), (np.random.default_rng(0), r"\(\)")]:
         with pytest.raises(ValueError, match=r"need a \(5, 2\) block of uniforms, got " + shape):
-            lsys.interpret_turtle(texts, cfgs, [spec] * 3, block)
+            lsys.interpret_turtle(shapes, [7.0] * 3, [1.0] * 3, jitters, block)
     # without jitter no row is read
-    sk = lsys.interpret_turtle(["d[dd]"], [UNIFORM_CFG], [spec], np.zeros((0, 2)))
+    sk = lsys.interpret_turtle([(1, 2)], [7.0], [1.0], [0.0], np.zeros((0, 2)))
     assert len(sk) == 4

@@ -70,9 +70,9 @@ def test_skeleton_subbranch_lengths_decay():
 
 
 def test_synthesize_derivation_forms():
-    assert tm.synthesize_derivation(4, 0) == "d[d[d[d"
-    assert tm.synthesize_derivation(2, 3) == "d[ddd][d[ddd]"
-    assert tm.synthesize_derivation(1, 0) == "d"
+    assert ref.synthesize_derivation(4, 0) == "d[d[d[d"
+    assert ref.synthesize_derivation(2, 3) == "d[ddd][d[ddd]"
+    assert ref.synthesize_derivation(1, 0) == "d"
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +360,9 @@ def test_build_trees_of_no_trees(tiny_library):
 
 
 @given(trees=st.lists(st.tuples(
-    st.integers(1, 12), st.integers(0, 4), st.floats(0.5, 30.0),
-    st.sampled_from([0.3, 0.5, 1.0]), st.one_of(st.just(0.0), st.floats(0.0, 360.0)),
+    st.integers(1, 19), st.integers(0, 4), st.floats(0.5, 30.0),
+    st.sampled_from([0.3, 0.5, 1.0]),
+    st.one_of(st.sampled_from([0.0, 10.0, 359.0]), st.floats(0.0, 360.0)),
     st.integers(0, 2 ** 64 - 1)),
     min_size=1, max_size=8))
 # 20 jittered trees of at most 4 rows each (8 values a stream), so the stack
@@ -376,8 +377,10 @@ def test_stacked_skeletons_match_each_tree_alone(trees, tiny_library):
               for b, s, h, d, jitter, seed in trees]
     # the stack a build places, split by its trunk rows
     for p, skeleton in zip(params, ref.split_skeleton(tm.build_skeleton(params)), strict=True):
-        text = tm.synthesize_derivation(p.branch_count, p.subbranches_per_branch)
-        want = ref.interpret_turtle(text, tm.turtle_config_for(p), p.trunk_height, (0, 0, 0),
+        text = ref.synthesize_derivation(p.branch_count, p.subbranches_per_branch)
+        cfg = ref.TurtleConfig(step_length=p.trunk_height * p.depth_scale_decay,
+                               jitter_range=p.jitter.azimuth_range)
+        want = ref.interpret_turtle(text, cfg, p.trunk_height, (0, 0, 0),
                                     np.random.default_rng(stream_seed(p.seed, 0)))
         want.lengths[want.depths == 2] *= p.depth_scale_decay
         alone = tm.build_skeleton(p)
