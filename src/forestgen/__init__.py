@@ -21,7 +21,7 @@ from .templates import default_library
 from .transform import AngleJitterParams
 from .tree import TreeModel, TreeParams, build_tree
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AngleJitterParams", "ConstantIntensity", "GrammarError",

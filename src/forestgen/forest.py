@@ -9,17 +9,20 @@ uniforms from that tree's own stream, all trees' blocks drawn at once
 (``seeds.uniform_blocks``), so the random streams are those of a tree built
 alone, and only the arithmetic of each template role is stacked across
 trees. A scene is columns, one row per
-tree: its index, location, params and row ends in the one buffer that holds
-every tree's triangles, tree after tree. ``compose_forest`` makes the
-columns from a config and ``regenerate_scene`` from a manifest; both build
-them with ``_scene``. A tree's ``TreeModel`` is made only on demand
-(``Scene.tree``).
+tree: its index, location, params (a ``tree.ParamsTable``) and row ends in
+the one buffer that holds every tree's triangles, tree after tree.
+``compose_forest`` makes the columns from a config, broadcasting its
+template params and then drawing the parameter jitter column by column;
+``regenerate_scene`` reads them from a manifest a column at a time, each
+column checked at once. Both build them with ``_scene``. A tree's
+``TreeParams`` and ``TreeModel`` are made only on demand (``Scene.tree``).
 
 Per-tree STL files hold the tree in its local frame (base at the origin);
 the placement offset lives in the ``scene.json`` manifest, and merged export
 bakes the offsets in, writing the scene a fixed number of triangles at a
 time. The manifest records everything needed to rebuild the identical scene;
-its tree lines are written from the scene's columns, one format per tree.
+its tree lines are written from the scene's columns, one format per tree,
+with each block of params encoded once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from . import ipp
 from . import stl
 from . import tree as treemod
-from .seeds import generators, stream_seed
+from .seeds import generators, stream_seed, stream_seeds
 
 MANIFEST_VERSION = 2
 MANIFEST_NAME = "scene.json"
@@ -99,16 +102,16 @@ class SceneConfig:
 class Scene:
     """The placed trees as columns, one row per tree in placement order:
     ``index`` (Python ints, as a manifest index may exceed int64), ``xy``
-    ((n, 2) float64 locations), ``params`` (one TreeParams per tree, whose
-    seed is the tree's seed), ``mesh`` (every tree in its local frame, tree
-    after tree) and ``ends`` ((n, 4) row ends in ``mesh`` of each tree's
-    trunk, branches, sub-branches and leaves, as ``tree.build_trees``
+    ((n, 2) float64 locations), ``params`` (a ``tree.ParamsTable``, whose
+    seeds are the trees' seeds), ``mesh`` (every tree in its local frame,
+    tree after tree) and ``ends`` ((n, 4) row ends in ``mesh`` of each
+    tree's trunk, branches, sub-branches and leaves, as ``tree.build_trees``
     gives them)."""
 
     config: SceneConfig
     index: list[int]
     xy: np.ndarray
-    params: list[treemod.TreeParams]
+    params: treemod.ParamsTable
     mesh: stl.TriangleMesh
     ends: np.ndarray
 
@@ -121,10 +124,11 @@ class Scene:
 
     def tree(self, i: int) -> treemod.TreeModel:
         """Tree ``i`` as a TreeModel: its mesh is a view of ``mesh``, and its
-        skeleton is built again from its params when it is first read."""
+        skeleton is built again from its params (``params.row(i)``) when it is
+        first read."""
         i = range(len(self))[i]
         start = int(self.ends[i - 1, 3]) if i else 0
-        return treemod.tree_model(self.params[i], self.mesh.facets, start, self.ends[i])
+        return treemod.tree_model(self.params.row(i), self.mesh.facets, start, self.ends[i])
 
 
 @dataclass
@@ -134,26 +138,27 @@ class SceneStats:
     nearest_neighbor_min_distance: float
 
 
-def tree_seed_for(master_seed: int, index: int) -> int:
-    """Seed of tree ``index``; substream 0 is reserved for locations."""
-    return stream_seed(master_seed, index + 1)
-
-
-def _tree_params(config: SceneConfig, seeds: list[int]) -> list[treemod.TreeParams]:
-    """The template params of each tree seed, varied by the parameter
-    jitter, which each tree draws from its own substream."""
-    params = [replace(config.tree_params_template, seed=seed) for seed in seeds]
+def _tree_table(config: SceneConfig, seeds: np.ndarray) -> treemod.ParamsTable:
+    """The params of each tree seed: the template's, one block for every
+    tree, then varied by the parameter jitter column by column, each tree
+    drawing from its own substream, and each jittered tree a block of its
+    own."""
+    n = len(seeds)
+    table = replace(treemod.ParamsTable.of([config.tree_params_template])[np.zeros(n, int)],
+                    seed=seeds)
     jitter = config.parameter_jitter
     if jitter is None or (jitter.branch_count is None and jitter.trunk_height is None):
-        return params
-    for p, rng in zip(params, generators([stream_seed(s, _STREAM_PARAM_JITTER) for s in seeds])):
+        return table
+    counts, heights = table.branch_count.copy(), table.trunk_height.copy()
+    for i, rng in enumerate(generators(stream_seeds(seeds, _STREAM_PARAM_JITTER).tolist())):
         if jitter.branch_count is not None:
             lo, hi = jitter.branch_count
-            p.branch_count = int(rng.integers(lo, hi + 1))
+            counts[i] = rng.integers(lo, hi + 1)
         if jitter.trunk_height is not None:
             lo, hi = jitter.trunk_height
-            p.trunk_height = float(rng.uniform(lo, hi))
-    return params
+            heights[i] = rng.uniform(lo, hi)
+    return replace(table, branch_count=counts, trunk_height=heights, block_id=np.arange(n),
+                   block_ranges=table.ranges())
 
 
 def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
@@ -161,12 +166,13 @@ def compose_forest(config: SceneConfig, lib: stl.MeshLibrary) -> Scene:
     location_seed = stream_seed(config.master_seed, 0)
     pattern = ipp.sample_ipp_thinning(config.intensity, config.region, location_seed)
     pattern = ipp.min_distance_filter(pattern, config.min_spacing)
-    seeds = [tree_seed_for(config.master_seed, i) for i in range(len(pattern))]
-    return _scene(config, list(range(len(seeds))), pattern.points, _tree_params(config, seeds),
+    # tree i's seed is substream i + 1; substream 0 is reserved for locations
+    seeds = stream_seeds(config.master_seed, np.arange(1, len(pattern) + 1))
+    return _scene(config, list(range(len(seeds))), pattern.points, _tree_table(config, seeds),
                   lib)
 
 
-def _scene(config: SceneConfig, index: list[int], xy, params: list[treemod.TreeParams],
+def _scene(config: SceneConfig, index: list[int], xy, params: treemod.ParamsTable,
            lib: stl.MeshLibrary) -> Scene:
     """The scene of these columns, its trees built by ``tree.build_trees``.
     A scene too large to build, or whose lengths or placement scales
@@ -192,14 +198,14 @@ def scene_stats(scene: Scene) -> SceneStats:
 
 def build_manifest(scene: Scene, mode: str) -> dict:
     trees = []
-    for index, (x, y), params, triangles in zip(scene.index, scene.xy.tolist(), scene.params,
-                                                scene.triangles()):
+    for index, (x, y), params, triangles in zip(scene.index, scene.xy.tolist(),
+                                                scene.params.dicts(), scene.triangles()):
         trees.append({
             "index": index,
             "x": x,
             "y": y,
-            "seed": params.seed,
-            "params": treemod.params_to_dict(params),
+            "seed": params["seed"],
+            "params": params,
             "file": f"tree_{index}.stl" if mode == "per-tree" else None,
             "triangles": triangles,
         })
@@ -318,26 +324,22 @@ def _tree_lines(scene: Scene, mode: str) -> str:
     """The manifest's tree entries, one line each, in placement order: one
     %-format per tree over the scene's columns, ints written as
     ``int.__repr__`` and floats as ``_json_floats`` write them, as ``json``
-    does. The params object is formatted once per distinct block (jitter
-    object, counts, trunk height and decay), with json's encoder, and cut
-    around its seed, so a jitter field of any type is written as json
-    writes it."""
+    does. The params object is formatted once per block of the params
+    table, with json's encoder, and cut around its seed, so each field is
+    written as json writes it."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    blocks, heads, tails = {}, [], []
-    for tp in scene.params:
-        key = (id(tp.jitter), tp.branch_count, tp.subbranches_per_branch,
-               tp.leaves_per_subbranch, tp.trunk_height, tp.depth_scale_decay)
-        if key not in blocks:
-            head, tail = encode({**treemod.params_to_dict(tp), "seed": 0}).split('"seed": 0', 1)
-            blocks[key] = (head + '"seed": ', tail)
-        head, tail = blocks[key]
-        heads.append(head)
-        tails.append(tail)
+    table = scene.params
+    blocks, first = np.unique(table.block_id, return_index=True)
+    heads, tails = (np.empty(len(table.block_ranges), dtype=object) for _ in range(2))
+    for block, params in zip(blocks.tolist(), table[first].dicts()):
+        head, tail = encode({**params, "seed": 0}).split('"seed": 0', 1)
+        heads[block], tails[block] = head + '"seed": ', tail
     files = ([f'"tree_{i}.stl"' for i in scene.index] if mode == "per-tree"
              else ["null"] * len(scene))
-    seeds = [tp.seed for tp in scene.params]
-    rows = zip(files, scene.index, heads, seeds, tails, seeds, scene.triangles(),
-               _json_floats(scene.xy[:, 0].tolist()), _json_floats(scene.xy[:, 1].tolist()))
+    seeds = table.seed.tolist()
+    rows = zip(files, scene.index, heads[table.block_id], seeds, tails[table.block_id], seeds,
+               scene.triangles(), _json_floats(scene.xy[:, 0].tolist()),
+               _json_floats(scene.xy[:, 1].tolist()))
     return ",\n".join([_TREE_LINE % row for row in rows])
 
 
@@ -393,25 +395,28 @@ def regenerate_scene(manifest, lib: stl.MeshLibrary) -> Scene:
             raise SceneConfigError(f"unsupported manifest version {data.get('version')}")
         _check_keys(data, _MANIFEST_KEYS, "manifest")
         config = _scene_config(data, {}, tree_params_template=treemod.TreeParams())
-        xy, params, jitters, triangles = {}, [], {}, []  # xy by index: tree_<index>.stl
-        for entry in data["trees"]:
-            x = treemod.real_number(entry["x"], "tree x")
-            y = treemod.real_number(entry["y"], "tree y")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SceneConfigError(f"tree {entry['index']} position must be finite")
-            index = treemod.whole_number(entry["index"], "tree index")
-            if index in xy:
-                raise SceneConfigError(f"tree index {index} is repeated")
-            seed = treemod.whole_number(entry["seed"], "tree seed")
-            triangles.append(treemod.whole_number(entry["triangles"], "tree triangles"))
-            xy[index] = (x, y)
-            params.append(treemod.params_from_dict(entry["params"], jitters))
-            # the tree is built from its params' seed: a seed of its own
-            # would be written back beside a tree it did not build
-            if params[-1].seed != seed:
-                raise SceneConfigError(f"tree {index} seed {seed} differs from its params "
-                                       f"seed {params[-1].seed}")
-        scene = _scene(config, list(xy), list(xy.values()), params, lib)
+        trees = data["trees"]
+        xy = np.column_stack([treemod.column([entry[key] for entry in trees], f"tree {key}",
+                                             np.float64) for key in "xy"]).reshape(-1, 2)
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            raise SceneConfigError(f"tree {trees[int(np.argmin(finite))]['index']} position "
+                                   f"must be finite")
+        # Python ints: a manifest index, seed or count may exceed int64
+        index, seeds, triangles = (
+            treemod.column([entry[key] for entry in trees], f"tree {key}", object).tolist()
+            for key in ("index", "seed", "triangles"))
+        if len(set(index)) < len(index):  # two trees would write one tree_<index>.stl
+            repeated = next(i for n, i in enumerate(index) if i in index[:n])
+            raise SceneConfigError(f"tree index {repeated} is repeated")
+        params = treemod.ParamsTable.from_dicts([entry["params"] for entry in trees])
+        # the tree is built from its params' seed: a seed of its own
+        # would be written back beside a tree it did not build
+        for i, (seed, own) in enumerate(zip(seeds, params.seed.tolist())):
+            if seed != own:
+                raise SceneConfigError(f"tree {index[i]} seed {seed} differs from its params "
+                                       f"seed {own}")
+        scene = _scene(config, index, xy, params, lib)
         for index, recorded, built in zip(scene.index, triangles, scene.triangles()):
             if built != recorded:
                 raise SceneConfigError(f"tree {index} builds {built} triangles where the "
@@ -450,31 +455,47 @@ def _check_keys(data: dict, tables: dict, what: str):
     without a key its object needs. ``tables`` holds each object's
     (required, optional) keys by key path; an entry of a list at path P is
     checked by the row P[], and named by its index (``trees[3].x``).
-    Objects are checked from the top down, each object's unknown keys
-    first; an object of a wrong type, or an intensity of an unknown form,
-    is left to the parse."""
+    Objects are checked from the top down, a row at a time, each object's
+    unknown keys first. The objects of one row, such as the entries of a
+    list, are checked together by the union of their keys, and one by one
+    only when the union finds a fault, so that the first object at fault
+    is named. An object of a wrong type, or an intensity of an unknown
+    form, is left to the parse."""
     known = {row: set(" ".join(keys).split()) for row, keys in tables.items()}
-    objects = [("", "", data)]  # (path, its row of tables, object)
-    for path, row, value in objects:  # grows as it is walked
-        if not isinstance(value, dict):
-            continue
-        form = row if row in tables else f"{row}.{value.get('form')}"
-        if form not in tables:
-            continue
-        keys = tables[form]
-        prefix, at = (f"{path}.", f"{row}.") if path else ("", "")
-        if not value.keys() <= known[form]:
-            key, hint = stl.unknown_key(value, keys)
-            raise SceneConfigError(f"unknown key {prefix}{key} in {what}{hint}")
-        missing = [key for key in keys[0].split() if key not in value]
-        if missing:
-            raise SceneConfigError(f"malformed {what}: missing key {prefix}{missing[0]}")
-        for key, child in value.items():
-            if isinstance(child, dict):
-                objects.append((prefix + key, at + key, child))
-            elif isinstance(child, list) and f"{at}{key}[]" in tables:
-                objects += [(f"{prefix}{key}[{i}]", f"{at}{key}[]", entry)
-                            for i, entry in enumerate(child)]
+    # the key paths at or above some row of tables
+    nodes = {row[:i] for row in tables for i, ch in enumerate(row) if ch in ".["} | set(tables)
+    batches = [("", [("", data)] if isinstance(data, dict) else [])]  # (row, [(path, object)])
+    for row, objects in batches:  # grows as it is walked
+        keys, required = set().union(*[value for _, value in objects]), tables[row][0]
+        if not keys <= known[row] or required and any(
+                key not in value for _, value in objects for key in required.split()):
+            for path, value in objects:
+                prefix = f"{path}." if path else ""
+                if not value.keys() <= known[row]:
+                    key, hint = stl.unknown_key(value, tables[row])
+                    raise SceneConfigError(f"unknown key {prefix}{key} in {what}{hint}")
+                missing = [key for key in required.split() if key not in value]
+                if missing:
+                    raise SceneConfigError(f"malformed {what}: missing key {prefix}{missing[0]}")
+        at = f"{row}." if row else ""
+        # one object's keys in its own order, several objects' sorted
+        for key in objects[0][1] if len(objects) == 1 else sorted(keys):
+            if at + key not in nodes:
+                continue
+            children = [(f"{path}.{key}" if path else key, value[key])
+                        for path, value in objects if key in value]
+            if f"{at}{key}[]" in tables:
+                batches.append((f"{at}{key}[]", [
+                    (f"{path}[{i}]", entry) for path, child in children
+                    if isinstance(child, list) for i, entry in enumerate(child)
+                    if isinstance(entry, dict)]))
+                continue
+            forms = {}  # an intensity's row is its form's
+            for path, child in children:
+                if isinstance(child, dict):
+                    form = at + key if at + key in tables else f"{at}{key}.{child.get('form')}"
+                    forms.setdefault(form, []).append((path, child))
+            batches += [(form, batch) for form, batch in forms.items() if form in tables]
 
 
 def load_scene_config(source) -> tuple[SceneConfig, str | None]:

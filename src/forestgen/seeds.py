@@ -92,6 +92,19 @@ def stream_seed(master_seed: int, stream: int) -> int:
     return splitmix64((master_seed + stream * _GOLDEN) & _MASK)
 
 
+def stream_seeds(seeds, stream) -> np.ndarray:
+    """``stream_seed`` of each seed, as uint64: ``seeds`` is a uint64 array
+    (or a seed), and ``stream`` a substream index or an array of them that
+    broadcasts against it. SplitMix64 runs in uint64 arithmetic, which wraps
+    modulo 2**64 as ``splitmix64`` masks."""
+    # arrays, never numpy scalars, which would warn as they wrap
+    steps = (np.array(stream, dtype=np.uint64, ndmin=1) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = np.array(seeds, dtype=np.uint64, ndmin=1) + steps
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _hashmix(value: np.ndarray, i: int) -> np.ndarray:
     value = (value ^ _MIX_CONSTANTS[i]) * _MIX_CONSTANTS[i + 1]
     return value ^ (value >> 16)
@@ -102,10 +115,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _seed_words(seeds: list[int]) -> np.ndarray:
+def _seed_words(seeds) -> np.ndarray:
     """(n, 4) little-endian uint64: ``SeedSequence(seed).generate_state(4,
-    uint64)`` for each seed in [0, 2**64), the PCG64 ``initstate`` and
-    ``initseq`` of ``PCG64(seed)``, each high word first.
+    uint64)`` for each seed in [0, 2**64) (ints or a uint64 array), the
+    PCG64 ``initstate`` and ``initseq`` of ``PCG64(seed)``, each high word
+    first.
 
     The hash runs on uint32 arrays over every seed at once. A seed is at
     most two entropy words, and a missing word hashes as a zero word does,
@@ -129,18 +143,28 @@ def _seed_words(seeds: list[int]) -> np.ndarray:
     return words.astype("<u4").view("<u8")
 
 
-def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(seed)`` for each seed in [0, 2**64): the
-    ``_seed_words`` run through ``pcg_setseq_128_srandom_r``."""
+def batch_words(seeds: np.ndarray) -> np.ndarray | None:
+    """The ``_seed_words`` of an (n, k) uint64 array of seeds, as (n, k, 4):
+    k batches of n seeds, such as the streams of every stage of a stack of
+    trees, hashed in one call. None when n is below _BATCH_MIN, since no
+    batch that small is seeded together."""
+    if len(seeds) < _BATCH_MIN:
+        return None
+    return _seed_words(seeds.ravel()).reshape(*seeds.shape, 4)
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(seed)`` for each seed of ``words``, its
+    ``_seed_words``: the words run through ``pcg_setseq_128_srandom_r``."""
     states = []
-    for s_hi, s_lo, q_hi, q_lo in _seed_words(seeds).tolist():
+    for s_hi, s_lo, q_hi, q_lo in words.tolist():
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         # srandom: state 0, step, add initstate, step
         states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
     return states
 
 
-def generators(seeds):
+def generators(seeds, words=None):
     """Yield, for each integer seed in turn, a generator in the state
     ``np.random.default_rng(seed)`` starts in: the same draws, bit for bit.
 
@@ -149,7 +173,8 @@ def generators(seeds):
     So a generator is valid only until the next one is taken: draw from it
     before advancing the iteration, and never hold two. A smaller batch, or
     one holding any other seed, gets ``Generator(PCG64(seed))`` per seed. The batched generators
-    carry no ``seed_seq``, so do not ``spawn`` from them.
+    carry no ``seed_seq``, so do not ``spawn`` from them. ``words``, if
+    given, are the batch's ``_seed_words``, hashed beforehand.
     """
     seeds = list(seeds)
     if len(seeds) < _BATCH_MIN or not all(type(s) is int and 0 <= s <= _MASK for s in seeds):
@@ -158,7 +183,7 @@ def generators(seeds):
         return
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for state, inc in _pcg64_states(seeds):
+    for state, inc in _pcg64_states(_seed_words(seeds) if words is None else words):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
@@ -222,22 +247,26 @@ def _jump_ahead(words: np.ndarray, counts: list[int], width: int) -> np.ndarray:
     return values.reshape(-1, width)
 
 
-def uniform_blocks(seeds, counts, width: int) -> np.ndarray:
+def uniform_blocks(seeds, counts, width: int, words=None) -> np.ndarray:
     """The rows of ``np.concatenate([np.random.default_rng(s).random((k,
     width)) for s, k in zip(seeds, counts)])``, bit for bit: each seed's
     (k, width) block of uniforms on [0, 1), block after block. A seed with
-    no rows seeds nothing.
+    no rows seeds nothing. ``seeds`` are ints or a uint64 array, and
+    ``words``, if given, their ``_seed_words`` (see ``batch_words``).
 
     A batch of at least _BATCH_MIN streams, each seed in [0, 2**64) and
     none longer than _JUMP_VALUES values, is computed at once by PCG64
     jump-ahead (``_jump_ahead``); any other batch draws from
     ``generators``.
     """
-    blocks = [(seed, k) for seed, k in zip(seeds, counts) if k]
-    if not blocks:
+    drawn = np.flatnonzero(counts)
+    if not len(drawn):
         return np.empty((0, width))
-    seeds, counts = map(list, zip(*blocks))
+    # Python ints, as a list of seeds holds them
+    seeds, counts = (np.asarray(c, dtype=object)[drawn].tolist() for c in (seeds, counts))
+    words = None if words is None else words[drawn]
     if (len(seeds) >= _BATCH_MIN and max(counts) * width <= _JUMP_VALUES
             and all(type(s) is int and 0 <= s <= _MASK for s in seeds)):
-        return _jump_ahead(_seed_words(seeds), counts, width)
-    return np.concatenate([rng.random((k, width)) for rng, k in zip(generators(seeds), counts)])
+        return _jump_ahead(_seed_words(seeds) if words is None else words, counts, width)
+    return np.concatenate([rng.random((k, width))
+                           for rng, k in zip(generators(seeds, words), counts)])

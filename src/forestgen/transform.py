@@ -71,18 +71,25 @@ class AngleJitterParams:
         for name in ("azimuth_range", "pitch_range"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "scale_range", tuple(map(float, self.scale_range)))
-        for name in ("azimuth_range", "pitch_range", "scale_range"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-        for name in ("azimuth_range", "pitch_range"):
-            if getattr(self, name) < 0:
-                raise ValueError("jitter ranges must be non-negative")
-            # a wider range only repeats turns, and a huge one overflows
-            if getattr(self, name) > 360.0:
-                raise ValueError(f"{name} must be at most 360 degrees")
-        lo, hi = self.scale_range
-        if not 0 < lo <= hi:
-            raise ValueError("scale_range must satisfy 0 < min <= max")
+        check_ranges([(self.azimuth_range, self.pitch_range, *self.scale_range)])
+
+
+def check_ranges(ranges):
+    """Refuse jitter ranges, (k, 4) rows of (azimuth_range, pitch_range,
+    scale min, scale max), that no AngleJitterParams holds, with its
+    message: the first check that some row fails names the fault."""
+    a, p, lo, hi = np.asarray(ranges, dtype=np.float64).T
+    for name, values in (("azimuth_range", a), ("pitch_range", p), ("scale_range", (lo, hi))):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    for name, values in (("azimuth_range", a), ("pitch_range", p)):
+        if (values < 0).any():
+            raise ValueError("jitter ranges must be non-negative")
+        # a wider range only repeats turns, and a huge one overflows
+        if (values > 360.0).any():
+            raise ValueError(f"{name} must be at most 360 degrees")
+    if not ((0 < lo) & (lo <= hi)).all():
+        raise ValueError("scale_range must satisfy 0 < min <= max")
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -10,17 +10,26 @@ cut at the stage's count in this exact ledger:
     subbranches  = branches + branch_count * subs_per_branch * sub_tris
     leaves       = subbranches + leaf_anchor_count * leaves_each * leaf_tris
 
+A stack of trees, such as a scene's, is a ``ParamsTable``: its params as
+columns, one row per tree (counts, trunk heights, decays and seeds), with
+the jitter ranges held once per block of trees that share their params but
+for their seeds. ``TreeParams`` is one tree's params, and a table's
+``row(i)``. Every stage reads the columns; no stage makes a per-tree object.
+
 Randomness is split into one substream per stage (skeleton, branches,
 sub-branches, leaves), so e.g. requesting leaves never perturbs the branch
-geometry of an otherwise identical build. A stage draws every tree's block
-at once (``seeds.uniform_blocks``) and hands the stacked blocks to
-``lsystem.interpret_turtle(shapes, heights, lengths, jitters, uniforms)`` or
-``transform.random_attachment_transform(frames, ranges, uniforms)``, with
+geometry of an otherwise identical build. Each tree's stage seeds are one
+uint64 expression over the seed column (``seeds.stream_seeds``), and a
+build hashes the seeds of all four stages in one call. A stage draws every
+tree's block at once (``seeds.uniform_blocks``) and hands the stacked blocks
+to ``lsystem.interpret_turtle(shapes, heights, lengths, jitters, uniforms)``
+or ``transform.random_attachment_transform(frames, ranges, uniforms)``, with
 one row of jitter ranges per frame, those of the frame's tree.
 
-The ledger needs only the params and the template sizes, so ``build_trees``
-sizes the buffer of a whole stack of trees (a scene) before placing
-anything: each tree's block is the sum of its ledger, blocks follow each
+The ledger needs only the count columns and the template sizes, so
+``build_trees`` sizes the buffer of a whole stack of trees (a scene) before
+placing anything, summing the ledger in Python integers, which no count
+can overflow: each tree's block is the sum of its ledger, blocks follow each
 other tree after tree, and within a block the trunk, branch, sub-branch and
 leaf instances follow each other. The skeletons of the trees are placed as
 one stack, and each template role is placed for every tree at once and
@@ -31,14 +40,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lsystem as lsys
 from . import stl
 from . import transform as tf
-from .seeds import stream_seed, uniform_blocks
+from .seeds import batch_words, stream_seeds, uniform_blocks
 
 STAGES = ("skeleton", "branches", "subbranches", "leaves")
 
@@ -133,18 +142,161 @@ class TreeParams:
         self.trunk_height = real_number(self.trunk_height, "trunk_height")
         self.depth_scale_decay = real_number(self.depth_scale_decay, "depth_scale_decay")
         self.seed = whole_number(self.seed, "seed")
-        if self.branch_count < 1:
-            raise ValueError("branch_count must be at least 1")
-        if self.subbranches_per_branch < 0 or self.leaves_per_subbranch < 0:
-            raise ValueError("per-level counts must be non-negative")
-        if not math.isfinite(self.trunk_height):
-            raise ValueError("trunk_height must be finite")
-        if self.trunk_height <= 0.0:
-            raise ValueError("trunk_height must be positive")
-        if not 0.0 < self.depth_scale_decay <= 1.0:
-            raise ValueError("depth_scale_decay must be in (0, 1]")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_params([(getattr(self, name),) * 2 for name in _COLUMNS])
+
+
+# the per-tree columns of a ParamsTable but its block ids, in TreeParams
+# order: each one's dtype, and its default when a params dict leaves it out
+# (None: the key is required). A tree's jitter is its row of the blocks.
+_COLUMNS = {"branch_count": (np.int64, None), "subbranches_per_branch": (np.int64, 0),
+            "leaves_per_subbranch": (np.int64, 0), "trunk_height": (np.float64, None),
+            "depth_scale_decay": (np.float64, 1.0), "seed": (np.uint64, 0)}
+
+
+def _check_params(bounds):
+    """Refuse the params of one tree, or columns of them, that TreeParams
+    refuses: the first check some tree fails names the fault. ``bounds``
+    holds the (least, greatest) value of each of _COLUMNS: one tree's
+    value twice, or a column's min and max, through which a NaN
+    propagates. A count or seed beyond 64 bits comes as a Python int, from
+    an object column."""
+    (b, b_max), (s, s_max), (leaves, leaves_max), (h, h_max), (d, d_max), (seed, seed_max) = bounds
+    if not b >= 1:
+        raise ValueError("branch_count must be at least 1")
+    if not (s >= 0 and leaves >= 0):
+        raise ValueError("per-level counts must be non-negative")
+    for name, count in zip(_COLUMNS, (b_max, s_max, leaves_max)):
+        if not count < 2 ** 63:
+            raise ValueError(f"{name} must be below 2**63")
+    if not (math.isfinite(h) and math.isfinite(h_max)):
+        raise ValueError("trunk_height must be finite")
+    if not h > 0.0:
+        raise ValueError("trunk_height must be positive")
+    if not (0.0 < d and d_max <= 1.0):
+        raise ValueError("depth_scale_decay must be in (0, 1]")
+    if not (0 <= seed and seed_max < 2 ** 64):
+        raise ValueError("seed must fit in 64 unsigned bits")
+
+
+def column(values: list, name: str, dtype) -> np.ndarray:
+    """``values`` of a document as one ``dtype`` column: read in one step
+    when every value has the exact type it becomes (``float`` for float64,
+    else ``int``, so no ``bool``), else each through ``real_number`` or
+    ``whole_number``, so a string, a boolean or a fraction ends as it does
+    alone. An int beyond ``dtype`` keeps the column as Python ints, for
+    ``_check_params`` to refuse (an object column holds any int)."""
+    exact, number = (float, real_number) if dtype is np.float64 else (int, whole_number)
+    if not set(map(type, values)) <= {exact}:
+        values = [number(v, name) for v in values]
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(eq=False)
+class ParamsTable:
+    """The TreeParams of a stack of trees as columns, one row per tree, in
+    stack order: int64 counts, float64 trunk heights and decays, uint64
+    seeds, and the jitter ranges as blocks.
+
+    A block is one tree's params other than its seed: ``block_ranges``
+    holds each block's (azimuth_range, pitch_range, scale min, scale max),
+    and ``block_id`` each tree's block. Trees of one block have the same
+    params but for their seeds, so a block's manifest text is made once.
+    ``row(i)`` is tree i's TreeParams; ``table[rows]`` (a slice or an index
+    array) is the table of those rows, sharing the blocks.
+
+    ``words``, when set, holds the seed words (``seeds.batch_words``) of
+    each tree's four build streams, one per stage, hashed once for a whole
+    build (``build_trees``); None leaves each stage to hash its own.
+    """
+
+    branch_count: np.ndarray
+    subbranches_per_branch: np.ndarray
+    leaves_per_subbranch: np.ndarray
+    trunk_height: np.ndarray
+    depth_scale_decay: np.ndarray
+    seed: np.ndarray
+    block_id: np.ndarray
+    block_ranges: np.ndarray
+    words: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, params: list[TreeParams]) -> ParamsTable:
+        """The table of these TreeParams, each tree a block of its own."""
+        ranges = [(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
+                  for p in params]
+        return cls(*(np.array([getattr(p, name) for p in params], dtype=dtype)
+                     for name, (dtype, _) in _COLUMNS.items()),
+                   np.arange(len(params)), np.array(ranges, dtype=np.float64).reshape(-1, 4))
+
+    @classmethod
+    def from_dicts(cls, dicts: list[dict]) -> ParamsTable:
+        """The table of params in the form ``params_to_dict`` writes, such as
+        a manifest's; a key left out takes its default (see README). Each
+        column is read in one pass (``column``), refused as TreeParams
+        refuses one tree, jitter first, and trees whose params differ only
+        by their seeds share a block."""
+        jitters = [d.get("jitter", {}) for d in dicts]
+        pairs = [j.get("scale_range", (1.0, 1.0)) for j in jitters]
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+            pairs = [number_pair(pair, "scale_range") for pair in pairs]
+        ranges = np.column_stack([
+            column([j.get("azimuth_range", 0.0) for j in jitters], "azimuth_range", np.float64),
+            column([j.get("pitch_range", 0.0) for j in jitters], "pitch_range", np.float64),
+            column([pair[0] for pair in pairs], "scale_range min", np.float64),
+            column([pair[1] for pair in pairs], "scale_range max", np.float64)]).reshape(-1, 4)
+        tf.check_ranges(ranges)
+        columns = [column([d[name] for d in dicts] if default is None
+                          else [d.get(name, default) for d in dicts], name, dtype)
+                   for name, (dtype, default) in _COLUMNS.items()]
+        if dicts:
+            _check_params([(c.min(), c.max()) for c in columns])
+        # a block's bits, counts and floats alike, so that -0.0 and 0.0 stay apart
+        bits = np.column_stack([c.view(np.uint64) for c in (*columns[:5], *ranges.T)])
+        if (bits == bits[:1]).all():  # as when no tree's params were varied
+            return cls(*columns, np.zeros(len(bits), dtype=np.intp), ranges[:1])
+        _, first, block_id = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        return cls(*columns, block_id.reshape(-1), ranges[first])
+
+    def __len__(self) -> int:
+        return len(self.seed)
+
+    def __getitem__(self, rows) -> ParamsTable:
+        return ParamsTable(*(getattr(self, name)[rows] for name in _COLUMNS),
+                           self.block_id[rows], self.block_ranges,
+                           None if self.words is None else self.words[rows])
+
+    def ranges(self, repeats=None) -> np.ndarray:
+        """(n, 4): each tree's jitter ranges, as ``random_attachment_transform``
+        reads them; with ``repeats``, tree i's row ``repeats[i]`` times."""
+        block_id = self.block_id if repeats is None else np.repeat(self.block_id, repeats)
+        return self.block_ranges[block_id]
+
+    def row(self, i: int) -> TreeParams:
+        """Tree i's params, as one TreeParams."""
+        a, p, lo, hi = self.block_ranges[self.block_id[i]].tolist()
+        return TreeParams(**{name: getattr(self, name)[i].item() for name in _COLUMNS},
+                          jitter=tf.AngleJitterParams(a, p, (lo, hi)))
+
+    def dicts(self) -> list[dict]:
+        """``params_to_dict`` of each tree: the params a manifest records."""
+        columns = [getattr(self, name).tolist() for name in _COLUMNS]
+        return list(map(_params_dict, *columns, self.ranges().tolist()))
+
+
+def _params_dict(branch_count, subbranches, leaves, trunk_height, decay, seed, ranges) -> dict:
+    a, p, lo, hi = ranges
+    return {
+        "branch_count": branch_count,
+        "subbranches_per_branch": subbranches,
+        "leaves_per_subbranch": leaves,
+        "trunk_height": trunk_height,
+        "jitter": {"azimuth_range": a, "pitch_range": p, "scale_range": [lo, hi]},
+        "depth_scale_decay": decay,
+        "seed": seed,
+    }
 
 
 @dataclass
@@ -182,35 +334,51 @@ class TreeModel:
         return stl.TriangleMesh(self.mesh.facets, self.mesh.name)
 
 
-def build_skeleton(params: TreeParams | list[TreeParams]) -> lsys.Skeleton:
+def as_table(params) -> ParamsTable:
+    """``params`` as a ParamsTable: a table as it is, or the table of one
+    TreeParams or of a list of them."""
+    if isinstance(params, ParamsTable):
+        return params
+    return ParamsTable.of([params] if isinstance(params, TreeParams) else params)
+
+
+def build_skeleton(params) -> lsys.Skeleton:
     """Skeleton with exactly branch_count depth-1 nodes and
     branch_count * subbranches_per_branch depth-2 nodes, sub-branch lengths
     decayed once more than branch lengths. A branch length that underflows
     to 0 is an OverflowError, as a placement scale that does (see
     ``_scales``).
 
-    A list of params gives the stack of their skeletons, tree after tree,
-    as ``lsystem.interpret_turtle`` stacks them; each tree reads its own
-    block of its own skeleton stream, so each tree's rows are those of its
+    A ParamsTable (or a list of TreeParams, see ``as_table``) gives the
+    stack of its trees' skeletons, tree after tree, as
+    ``lsystem.interpret_turtle`` stacks them; each tree reads its own block
+    of its own skeleton stream, so each tree's rows are those of its
     skeleton alone, with parent rows into the stack.
     """
-    stack = [params] if isinstance(params, TreeParams) else params
-    shapes = [(p.branch_count, p.subbranches_per_branch) for p in stack]
-    lengths = [p.trunk_height * p.depth_scale_decay for p in stack]
-    for p, length in zip(stack, lengths):
-        if length == 0.0:
-            raise OverflowError(f"trunk_height {p.trunk_height!r} times depth_scale_decay "
-                                f"{p.depth_scale_decay!r} underflows to 0, the length of a branch")
-    jitters = [p.jitter.azimuth_range for p in stack]
+    table = as_table(params)
+    b, s = table.branch_count, table.subbranches_per_branch
+    heights, decay = table.trunk_height, table.depth_scale_decay
+    lengths = heights * decay
+    if (lengths == 0.0).any():
+        i = int(np.argmax(lengths == 0.0))
+        raise OverflowError(f"trunk_height {heights[i].item()!r} times depth_scale_decay "
+                            f"{decay[i].item()!r} underflows to 0, the length of a branch")
+    jitters = table.ranges()[:, 0]
     # a jittered tree reads one (azimuth, station) row per branch and sub-branch
-    counts = [b * (s + 1) if jitter > 0 else 0 for (b, s), jitter in zip(shapes, jitters)]
-    uniforms = uniform_blocks([stream_seed(p.seed, _STREAM_SKELETON) for p in stack], counts, 2)
-    skeleton = lsys.interpret_turtle(shapes, [p.trunk_height for p in stack], lengths, jitters,
-                                     uniforms)
+    counts = np.where(jitters > 0, b * (s + 1), 0)
+    skeleton = lsys.interpret_turtle(np.column_stack([b, s]), heights, lengths, jitters,
+                                     _uniforms(table, _STREAM_SKELETON, counts, 2))
     # sub-branches, at depth 2, decay once more; x * 1.0 is x, bit for bit
-    decay = np.repeat([p.depth_scale_decay for p in stack], [1 + b + b * s for b, s in shapes])
-    skeleton.lengths *= np.where(skeleton.depths == 2, decay, 1.0)
+    skeleton.lengths *= np.where(skeleton.depths == 2, np.repeat(decay, 1 + b + b * s), 1.0)
     return skeleton
+
+
+def _uniforms(table: ParamsTable, stream: int, counts: np.ndarray, width: int) -> np.ndarray:
+    """Each tree's (counts[i], width) block of uniforms from its substream
+    ``stream``, tree after tree (``seeds.uniform_blocks``), from the table's
+    seed words when it holds them."""
+    return uniform_blocks(stream_seeds(table.seed, stream), counts, width,
+                          None if table.words is None else table.words[:, stream])
 
 
 def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,17 +388,19 @@ def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.
             skeleton.lengths[nodes])
 
 
-def _instances(p: TreeParams) -> tuple[int, int, int, int]:
-    """Instances of each role in ``stl.LIBRARY_ROLES`` order: the stage
-    ledger before it is multiplied by template sizes. The trunk, branch and
-    sub-branch counts are also the tree's skeleton rows."""
-    b, s, leaves = p.branch_count, p.subbranches_per_branch, p.leaves_per_subbranch
-    return 1, b, b * s, (b * s if s else b) * leaves
-
-
-def _instance_counts(params: list[TreeParams]) -> np.ndarray:
-    """``_instances`` of each tree, one row per tree."""
-    return np.array([_instances(p) for p in params], dtype=np.int64).reshape(-1, 4)
+def _instance_counts(table: ParamsTable, dtype=np.int64) -> np.ndarray:
+    """(n, 4): the instances of each role of each tree, in
+    ``stl.LIBRARY_ROLES`` order: the stage ledger before it is multiplied by
+    template sizes. The trunk, branch and sub-branch counts are also the
+    tree's skeleton rows. With ``dtype=object`` they are Python ints, which
+    no count can overflow."""
+    b, s, leaves = (column.astype(dtype, copy=False) for column in (
+        table.branch_count, table.subbranches_per_branch, table.leaves_per_subbranch))
+    counts = np.ones((len(b), 4), dtype=dtype)
+    counts[:, 1] = b
+    counts[:, 2] = b * s
+    counts[:, 3] = np.where(s > 0, counts[:, 2], b) * leaves
+    return counts
 
 
 def _scales(lib: stl.MeshLibrary, role: str, lengths: np.ndarray, jitter=1.0) -> np.ndarray:
@@ -254,7 +424,7 @@ def _scales(lib: stl.MeshLibrary, role: str, lengths: np.ndarray, jitter=1.0) ->
 
 
 def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.ndarray,
-           lengths: np.ndarray, params: list[TreeParams], counts: np.ndarray,
+           lengths: np.ndarray, table: ParamsTable, counts: np.ndarray,
            stream: int) -> stl.TriangleMesh:
     """One instance of a template role per frame, all from one stacked
     transform, each scaled by ``_scales``; instances are concatenated in
@@ -264,55 +434,56 @@ def _place(lib: stl.MeshLibrary, role: str, points: np.ndarray, directions: np.n
     tree reads its (counts[i], 3) block of uniforms from its own ``stream``
     and jitters within its own ranges, as it would alone.
     """
-    uniforms = uniform_blocks([stream_seed(p.seed, stream) for p in params], counts.tolist(), 3)
-    ranges = np.repeat([(p.jitter.azimuth_range, p.jitter.pitch_range, *p.jitter.scale_range)
-                        for p in params], counts, axis=0)
-    t = tf.random_attachment_transform((points, directions), ranges, uniforms)
+    t = tf.random_attachment_transform((points, directions), table.ranges(counts),
+                                       _uniforms(table, stream, counts, 3))
     t = tf.RigidTransform(t.rotation, t.translation, _scales(lib, role, lengths, t.scale))
     return tf.apply_to_mesh(t, lib.template(role))
 
 
 # The stage functions place one role over a stack of trees: ``skeleton``
-# holds the nodes of every tree of ``params``, tree after tree (one tree's
-# skeleton alone, or the stack ``build_trees`` makes), and each role's
-# instances come out tree after tree.
+# holds the nodes of every tree of ``params`` (see ``as_table``), tree after
+# tree (one tree's skeleton alone, or the stack ``build_trees`` makes), and
+# each role's instances come out tree after tree.
 
 def attach_branches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                    params: list[TreeParams]) -> tuple[stl.TriangleMesh, stl.TriangleMesh]:
+                    params) -> tuple[stl.TriangleMesh, stl.TriangleMesh]:
     """The trunk template of each tree, and one branch instance per depth-1
     node."""
+    table = as_table(params)
     points, _, lengths = _frames(skeleton, skeleton.at_depth(0))
     trunk_t = tf.RigidTransform(np.repeat(_EYE, len(points), axis=0), points,
                                 _scales(lib, "trunk", lengths))
     trunks = tf.apply_to_mesh(trunk_t, lib.trunk)
-    branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), params,
-                      _instance_counts(params)[:, 1], _STREAM_BRANCHES)
+    branches = _place(lib, "branch", *_frames(skeleton, skeleton.at_depth(1)), table,
+                      table.branch_count, _STREAM_BRANCHES)
     return trunks, branches
 
 
 def attach_subbranches(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                       params: list[TreeParams]) -> stl.TriangleMesh:
+                       params) -> stl.TriangleMesh:
     """One sub-branch instance per depth-2 node; node lengths already carry
     the per-depth scale decay."""
+    table = as_table(params)
     nodes = skeleton.at_depth(2)
     if not len(nodes):
         return stl.empty_mesh("sub_branch")
-    return _place(lib, "sub_branch", *_frames(skeleton, nodes), params,
-                  _instance_counts(params)[:, 2], _STREAM_SUBBRANCHES)
+    return _place(lib, "sub_branch", *_frames(skeleton, nodes), table,
+                  table.branch_count * table.subbranches_per_branch, _STREAM_SUBBRANCHES)
 
 
 def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
-                  params: list[TreeParams]) -> stl.TriangleMesh:
+                  params) -> stl.TriangleMesh:
     """Leaf instances along the distal portion of each anchor axis.
 
     Anchors are the depth-2 nodes, falling back to depth-1 branches when the
     tree has no sub-branches. Leaves are placed anchor by anchor, stations
     ascending within an anchor.
     """
-    if not any(p.leaves_per_subbranch for p in params):
+    table = as_table(params)
+    each = table.leaves_per_subbranch
+    if not each.any():
         return stl.empty_mesh("leaf")
-    counts = _instance_counts(params)
-    each = np.array([p.leaves_per_subbranch for p in params], dtype=np.int64)
+    counts = _instance_counts(table)
     anchor_depth = np.where(each > 0, np.where(counts[:, 2] > 0, 2, 1), -1)
     anchors = (skeleton.depths == np.repeat(anchor_depth, counts[:, :3].sum(1))).nonzero()[0]
     points, directions, lengths = _frames(skeleton, anchors)
@@ -325,7 +496,7 @@ def attach_leaves(skeleton: lsys.Skeleton, lib: stl.MeshLibrary,
     directions = np.repeat(directions, per_anchor, axis=0)
     offsets = (stations * lengths)[:, None] * directions
     return _place(lib, "leaf", np.repeat(points, per_anchor, axis=0) + offsets,
-                  directions, _LEAF_FRACTION * lengths, params, counts[:, 3], _STREAM_LEAVES)
+                  directions, _LEAF_FRACTION * lengths, table, counts[:, 3], _STREAM_LEAVES)
 
 
 def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: list[int], sizes: list[int]):
@@ -339,9 +510,9 @@ def _scatter(facets: np.ndarray, mesh: stl.TriangleMesh, starts: list[int], size
             at += size
 
 
-def build_trees(params: list[TreeParams],
-                lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, np.ndarray]:
-    """Build a stack of trees, such as every tree of a scene, together.
+def build_trees(params, lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, np.ndarray]:
+    """Build a stack of trees, such as every tree of a scene, together:
+    the rows of a ParamsTable (or TreeParams, see ``as_table``).
 
     Each tree's per-stage draws come from its own streams, so each tree
     is the tree ``build_tree`` gives alone; the skeletons of a run of trees
@@ -355,18 +526,22 @@ def build_trees(params: list[TreeParams],
     scale too large or too small to place, or a branch length that
     underflows to 0, is an OverflowError.
     """
+    table = as_table(params)
     template_sizes = [len(lib.template(r)) for r in stl.LIBRARY_ROLES]
     # the ledger in Python integers, before any array can overflow or allocate
-    total = sum(k * size for p in params for k, size in zip(_instances(p), template_sizes))
+    total = int((_instance_counts(table, object) * template_sizes).sum())
     if total > MAX_TRIANGLES:
         raise TriangleBudgetError(f"the stage ledger needs {total} triangles, more than the "
                                   f"budget of {MAX_TRIANGLES} (forestgen.tree.MAX_TRIANGLES)")
     # rows of each (tree, role) block, laid out tree after tree
-    sizes = _instance_counts(params) * template_sizes
+    sizes = _instance_counts(table) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
-    facets = np.empty((int(ends[-1, -1]) if len(params) else 0, 4, 3))
+    facets = np.empty((total, 4, 3))
+    # every stage's seeds hashed in one call, for every run
+    table = replace(table, words=batch_words(stream_seeds(table.seed[:, None],
+                                                          np.arange(len(STAGES)))))
     for run in runs(sizes.sum(axis=1).tolist()):
-        _build_run(params[run], lib, facets, ends[run], sizes[run])
+        _build_run(table[run], lib, facets, ends[run], sizes[run])
     return stl.TriangleMesh(facets, "trees"), ends
 
 
@@ -383,20 +558,20 @@ def runs(triangles: list[int]):
             first, held = last, 0
 
 
-def _build_run(params: list[TreeParams], lib: stl.MeshLibrary, facets: np.ndarray,
+def _build_run(table: ParamsTable, lib: stl.MeshLibrary, facets: np.ndarray,
                ends: np.ndarray, sizes: np.ndarray):
     """Build a run of trees into their blocks of ``facets``, which end at
     ``ends`` and hold ``sizes`` rows per role."""
-    stack = build_skeleton(params)
+    stack = build_skeleton(table)
     starts, rows = (ends - sizes).T.tolist(), sizes.T.tolist()
     # each role is copied in and dropped before the next is placed, so the
     # run never has a second, role-major copy
-    trunks, branches = attach_branches(stack, lib, params)
+    trunks, branches = attach_branches(stack, lib, table)
     _scatter(facets, trunks, starts[0], rows[0])
     _scatter(facets, branches, starts[1], rows[1])
     del trunks, branches
-    _scatter(facets, attach_subbranches(stack, lib, params), starts[2], rows[2])
-    _scatter(facets, attach_leaves(stack, lib, params), starts[3], rows[3])
+    _scatter(facets, attach_subbranches(stack, lib, table), starts[2], rows[2])
+    _scatter(facets, attach_leaves(stack, lib, table), starts[3], rows[3])
 
 
 def tree_model(params: TreeParams, facets: np.ndarray, start: int, ends) -> TreeModel:
@@ -414,7 +589,7 @@ def build_tree(params: TreeParams, lib: stl.MeshLibrary) -> TreeModel:
     """Run the full stage pipeline for one tree (the one-tree case of
     ``build_trees``); per-stage meshes stay retrievable from the result via
     TreeModel.stage_mesh."""
-    mesh, ends = build_trees([params], lib)
+    mesh, ends = build_trees(params, lib)
     return tree_model(params, mesh.facets, 0, ends[0])
 
 
@@ -439,44 +614,9 @@ def centroids_to_csv(centroids: np.ndarray) -> str:
 
 
 def params_to_dict(params: TreeParams) -> dict:
-    return {
-        "branch_count": params.branch_count,
-        "subbranches_per_branch": params.subbranches_per_branch,
-        "leaves_per_subbranch": params.leaves_per_subbranch,
-        "trunk_height": params.trunk_height,
-        "jitter": {
-            "azimuth_range": params.jitter.azimuth_range,
-            "pitch_range": params.jitter.pitch_range,
-            "scale_range": [params.jitter.scale_range[0], params.jitter.scale_range[1]],
-        },
-        "depth_scale_decay": params.depth_scale_decay,
-        "seed": params.seed,
-    }
+    return ParamsTable.of([params]).dicts()[0]
 
 
-def params_from_dict(data: dict, jitters: dict | None = None) -> TreeParams:
-    """TreeParams from the form ``params_to_dict`` writes.
-
-    ``jitters`` is a dict the caller keeps across calls, such as one per
-    manifest: trees with the same jitter then share one AngleJitterParams,
-    validated once.
-    """
-    jitter = data.get("jitter", {})
-    lo, hi = number_pair(jitter.get("scale_range", (1.0, 1.0)), "scale_range")
-    ranges = (real_number(jitter.get("azimuth_range", 0.0), "azimuth_range"),
-              real_number(jitter.get("pitch_range", 0.0), "pitch_range"),
-              real_number(lo, "scale_range min"), real_number(hi, "scale_range max"))
-    jitters = {} if jitters is None else jitters
-    # keyed by the bits, so that -0.0 and 0.0 stay apart
-    key = tuple(map(float.hex, ranges))
-    if key not in jitters:
-        jitters[key] = tf.AngleJitterParams(ranges[0], ranges[1], ranges[2:])
-    return TreeParams(
-        branch_count=data["branch_count"],
-        subbranches_per_branch=data.get("subbranches_per_branch", 0),
-        leaves_per_subbranch=data.get("leaves_per_subbranch", 0),
-        trunk_height=data["trunk_height"],
-        jitter=jitters[key],
-        depth_scale_decay=data.get("depth_scale_decay", 1.0),
-        seed=data.get("seed", 0),
-    )
+def params_from_dict(data: dict) -> TreeParams:
+    """TreeParams from the form ``params_to_dict`` writes."""
+    return ParamsTable.from_dicts([data]).row(0)

@@ -15,7 +15,9 @@ each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
 ``min``/``max``/``mean`` over an axis, as ``forestgen.stl`` did before its
 kernels went one coordinate at a time. The manifest writer at the very end
 encodes a manifest dict entry by entry, as ``forestgen.forest`` did before it
-wrote tree lines from the scene's columns. Last, the template tube is built
+wrote tree lines from the scene's columns, and the per-tree params of a
+scene config are made one TreeParams at a time, as ``forestgen.forest`` did
+before it held them as a params table. Last, the template tube is built
 one ring and one quad at a time, and the CSV tables one f-string row at a
 time, as ``forestgen.templates`` and the CSV writers did before they became
 array expressions and one ``%``-format.
@@ -24,14 +26,14 @@ array expressions and one ``%``-format.
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from forestgen import lsystem as lsys
 from forestgen import stl
 from forestgen import transform as tf
-from forestgen.seeds import stream_seed
+from forestgen.seeds import generators, stream_seed
 
 
 def rotation_about_axis(axis, degrees: float) -> np.ndarray:
@@ -480,6 +482,29 @@ def dumps_manifest(manifest: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # template tubes and CSV tables
+
+# the substream of a tree's seed that its parameter jitter draws from
+PARAM_JITTER_STREAM = 4
+
+
+def tree_params(config, seeds) -> list:
+    """The params of each tree seed of a scene config: the template with
+    the tree's seed, its branch count and trunk height then drawn by the
+    parameter jitter from the tree's own substream, one generator per tree."""
+    params = [replace(config.tree_params_template, seed=seed) for seed in seeds]
+    jitter = config.parameter_jitter
+    if jitter is None or (jitter.branch_count is None and jitter.trunk_height is None):
+        return params
+    streams = [stream_seed(seed, PARAM_JITTER_STREAM) for seed in seeds]
+    for p, rng in zip(params, generators(streams)):
+        if jitter.branch_count is not None:
+            lo, hi = jitter.branch_count
+            p.branch_count = int(rng.integers(lo, hi + 1))
+        if jitter.trunk_height is not None:
+            lo, hi = jitter.trunk_height
+            p.trunk_height = float(rng.uniform(lo, hi))
+    return params
+
 
 def tapered_tube(base_radius: float, tip_radius: float, height: float,
                  segments: int, rings: int, bend_degrees: float = 0.0,

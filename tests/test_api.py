@@ -1,12 +1,14 @@
 """The package's public names and a scene config's keys, as README lists
-them, the functions the benchmark wraps by name, and the scalar reference's
-independence from private forestgen code."""
+them, its version as pyproject.toml gives it, the functions the benchmark
+wraps by name, and the scalar reference's independence from private
+forestgen code."""
 
 import ast
 import importlib
 import inspect
 import json
 import re
+import tomllib
 from pathlib import Path
 
 import forestgen
@@ -32,6 +34,11 @@ def test_public_api_is_the_readme_list():
     exported = [name for name, value in vars(forestgen).items()
                 if not name.startswith("_") and not inspect.ismodule(value)]
     assert sorted(exported) == sorted(names)
+
+
+def test_pyproject_version_is_the_package_version():
+    project = tomllib.loads(ROOT.joinpath("pyproject.toml").read_text())["project"]
+    assert project["version"] == forestgen.__version__
 
 
 def test_readme_scene_config_keys_are_the_key_tables():

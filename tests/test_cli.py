@@ -990,6 +990,9 @@ TYPOS = [
      "unknown key trunk.orign in library manifest (did you mean origin?)"),
     (["forest", "--config", "{scene}", "--lib", "{lib_axis}", "--out", "{tmp}/o"], 3,
      "unknown key leaf.axsi in library manifest (did you mean axis?)"),
+    # a count no int64 column holds; once the triangle budget's error
+    (["tree", "--branches", str(2 ** 63), "--out", "{tmp}/t.stl"], 2,
+     "branch_count must be below 2**63"),
 ])
 def test_error_keeps_code_and_message(argv, expected, message, tmp_path, capsys):
     (tmp_path / "garbage.json").write_text("{not json")

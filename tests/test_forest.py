@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,6 +16,7 @@ from forestgen import lsystem
 from forestgen import stl
 from forestgen import transform as tf
 from forestgen import tree as tm
+from forestgen.seeds import stream_seed
 from forestgen.templates import default_library
 
 import scalar_reference as ref
@@ -56,7 +58,7 @@ def test_compose_deterministic(tiny_library):
     assert len(a) == len(b)
     assert a.index == b.index
     assert a.xy.tobytes() == b.xy.tobytes()
-    assert a.params == b.params
+    assert a.params.dicts() == b.params.dicts()
     assert np.array_equal(a.ends, b.ends)
     assert np.array_equal(a.mesh.facets, b.mesh.facets)
 
@@ -66,8 +68,8 @@ def test_tree_seeds_are_substreams(tiny_library):
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) > 1
     assert scene.index == list(range(len(scene)))
-    seeds = [p.seed for p in scene.params]
-    assert seeds == [fo.tree_seed_for(config.master_seed, i) for i in scene.index]
+    seeds = scene.params.seed.tolist()
+    assert seeds == [stream_seed(config.master_seed, i + 1) for i in scene.index]
     assert len(set(seeds)) == len(scene)
 
 
@@ -90,12 +92,12 @@ def test_parameter_jitter_ranges(tiny_library):
     )
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) > 3
-    counts = {p.branch_count for p in scene.params}
+    counts = set(scene.params.branch_count.tolist())
     assert counts <= set(range(4, 10))
-    for p in scene.params:
-        assert 5.0 <= p.trunk_height <= 12.0
+    for height in scene.params.trunk_height.tolist():
+        assert 5.0 <= height <= 12.0
     # recorded params regenerate identical trees
-    rebuilt = tm.build_tree(tm.params_from_dict(tm.params_to_dict(scene.params[0])), tiny_library)
+    rebuilt = tm.build_tree(tm.params_from_dict(scene.params.dicts()[0]), tiny_library)
     assert np.array_equal(rebuilt.full_mesh().facets, scene.tree(0).full_mesh().facets)
 
 
@@ -127,7 +129,7 @@ def test_scene_builds_make_no_tree_model(tiny_library, tmp_path, monkeypatch):
 
 def test_compose_and_regenerate_give_the_same_columns(tiny_library, tmp_path):
     scene = fo.compose_forest(make_config(**JITTERED), tiny_library)
-    assert len(scene) > 3 and len({p.branch_count for p in scene.params}) > 1
+    assert len(scene) > 3 and len(set(scene.params.branch_count.tolist())) > 1
     scene.xy[0] = -0.0, 0.0
     scene.xy[1] = 0.0, -0.0
     fo.export_scene(scene, tmp_path, "merged")
@@ -135,7 +137,7 @@ def test_compose_and_regenerate_give_the_same_columns(tiny_library, tmp_path):
     assert regen.index == scene.index and {type(i) for i in regen.index} == {int}
     assert regen.xy.dtype == scene.xy.dtype == np.float64
     assert regen.xy.tobytes() == scene.xy.tobytes()
-    assert regen.params == scene.params
+    assert regen.params.dicts() == scene.params.dicts()
     assert regen.ends.dtype == scene.ends.dtype and regen.ends.shape == (len(scene), 4)
     assert regen.ends.tobytes() == scene.ends.tobytes()
     assert regen.mesh.facets.tobytes() == scene.mesh.facets.tobytes()
@@ -144,9 +146,10 @@ def test_compose_and_regenerate_give_the_same_columns(tiny_library, tmp_path):
 def test_scene_tree_is_the_tree_built_alone(tiny_library):
     scene = fo.compose_forest(make_config(**JITTERED), tiny_library)
     assert len(scene) > 3
-    for i, params in enumerate(scene.params):
+    for i in range(len(scene)):
+        params = scene.params.row(i)
         tree, alone = scene.tree(i), tm.build_tree(params, tiny_library)
-        assert tree.params is params
+        assert tree.params == params
         assert tree.mesh.facets.tobytes() == alone.mesh.facets.tobytes()
         assert tree.stage_counts == alone.stage_counts
         for name in ("points", "directions", "depths", "lengths", "parents"):
@@ -401,7 +404,7 @@ def test_integral_float_jitter_bounds_draw_as_integers(tiny_library):
     def counts(bounds):
         config = make_config(parameter_jitter=fo.ParameterJitter(branch_count=bounds))
         scene = fo.compose_forest(config, tiny_library)
-        return [p.branch_count for p in scene.params]
+        return scene.params.branch_count.tolist()
     assert counts((2.0, 3.0)) == counts((2, 3))
     assert fo.ParameterJitter(branch_count=(np.float64(2.0), 3.0)).branch_count == (2, 3)
 
@@ -621,10 +624,10 @@ def test_regenerate_validates_each_distinct_jitter_once(tiny_library):
     manifest["trees"][1]["params"]["jitter"]["pitch_range"] = -0.0
     manifest = json.loads(json.dumps(manifest))
     regen = fo.regenerate_scene(manifest, tiny_library)
-    jitters = [p.jitter for p in regen.params]
-    assert len({id(j) for j in jitters}) == 2
-    assert all(j is jitters[0] for i, j in enumerate(jitters) if i != 1)
-    assert math.copysign(1.0, jitters[1].pitch_range) == -1.0
+    blocks = regen.params.block_id.tolist()
+    assert len(regen.params.block_ranges) == 2 and blocks[1] != blocks[0]
+    assert blocks[:1] + blocks[2:] == [blocks[0]] * (len(blocks) - 1)
+    assert math.copysign(1.0, regen.params.row(1).jitter.pitch_range) == -1.0
     assert ref.dumps_manifest(fo.build_manifest(regen, "merged")) == ref.dumps_manifest(manifest)
 
 
@@ -752,6 +755,23 @@ def test_manifest_refuses_an_unknown_key_in_every_object(path, typo, meant, tiny
     assert str(info.value) == f"unknown key {name} in manifest{hint}"
 
 
+@pytest.mark.parametrize("path", ["trees[5]", "trees[5].params", "trees[5].params.jitter"])
+def test_manifest_names_the_first_entry_with_an_unknown_key(path, tiny_library):
+    # the entries of a list are checked together by the union of their keys;
+    # the message still names the first entry that holds the unknown key
+    config = make_config(intensity=ipp.ConstantIntensity(20.0 / 3600.0))
+    manifest = fo.build_manifest(fo.compose_forest(config, tiny_library), "merged")
+    assert len(manifest["trees"]) > 7
+    for entry in (5, 7):
+        target = manifest
+        for part in path.replace("[5]", f".{entry}").split("."):
+            target = target[int(part) if part.isdigit() else part]
+        target["q"] = 1.0
+    offender = rf"^unknown key {re.escape(path)}\.q in manifest"
+    with pytest.raises(fo.SceneConfigError, match=offender):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
 def test_manifest_names_a_missing_key(tiny_library):
     manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "per-tree")
     del manifest["trees"][0]["x"]
@@ -762,6 +782,69 @@ def test_manifest_names_a_missing_key(tiny_library):
     with pytest.raises(fo.SceneConfigError,
                        match="^malformed manifest: missing key region.x_min$"):
         fo.regenerate_scene(manifest, tiny_library)
+
+
+def test_a_ledger_above_int64_is_refused_before_anything_is_allocated(tiny_library):
+    # 2**40 branches of 2**20 sub-branches of 2**10 leaves: 2**70 leaves, which
+    # int64 arithmetic would wrap to 0, so the ledger is summed in Python ints
+    huge = dict(branch_count=2 ** 40, subbranches_per_branch=2 ** 20, leaves_per_subbranch=2 ** 10)
+    sizes = [len(tiny_library.template(role)) for role in stl.LIBRARY_ROLES]
+    per_tree = sum(k * size for k, size in zip((1, 2 ** 40, 2 ** 60, 2 ** 70), sizes))
+    scene = fo.compose_forest(make_config(), tiny_library)
+    manifest = fo.build_manifest(scene, "merged")
+    manifest["trees"][0]["params"].update(huge)
+    small = sum(scene.triangles()[1:])
+    tracemalloc.start()
+    try:
+        for build, total in [
+                (lambda: fo.compose_forest(make_config(tree_params_template=tm.TreeParams(**huge)),
+                                           tiny_library), len(scene) * per_tree),
+                (lambda: fo.regenerate_scene(manifest, tiny_library), per_tree + small)]:
+            with pytest.raises(fo.SceneConfigError) as info:
+                build()
+            assert str(info.value) == (
+                f"the stage ledger needs {total} triangles, more than the budget of "
+                f"{tm.MAX_TRIANGLES} (forestgen.tree.MAX_TRIANGLES)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("leaves_per_subbranch", 2 ** 70, "leaves_per_subbranch must be below 2**63"),
+    ("branch_count", -2 ** 70, "branch_count must be at least 1"),
+    ("seed", 2 ** 64, "seed must fit in 64 unsigned bits")])
+def test_manifest_refuses_a_count_or_seed_beyond_64_bits(key, value, message, tiny_library):
+    # the column reads as Python ints, refused as one TreeParams refuses them
+    manifest = fo.build_manifest(fo.compose_forest(make_config(), tiny_library), "merged")
+    manifest["trees"][1]["params"][key] = value
+    with pytest.raises(fo.SceneConfigError, match=f"^malformed manifest: {re.escape(message)}$"):
+        fo.regenerate_scene(manifest, tiny_library)
+
+
+parameter_jitters = st.builds(
+    fo.ParameterJitter,
+    st.none() | st.tuples(st.integers(1, 40), st.integers(0, 40)).map(lambda t: (t[0], sum(t)))
+    | st.just((1, 2 ** 63 - 1)),
+    st.none() | st.tuples(st.floats(1e-3, 50.0), st.floats(0.0, 50.0)).map(
+        lambda t: (t[0], t[0] + t[1])))
+
+
+@given(seeds=st.lists(st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+                      max_size=40),
+       jitter=st.none() | parameter_jitters,
+       template=st.sampled_from([tm.TreeParams(branch_count=6, subbranches_per_branch=2,
+                                               leaves_per_subbranch=2, trunk_height=8.0),
+                                 tm.TreeParams(jitter=tf.AngleJitterParams(pitch_range=-0.0))]))
+@settings(max_examples=80, deadline=None)
+def test_params_table_of_a_config_is_the_per_tree_oracle(seeds, jitter, template):
+    # fewer than 16 seeds draw from one generator each, more from batched ones
+    config = make_config(tree_params_template=template, parameter_jitter=jitter)
+    table = fo._tree_table(config, np.array(seeds, dtype=np.uint64))
+    oracle = ref.tree_params(config, seeds)
+    assert [table.row(i) for i in range(len(table))] == oracle
+    assert table.dicts() == [tm.params_to_dict(p) for p in oracle]
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +977,7 @@ def column_scene(trees) -> fo.Scene:
               for _, _, _, seed, b, s, n, h, d, jitter, _ in trees]
     ends = np.repeat(np.cumsum([0, *[t[-1] for t in trees]])[1:, None], 4, axis=1)
     return fo.Scene(config, [t[0] for t in trees], np.array([t[1:3] for t in trees]).reshape(-1, 2),
-                    params, stl.empty_mesh("trees"), ends)
+                    tm.ParamsTable.of(params), stl.empty_mesh("trees"), ends)
 
 
 @given(trees=scene_trees)

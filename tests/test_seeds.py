@@ -172,6 +172,38 @@ def test_stacked_build_of_a_batch_matches_trees_built_alone():
         assert skeleton.points.tobytes() == alone.skeleton.points.tobytes()
 
 
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_stream_seeds_are_stream_seed(seeds):
+    seeds = [0, 1, 2 ** 63, 2 ** 64 - 1] + seeds
+    column = np.array(seeds, dtype=np.uint64)
+    for stream in range(5):
+        got = sd.stream_seeds(column, stream)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [sd.stream_seed(seed, stream) for seed in seeds]
+    every = sd.stream_seeds(column[:, None], np.arange(5))
+    assert every.tolist() == [[sd.stream_seed(seed, k) for k in range(5)] for seed in seeds]
+    assert sd.stream_seeds(seeds[-1], np.arange(1, 4)).tolist() == [
+        sd.stream_seed(seeds[-1], k) for k in range(1, 4)]
+
+
+def test_a_build_hashes_every_stage_seed_in_one_call():
+    # the four stages of every run read their seed words from one hash
+    lib = templates.default_library("tiny")
+    jitter = tf.AngleJitterParams(azimuth_range=25.0, pitch_range=8.0, scale_range=(0.8, 1.2))
+    params = [tm.TreeParams(branch_count=1 + i % 5, subbranches_per_branch=i % 3,
+                            leaves_per_subbranch=(i * 7) % 4, trunk_height=4.0 + i,
+                            jitter=jitter, seed=sd.stream_seed(7, i)) for i in range(40)]
+    with mock.patch.object(tm, "_RUN_TRIANGLES", 1 << 40):
+        whole = tm.build_trees(params, lib)[0]
+    for run in (1 << 40, 1 << 11):
+        with mock.patch.object(tm, "_RUN_TRIANGLES", run), \
+                mock.patch.object(sd, "_seed_words", wraps=sd._seed_words) as words:
+            mesh, ends = tm.build_trees(params, lib)
+        assert words.call_count == 1
+        assert mesh.facets.tobytes() == whole.facets.tobytes()
+
+
 def test_parameter_jitter_of_a_batch_is_each_tree_stream(tiny_library):
     config = fo.SceneConfig(
         region=ipp.Region(0.0, 60.0, 0.0, 60.0), intensity=ipp.ConstantIntensity(0.01),
@@ -181,8 +213,9 @@ def test_parameter_jitter_of_a_batch_is_each_tree_stream(tiny_library):
         master_seed=3)
     scene = fo.compose_forest(config, tiny_library)
     assert len(scene) >= sd._BATCH_MIN
-    for index, p in zip(scene.index, scene.params):
-        assert p.seed == fo.tree_seed_for(config.master_seed, index)
+    for i, index in enumerate(scene.index):
+        p = scene.params.row(i)
+        assert p.seed == sd.stream_seed(config.master_seed, index + 1)
         rng = np.random.default_rng(sd.stream_seed(p.seed, fo._STREAM_PARAM_JITTER))
         assert p.branch_count == int(rng.integers(1, 10))
         assert p.trunk_height == float(rng.uniform(2.0, 15.0))
