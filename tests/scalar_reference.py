@@ -16,8 +16,9 @@ each facet's length-3 axes with ``np.cross``, ``np.linalg.norm`` and
 kernels went one coordinate at a time. The manifest writer at the very end
 encodes a manifest dict entry by entry, as ``forestgen.forest`` did before it
 wrote tree lines from the scene's columns, and the per-tree params of a
-scene config are made one TreeParams at a time, as ``forestgen.forest`` did
-before it held them as a params table. Last, the template tube is built
+scene config are made one TreeParams at a time, and each written as a dict
+field by field, as ``forestgen.forest`` and ``forestgen.tree`` did before
+they held them as a params table. Last, the template tube is built
 one ring and one quad at a time, and the CSV tables one f-string row at a
 time, as ``forestgen.templates`` and the CSV writers did before they became
 array expressions and one ``%``-format.
@@ -504,6 +505,25 @@ def tree_params(config, seeds) -> list:
             lo, hi = jitter.trunk_height
             p.trunk_height = float(rng.uniform(lo, hi))
     return params
+
+
+def params_to_dict(params) -> dict:
+    """One tree's params as a manifest records them, built field by field
+    from its TreeParams, as ``forestgen.tree`` did before a params table
+    wrote them."""
+    return {
+        "branch_count": params.branch_count,
+        "subbranches_per_branch": params.subbranches_per_branch,
+        "leaves_per_subbranch": params.leaves_per_subbranch,
+        "trunk_height": params.trunk_height,
+        "jitter": {
+            "azimuth_range": params.jitter.azimuth_range,
+            "pitch_range": params.jitter.pitch_range,
+            "scale_range": [params.jitter.scale_range[0], params.jitter.scale_range[1]],
+        },
+        "depth_scale_decay": params.depth_scale_decay,
+        "seed": params.seed,
+    }
 
 
 def tapered_tube(base_radius: float, tip_radius: float, height: float,

@@ -844,7 +844,7 @@ def test_params_table_of_a_config_is_the_per_tree_oracle(seeds, jitter, template
     table = fo._tree_table(config, np.array(seeds, dtype=np.uint64))
     oracle = ref.tree_params(config, seeds)
     assert [table.row(i) for i in range(len(table))] == oracle
-    assert table.dicts() == [tm.params_to_dict(p) for p in oracle]
+    assert table.dicts() == [ref.params_to_dict(p) for p in oracle]
 
 
 # ---------------------------------------------------------------------------

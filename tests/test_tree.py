@@ -257,7 +257,7 @@ def test_params_validation():
 
 def test_params_dict_round_trip():
     params = make_params(branch_count=12, seed=987654321)
-    again = tm.params_from_dict(tm.params_to_dict(params))
+    again = tm.params_from_dict(ref.params_to_dict(params))
     assert again == params
 
 
