@@ -282,10 +282,12 @@ class ParamsTable:
     def dicts(self) -> list[dict]:
         """Each tree's params as a manifest records them: a dict of the
         columns, and its jitter ranges as the ``jitter`` object."""
-        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        return [dict(zip(_COLUMNS, row), jitter={"azimuth_range": a, "pitch_range": p,
-                                                 "scale_range": [lo, hi]})
-                for row, (a, p, lo, hi) in zip(rows, self.ranges().tolist())]
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS), self.ranges().tolist())
+        return [{"branch_count": b, "subbranches_per_branch": s, "leaves_per_subbranch": n,
+                 "trunk_height": h,
+                 "jitter": {"azimuth_range": a, "pitch_range": p, "scale_range": [lo, hi]},
+                 "depth_scale_decay": d, "seed": seed}
+                for b, s, n, h, d, seed, (a, p, lo, hi) in rows]
 
 
 @dataclass
