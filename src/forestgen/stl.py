@@ -17,6 +17,7 @@ result is the same bit for bit.
 from __future__ import annotations
 
 import difflib
+import io
 import itertools
 import json
 import os
@@ -44,6 +45,13 @@ CHUNK_TRIANGLES = 1 << 12
 # what read_stl tries as ASCII: ``solid`` after any leading whitespace, the
 # bytes that ``bytes.lstrip`` strips
 _SOLID = re.compile(rb"\s*solid")
+
+# ASCII STL is read in blocks of about this many bytes (see ``_ascii_blocks``)
+ASCII_BLOCK_BYTES = 1 << 17
+
+# where a block may end: after an endfacet token (whitespace before it, as
+# str.split() sees it), spaces, and one line-break byte (str.splitlines())
+_ENDFACET_LINE = re.compile(rb"[\t-\r\x1c- ]endfacet[\t\x1f ]*[\n-\r\x1c-\x1e]")
 
 
 class StlError(Exception):
@@ -175,10 +183,40 @@ def _sanitize_normals(facets: np.ndarray) -> np.ndarray:
     return facets
 
 
+def _ascii_blocks(read):
+    """Cut the ASCII STL that ``read(size)`` reads into blocks, each a
+    complete ASCII STL of its own, and yield each with True if it is the
+    whole input. Each read of ASCII_BLOCK_BYTES ends a block right after
+    the line break of the last endfacet line before it. The first block
+    keeps the input's solid line, each later one gets a bare one, and each
+    but the last an endsolid line. Since every cut falls after a line
+    break, where every block parses as ASCII so does the input, to the
+    blocks' facets in order under the first block's name. A read with no
+    cut before it just joins the next, so an input with few cuts or none is
+    read in larger blocks, at worst in one."""
+    head, buf, start = b"", bytearray(read(ASCII_BLOCK_BYTES)), 1
+    while more := read(ASCII_BLOCK_BYTES):
+        end, line = len(buf), None
+        while line is None and (end := buf.rfind(b"endfacet", start, end)) > 0:
+            line = _ENDFACET_LINE.match(buf, end - 1)
+        if line:
+            yield head + buf[:line.end()] + b"\nendsolid\n", False
+            head, buf = b"solid\n", buf[line.end():]
+        # the bytes left hold no cut, but for one whose line break is yet to come
+        start = max(1, len(buf) - 64)
+        buf += more
+    yield head + buf, not head
+
+
 def _read_ascii(data: bytes) -> TriangleMesh:
-    text = data.decode("ascii", errors="replace")
-    mesh = _read_ascii_table(data, text)
-    return _read_ascii_lines(text) if mesh is None else mesh
+    meshes = []
+    for block, whole in _ascii_blocks(io.BytesIO(data).read):
+        meshes.append(_read_ascii_table(block, block.decode("ascii", errors="replace")))
+        if meshes[-1] is None:  # a block refused: the input is read whole
+            text = data.decode("ascii", errors="replace")
+            mesh = None if whole else _read_ascii_table(data, text)
+            return _read_ascii_lines(text) if mesh is None else mesh
+    return concat_meshes(meshes, meshes[0].name)
 
 
 # The control bytes that str.split() treats as whitespace, and those of them
@@ -401,13 +439,15 @@ _ASCII_FACET = ("  facet normal %.9g %.9g %.9g\n    outer loop\n"
 
 
 def _write_ascii(facets: np.ndarray, name: str) -> bytes:
-    """Every number at 9 significant digits. The name goes on the solid and
-    endsolid lines as the reader gives it back: ASCII, with '?' for any
-    other character, and each run of whitespace one space."""
+    """Every number at 9 significant digits, CHUNK_TRIANGLES facets
+    formatted at a time. The name goes on the solid and endsolid lines as
+    the reader gives it back: ASCII, with '?' for any other character, and
+    each run of whitespace one space."""
     name = " ".join(name.encode("ascii", errors="replace").decode("ascii").split())
-    body = (_ASCII_FACET * facets.shape[0]) % tuple(facets.ravel().tolist())
-    return (f"solid {name}".rstrip() + "\n" + body + f"endsolid {name}".rstrip()
-            + "\n").encode("ascii")
+    pieces = np.split(facets, range(CHUNK_TRIANGLES, len(facets), CHUNK_TRIANGLES))
+    body = [((_ASCII_FACET * len(p)) % tuple(p.ravel().tolist())).encode("ascii") for p in pieces]
+    return b"".join([f"solid {name}".rstrip().encode("ascii") + b"\n", *body,
+                     f"endsolid {name}".rstrip().encode("ascii") + b"\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +508,8 @@ class MeshStats:
 
 
 class _StatsFold:
-    """Facet count, vertex bounds and total area of a mesh of ``n`` facets
-    given piece by piece, in facet order.
+    """Facet count, vertex bounds and total area of a mesh given piece by
+    piece, in facet order; a piece may be empty.
 
     Each bound is one min or max over the (k, 3) vertex coordinates of one
     axis in each piece, then over the pieces. The value of a min or max does
@@ -480,12 +520,12 @@ class _StatsFold:
     last of equal values. When a bound is 0, every piece holding a zero of
     its axis has that piece's bound 0 too, so the last zero is the last one
     taken from such a piece. The area is half the sum of one column of the
-    n cross-product norms, summed once at the end, as over the whole mesh.
+    cross-product norms, the pieces' norms joined and summed once at the
+    end, as over the whole mesh.
     """
 
-    def __init__(self, n: int):
-        self.count = 0
-        self.norms = np.empty(n)
+    def __init__(self):
+        self.norms = []
         self.lo, self.hi = np.full(3, np.inf), np.full(3, -np.inf)
         self.last_zero = np.zeros(3)
 
@@ -493,30 +533,50 @@ class _StatsFold:
         lo, hi = np.empty(3), np.empty(3)
         for k in range(3):
             coord = facets[:, 1:, k]
-            lo[k], hi[k] = coord.min(), coord.max()
+            lo[k], hi[k] = coord.min(initial=np.inf), coord.max(initial=-np.inf)
             if lo[k] == 0.0 or hi[k] == 0.0:
                 self.last_zero[k] = coord[coord == 0.0][-1]
         np.minimum(self.lo, lo, out=self.lo)
         np.maximum(self.hi, hi, out=self.hi)
-        end = self.count + facets.shape[0]
-        self.norms[self.count:end] = _norms(_edges_and_cross(facets)[2])
-        self.count = end
+        self.norms.append(_norms(_edges_and_cross(facets)[2]))
 
     def stats(self) -> MeshStats:
-        if self.count == 0:
+        norms = np.concatenate([np.empty(0), *self.norms])
+        if not len(norms):
             return MeshStats(0, None, 0.0)
         lo = np.where(self.lo == 0.0, self.last_zero, self.lo)
         hi = np.where(self.hi == 0.0, self.last_zero, self.hi)
-        return MeshStats(self.count, (lo, hi), 0.5 * float(self.norms.sum()))
+        return MeshStats(len(norms), (lo, hi), 0.5 * float(norms.sum()))
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Facet count, vertex bounds and total area, folded over the mesh
     CHUNK_TRIANGLES facets at a time (see ``_StatsFold``)."""
-    fold = _StatsFold(len(mesh))
+    fold = _StatsFold()
     for a in range(0, len(mesh), CHUNK_TRIANGLES):
         fold.add(mesh.facets[a:a + CHUNK_TRIANGLES])
     return fold.stats()
+
+
+def _block_stats(read) -> tuple[str, str, MeshStats] | None:
+    """The name, format and stats of the input that ``read(size)`` reads,
+    block by block (``_ascii_blocks``): each block is decoded by
+    ``read_stl`` and folded in, so memory holds one block and 8 B per
+    triangle. None if a block that is not the whole input is refused or
+    read as binary: the input is then to be read whole."""
+    fold, name = _StatsFold(), None
+    for block, whole in _ascii_blocks(read):
+        try:
+            mesh, fmt = read_stl(block, return_format=True)
+        except StlParseError:
+            if whole:  # the input's own error
+                raise
+            return None
+        if fmt != "ascii" and not whole:
+            return None
+        name = mesh.name if name is None else name
+        fold.add(mesh.facets)
+    return name, fmt, fold.stats()
 
 
 def file_stats(path) -> tuple[str, str, MeshStats]:
@@ -527,8 +587,11 @@ def file_stats(path) -> tuple[str, str, MeshStats]:
     HEADER_BYTES + 4 bytes show it does not start with ``solid`` after
     whitespace, is read CHUNK_TRIANGLES records at a time: each piece is
     decoded by ``read_stl`` and folded in, so memory holds one piece and
-    8 B per triangle. Any other file (ASCII, one that starts with
-    ``solid``, one shorter than a header, a pipe) is read whole.
+    8 B per triangle. Any other regular file (ASCII, one that starts with
+    ``solid``, one shorter than a header) is read in the blocks of
+    ``_ascii_blocks`` and folded in alike (``_block_stats``). A file one of
+    whose blocks is refused or read as binary is then read whole, as a pipe
+    is.
     """
     with open(path, "rb", buffering=0) as fh:
         st = os.fstat(fh.fileno())
@@ -537,10 +600,13 @@ def file_stats(path) -> tuple[str, str, MeshStats]:
         if len(head) < HEADER_BYTES + 4 or b"solid".startswith(head.lstrip()[:5]):
             if head:
                 fh.seek(0)
+                if found := _block_stats(fh.read):
+                    return found
+                fh.seek(0)
             mesh, fmt = read_stl(fh.readall(), return_format=True)
             return mesh.name, fmt, mesh_stats(mesh)
         count = _binary_count(head, st.st_size)
-        fold = _StatsFold(count)
+        fold = _StatsFold()
         # each piece is a binary STL of its own, under a header of zeros
         piece = bytearray(HEADER_BYTES + 4 + FACET_BYTES * min(count, CHUNK_TRIANGLES))
         view = memoryview(piece)

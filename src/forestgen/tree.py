@@ -57,7 +57,7 @@ _STREAM_BRANCHES = 1
 _STREAM_SUBBRANCHES = 2
 _STREAM_LEAVES = 3
 # the substream of each stage, in STAGES order: the columns of a build's
-# seed words (``ParamsTable.words``)
+# stage seeds and seed words (``ParamsTable.stage_seeds`` and ``words``)
 _STAGE_STREAMS = (_STREAM_SKELETON, _STREAM_BRANCHES, _STREAM_SUBBRANCHES, _STREAM_LEAVES)
 
 # leaf anchors cover the distal portion of their parent axis
@@ -206,10 +206,11 @@ class ParamsTable:
     ``row(i)`` is tree i's TreeParams; ``table[rows]`` (a slice or an index
     array) is the table of those rows, sharing the blocks.
 
-    ``words``, when set, holds the seed words (``seeds.batch_words``) of
+    ``stage_seeds``, when set, holds the seeds (``seeds.stream_seeds``) of
     each tree's four build streams, one per stage in ``_STAGE_STREAMS``
-    order, hashed once for a whole build (``build_trees``); None leaves
-    each stage to hash its own.
+    order, and ``words`` their seed words (``seeds.batch_words``), each
+    hashed once for a whole build (``build_trees``); None leaves each stage
+    to hash its own.
     """
 
     branch_count: np.ndarray
@@ -220,6 +221,7 @@ class ParamsTable:
     seed: np.ndarray
     block_id: np.ndarray
     block_ranges: np.ndarray
+    stage_seeds: np.ndarray | None = field(default=None, repr=False)
     words: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -265,7 +267,7 @@ class ParamsTable:
     def __getitem__(self, rows) -> ParamsTable:
         return ParamsTable(*(getattr(self, name)[rows] for name in _COLUMNS),
                            self.block_id[rows], self.block_ranges,
-                           None if self.words is None else self.words[rows])
+                           *(a if a is None else a[rows] for a in (self.stage_seeds, self.words)))
 
     def ranges(self, repeats=None) -> np.ndarray:
         """(n, 4): each tree's jitter ranges, as ``random_attachment_transform``
@@ -367,9 +369,12 @@ def build_skeleton(params) -> lsys.Skeleton:
 def _uniforms(table: ParamsTable, stream: int, counts: np.ndarray, width: int) -> np.ndarray:
     """Each tree's (counts[i], width) block of uniforms from its substream
     ``stream``, tree after tree (``seeds.uniform_blocks``), from the table's
-    seed words when it holds them."""
-    words = None if table.words is None else table.words[:, _STAGE_STREAMS.index(stream)]
-    return uniform_blocks(stream_seeds(table.seed, stream), counts, width, words)
+    stage seeds and words when it holds them."""
+    if table.stage_seeds is None:
+        return uniform_blocks(stream_seeds(table.seed, stream), counts, width)
+    k = _STAGE_STREAMS.index(stream)
+    return uniform_blocks(table.stage_seeds[:, k], counts, width,
+                          None if table.words is None else table.words[:, k])
 
 
 def _frames(skeleton: lsys.Skeleton, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,9 +533,9 @@ def build_trees(params, lib: stl.MeshLibrary) -> tuple[stl.TriangleMesh, np.ndar
     sizes = _instance_counts(table) * template_sizes
     ends = sizes.cumsum().reshape(sizes.shape)
     facets = np.empty((total, 4, 3))
-    # every stage's seeds hashed in one call, for every run
-    table = replace(table, words=batch_words(stream_seeds(table.seed[:, None],
-                                                          np.array(_STAGE_STREAMS))))
+    # every stage's seeds and their words hashed once, for every run
+    stage_seeds = stream_seeds(table.seed[:, None], np.array(_STAGE_STREAMS))
+    table = replace(table, stage_seeds=stage_seeds, words=batch_words(stage_seeds))
     for run in runs(sizes.sum(axis=1).tolist()):
         _build_run(table[run], lib, facets, ends[run], sizes[run])
     return stl.TriangleMesh(facets, "trees"), ends

@@ -326,17 +326,23 @@ def test_stl_info_reads_a_pipe_whole(data, tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == expected
 
 
+def address_space_limit() -> int:
+    """64 MB above the peak address space of a child that has imported the
+    CLI."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import re, forestgen.cli\n"
+         "print(re.search(r'VmPeak:\\s*(\\d+)', open('/proc/self/status').read())[1])"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    return int(probe.stdout) * 1024 + (64 << 20)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc and RLIMIT_AS")
 def test_stl_info_reads_a_large_binary_file_in_bounded_memory(tmp_path):
     """2**20 records, 52 MB, under an address space 64 MB above that of a
     child that has imported the CLI. Read whole, as a pipe is and as every
     file was before, the file takes 52 MB as bytes and 101 MB as float64
     facets, so the same limit stops it."""
-    probe = subprocess.run(
-        [sys.executable, "-c", "import re, forestgen.cli\n"
-         "print(re.search(r'VmPeak:\\s*(\\d+)', open('/proc/self/status').read())[1])"],
-        capture_output=True, text=True, env=child_env(), check=True)
-    limit = int(probe.stdout) * 1024 + (64 << 20)
+    limit = address_space_limit()
     n, block = 1 << 20, 1 << 12
     facets = np.zeros((block, 4, 3))
     facets[:, 2, 0] = facets[:, 3, 1] = 1.0  # unit right triangles, area 0.5
@@ -349,6 +355,33 @@ def test_stl_info_reads_a_large_binary_file_in_bounded_memory(tmp_path):
     result = run_bounded(["stl-info", path], address_space=limit)
     assert result.returncode == 0, result.stderr
     assert kv(result.stdout) == {"file": str(path), "format": "binary", "name": "big",
+                                 "triangles": str(n), "bounds_min": "0,0,0",
+                                 "bounds_max": f"1,1,{n // block - 1}", "area": str(n // 2)}
+    whole = run_bounded(["stl-info", "/dev/stdin"], address_space=limit,
+                        stdin=path.read_bytes())
+    assert whole.returncode != 0 and "MemoryError" in whole.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc and RLIMIT_AS")
+def test_stl_info_reads_a_large_ascii_file_in_bounded_memory(tmp_path):
+    """2**19 facets, 63 MB of ASCII, under the limit of the binary test
+    above. Read in blocks, stl-info holds a block and 8 B per triangle.
+    Read whole, as a pipe is and as every ASCII file was before, the file
+    takes 63 MB as bytes and 50 MB as float64 facets, so the same limit
+    stops it."""
+    limit = address_space_limit()
+    n, block = 1 << 19, 1 << 12
+    facet = ("  facet normal 0 0 1\n    outer loop\n      vertex 0 0 {0}\n"
+             "      vertex 1 0 {0}\n      vertex 0 1 {0}\n    endloop\n  endfacet\n")
+    path = tmp_path / "big.stl"
+    with open(path, "w") as f:
+        f.write("solid big\n")
+        for k in range(n // block):
+            f.write(facet.format(k) * block)
+        f.write("endsolid big\n")
+    result = run_bounded(["stl-info", path], address_space=limit)
+    assert result.returncode == 0, result.stderr
+    assert kv(result.stdout) == {"file": str(path), "format": "ascii", "name": "big",
                                  "triangles": str(n), "bounds_min": "0,0,0",
                                  "bounds_max": f"1,1,{n // block - 1}", "area": str(n // 2)}
     whole = run_bounded(["stl-info", "/dev/stdin"], address_space=limit,

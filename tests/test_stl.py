@@ -1,4 +1,8 @@
+import io
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,12 +122,15 @@ def test_binary_file_starting_with_solid_falls_back():
 # down to the line parser, whose messages name the line. The outcome must be
 # the line parser's either way.
 
-def read_outcome(data: bytes, whole_file: bool = True):
+def read_outcome(data: bytes, whole_file: bool = True, block: int | None = None):
     """read_stl's mesh (name, format and facet bits) or its error message,
-    with the whole-file reading on or off."""
+    with the whole-file reading on or off, and ASCII read in blocks of
+    ``block`` bytes if given."""
     with pytest.MonkeyPatch.context() as mp:
         if not whole_file:
             mp.setattr(stl, "_read_ascii_table", lambda data, text: None)
+        if block is not None:
+            mp.setattr(stl, "ASCII_BLOCK_BYTES", block)
         try:
             mesh, fmt = stl.read_stl(data, return_format=True)
         except stl.StlParseError as exc:
@@ -247,6 +254,114 @@ def test_whole_file_reading_takes_well_formed_files(variant):
     data = variant(ref.write_ascii(facets, "part"))
     assert stl._read_ascii_table(data, data.decode("ascii", errors="replace")) is not None
     assert read_outcome(data) == read_outcome(data, whole_file=False)
+
+
+# ASCII is read in blocks of about stl.ASCII_BLOCK_BYTES, each cut after an
+# endfacet line, and a block refused sends the whole input down the
+# whole-file path. So at every block size the outcome of read_stl, and of
+# stl-info's file_stats on the same bytes in a file, must be the line
+# parser's on the whole input.
+
+def stats_bits(stats: stl.MeshStats):
+    bounds = None if stats.bounds is None else tuple(b.tobytes() for b in stats.bounds)
+    return stats.triangle_count, bounds, np.float64(stats.total_area).tobytes()
+
+
+def info_outcome(data: bytes, block: int | None = None):
+    """file_stats' format, name and stats bits for ``data`` in a file, or
+    its error message, with ASCII read in blocks of ``block`` bytes if
+    given."""
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(stl, "ASCII_BLOCK_BYTES", block)
+        path = Path(d) / "in.stl"
+        path.write_bytes(data)
+        try:
+            name, fmt, stats = stl.file_stats(path)
+        except stl.StlParseError as exc:
+            return "error", str(exc)
+    return fmt, name, stats_bits(stats)
+
+
+def line_parser_info(data: bytes):
+    """info_outcome as the line parser reads ``data`` whole, with the
+    reference stats."""
+    outcome = read_outcome(data, whole_file=False)
+    if outcome[0] == "error":
+        return outcome
+    fmt, name, raw = outcome
+    facets = np.frombuffer(raw).reshape(-1, 4, 3)
+    return fmt, name, stats_bits(ref.mesh_stats(stl.TriangleMesh(facets)))
+
+
+def blocks(data: bytes, block: int) -> list[bytes]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stl, "ASCII_BLOCK_BYTES", block)
+        return [b for b, _ in stl._ascii_blocks(io.BytesIO(data).read)]
+
+
+def assert_blocks_give_line_parser_outcome(data: bytes, block: int):
+    assert read_outcome(data, block=block) == read_outcome(data, whole_file=False), data
+    assert info_outcome(data, block) == line_parser_info(data), data
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_read_ascii_in_small_blocks_one_edit_away_same_outcome_as_line_parser(block):
+    facets = np.array([[[0, 0, 1], [0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=np.float64)
+    text = ref.write_ascii(facets, "part")
+    assert len(blocks(text, block)) == 2  # cut after the facet
+    lines = [line.split() for line in text.splitlines()]
+    for data in one_edit_away(lines):
+        assert_blocks_give_line_parser_outcome(data, block)
+
+
+@given(data=mutated_ascii(), block=st.sampled_from([1, 2, 3, 7, 16, 64]))
+@settings(max_examples=400, deadline=None)
+def test_read_ascii_in_small_blocks_same_outcome_as_line_parser(data, block):
+    assert_blocks_give_line_parser_outcome(data, block)
+
+
+def ascii_of(n: int, name: str = "part") -> bytes:
+    facets = np.zeros((n, 4, 3))
+    facets[:, 0, 2] = 1.0
+    facets[:, 1:, 2] = np.arange(n)[:, None]
+    facets[:, 2, 0] = facets[:, 3, 1] = 1.0
+    return ref.write_ascii(facets, name)
+
+
+def solid_headed_binary(header: bytes, tail: bytes = b"") -> bytes:
+    """Three binary records under an 80-byte ``header`` that starts with
+    solid: the count, 3, holds three NUL bytes."""
+    records = np.zeros(3, dtype=[("vals", "<f4", (4, 3)), ("attr", "<u2")])
+    records["vals"][:, 2, 0] = records["vals"][:, 3, 1] = 1.0
+    return header.ljust(80, b" ") + struct.pack("<I", 3) + records.tobytes() + tail
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("data, fmt", [
+    (ascii_of(3).replace(b"\n", b"\r\n"), "ascii"),
+    (ascii_of(3).replace(b"\n", b"\r"), "ascii"),
+    (ascii_of(3, "endfacet"), "ascii"),
+    (ascii_of(3, "a endfacet"), "ascii"),
+    (ascii_of(3).replace(b"endfacet\n", b"endfacet \t\x1f \n"), "ascii"),
+    (ascii_of(3).replace(b"endfacet\n", b"endfacet  \r\n\n"), "ascii"),
+    (ascii_of(3).replace(b"endfacet\n  facet", b"endfacet facet", 1), "error"),
+    (ascii_of(3).replace(b"  endfacet\n", b"  xendfacet\n", 1), "error"),
+    (ascii_of(3).replace(b"endsolid part", b"endfacet\nendsolid part"), "error"),
+    (solid_headed_binary(b"solid part\n  endfacet\n"), "binary"),
+    # cut after the records: both blocks read as binary, the second as an empty one
+    (solid_headed_binary(b"solid part", tail=b" endfacet\n" + b" " * 74 + bytes(4)), "binary"),
+], ids=["CRLF", "CR", "endfacet-name", "endfacet-in-name", "spaces-before-break",
+        "spaces-before-CRLF", "endfacet-facet-one-line", "endfacet-in-token", "stray-endfacet",
+        "solid-binary-NUL-count", "solid-binary-endfacet-after-records"])
+def test_ascii_block_edges_same_outcome_as_line_parser(data, fmt, block):
+    cut = blocks(data, block)
+    assert len(cut) > 1
+    if fmt == "ascii":  # read in blocks, each taken by the whole-file reading
+        assert all(stl._read_ascii_table(b, b.decode("ascii", errors="replace")) is not None
+                   for b in cut)
+    assert read_outcome(data, whole_file=False)[0] == fmt
+    assert_blocks_give_line_parser_outcome(data, block)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +686,29 @@ def test_mesh_stats_signed_zero_bounds_match_reference_at_every_chunk_size(seed,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stl, "CHUNK_TRIANGLES", chunk)
         assert_stats_match_reference(facets)
+
+
+def assert_ascii_info_matches_whole_read(facets, block):
+    """stl-info of the ASCII file of ``facets``, read in blocks of ``block``
+    bytes, gives the stats of the whole file's mesh, bit for bit."""
+    data = ref.write_ascii(facets, "part")
+    assert len(data) < stl.ASCII_BLOCK_BYTES  # so read_stl reads it in one block
+    want = stl.mesh_stats(stl.read_stl(data))
+    assert info_outcome(data, block) == ("ascii", "part", stats_bits(want))
+
+
+@given(facets=facet_arrays(), block=st.sampled_from([1, 7, 64, 1024]))
+@settings(max_examples=100, deadline=None)
+def test_ascii_stl_info_matches_mesh_stats_at_every_block_size(facets, block):
+    assert_ascii_info_matches_whole_read(facets, block)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), block=st.sampled_from([1, 64, 4096]),
+       palette=st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1.0), (0.0, -0.0, -1.0)]))
+@settings(max_examples=40, deadline=None)
+def test_ascii_stl_info_signed_zero_bounds_match_at_every_block_size(seed, n, block, palette):
+    facets = np.random.default_rng(seed).choice(palette, size=(n, 4, 3))
+    assert_ascii_info_matches_whole_read(facets, block)
 
 
 @pytest.mark.parametrize("facets", [
