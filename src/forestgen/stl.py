@@ -211,9 +211,10 @@ def _ascii_blocks(read):
 def _read_ascii(data: bytes) -> TriangleMesh:
     meshes = []
     for block, whole in _ascii_blocks(io.BytesIO(data).read):
-        meshes.append(_read_ascii_table(block, block.decode("ascii", errors="replace")))
+        text = block.decode("ascii", errors="replace")
+        meshes.append(_read_ascii_table(block, text))
         if meshes[-1] is None:  # a block refused: the input is read whole
-            text = data.decode("ascii", errors="replace")
+            text = text if whole else data.decode("ascii", errors="replace")
             mesh = None if whole else _read_ascii_table(data, text)
             return _read_ascii_lines(text) if mesh is None else mesh
     return concat_meshes(meshes, meshes[0].name)
@@ -542,11 +543,9 @@ class _StatsFold:
 
     def stats(self) -> MeshStats:
         norms = np.concatenate([np.empty(0), *self.norms])
-        if not len(norms):
-            return MeshStats(0, None, 0.0)
         lo = np.where(self.lo == 0.0, self.last_zero, self.lo)
         hi = np.where(self.hi == 0.0, self.last_zero, self.hi)
-        return MeshStats(len(norms), (lo, hi), 0.5 * float(norms.sum()))
+        return MeshStats(len(norms), (lo, hi) if len(norms) else None, 0.5 * float(norms.sum()))
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
